@@ -1,11 +1,12 @@
 // Continuous-batching rollout vs the static wave model, end to end.
 //
-// Builds the same HybridFlow PPO system twice — once with the legacy
-// static generation path and once with rollout.mode = continuous — and
-// compares iteration time, generation time, and the scheduler's
-// performance-plane stats (steps, preemptions, KV pressure). With the
-// real data plane enabled, both modes produce identical greedy tokens;
-// only the simulated generation schedule differs. See docs/ROLLOUT.md.
+// Builds the same HybridFlow PPO system twice — once timed by the
+// closed-form wave model (rollout.mode = static) and once by the per-step
+// replay (rollout.mode = continuous) — and compares iteration time,
+// generation time, and the scheduler's performance-plane stats (steps,
+// preemptions, KV pressure). The mode picks only the sim-plane timing
+// model: the data plane runs the same step loop either way, so with real
+// compute on both produce identical tokens. See docs/ROLLOUT.md.
 //
 // Run: ./continuous_rollout [iterations] [gpus]
 

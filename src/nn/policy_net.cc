@@ -4,6 +4,21 @@
 
 namespace hybridflow {
 
+namespace {
+
+// One SampleLogitsRow draw per row of a [batch, vocab] logits matrix.
+std::vector<int64_t> SampleRows(const Tensor& logits, double temperature, bool do_sample,
+                                Rng& rng) {
+  std::vector<int64_t> tokens(static_cast<size_t>(logits.dim(0)));
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    tokens[i] =
+        SampleLogitsRow(logits, static_cast<int64_t>(i), temperature, do_sample, rng, nullptr);
+  }
+  return tokens;
+}
+
+}  // namespace
+
 PolicyNet::PolicyNet(const PolicyNetConfig& config, Rng& rng) : config_(config) {
   HF_CHECK_GT(config_.vocab_size, 1);
   HF_CHECK_GT(config_.context_window, 0);
@@ -132,41 +147,13 @@ std::vector<int64_t> PolicyNet::Sample(const std::vector<std::vector<int64_t>>& 
                                        double temperature, Rng& rng) const {
   HF_CHECK(!config_.scalar_head);
   HF_CHECK_GT(temperature, 0.0);
-  Tensor logits = Forward(contexts);
-  const int64_t batch = logits.dim(0);
-  const int64_t vocab = logits.dim(1);
-  std::vector<int64_t> tokens(static_cast<size_t>(batch));
-  for (int64_t i = 0; i < batch; ++i) {
-    std::vector<double> weights(static_cast<size_t>(vocab));
-    double max_logit = logits.at(i, 0);
-    for (int64_t j = 1; j < vocab; ++j) {
-      max_logit = std::max(max_logit, static_cast<double>(logits.at(i, j)));
-    }
-    for (int64_t j = 0; j < vocab; ++j) {
-      weights[static_cast<size_t>(j)] =
-          std::exp((static_cast<double>(logits.at(i, j)) - max_logit) / temperature);
-    }
-    tokens[static_cast<size_t>(i)] = rng.Categorical(weights);
-  }
-  return tokens;
+  return SampleRows(Forward(contexts), temperature, /*do_sample=*/true, rng);
 }
 
 std::vector<int64_t> PolicyNet::Greedy(const std::vector<std::vector<int64_t>>& contexts) const {
   HF_CHECK(!config_.scalar_head);
-  Tensor logits = Forward(contexts);
-  const int64_t batch = logits.dim(0);
-  const int64_t vocab = logits.dim(1);
-  std::vector<int64_t> tokens(static_cast<size_t>(batch));
-  for (int64_t i = 0; i < batch; ++i) {
-    int64_t best = 0;
-    for (int64_t j = 1; j < vocab; ++j) {
-      if (logits.at(i, j) > logits.at(i, best)) {
-        best = j;
-      }
-    }
-    tokens[static_cast<size_t>(i)] = best;
-  }
-  return tokens;
+  Rng unused(0);  // Argmax never draws.
+  return SampleRows(Forward(contexts), /*temperature=*/1.0, /*do_sample=*/false, unused);
 }
 
 std::vector<Tensor> PolicyNet::Parameters() const {

@@ -104,9 +104,9 @@ class PolicyNet {
 
 // Samples (do_sample=true, at `temperature`) or argmaxes one token from row
 // `row` of a [batch, vocab] logits matrix, returning its log-probability
-// under the temperature-1 softmax in *log_prob (if non-null). Shared by the
-// static generation path and the continuous-batching rollout engine so both
-// produce bit-identical tokens and log-probs for the same logits row.
+// under the temperature-1 softmax in *log_prob (if non-null). The one token
+// selection routine: PolicyNet::Sample/Greedy and the rollout step loop's
+// data executor all produce bit-identical tokens for the same logits row.
 int64_t SampleLogitsRow(const Tensor& logits, int64_t row, double temperature, bool do_sample,
                         Rng& rng, float* log_prob);
 

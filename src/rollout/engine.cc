@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/check.h"
+#include "src/rollout/step_loop.h"
 
 namespace hybridflow {
 
@@ -33,6 +34,16 @@ void RolloutStatsCollector::Add(const RolloutStats& stats) {
 RolloutStats RolloutStatsCollector::Snapshot() const {
   MutexLock lock(mutex_);
   return total_;
+}
+
+RolloutSchedulerConfig ToSchedulerConfig(const RolloutOptions& options) {
+  RolloutSchedulerConfig scheduler;
+  scheduler.policy = options.policy;
+  scheduler.reserve_tokens = options.reserve_tokens;
+  scheduler.max_running = options.max_running;
+  scheduler.prefill_chunk_tokens = options.prefill_chunk_tokens;
+  scheduler.reserve_full_length = options.reserve_full_length;
+  return scheduler;
 }
 
 RolloutEngine::RolloutEngine(const PolicyNet& net, const RolloutLimits& limits,
@@ -79,41 +90,21 @@ RolloutShardResult RolloutEngine::Run(const std::vector<std::vector<int64_t>>& p
     return result;
   }
 
-  // KV geometry: auto-size to fit the whole shard at full length when
-  // unset; otherwise honor the configured budget but always fit the
-  // largest single sequence (the scheduler's progress contract).
-  KvBlockConfig kv_config;
-  kv_config.block_tokens = options_.block_tokens;
-  kv_config.enable_prefix_cache = options_.enable_prefix_cache;
-  int64_t fit_all = 0;
-  int64_t fit_largest = 0;
-  for (const std::vector<int64_t>& prompt : prompts) {
-    const int64_t full = static_cast<int64_t>(prompt.size()) + limits_.max_new_tokens;
-    const int64_t blocks = (full + kv_config.block_tokens - 1) / kv_config.block_tokens;
-    fit_all += blocks;
-    fit_largest = std::max(fit_largest, blocks);
-  }
-  kv_config.num_blocks =
-      options_.num_blocks > 0 ? std::max(options_.num_blocks, fit_largest) : fit_all;
-  DistributedKvManager kv(kv_ranks_, kv_config);
-
+  StepLoopConfig loop;
+  loop.scheduler = ToSchedulerConfig(options_);
+  loop.kv.block_tokens = options_.block_tokens;
+  loop.kv.num_blocks = options_.num_blocks;
+  loop.kv.enable_prefix_cache = options_.enable_prefix_cache;
+  loop.kv_ranks = kv_ranks_;
+  // Opt-in lifecycle recording: the loop opens a distinct run per engine
+  // call, keeping concurrent per-rank shards apart in the shared log.
+  loop.event_log = options_.event_log;
+  loop.running_batch = &running_batch_;
+  loop.kv_utilization = &kv_utilization_;
+  loop.queue_wait_steps = &queue_wait_steps_;
+  DataStepExecutor executor(net_, do_sample, temperature, rng, /*seconds_per_step=*/0.0,
+                            limits_.use_eos ? limits_.eos_token : -1);
   std::vector<RolloutSequence> sequences(batch);
-  std::vector<IncrementalContext> contexts_by_id;
-  std::vector<Rng> sequence_rngs;
-  contexts_by_id.reserve(batch);
-  sequence_rngs.reserve(batch);
-  RolloutSchedulerConfig scheduler_config;
-  scheduler_config.policy = options_.policy;
-  scheduler_config.reserve_tokens = options_.reserve_tokens;
-  scheduler_config.max_running = options_.max_running;
-  scheduler_config.prefill_chunk_tokens = options_.prefill_chunk_tokens;
-  scheduler_config.reserve_full_length = options_.reserve_full_length;
-  RolloutScheduler scheduler(scheduler_config, &kv, &sequences);
-  // Opt-in lifecycle recording: a distinct run id per engine call keeps
-  // concurrent per-rank shards apart in the shared log.
-  const int64_t event_run =
-      options_.event_log != nullptr ? options_.event_log->BeginRun() : 0;
-  scheduler.SetEventLog(options_.event_log, event_run);
   for (size_t i = 0; i < batch; ++i) {
     RolloutSequence& sequence = sequences[i];
     sequence.id = static_cast<int64_t>(i);
@@ -122,83 +113,22 @@ RolloutShardResult RolloutEngine::Run(const std::vector<std::vector<int64_t>>& p
     if (options_.enable_prefix_cache) {
       // Content identity for the prefix cache: identical prompt prefixes
       // (e.g. group sampling's n copies of one prompt) share blocks.
-      sequence.block_hashes = PromptBlockHashes(prompts[i], kv_config.block_tokens);
+      sequence.block_hashes = PromptBlockHashes(prompts[i], options_.block_tokens);
     }
-    contexts_by_id.emplace_back(prompts[i], net_.config().context_window);
-    sequence_rngs.push_back(rng.Fork(static_cast<uint64_t>(i)));
-    result.responses[i].reserve(static_cast<size_t>(limits_.max_new_tokens));
-    result.log_probs[i].reserve(static_cast<size_t>(limits_.max_new_tokens));
-    scheduler.Enqueue(sequence.id);
+    executor.AddSequence(prompts[i], limits_.max_new_tokens);
   }
+  const StepLoopResult run = RunStepLoop(loop, std::move(sequences), executor);
+  result.responses = std::move(executor.responses);
+  result.log_probs = std::move(executor.log_probs);
+  result.stats = run.stats;
 
-  while (scheduler.HasWork()) {
-    const StepPlan plan = scheduler.BeginStep();
-
-    // KV pressure right after admission is the step's peak residency.
-    const KvBlockManager& rank0 = kv.rank(0);
-    const double utilization =
-        kv_config.num_blocks > 0
-            ? static_cast<double>(rank0.used_blocks()) / static_cast<double>(kv_config.num_blocks)
-            : 0.0;
-    result.stats.kv_peak_utilization =
-        std::max(result.stats.kv_peak_utilization, utilization);
-    running_batch_.Observe(static_cast<double>(plan.rows()));
-    kv_utilization_.Observe(utilization);
-
-    // Only rows that caught up with their full context run the LM head:
-    // partial prefill chunks (chunked prefill) do compute but emit nothing.
-    std::vector<int64_t> rows;
-    rows.reserve(static_cast<size_t>(plan.rows()));
-    for (const PrefillChunk& chunk : plan.prefill) {
-      if (chunk.completes) {
-        rows.push_back(chunk.id);
-      }
-    }
-    rows.insert(rows.end(), plan.decode.begin(), plan.decode.end());
-    std::vector<std::vector<int64_t>> step_contexts;
-    step_contexts.reserve(rows.size());
-    for (int64_t id : rows) {
-      step_contexts.push_back(contexts_by_id[static_cast<size_t>(id)].tokens());
-    }
-
-    std::vector<int64_t> eos_finished;
-    const Tensor logits = rows.empty() ? Tensor() : net_.Forward(step_contexts);
-    for (size_t a = 0; a < rows.size(); ++a) {
-      const int64_t id = rows[a];
-      float log_prob = 0.0f;
-      const int64_t token =
-          SampleLogitsRow(logits, static_cast<int64_t>(a), temperature, do_sample,
-                          sequence_rngs[static_cast<size_t>(id)], &log_prob);
-      result.responses[static_cast<size_t>(id)].push_back(token);
-      result.log_probs[static_cast<size_t>(id)].push_back(log_prob);
-      contexts_by_id[static_cast<size_t>(id)].Push(token);
-      if (limits_.use_eos && token == limits_.eos_token) {
-        eos_finished.push_back(id);
-      }
-    }
-    scheduler.CommitStep(plan, eos_finished);
-  }
-
-  const RolloutSchedulerStats& scheduler_stats = scheduler.stats();
-  result.stats.steps = scheduler_stats.steps;
-  result.stats.admissions = scheduler_stats.admissions;
-  result.stats.preemptions = scheduler_stats.preemptions;
-  result.stats.max_running_batch = scheduler_stats.max_running;
-  result.stats.prefill_chunks = scheduler_stats.prefill_chunks;
-  result.stats.max_prefill_tokens_step = scheduler_stats.max_prefill_tokens_step;
-  result.stats.resumes = scheduler_stats.resumes;
-  result.stats.recomputed_tokens = scheduler_stats.recomputed_tokens;
-  result.stats.kv_high_water_blocks = kv.high_water_blocks();
-  result.stats.prefix_skipped_tokens = scheduler_stats.prefix_skipped_tokens;
-  result.stats.cow_splits = kv.rank(0).cow_splits_total();
-  result.stats.shared_blocks_high_water = kv.rank(0).shared_blocks_high_water();
-  prefix_hits_total_.Increment(static_cast<double>(kv.rank(0).prefix_hit_tokens_total()));
+  prefix_hits_total_.Increment(static_cast<double>(run.prefix_hit_tokens));
   cow_splits_total_.Increment(static_cast<double>(result.stats.cow_splits));
   shared_blocks_.Set(static_cast<double>(result.stats.shared_blocks_high_water));
   if (options_.event_log != nullptr) {
     // Wall-clock per-sequence latency distributions for this shard's run.
     for (const SeqLatency& latency :
-         DeriveSeqLatencies(options_.event_log->SnapshotRun(event_run), /*wall=*/true)) {
+         DeriveSeqLatencies(options_.event_log->SnapshotRun(run.event_run), /*wall=*/true)) {
       if (latency.tokens >= 1) {
         ttft_us_.Observe(latency.ttft);
       }
@@ -206,13 +136,6 @@ RolloutShardResult RolloutEngine::Run(const std::vector<std::vector<int64_t>>& p
         tpot_us_.Observe(latency.tpot);
       }
     }
-  }
-  for (const RolloutSequence& sequence : sequences) {
-    HF_CHECK(sequence.state == SequenceState::kFinished);
-    const int64_t wait = std::max<int64_t>(sequence.first_admit_step - sequence.enqueue_step, 0);
-    result.stats.queue_wait_steps_total += wait;
-    result.stats.queue_wait_steps_max = std::max(result.stats.queue_wait_steps_max, wait);
-    queue_wait_steps_.Observe(static_cast<double>(wait));
   }
   steps_total_.Increment(static_cast<double>(result.stats.steps));
   admissions_total_.Increment(static_cast<double>(result.stats.admissions));

@@ -1,15 +1,15 @@
-// RolloutEngine: the data-plane continuous-batching generation loop.
+// RolloutEngine: the data-plane RLHF rollout entry point.
 //
-// Drives the real PolicyNet over dynamically composed batches (mixed
-// prefill + decode rows chosen by RolloutScheduler against a real
-// DistributedKvManager). The per-row forward is independent of batch
-// composition and token selection goes through the shared SampleLogitsRow,
-// so greedy decoding produces bitwise-identical responses and log-probs to
-// the static path regardless of schedule, admission order, or preemption.
+// Maps one prompt shard onto the shared step loop (src/rollout/step_loop.h)
+// with a DataStepExecutor: the real PolicyNet runs over dynamically
+// composed batches (mixed prefill + decode rows chosen by RolloutScheduler
+// against a real DistributedKvManager). The per-row forward is independent
+// of batch composition and token selection goes through the shared
+// SampleLogitsRow, so greedy decoding produces bitwise-identical responses
+// and log-probs regardless of schedule, admission order, or preemption.
 //
-// Sampling mode draws from per-sequence forked RNG streams (schedule-
-// independent), which intentionally differs from the static path's single
-// shared stream; exact equivalence is promised for greedy decoding only.
+// Sampling mode draws from per-sequence forked RNG streams, so sampled
+// outputs are schedule-independent too.
 #ifndef SRC_ROLLOUT_ENGINE_H_
 #define SRC_ROLLOUT_ENGINE_H_
 
@@ -24,9 +24,11 @@
 
 namespace hybridflow {
 
+// Sim-plane timing model of generation. The data plane always runs the
+// step loop; the mode only picks how the performance plane prices it.
 enum class RolloutMode {
-  kStatic,      // Whole-shard static batch (legacy GenerateShard loop).
-  kContinuous,  // Request-level continuous batching through src/rollout/.
+  kStatic,      // Closed-form wave model (PerfModel::GenerateTime).
+  kContinuous,  // Per-step replay (SimulateContinuousGeneration).
 };
 
 // Engine knobs; shared between ActorOptions and the timing simulator.
@@ -71,6 +73,8 @@ struct RolloutOptions {
   // this sink only controls whether the raw events outlive the call.
   SeqEventLog* sim_event_log = nullptr;
 };
+
+RolloutSchedulerConfig ToSchedulerConfig(const RolloutOptions& options);
 
 // Termination rules for one generation call (mirrors AlignmentTask's
 // response_len / use_eos without depending on hf_data).

@@ -115,7 +115,19 @@ struct StepPlan {
   int64_t rows() const {
     return static_cast<int64_t>(prefill.size() + decode.size());
   }
-  // Rows that run the LM head and emit a token this step.
+  // Rows that run the LM head and emit a token this step: completing
+  // prefill chunks, then decode rows.
+  std::vector<int64_t> EmittingIds() const {
+    std::vector<int64_t> ids;
+    ids.reserve(prefill.size() + decode.size());
+    for (const PrefillChunk& chunk : prefill) {
+      if (chunk.completes) {
+        ids.push_back(chunk.id);
+      }
+    }
+    ids.insert(ids.end(), decode.begin(), decode.end());
+    return ids;
+  }
   int64_t EmittingRows() const {
     int64_t emitting = static_cast<int64_t>(decode.size());
     for (const PrefillChunk& chunk : prefill) {

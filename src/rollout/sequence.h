@@ -28,6 +28,11 @@ enum class SequenceState {
   kExpired,
 };
 
+inline bool IsTerminal(SequenceState state) {
+  return state == SequenceState::kFinished || state == SequenceState::kCancelled ||
+         state == SequenceState::kExpired;
+}
+
 struct RolloutSequence {
   int64_t id = 0;
   int64_t prompt_tokens = 0;
@@ -70,6 +75,9 @@ struct RolloutSequence {
   int64_t tenant = 0;
   int64_t priority = 0;
   double ttft_deadline = 0.0;
+  // Scheduler-clock instant the step loop enqueues this sequence at
+  // (src/rollout/step_loop.h); 0 for a batch rollout.
+  double arrival = 0.0;
 
   // Context length a (re)admission must cover.
   int64_t total_tokens() const { return prompt_tokens + generated; }

@@ -1,8 +1,9 @@
 #include "src/rollout/timing.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "src/common/check.h"
+#include "src/rollout/step_loop.h"
 
 namespace hybridflow {
 
@@ -18,43 +19,18 @@ RolloutSimResult SimulateContinuousGeneration(const PerfModel& perf,
     return result;
   }
 
-  // Same block geometry as PerfModel::GenerateTime's wave capacity model:
-  // 16-token blocks of sharded per-token KV bytes, budget-limited, raised
-  // to fit the longest sequence alone (progress contract).
-  KvBlockConfig kv_config;
-  kv_config.block_tokens = 16;
-  kv_config.bytes_per_token = perf.KvBytesPerTokenPerGpu(gen);
-  kv_config.enable_prefix_cache = options.enable_prefix_cache;
-  int64_t fit_largest = 0;
-  for (const NominalSequence& sequence : sequences) {
-    HF_CHECK_GT(sequence.prompt_tokens, 0);
-    HF_CHECK_GE(sequence.response_tokens, 0);
-    const int64_t full = sequence.prompt_tokens + sequence.response_tokens;
-    fit_largest =
-        std::max(fit_largest, (full + kv_config.block_tokens - 1) / kv_config.block_tokens);
-  }
-  const double block_bytes =
-      static_cast<double>(kv_config.block_tokens) * kv_config.bytes_per_token;
-  const int64_t budget_blocks =
-      block_bytes > 0.0 ? static_cast<int64_t>(kv_budget_bytes / block_bytes) : fit_largest;
-  kv_config.num_blocks = std::max(budget_blocks, fit_largest);
-  DistributedKvManager kv(1, kv_config);
-
-  std::vector<RolloutSequence> states(sequences.size());
-  RolloutSchedulerConfig scheduler_config;
-  scheduler_config.policy = options.policy;
-  scheduler_config.reserve_tokens = options.reserve_tokens;
-  scheduler_config.max_running = options.max_running;
-  scheduler_config.prefill_chunk_tokens = options.prefill_chunk_tokens;
-  scheduler_config.reserve_full_length = options.reserve_full_length;
-  RolloutScheduler scheduler(scheduler_config, &kv, &states);
+  SimStepExecutor executor(perf, gen, replica_devices);
+  StepLoopConfig loop;
+  loop.scheduler = ToSchedulerConfig(options);
+  loop.kv = executor.KvGeometry(options.enable_prefix_cache, kv_budget_bytes);
   // Lifecycle events always feed the latency digests; they only outlive
   // this call when the caller provides a sink.
   SeqEventLog local_events;
-  SeqEventLog* events = options.sim_event_log != nullptr ? options.sim_event_log : &local_events;
-  const int64_t event_run = events->BeginRun();
-  scheduler.SetEventLog(events, event_run);
+  loop.event_log = options.sim_event_log != nullptr ? options.sim_event_log : &local_events;
+  std::vector<RolloutSequence> states(sequences.size());
   for (size_t i = 0; i < sequences.size(); ++i) {
+    HF_CHECK_GT(sequences[i].prompt_tokens, 0);
+    HF_CHECK_GE(sequences[i].response_tokens, 0);
     RolloutSequence& state = states[i];
     state.id = static_cast<int64_t>(i);
     state.prompt_tokens = sequences[i].prompt_tokens;
@@ -71,99 +47,18 @@ RolloutSimResult SimulateContinuousGeneration(const PerfModel& perf,
                                 ? sequences[i].prompt_group
                                 : -static_cast<int64_t>(i) - 1;
       state.block_hashes =
-          GroupBlockHashes(group, sequences[i].prompt_tokens / kv_config.block_tokens);
-    }
-    if (state.target_new_tokens > 0) {
-      scheduler.Enqueue(state.id);
-    } else {
-      state.state = SequenceState::kFinished;
+          GroupBlockHashes(group, sequences[i].prompt_tokens / loop.kv.block_tokens);
     }
   }
-
-  double sim_now = 0.0;
-  while (scheduler.HasWork()) {
-    // Admission/preemption events carry the step-start clock; the commit's
-    // token events carry the step-end clock (after this step's cost).
-    scheduler.SetSimNow(sim_now);
-    const StepPlan plan = scheduler.BeginStep();
-
-    const KvBlockManager& rank0 = kv.rank(0);
-    const double utilization =
-        kv_config.num_blocks > 0
-            ? static_cast<double>(rank0.used_blocks()) / static_cast<double>(kv_config.num_blocks)
-            : 0.0;
-    result.stats.kv_peak_utilization =
-        std::max(result.stats.kv_peak_utilization, utilization);
-
-    // Prefill: (re)admitted contexts are computed from scratch —
-    // recompute-on-resume charges prompt + kept response tokens again.
-    // Under chunked prefill each chunk charges only its own tokens, so the
-    // per-step prefill cost is bounded by the chunk budget.
-    double step_seconds = 0.0;
-    if (!plan.prefill.empty()) {
-      std::vector<int64_t> prefill_tokens;
-      prefill_tokens.reserve(plan.prefill.size());
-      for (const PrefillChunk& chunk : plan.prefill) {
-        prefill_tokens.push_back(chunk.tokens);
-      }
-      const double prefill_seconds = perf.PrefillStepTime(gen, replica_devices, prefill_tokens);
-      result.time.prefill_seconds += prefill_seconds;
-      step_seconds += prefill_seconds;
-    }
-
-    // Decode: rows that caught up with their context emit one token against
-    // its live KV; partial chunks do not run the decode step yet.
-    const int64_t emitting = plan.EmittingRows();
-    if (emitting > 0) {
-      int64_t context_tokens = 0;
-      for (const PrefillChunk& chunk : plan.prefill) {
-        if (chunk.completes) {
-          context_tokens += states[static_cast<size_t>(chunk.id)].kv_tokens;
-        }
-      }
-      for (int64_t id : plan.decode) {
-        context_tokens += states[static_cast<size_t>(id)].kv_tokens;
-      }
-      const double decode_seconds =
-          perf.DecodeStepTime(gen, replica_devices, emitting, context_tokens);
-      const double comm_seconds = perf.DecodeCommStepTime(gen, replica_devices, emitting);
-      result.time.decode_seconds += decode_seconds;
-      result.time.comm_seconds += comm_seconds;
-      step_seconds += decode_seconds + comm_seconds;
-    }
-    result.max_step_seconds = std::max(result.max_step_seconds, step_seconds);
-
-    sim_now += step_seconds;
-    scheduler.SetSimNow(sim_now);
-    scheduler.CommitStep(plan, /*eos_finished=*/{});
-  }
-
-  const RolloutSchedulerStats& scheduler_stats = scheduler.stats();
-  result.stats.steps = scheduler_stats.steps;
-  result.stats.admissions = scheduler_stats.admissions;
-  result.stats.preemptions = scheduler_stats.preemptions;
-  result.stats.max_running_batch = scheduler_stats.max_running;
-  result.stats.prefill_chunks = scheduler_stats.prefill_chunks;
-  result.stats.max_prefill_tokens_step = scheduler_stats.max_prefill_tokens_step;
-  result.stats.resumes = scheduler_stats.resumes;
-  result.stats.recomputed_tokens = scheduler_stats.recomputed_tokens;
-  result.stats.kv_high_water_blocks = kv.high_water_blocks();
-  result.stats.prefix_skipped_tokens = scheduler_stats.prefix_skipped_tokens;
-  result.stats.cow_splits = kv.rank(0).cow_splits_total();
-  result.stats.shared_blocks_high_water = kv.rank(0).shared_blocks_high_water();
+  const StepLoopResult run = RunStepLoop(loop, std::move(states), executor);
+  result.stats = run.stats;
+  result.time = executor.time;
+  result.max_step_seconds = executor.max_step_seconds;
   result.latency = SummarizeSeqLatencies(
-      DeriveSeqLatencies(events == &local_events ? local_events.Snapshot()
-                                                 : events->SnapshotRun(event_run),
+      DeriveSeqLatencies(loop.event_log == &local_events
+                             ? local_events.Snapshot()
+                             : loop.event_log->SnapshotRun(run.event_run),
                          /*wall=*/false));
-  for (const RolloutSequence& state : states) {
-    if (state.target_new_tokens == 0) {
-      continue;
-    }
-    const int64_t wait = std::max<int64_t>(state.first_admit_step - state.enqueue_step, 0);
-    result.stats.queue_wait_steps_total += wait;
-    result.stats.queue_wait_steps_max = std::max(result.stats.queue_wait_steps_max, wait);
-  }
-  result.time.waves = 1;
   return result;
 }
 

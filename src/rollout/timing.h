@@ -1,9 +1,10 @@
-// Performance-plane hook of the rollout engine: replays the same
-// RolloutScheduler over *nominal* (full-scale) sequence lengths and charges
-// each step's prefill/decode/comm cost through PerfModel, replacing the
-// closed-form wave approximation of PerfModel::GenerateTime when continuous
-// batching is enabled. KV-pressure effects (waves, preemption, tail
-// stragglers) emerge from actual block-granular scheduling.
+// Performance-plane hook of the rollout engine: runs the shared step loop
+// (src/rollout/step_loop.h) over *nominal* (full-scale) sequence lengths
+// with a SimStepExecutor charging each step's prefill/decode/comm cost
+// through PerfModel, replacing the closed-form wave approximation of
+// PerfModel::GenerateTime when continuous batching is enabled. KV-pressure
+// effects (waves, preemption, tail stragglers) emerge from actual
+// block-granular scheduling.
 #ifndef SRC_ROLLOUT_TIMING_H_
 #define SRC_ROLLOUT_TIMING_H_
 

@@ -1,12 +1,11 @@
 #include "src/serving/frontend.h"
 
 #include <algorithm>
-#include <limits>
-#include <map>
 #include <string>
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/rollout/step_loop.h"
 
 namespace hybridflow {
 
@@ -39,49 +38,35 @@ ServingResult ServingFrontend::Serve(const std::vector<ServingRequest>& requests
     return result;
   }
 
-  // KV geometry as in RolloutEngine::Run: auto-size to fit everything when
-  // unset, else honor the budget but fit the largest request alone.
-  KvBlockConfig kv_config;
-  kv_config.block_tokens = config_.block_tokens;
-  kv_config.enable_prefix_cache = config_.prefix_cache;
-  int64_t fit_all = 0;
-  int64_t fit_largest = 0;
-  for (const ServingRequest& request : requests) {
-    HF_CHECK_EQ(request.id, static_cast<int64_t>(&request - requests.data()));
-    HF_CHECK_GT(request.max_new_tokens, 0);
-    HF_CHECK(!request.prompt.empty());
-    const int64_t full = static_cast<int64_t>(request.prompt.size()) + request.max_new_tokens;
-    const int64_t blocks = (full + kv_config.block_tokens - 1) / kv_config.block_tokens;
-    fit_all += blocks;
-    fit_largest = std::max(fit_largest, blocks);
+  StepLoopConfig loop;
+  loop.scheduler = ToSchedulerConfig(config_.scheduler);
+  loop.kv.block_tokens = config_.block_tokens;
+  loop.kv.num_blocks = config_.num_blocks;
+  loop.kv.enable_prefix_cache = config_.prefix_cache;
+  loop.kv_ranks = kv_ranks_;
+  loop.event_log = config_.event_log;
+  // Client cancellation signals, applied at step boundaries. Only requests
+  // that carry a cancel schedule are watched, or all of them under a stream
+  // callback (which may refuse any token); terminal ones drop out.
+  std::vector<int64_t> watched;
+  std::vector<bool> refused(count, false);
+  DataStepExecutor::TokenSink sink;
+  if (on_token != nullptr) {
+    sink = [&](int64_t id, int64_t token, float log_prob, double time) {
+      const int64_t index = result.records[static_cast<size_t>(id)].tokens++;
+      if (!on_token(StreamDelta{id, token, log_prob, index, time})) {
+        refused[static_cast<size_t>(id)] = true;
+      }
+    };
   }
-  kv_config.num_blocks =
-      config_.num_blocks > 0 ? std::max(config_.num_blocks, fit_largest) : fit_all;
-  DistributedKvManager kv(kv_ranks_, kv_config);
-
+  DataStepExecutor executor(net_, do_sample, temperature, rng, config_.seconds_per_step,
+                            /*eos_token=*/-1, sink);
   std::vector<RolloutSequence> sequences(count);
-  std::vector<IncrementalContext> contexts;
-  std::vector<Rng> request_rngs;
-  contexts.reserve(count);
-  request_rngs.reserve(count);
-  RolloutScheduler scheduler(ToSchedulerConfig(config_.scheduler), &kv, &sequences);
-  const int64_t event_run =
-      config_.event_log != nullptr ? config_.event_log->BeginRun() : 0;
-  scheduler.SetEventLog(config_.event_log, event_run);
-
-  // Arrival replay order; request ids index `sequences` directly.
-  std::vector<int64_t> by_arrival(count);
-  for (size_t i = 0; i < count; ++i) {
-    by_arrival[i] = static_cast<int64_t>(i);
-  }
-  std::stable_sort(by_arrival.begin(), by_arrival.end(), [&requests](int64_t a, int64_t b) {
-    return requests[static_cast<size_t>(a)].arrival < requests[static_cast<size_t>(b)].arrival;
-  });
-
-  std::vector<double> last_token_time(count, 0.0);
-  std::vector<bool> client_cancelled(count, false);
   for (size_t i = 0; i < count; ++i) {
     const ServingRequest& request = requests[i];
+    HF_CHECK_EQ(request.id, static_cast<int64_t>(i));
+    HF_CHECK_GT(request.max_new_tokens, 0);
+    HF_CHECK(!request.prompt.empty());
     RolloutSequence& sequence = sequences[i];
     sequence.id = request.id;
     sequence.prompt_tokens = static_cast<int64_t>(request.prompt.size());
@@ -89,163 +74,54 @@ ServingResult ServingFrontend::Serve(const std::vector<ServingRequest>& requests
     sequence.tenant = request.tenant;
     sequence.priority = request.priority;
     sequence.ttft_deadline = request.ttft_deadline;
+    sequence.arrival = request.arrival;
     if (config_.prefix_cache) {
-      sequence.block_hashes = PromptBlockHashes(request.prompt, kv_config.block_tokens);
+      sequence.block_hashes = PromptBlockHashes(request.prompt, config_.block_tokens);
     }
-    contexts.emplace_back(request.prompt, net_.config().context_window);
-    request_rngs.push_back(rng.Fork(static_cast<uint64_t>(i)));
-    RequestRecord& record = result.records[i];
-    record.id = request.id;
-    record.tenant = request.tenant;
-    record.priority = request.priority;
-    record.arrival = request.arrival;
-    record.ttft_deadline = request.ttft_deadline;
-    record.tpot_slo = request.tpot_slo;
+    // A cancellation scheduled at-or-before arrival never reaches the
+    // scheduler: the client hung up before the request was accepted.
+    if (request.cancel_at > 0.0 && request.cancel_at <= request.arrival) {
+      sequence.state = SequenceState::kCancelled;
+    } else if (on_token != nullptr || request.cancel_at > 0.0 ||
+               request.cancel_after_tokens > 0) {
+      watched.push_back(request.id);
+    }
+    executor.AddSequence(request.prompt, request.max_new_tokens);
+    result.records[i].tpot_slo = request.tpot_slo;
   }
-
-  double now = 0.0;
-  size_t next_arrival = 0;
-  std::vector<bool> enqueued(count, false);
-  const auto admit_arrivals = [&]() {
-    while (next_arrival < count &&
-           requests[static_cast<size_t>(by_arrival[next_arrival])].arrival <= now) {
-      const int64_t id = by_arrival[next_arrival];
-      const size_t idx = static_cast<size_t>(id);
-      const ServingRequest& request = requests[idx];
-      // A cancellation scheduled at-or-before arrival never reaches the
-      // scheduler: the client hung up before the request was accepted.
-      if (request.cancel_at > 0.0 && request.cancel_at <= request.arrival) {
-        sequences[idx].state = SequenceState::kCancelled;
-        client_cancelled[idx] = true;
-      } else {
-        scheduler.Enqueue(id);
-        enqueued[idx] = true;
+  const auto cancellations = [&](double now, const std::vector<RolloutSequence>& states,
+                                 std::vector<int64_t>* cancel) {
+    size_t kept = 0;
+    for (int64_t id : watched) {
+      const RolloutSequence& sequence = states[static_cast<size_t>(id)];
+      if (IsTerminal(sequence.state)) {
+        continue;
       }
-      ++next_arrival;
-    }
-  };
-  // Applies the client cancellation signals (declarative schedule and
-  // callback refusals); legal only between CommitStep and the next
-  // BeginStep, never mid-plan.
-  const auto apply_cancellations = [&]() {
-    for (size_t i = 0; i < count; ++i) {
-      RolloutSequence& sequence = sequences[i];
-      if (!enqueued[i] ||
-          (sequence.state != SequenceState::kWaiting &&
-           sequence.state != SequenceState::kPrefill &&
-           sequence.state != SequenceState::kDecode)) {
-        continue;  // Not yet accepted, or already terminal.
-      }
-      const ServingRequest& request = requests[i];
+      watched[kept++] = id;
+      const ServingRequest& request = requests[static_cast<size_t>(id)];
       const bool timed_out = request.cancel_at > 0.0 && request.cancel_at <= now;
       const bool streamed_enough = request.cancel_after_tokens > 0 &&
                                    sequence.generated >= request.cancel_after_tokens;
-      if (timed_out || streamed_enough || client_cancelled[i]) {
-        scheduler.Cancel(sequence.id, /*expired=*/false);
-        client_cancelled[i] = true;
+      const bool hung_up = refused[static_cast<size_t>(id)];
+      if (request.arrival <= now && (timed_out || streamed_enough || hung_up)) {
+        cancel->push_back(id);
       }
     }
+    watched.resize(kept);
   };
+  const StepLoopResult run =
+      RunStepLoop(loop, std::move(sequences), executor, cancellations);
 
-  admit_arrivals();
-  while (scheduler.HasWork() || next_arrival < count) {
-    if (!scheduler.HasWork()) {
-      // Idle gap: jump the virtual clock to the next arrival.
-      now = std::max(now, requests[static_cast<size_t>(by_arrival[next_arrival])].arrival);
-      admit_arrivals();
-      apply_cancellations();
-      if (!scheduler.HasWork()) {
-        continue;
-      }
-    }
-    scheduler.SetSimNow(now);
-    const StepPlan plan = scheduler.BeginStep();
-    if (plan.empty()) {
-      // Expiry drained every remaining sequence this step; no forward runs.
-      now += config_.seconds_per_step;
-      admit_arrivals();
-      continue;
-    }
-
-    std::vector<int64_t> rows;
-    rows.reserve(static_cast<size_t>(plan.rows()));
-    for (const PrefillChunk& chunk : plan.prefill) {
-      if (chunk.completes) {
-        rows.push_back(chunk.id);
-      }
-    }
-    rows.insert(rows.end(), plan.decode.begin(), plan.decode.end());
-    std::vector<std::vector<int64_t>> step_contexts;
-    step_contexts.reserve(rows.size());
-    for (int64_t id : rows) {
-      step_contexts.push_back(contexts[static_cast<size_t>(id)].tokens());
-    }
-
-    // The step's tokens commit at the step-end clock.
-    now += config_.seconds_per_step;
-    scheduler.SetSimNow(now);
-
-    std::vector<int64_t> eos_finished;
-    const Tensor logits = rows.empty() ? Tensor() : net_.Forward(step_contexts);
-    for (size_t a = 0; a < rows.size(); ++a) {
-      const int64_t id = rows[a];
-      const size_t idx = static_cast<size_t>(id);
-      float log_prob = 0.0f;
-      const int64_t token = SampleLogitsRow(logits, static_cast<int64_t>(a), temperature,
-                                            do_sample, request_rngs[idx], &log_prob);
-      RequestRecord& record = result.records[idx];
-      if (record.tokens == 0) {
-        record.first_token_time = now;
-      }
-      record.tokens += 1;
-      last_token_time[idx] = now;
-      record.response.push_back(token);
-      record.log_probs.push_back(log_prob);
-      contexts[idx].Push(token);
-      if (on_token != nullptr) {
-        StreamDelta delta;
-        delta.request = id;
-        delta.token = token;
-        delta.log_prob = log_prob;
-        delta.index = record.tokens - 1;
-        delta.time = now;
-        if (!on_token(delta)) {
-          client_cancelled[idx] = true;  // Applied at the step boundary.
-        }
-      }
-    }
-    scheduler.CommitStep(plan, eos_finished);
-    admit_arrivals();
-    apply_cancellations();
-  }
-
-  // Outcomes from terminal sequence states; every path must be terminal.
   for (size_t i = 0; i < count; ++i) {
-    const RolloutSequence& sequence = sequences[i];
     RequestRecord& record = result.records[i];
-    switch (sequence.state) {
-      case SequenceState::kFinished:
-        record.outcome = RequestOutcome::kFinished;
-        record.end_time = last_token_time[i];
-        break;
-      case SequenceState::kCancelled:
-        record.outcome = RequestOutcome::kCancelled;
-        record.end_time = std::max(now, record.arrival);
-        break;
-      case SequenceState::kExpired:
-        record.outcome = RequestOutcome::kExpired;
-        record.end_time = std::max(now, record.arrival);
-        break;
-      default:
-        HF_CHECK_MSG(false, "serving request ended in a non-terminal state");
-    }
-    record.preemptions = sequence.preemptions;
-    FinalizeRecord(&record, last_token_time[i]);
+    record.response = std::move(executor.responses[i]);
+    record.log_probs = std::move(executor.log_probs[i]);
   }
+  FillRecordOutcomes(run, &result.records);
   result.report = BuildServingReport(result.records);
-  result.scheduler_stats = scheduler.stats();
-  result.kv_high_water_blocks = kv.high_water_blocks();
-  result.kv_leaked_blocks = kv.rank(0).used_blocks();
+  result.scheduler_stats = run.scheduler_stats;
+  result.kv_high_water_blocks = run.stats.kv_high_water_blocks;
+  result.kv_leaked_blocks = run.kv_leaked_blocks;
 
   finished_total_.Increment(static_cast<double>(result.report.finished));
   cancelled_total_.Increment(static_cast<double>(result.report.cancelled));

@@ -1,10 +1,10 @@
 // ServingFrontend: the data-plane serving loop (docs/SERVING.md).
 //
-// Maps ServingRequests onto RolloutSequences and drives RolloutEngine-style
-// continuous generation over the real toy PolicyNet: per step it injects
-// newly arrived requests, applies client cancellations and TTFT expiry,
-// composes a mixed prefill+decode batch via RolloutScheduler, runs one
-// forward, and streams each committed token to the client callback.
+// Maps ServingRequests onto the shared step loop (src/rollout/step_loop.h)
+// with a DataStepExecutor over the real toy PolicyNet: the loop injects
+// arrivals, applies TTFT expiry and — through a between-steps hook —
+// client cancellations, and the executor runs one forward per step and
+// streams each committed token to the client callback.
 //
 // The serving clock is *virtual*: step k commits at (k+1) *
 // seconds_per_step, and arrivals/deadlines/cancellations are interpreted on

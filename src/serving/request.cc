@@ -35,30 +35,47 @@ const char* RequestOutcomeName(RequestOutcome outcome) {
   return "unknown";
 }
 
-bool ParseRequestOutcome(const std::string& name, RequestOutcome* outcome) {
-  static constexpr RequestOutcome kAll[] = {RequestOutcome::kFinished, RequestOutcome::kCancelled,
-                                            RequestOutcome::kExpired};
-  for (RequestOutcome candidate : kAll) {
-    if (name == RequestOutcomeName(candidate)) {
-      *outcome = candidate;
-      return true;
+void FillRecordOutcomes(const StepLoopResult& run, std::vector<RequestRecord>* records) {
+  for (size_t i = 0; i < records->size(); ++i) {
+    const RolloutSequence& sequence = run.sequences[i];
+    RequestRecord& record = (*records)[i];
+    record.id = sequence.id;
+    record.tenant = sequence.tenant;
+    record.priority = sequence.priority;
+    record.arrival = sequence.arrival;
+    record.ttft_deadline = sequence.ttft_deadline;
+    record.tokens = sequence.generated;
+    record.preemptions = sequence.preemptions;
+    record.first_token_time = run.first_token_seconds[i];
+    const double last_token_time = run.last_token_seconds[i];
+    switch (sequence.state) {
+      case SequenceState::kFinished:
+        record.outcome = RequestOutcome::kFinished;
+        record.end_time = last_token_time;
+        break;
+      case SequenceState::kCancelled:
+        record.outcome = RequestOutcome::kCancelled;
+        record.end_time = std::max(run.end_seconds, record.arrival);
+        break;
+      case SequenceState::kExpired:
+        record.outcome = RequestOutcome::kExpired;
+        record.end_time = std::max(run.end_seconds, record.arrival);
+        break;
+      default:
+        HF_CHECK_MSG(false, "serving request ended in a non-terminal state");
     }
+    if (record.tokens >= 1) {
+      record.ttft = record.first_token_time - record.arrival;
+    }
+    if (record.tokens >= 2) {
+      record.tpot = (last_token_time - record.first_token_time) /
+                    static_cast<double>(record.tokens - 1);
+    }
+    record.slo_ok =
+        record.outcome == RequestOutcome::kFinished &&
+        (record.ttft_deadline <= 0.0 || record.first_token_time <= record.ttft_deadline) &&
+        (record.tpot_slo <= 0.0 || record.tokens < 2 || record.tpot <= record.tpot_slo);
   }
-  return false;
-}
-
-void FinalizeRecord(RequestRecord* record, double last_token_time) {
-  if (record->tokens >= 1) {
-    record->ttft = record->first_token_time - record->arrival;
-  }
-  if (record->tokens >= 2) {
-    record->tpot = (last_token_time - record->first_token_time) /
-                   static_cast<double>(record->tokens - 1);
-  }
-  record->slo_ok =
-      record->outcome == RequestOutcome::kFinished &&
-      (record->ttft_deadline <= 0.0 || record->first_token_time <= record->ttft_deadline) &&
-      (record->tpot_slo <= 0.0 || record->tokens < 2 || record->tpot <= record->tpot_slo);
 }
 
 ServingReport BuildServingReport(const std::vector<RequestRecord>& records) {

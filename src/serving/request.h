@@ -24,6 +24,7 @@
 #include "src/data/arrival_trace.h"
 #include "src/obs/seq_events.h"
 #include "src/rollout/scheduler.h"
+#include "src/rollout/step_loop.h"
 
 namespace hybridflow {
 
@@ -75,7 +76,6 @@ enum class RequestOutcome {
 
 // Stable lowercase name used in the per-request JSONL ("finished", ...).
 const char* RequestOutcomeName(RequestOutcome outcome);
-bool ParseRequestOutcome(const std::string& name, RequestOutcome* outcome);
 
 // One streamed token, delivered to the client callback as it is committed.
 struct StreamDelta {
@@ -114,9 +114,10 @@ struct RequestRecord {
   std::vector<float> log_probs;
 };
 
-// Derives ttft/tpot/slo_ok from the raw fields already set on `record`
-// (arrival, first_token_time, end_time, tokens, outcome, SLO inputs).
-void FinalizeRecord(RequestRecord* record, double last_token_time);
+// Fills every record but its tpot_slo (and the data plane's response) from
+// the step loop's terminal sequence i, then derives ttft/tpot/slo_ok.
+// Cancelled and expired requests end at the drain clock.
+void FillRecordOutcomes(const StepLoopResult& run, std::vector<RequestRecord>* records);
 
 struct TenantServingStats {
   int64_t tenant = 0;

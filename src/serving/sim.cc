@@ -1,8 +1,9 @@
 #include "src/serving/sim.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "src/common/check.h"
+#include "src/rollout/step_loop.h"
 
 namespace hybridflow {
 
@@ -16,35 +17,16 @@ ServingSimResult SimulateServing(const PerfModel& perf, const GenParallelConfig&
     return result;
   }
 
-  // Same block geometry as SimulateContinuousGeneration: 16-token blocks of
-  // sharded per-token KV bytes, budget-limited, raised to fit the largest
-  // request alone (progress contract).
-  KvBlockConfig kv_config;
-  kv_config.block_tokens = 16;
-  kv_config.bytes_per_token = perf.KvBytesPerTokenPerGpu(gen);
-  kv_config.enable_prefix_cache = config.prefix_cache;
-  int64_t fit_largest = 0;
-  for (const ArrivalRecord& record : trace) {
-    HF_CHECK_GT(record.prompt_tokens, 0);
-    HF_CHECK_GT(record.target_new_tokens, 0);
-    const int64_t full = record.prompt_tokens + record.target_new_tokens;
-    fit_largest =
-        std::max(fit_largest, (full + kv_config.block_tokens - 1) / kv_config.block_tokens);
-  }
-  const double block_bytes =
-      static_cast<double>(kv_config.block_tokens) * kv_config.bytes_per_token;
-  const int64_t budget_blocks =
-      block_bytes > 0.0 ? static_cast<int64_t>(kv_budget_bytes / block_bytes) : fit_largest;
-  kv_config.num_blocks = std::max(budget_blocks, fit_largest);
-  DistributedKvManager kv(1, kv_config);
-
+  SimStepExecutor executor(perf, gen, replica_devices);
+  StepLoopConfig loop;
+  loop.scheduler = ToSchedulerConfig(config);
+  loop.kv = executor.KvGeometry(config.prefix_cache, kv_budget_bytes);
   std::vector<RolloutSequence> states(trace.size());
-  RolloutScheduler scheduler(ToSchedulerConfig(config), &kv, &states);
-  std::vector<double> first_token(trace.size(), 0.0);
-  std::vector<double> last_token(trace.size(), 0.0);
   for (size_t i = 0; i < trace.size(); ++i) {
     const ArrivalRecord& record = trace[i];
     HF_CHECK_EQ(record.index, static_cast<int64_t>(i));
+    HF_CHECK_GT(record.prompt_tokens, 0);
+    HF_CHECK_GT(record.target_new_tokens, 0);
     RolloutSequence& state = states[i];
     state.id = record.index;
     state.prompt_tokens = record.prompt_tokens;
@@ -52,112 +34,20 @@ ServingSimResult SimulateServing(const PerfModel& perf, const GenParallelConfig&
     state.tenant = record.tenant;
     state.priority = record.priority;
     state.ttft_deadline = record.ttft_deadline;
+    state.arrival = record.arrival;
     if (config.prefix_cache && record.prompt_group >= 0) {
-      state.block_hashes = GroupBlockHashes(record.prompt_group,
-                                            record.prompt_tokens / kv_config.block_tokens);
+      state.block_hashes =
+          GroupBlockHashes(record.prompt_group, record.prompt_tokens / loop.kv.block_tokens);
     }
-    RequestRecord& row = result.records[i];
-    row.id = record.index;
-    row.tenant = record.tenant;
-    row.priority = record.priority;
-    row.arrival = record.arrival;
-    row.ttft_deadline = record.ttft_deadline;
-    row.tpot_slo = record.tpot_slo;
+    result.records[i].tpot_slo = record.tpot_slo;
   }
-
-  double sim_now = 0.0;
-  size_t next_arrival = 0;  // Trace is sorted by arrival time.
-  const auto admit_arrivals = [&]() {
-    while (next_arrival < trace.size() && trace[next_arrival].arrival <= sim_now) {
-      scheduler.Enqueue(trace[next_arrival].index);
-      ++next_arrival;
-    }
-  };
-
-  admit_arrivals();
-  while (scheduler.HasWork() || next_arrival < trace.size()) {
-    if (!scheduler.HasWork()) {
-      // Idle gap: advance the DES clock to the next arrival.
-      sim_now = std::max(sim_now, trace[next_arrival].arrival);
-      admit_arrivals();
-      continue;
-    }
-    scheduler.SetSimNow(sim_now);
-    const StepPlan plan = scheduler.BeginStep();
-    if (plan.empty()) {
-      continue;  // Expiry drained the remaining work; no cost charged.
-    }
-
-    // Step cost: PerfModel prefill + decode + comm, as in
-    // SimulateContinuousGeneration.
-    double step_seconds = 0.0;
-    if (!plan.prefill.empty()) {
-      std::vector<int64_t> prefill_tokens;
-      prefill_tokens.reserve(plan.prefill.size());
-      for (const PrefillChunk& chunk : plan.prefill) {
-        prefill_tokens.push_back(chunk.tokens);
-      }
-      step_seconds += perf.PrefillStepTime(gen, replica_devices, prefill_tokens);
-    }
-    const int64_t emitting = plan.EmittingRows();
-    if (emitting > 0) {
-      int64_t context_tokens = 0;
-      for (const PrefillChunk& chunk : plan.prefill) {
-        if (chunk.completes) {
-          context_tokens += states[static_cast<size_t>(chunk.id)].kv_tokens;
-        }
-      }
-      for (int64_t id : plan.decode) {
-        context_tokens += states[static_cast<size_t>(id)].kv_tokens;
-      }
-      step_seconds += perf.DecodeStepTime(gen, replica_devices, emitting, context_tokens);
-      step_seconds += perf.DecodeCommStepTime(gen, replica_devices, emitting);
-    }
-
-    // Tokens commit at the step-end clock.
-    sim_now += step_seconds;
-    scheduler.SetSimNow(sim_now);
-    for (const PrefillChunk& chunk : plan.prefill) {
-      if (chunk.completes) {
-        const size_t idx = static_cast<size_t>(chunk.id);
-        if (states[idx].generated == 0) {
-          first_token[idx] = sim_now;
-        }
-        last_token[idx] = sim_now;
-      }
-    }
-    for (int64_t id : plan.decode) {
-      last_token[static_cast<size_t>(id)] = sim_now;
-    }
-    scheduler.CommitStep(plan, /*eos_finished=*/{});
-    admit_arrivals();
-  }
-
-  for (size_t i = 0; i < trace.size(); ++i) {
-    const RolloutSequence& state = states[i];
-    RequestRecord& row = result.records[i];
-    row.tokens = state.generated;
-    row.preemptions = state.preemptions;
-    row.first_token_time = state.generated > 0 ? first_token[i] : 0.0;
-    switch (state.state) {
-      case SequenceState::kFinished:
-        row.outcome = RequestOutcome::kFinished;
-        row.end_time = last_token[i];
-        break;
-      case SequenceState::kExpired:
-        row.outcome = RequestOutcome::kExpired;
-        row.end_time = std::max(sim_now, row.arrival);
-        break;
-      default:
-        HF_CHECK_MSG(false, "simulated request ended in a non-terminal state");
-    }
-    FinalizeRecord(&row, last_token[i]);
-  }
+  const StepLoopResult run = RunStepLoop(loop, std::move(states), executor);
+  FillRecordOutcomes(run, &result.records);
   result.report = BuildServingReport(result.records);
-  result.scheduler_stats = scheduler.stats();
-  result.kv_high_water_blocks = kv.high_water_blocks();
-  result.kv_leaked_blocks = kv.rank(0).used_blocks();
-  result.sim_seconds = sim_now;
+  result.scheduler_stats = run.scheduler_stats;
+  result.kv_high_water_blocks = run.stats.kv_high_water_blocks;
+  result.kv_leaked_blocks = run.kv_leaked_blocks;
+  result.sim_seconds = run.end_seconds;
   return result;
 }
 

@@ -1,15 +1,15 @@
 // SimulateServing: the sim-plane serving loop (docs/SERVING.md).
 //
 // Replays an arrival trace (src/data/arrival_trace.h) through the same
-// RolloutScheduler the data plane uses, but charges every step with
-// PerfModel prefill/decode/comm costs instead of running a network — the
-// serving analogue of SimulateContinuousGeneration. Arrivals are injected
-// as the DES clock passes them, TTFT-overdue requests are expired at step
-// boundaries, and each request yields the same RequestRecord row the data
-// plane emits (with an empty response — the sim plane never materializes
-// tokens). This is what bench/bench_serving.cc sweeps across admission
-// policies and trace shapes: identical trace, identical KV budget, only
-// the policy differs.
+// step loop the data plane uses, but with a SimStepExecutor charging every
+// step PerfModel prefill/decode/comm costs instead of running a network —
+// the serving analogue of SimulateContinuousGeneration. Arrivals are
+// injected as the DES clock passes them, TTFT-overdue requests are expired
+// at step boundaries, and each request yields the same RequestRecord row
+// the data plane emits (with an empty response — the sim plane never
+// materializes tokens). This is what bench/bench_serving.cc sweeps across
+// admission policies and trace shapes: identical trace, identical KV
+// budget, only the policy differs.
 #ifndef SRC_SERVING_SIM_H_
 #define SRC_SERVING_SIM_H_
 

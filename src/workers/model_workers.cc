@@ -77,67 +77,17 @@ TransferProtocol ActorWorkerGroup::GenerationProtocol() const {
 
 DataBatch ActorWorkerGroup::GenerateShard(const DataBatch& shard, bool do_sample,
                                           Rng& rng) const {
-  const DataBatch::TokenColumn& prompts = shard.Tokens("prompts");
-  const size_t batch = prompts.size();
-  const int64_t response_len = real_.task.response_len;
-
-  if (actor_.rollout.mode == RolloutMode::kContinuous) {
-    RolloutLimits limits;
-    limits.max_new_tokens = response_len;
-    limits.use_eos = real_.task.use_eos;
-    limits.eos_token = real_.task.eos_token();
-    RolloutEngine rollout_engine(*net_, limits, actor_.rollout, engine_->gen_config().tp);
-    RolloutShardResult result =
-        rollout_engine.Run(prompts, do_sample, actor_.temperature, rng);
-    rollout_stats_.Add(result.stats);
-    DataBatch out = shard;
-    out.SetTokens("responses", std::move(result.responses));
-    out.SetFloat("log_probs", std::move(result.log_probs));
-    return out;
-  }
-
-  DataBatch::TokenColumn responses(batch);
-  DataBatch::FloatColumn log_probs(batch);
-  std::vector<IncrementalContext> contexts_by_row;
-  contexts_by_row.reserve(batch);
-  for (size_t i = 0; i < batch; ++i) {
-    responses[i].reserve(static_cast<size_t>(response_len));
-    log_probs[i].reserve(static_cast<size_t>(response_len));
-    contexts_by_row.emplace_back(prompts[i], real_.net.context_window);
-  }
-  std::vector<bool> finished(batch, false);
-  for (int64_t step = 0; step < response_len; ++step) {
-    // Continuous-batching style: only unfinished rows go through the net,
-    // each supplying its incrementally maintained context window.
-    std::vector<size_t> active;
-    std::vector<std::vector<int64_t>> contexts;
-    for (size_t i = 0; i < batch; ++i) {
-      if (finished[i]) {
-        continue;
-      }
-      active.push_back(i);
-      contexts.push_back(contexts_by_row[i].tokens());
-    }
-    if (active.empty()) {
-      break;
-    }
-    Tensor logits = net_->Forward(contexts);
-    for (size_t a = 0; a < active.size(); ++a) {
-      const size_t i = active[a];
-      float log_prob = 0.0f;
-      const int64_t token = SampleLogitsRow(logits, static_cast<int64_t>(a), actor_.temperature,
-                                            do_sample, rng, &log_prob);
-      responses[i].push_back(token);
-      log_probs[i].push_back(log_prob);
-      contexts_by_row[i].Push(token);
-      if (real_.task.use_eos && token == real_.task.eos_token()) {
-        finished[i] = true;
-      }
-    }
-  }
+  RolloutLimits limits;
+  limits.max_new_tokens = real_.task.response_len;
+  limits.use_eos = real_.task.use_eos;
+  limits.eos_token = real_.task.eos_token();
+  RolloutEngine rollout_engine(*net_, limits, actor_.rollout, engine_->gen_config().tp);
+  RolloutShardResult result =
+      rollout_engine.Run(shard.Tokens("prompts"), do_sample, actor_.temperature, rng);
+  rollout_stats_.Add(result.stats);
   DataBatch out = shard;
-  out.SetTokens("responses", std::move(responses));
-  out.SetFloat("log_probs", std::move(log_probs));
+  out.SetTokens("responses", std::move(result.responses));
+  out.SetFloat("log_probs", std::move(result.log_probs));
   return out;
 }
 

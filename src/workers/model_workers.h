@@ -31,8 +31,9 @@ struct ActorOptions {
   double temperature = 1.0;
   // Separate generation devices for kTwoCopies (OpenRLHF's vLLM pool).
   std::shared_ptr<ResourcePool> gen_pool;
-  // Continuous-batching rollout engine (src/rollout/); kStatic keeps the
-  // whole-shard batch loop and the closed-form wave time model.
+  // Rollout engine knobs (src/rollout/). Data-plane generation always runs
+  // the continuous-batching step loop; `rollout.mode` picks only the
+  // sim-plane timing model (kStatic: closed-form waves).
   RolloutOptions rollout;
 };
 
@@ -82,8 +83,7 @@ class ActorWorkerGroup : public ModelWorkerGroup {
   const GenTimeBreakdown& last_gen_breakdown() const { return last_gen_; }
   const TransitionStats& last_transition_stats() const { return last_transition_; }
 
-  // Aggregated data-plane rollout stats across all generation calls
-  // (continuous mode only; zeros under kStatic).
+  // Aggregated data-plane rollout stats across all generation calls.
   RolloutStats rollout_stats() const { return rollout_stats_.Snapshot(); }
   // Performance-plane scheduler stats of the most recent GenerateSequences
   // (continuous mode only).

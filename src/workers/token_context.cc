@@ -20,26 +20,6 @@ std::vector<int64_t> ContextWindow(const std::vector<int64_t>& prompt,
   return context;
 }
 
-std::vector<std::vector<int64_t>> AllResponseContexts(
-    const std::vector<std::vector<int64_t>>& prompts,
-    const std::vector<std::vector<int64_t>>& responses, int64_t window, int64_t* response_len) {
-  HF_CHECK_EQ(prompts.size(), responses.size());
-  HF_CHECK(!responses.empty());
-  const size_t r = responses[0].size();
-  std::vector<std::vector<int64_t>> contexts;
-  contexts.reserve(prompts.size() * r);
-  for (size_t i = 0; i < prompts.size(); ++i) {
-    HF_CHECK_EQ(responses[i].size(), r);
-    for (size_t k = 0; k < r; ++k) {
-      contexts.push_back(ContextWindow(prompts[i], responses[i], k, window));
-    }
-  }
-  if (response_len != nullptr) {
-    *response_len = static_cast<int64_t>(r);
-  }
-  return contexts;
-}
-
 std::vector<std::vector<int64_t>> AllResponseContextsRagged(
     const std::vector<std::vector<int64_t>>& prompts,
     const std::vector<std::vector<int64_t>>& responses, int64_t window,
@@ -80,16 +60,6 @@ std::vector<std::vector<float>> UnflattenRagged(const std::vector<float>& flat,
     offset += static_cast<size_t>(length);
   }
   HF_CHECK_EQ(offset, flat.size());
-  return column;
-}
-
-std::vector<std::vector<float>> UnflattenColumn(const std::vector<float>& flat, int64_t rows,
-                                                int64_t cols) {
-  HF_CHECK_EQ(static_cast<int64_t>(flat.size()), rows * cols);
-  std::vector<std::vector<float>> column(static_cast<size_t>(rows));
-  for (int64_t i = 0; i < rows; ++i) {
-    column[static_cast<size_t>(i)].assign(flat.begin() + i * cols, flat.begin() + (i + 1) * cols);
-  }
   return column;
 }
 

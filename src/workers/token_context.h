@@ -14,16 +14,10 @@ std::vector<int64_t> ContextWindow(const std::vector<int64_t>& prompt,
                                    const std::vector<int64_t>& response, size_t emitted,
                                    int64_t window);
 
-// Contexts for every response position of every row: result[i * R + k] is
-// the window preceding response token k of row i. All rows must share
-// response length R (returned via *response_len).
-std::vector<std::vector<int64_t>> AllResponseContexts(
-    const std::vector<std::vector<int64_t>>& prompts,
-    const std::vector<std::vector<int64_t>>& responses, int64_t window, int64_t* response_len);
-
-// Ragged variant: rows may have different response lengths (EOS-terminated
-// generation). Contexts are concatenated row-major; *lengths receives each
-// row's response length.
+// Contexts for every response position of every row, concatenated
+// row-major: the window preceding each response token. Rows may have
+// different response lengths (EOS-terminated generation); *lengths
+// receives each row's response length.
 std::vector<std::vector<int64_t>> AllResponseContextsRagged(
     const std::vector<std::vector<int64_t>>& prompts,
     const std::vector<std::vector<int64_t>>& responses, int64_t window,
@@ -31,10 +25,6 @@ std::vector<std::vector<int64_t>> AllResponseContextsRagged(
 
 // Flattens a (possibly ragged) [B][*] float column into one vector.
 std::vector<float> FlattenColumn(const std::vector<std::vector<float>>& column);
-
-// Splits a flat [B*R] vector back into B rows of length R.
-std::vector<std::vector<float>> UnflattenColumn(const std::vector<float>& flat, int64_t rows,
-                                                int64_t cols);
 
 // Ragged inverse of FlattenColumn: splits `flat` into rows of the given
 // lengths (sum of lengths must equal flat.size()).

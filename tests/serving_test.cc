@@ -25,6 +25,8 @@
 #include "src/data/arrival_trace.h"
 #include "src/nn/policy_net.h"
 #include "src/obs/json_util.h"
+#include "src/rollout/engine.h"
+#include "src/rollout/timing.h"
 #include "src/serving/frontend.h"
 #include "src/serving/request.h"
 #include "src/serving/sim.h"
@@ -519,6 +521,35 @@ TEST(ServingFrontendTest, CancellationAndExpiryLeaveOthersBitwiseIdentical) {
   EXPECT_EQ(stats.expired, 1);
 }
 
+TEST(ServingFrontendTest, CancellationAppliesAfterAnExpiryDrainedStep) {
+  const PolicyNet net = TestNet();
+  std::vector<ServingRequest> requests = TestRequests();
+  requests.resize(3);
+  // Request 0 occupies step [0, 0.1). Request 1 arrives during it and is
+  // overdue by the next step start, so expiry drains that step's plan.
+  // Request 2 arrives during the drained step with its cancel time already
+  // past at the following step start: it must be cancelled with 0 tokens,
+  // as on every other path, not admitted and streamed first.
+  requests[0].arrival = 0.0;
+  requests[0].max_new_tokens = 1;
+  requests[1].arrival = 0.01;
+  requests[1].ttft_deadline = 0.05;
+  requests[2].arrival = 0.15;
+  requests[2].cancel_at = 0.18;
+  ServingFrontendConfig config;
+  config.scheduler.expire_overdue = true;
+  config.seconds_per_step = 0.1;
+  const ServingResult got = ServeWith(net, requests, config);
+
+  EXPECT_EQ(got.records[0].outcome, RequestOutcome::kFinished);
+  EXPECT_EQ(got.records[1].outcome, RequestOutcome::kExpired);
+  EXPECT_EQ(got.records[2].outcome, RequestOutcome::kCancelled);
+  EXPECT_EQ(got.records[2].tokens, 0);
+  EXPECT_TRUE(got.records[2].response.empty());
+  EXPECT_EQ(got.scheduler_stats.cancelled, 1);
+  EXPECT_EQ(got.kv_leaked_blocks, 0);
+}
+
 TEST(ServingFrontendTest, StreamingCallbackDeliversTokensInOrderAndCanCancel) {
   const PolicyNet net = TestNet();
   const std::vector<ServingRequest> requests = TestRequests();
@@ -650,6 +681,85 @@ TEST(ServingSimTest, SloAwareAdmissionBeatsFcfsOnHighPriorityP99Ttft) {
           << TraceShapeName(shape) << " policy " << static_cast<int>(admission);
       EXPECT_GT(slo_hi.slo_attained, fcfs_hi.slo_attained)
           << TraceShapeName(shape) << " policy " << static_cast<int>(admission);
+    }
+  }
+}
+
+// --- Entry points agree: one step loop under all four --------------------------
+//
+// With every request arriving at t=0 and no deadlines or cancellations, the
+// serving entry points are a batch rollout: the same StepLoop, the same
+// executor, the same schedule.
+
+TEST(ServingEquivalenceTest, SimulateServingMatchesSimulateContinuousGeneration) {
+  const PerfModel perf(ModelSpec::Llama7B(), ClusterSpec::WithGpus(8));
+  const GenParallelConfig gen{1, 2};
+  const std::vector<DeviceId> devices{0, 1};
+  // Tight KV (forces preemption) and chunked prefill on both planes.
+  const double kv_budget = 96.0 * 16.0 * perf.KvBytesPerTokenPerGpu(gen);
+  Rng rng(21);
+  std::vector<NominalSequence> nominal;
+  std::vector<ArrivalRecord> trace;
+  for (int64_t i = 0; i < 48; ++i) {
+    const int64_t prompt = rng.UniformInt(64, 512);
+    const int64_t response = rng.UniformInt(16, 256);
+    nominal.push_back(NominalSequence{prompt, response});
+    ArrivalRecord record;
+    record.index = i;
+    record.prompt_tokens = prompt;
+    record.target_new_tokens = response;
+    trace.push_back(record);
+  }
+  RolloutOptions rollout;
+  rollout.mode = RolloutMode::kContinuous;
+  rollout.prefill_chunk_tokens = 256;
+  ServingPolicyConfig serving;
+  serving.prefill_chunk_tokens = 256;
+
+  const RolloutSimResult want =
+      SimulateContinuousGeneration(perf, gen, devices, nominal, kv_budget, rollout);
+  const ServingSimResult got = SimulateServing(perf, gen, devices, trace, kv_budget, serving);
+  ASSERT_GT(want.stats.preemptions, 0);
+  EXPECT_EQ(got.scheduler_stats.steps, want.stats.steps);
+  EXPECT_EQ(got.scheduler_stats.admissions, want.stats.admissions);
+  EXPECT_EQ(got.scheduler_stats.preemptions, want.stats.preemptions);
+  EXPECT_EQ(got.kv_high_water_blocks, want.stats.kv_high_water_blocks);
+  EXPECT_EQ(got.report.finished, static_cast<int64_t>(trace.size()));
+  // The serving clock is the running sum of the same step costs.
+  EXPECT_NEAR(got.sim_seconds, want.time.total(), 1e-9 * want.time.total());
+}
+
+TEST(ServingEquivalenceTest, ServeMatchesRolloutEngineBitwiseGreedyAndSampled) {
+  const PolicyNet net = TestNet();
+  std::vector<ServingRequest> requests = TestRequests();
+  std::vector<std::vector<int64_t>> prompts;
+  for (ServingRequest& request : requests) {
+    request.arrival = 0.0;
+    request.max_new_tokens = 5;
+    prompts.push_back(request.prompt);
+  }
+  RolloutLimits limits;
+  limits.max_new_tokens = 5;
+  RolloutOptions options;
+  options.mode = RolloutMode::kContinuous;
+  const RolloutEngine engine(net, limits, options, /*kv_ranks=*/2);
+  ServingFrontendConfig config;
+  config.block_tokens = 2;
+  config.num_blocks = 9;  // Tight, unlike the engine: a different schedule.
+  ServingFrontend frontend(net, config, /*kv_ranks=*/2);
+
+  for (const bool do_sample : {false, true}) {
+    Rng engine_rng(4242);
+    Rng serving_rng(4242);
+    const RolloutShardResult want = engine.Run(prompts, do_sample, 0.8, engine_rng);
+    const ServingResult got = frontend.Serve(requests, do_sample, 0.8, serving_rng);
+    EXPECT_GT(got.scheduler_stats.preemptions, 0);
+    for (size_t i = 0; i < requests.size(); ++i) {
+      EXPECT_EQ(got.records[i].outcome, RequestOutcome::kFinished);
+      EXPECT_EQ(got.records[i].response, want.responses[i])
+          << "sample " << do_sample << " request " << i;
+      EXPECT_EQ(got.records[i].log_probs, want.log_probs[i])
+          << "sample " << do_sample << " request " << i;
     }
   }
 }

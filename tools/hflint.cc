@@ -48,6 +48,11 @@
 //                        other file calls the runtime-dispatched simd::
 //                        kernels so the scalar<->AVX2 bitwise contract in
 //                        docs/KERNELS.md has a single enforcement point
+//   one-step-loop        (src/ only) a RolloutScheduler is constructed
+//                        only in src/rollout/step_loop.cc: every
+//                        generation path runs the one StepLoop with a data
+//                        or sim executor, so a fifth scheduler step loop
+//                        cannot come back unnoticed
 //   raw-diagnostics      library code under src/ never writes diagnostics
 //                        with std::cerr / printf / fprintf; route them
 //                        through src/common/logging.h (HF_LOG) or the
@@ -665,6 +670,46 @@ void CheckSimdIntrinsics(const FileText& file, std::vector<Finding>& findings) {
   }
 }
 
+// One step loop: RunStepLoop (src/rollout/step_loop.cc) is the only code
+// in src/ that constructs a RolloutScheduler and drives its step cycle.
+// Construction shapes: `RolloutScheduler name(...)` / `{...}` / `;`, a
+// temporary `RolloutScheduler(...)`, `new RolloutScheduler`, or a template
+// argument `<RolloutScheduler>` (make_unique, optional, containers).
+// References, pointers and `RolloutScheduler::` scope access are fine.
+void CheckOneStepLoop(const FileText& file, std::vector<Finding>& findings) {
+  if (file.path.rfind("src/", 0) != 0 || file.path == "src/rollout/step_loop.cc" ||
+      file.path == "src/rollout/scheduler.h" || file.path == "src/rollout/scheduler.cc") {
+    return;
+  }
+  const std::string token = "RolloutScheduler";
+  for (size_t i = 0; i < file.code.size(); ++i) {
+    const std::string& line = file.code[i];
+    for (size_t pos = FindToken(line, token); pos != std::string::npos;
+         pos = FindToken(line, token, pos + 1)) {
+      size_t at = line.find_first_not_of(' ', pos + token.size());
+      const char next = at == std::string::npos ? '\0' : line[at];
+      const size_t before = pos == 0 ? std::string::npos : line.find_last_not_of(' ', pos - 1);
+      bool constructs = next == '(' || next == '{' ||
+                        (before != std::string::npos && line[before] == '<' && next == '>') ||
+                        (before != std::string::npos && before >= 2 &&
+                         line.compare(before - 2, 3, "new") == 0);
+      if (!constructs && at != std::string::npos && IsIdentChar(next)) {
+        while (at < line.size() && IsIdentChar(line[at])) {
+          ++at;
+        }
+        at = line.find_first_not_of(' ', at);
+        constructs = at == std::string::npos || line[at] == '(' || line[at] == '{' ||
+                     line[at] == ';';
+      }
+      if (constructs && !Allowed(file, i, "one-step-loop")) {
+        findings.push_back({file.path, static_cast<int>(i) + 1, "one-step-loop",
+                            "RolloutScheduler constructed outside src/rollout/step_loop.cc; "
+                            "run RunStepLoop with a data or sim executor"});
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // doc-drift: documentation references must resolve against the tree.
 // ---------------------------------------------------------------------------
@@ -957,6 +1002,7 @@ std::vector<Finding> LintTree(const fs::path& root, int* files_checked, int* doc
       CheckThreadConstruction(file, findings);
       CheckAnnotatedSync(file, findings);
       CheckSimdIntrinsics(file, findings);
+      CheckOneStepLoop(file, findings);
       for (const std::string& line : file.code) {
         corpus += line;
         corpus += '\n';
@@ -1003,6 +1049,31 @@ int RunDocsSelftest() {
     stale << "# Stale\n\n"
           << "A removed file `src/widget/gadget.h`, a renamed method\n"
           << "`Widget::Defrobulate`, and a deleted type `Gizmo::Spin`.\n";
+  }
+  {
+    // A scheduler constructed in the step loop's home is fine; a fifth
+    // loop anywhere else in src/ is flagged unless hatched, and borrowing
+    // one by reference never is.
+    fs::create_directories(tree / "src/rollout");
+    std::ofstream home(tree / "src/rollout/step_loop.cc");
+    home << "namespace hybridflow {\n"
+         << "void Loop(DistributedKvManager* kv, std::vector<RolloutSequence>* s) {\n"
+         << "  RolloutScheduler scheduler(RolloutSchedulerConfig(), kv, s);\n"
+         << "}\n"
+         << "}  // namespace hybridflow\n";
+    std::ofstream fifth(tree / "src/gadget/fifth_loop.cc");
+    fifth << "namespace hybridflow {\n"
+          << "void Fifth(DistributedKvManager* kv, std::vector<RolloutSequence>* s) {\n"
+          << "  RolloutScheduler scheduler(RolloutSchedulerConfig(), kv, s);\n"
+          << "}\n"
+          << "void Hatched(DistributedKvManager* kv, std::vector<RolloutSequence>* s) {\n"
+          << "  RolloutScheduler kept(RolloutSchedulerConfig(), kv, s);"
+          << "  // hflint: allow(one-step-loop)\n"
+          << "}\n"
+          << "int64_t Borrowed(const RolloutScheduler& scheduler) {\n"
+          << "  return scheduler.current_step();\n"
+          << "}\n"
+          << "}  // namespace hybridflow\n";
   }
   int files_checked = 0;
   int docs_checked = 0;
@@ -1054,10 +1125,11 @@ int RunDocsSelftest() {
 
 // --rules-selftest: the concurrency and confinement rules must flag each
 // known-bad shape (if-guarded wait, naked wait, comment-only guard,
-// intrinsics outside src/tensor/simd.*) and accept the good ones
-// (while-looped wait, HF_GUARDED_BY-referenced mutex, intrinsics inside
-// simd.h, the allow() hatches) in a synthetic tree — a regression gate
-// on the rules.
+// intrinsics outside src/tensor/simd.*, a RolloutScheduler outside the
+// step loop) and accept the good ones (while-looped wait,
+// HF_GUARDED_BY-referenced mutex, intrinsics inside simd.h, the step
+// loop's own scheduler, a borrowed reference, the allow() hatches) in a
+// synthetic tree — a regression gate on the rules.
 int RunRulesSelftest() {
   const fs::path tree = fs::path("hflint_rules_selftest_tree");
   fs::remove_all(tree);
@@ -1132,6 +1204,31 @@ int RunRulesSelftest() {
         << "}\n"
         << "}  // namespace hybridflow\n";
   }
+  {
+    // A scheduler constructed in the step loop's home is fine; a fifth
+    // loop anywhere else in src/ is flagged unless hatched, and borrowing
+    // one by reference never is.
+    fs::create_directories(tree / "src/rollout");
+    std::ofstream home(tree / "src/rollout/step_loop.cc");
+    home << "namespace hybridflow {\n"
+         << "void Loop(DistributedKvManager* kv, std::vector<RolloutSequence>* s) {\n"
+         << "  RolloutScheduler scheduler(RolloutSchedulerConfig(), kv, s);\n"
+         << "}\n"
+         << "}  // namespace hybridflow\n";
+    std::ofstream fifth(tree / "src/gadget/fifth_loop.cc");
+    fifth << "namespace hybridflow {\n"
+          << "void Fifth(DistributedKvManager* kv, std::vector<RolloutSequence>* s) {\n"
+          << "  RolloutScheduler scheduler(RolloutSchedulerConfig(), kv, s);\n"
+          << "}\n"
+          << "void Hatched(DistributedKvManager* kv, std::vector<RolloutSequence>* s) {\n"
+          << "  RolloutScheduler kept(RolloutSchedulerConfig(), kv, s);"
+          << "  // hflint: allow(one-step-loop)\n"
+          << "}\n"
+          << "int64_t Borrowed(const RolloutScheduler& scheduler) {\n"
+          << "  return scheduler.current_step();\n"
+          << "}\n"
+          << "}  // namespace hybridflow\n";
+  }
   int files_checked = 0;
   int docs_checked = 0;
   const std::vector<Finding> findings = LintTree(tree, &files_checked, &docs_checked);
@@ -1144,6 +1241,7 @@ int RunRulesSelftest() {
       {"unreferenced-guard", "zero HF_GUARDED_BY(lonely_mu_)"},
       {"simd-intrinsics", "intrinsics header include"},
       {"simd-intrinsics", "_mm256_ intrinsic outside"},
+      {"one-step-loop", "RolloutScheduler constructed outside"},
   };
   for (const Finding& finding : findings) {
     bool matched = false;
@@ -1170,8 +1268,9 @@ int RunRulesSelftest() {
     std::cerr << "hflint --rules-selftest: " << failures << " failure(s)\n";
     return 1;
   }
-  std::cout << "hflint --rules-selftest: ok (5 bad shapes flagged, allow() hatches, "
-               "loop-shaped waits, and confined intrinsics accepted)\n";
+  std::cout << "hflint --rules-selftest: ok (6 bad shapes flagged, allow() hatches, "
+               "loop-shaped waits, confined intrinsics, and the step loop's own "
+               "scheduler accepted)\n";
   return 0;
 }
 

@@ -20,9 +20,14 @@
 //   run.arch          mlp | transformer (mlp) — toy policy architecture
 //   run.trace_path    write a Chrome trace JSON of the last iteration
 //   run.checkpoint_path  save a final checkpoint (real compute only)
-//   rollout.mode      static | continuous (static); rollout.policy,
-//   rollout.block_tokens, rollout.num_blocks, rollout.reserve_tokens,
-//   rollout.max_running, rollout.prefill_chunk_tokens (0 = off)
+//   rollout.mode      static | continuous (static) — the sim-plane timing
+//                     model only (closed-form waves vs per-step replay);
+//                     data-plane generation always runs the step loop
+//   rollout.policy    fcfs | longest_prefix (fcfs); rollout.block_tokens,
+//   rollout.num_blocks, rollout.reserve_tokens, rollout.max_running,
+//   rollout.prefill_chunk_tokens (0 = off)
+//   rollout.reserve_full_length (false) admit at full-length KV demand
+//   kvcache.prefix_cache (false) prefix-sharing KV cache (docs/KVCACHE.md)
 //   async_pipeline    (false) one-step-off PPO; requires rollout.mode=continuous
 //   async_staleness   (1) staleness-queue depth; 0 degenerates to sync order
 //   tensor.threads    (0 = auto) data-plane kernel workers; any value is
