@@ -455,9 +455,9 @@ IterationMetrics RlhfSystemInstance::RunAveraged(int warmup, int measured) {
 
 std::string ValidateSystemConfig(const SystemBuildConfig& config) {
   if (config.async_pipeline && config.rollout.mode == RolloutMode::kStatic) {
-    return "async_pipeline=true requires the continuous rollout engine: the static "
-           "generation path has no admission/preemption scheduler to overlap with "
-           "training (set rollout.mode=continuous)";
+    return "async_pipeline=true requires the continuous rollout timing model: the static "
+           "wave model prices generation in closed form, with no per-step schedule to "
+           "overlap with training (set rollout.mode=continuous)";
   }
   if (config.async_staleness < 0) {
     return "async_staleness must be >= 0";

@@ -11,8 +11,8 @@
 //
 // Contract: every enqueued sequence must fit alone at full length
 // (BlocksFor(prompt + target_new_tokens) <= num_blocks per rank);
-// otherwise it would preempt itself forever. RolloutEngine and the timing
-// simulator size or validate the cache accordingly.
+// otherwise it would preempt itself forever. The step loop
+// (src/rollout/step_loop.h) sizes every cache accordingly.
 #ifndef SRC_ROLLOUT_SCHEDULER_H_
 #define SRC_ROLLOUT_SCHEDULER_H_
 
@@ -115,24 +115,22 @@ struct StepPlan {
   int64_t rows() const {
     return static_cast<int64_t>(prefill.size() + decode.size());
   }
-  // Rows that run the LM head and emit a token this step: completing
-  // prefill chunks, then decode rows.
-  std::vector<int64_t> EmittingIds() const {
-    std::vector<int64_t> ids;
-    ids.reserve(prefill.size() + decode.size());
+  // Calls fn(id) for each row that runs the LM head and emits a token this
+  // step: completing prefill chunks, then decode rows.
+  template <typename Fn>
+  void ForEachEmitting(Fn&& fn) const {
     for (const PrefillChunk& chunk : prefill) {
       if (chunk.completes) {
-        ids.push_back(chunk.id);
+        fn(chunk.id);
       }
     }
-    ids.insert(ids.end(), decode.begin(), decode.end());
-    return ids;
+    for (int64_t id : decode) {
+      fn(id);
+    }
   }
   int64_t EmittingRows() const {
-    int64_t emitting = static_cast<int64_t>(decode.size());
-    for (const PrefillChunk& chunk : prefill) {
-      emitting += chunk.completes ? 1 : 0;
-    }
+    int64_t emitting = 0;
+    ForEachEmitting([&emitting](int64_t) { emitting += 1; });
     return emitting;
   }
 };

@@ -31,7 +31,9 @@ double DataStepExecutor::Execute(const StepPlan& plan,
                                  std::vector<int64_t>* eos_finished) {
   // Partial prefill chunks (chunked prefill) do compute but emit nothing:
   // only rows that caught up with their full context run the LM head.
-  const std::vector<int64_t> rows = plan.EmittingIds();
+  std::vector<int64_t> rows;
+  rows.reserve(static_cast<size_t>(plan.rows()));
+  plan.ForEachEmitting([&rows](int64_t id) { rows.push_back(id); });
   if (rows.empty()) {
     return seconds_per_step_;
   }
@@ -97,18 +99,10 @@ double SimStepExecutor::Execute(const StepPlan& plan,
   // its live KV; partial chunks do not run the decode step yet.
   int64_t rows = 0;
   int64_t context_tokens = 0;
-  const auto emit = [&](int64_t id) {
+  plan.ForEachEmitting([&](int64_t id) {
     rows += 1;
     context_tokens += sequences[static_cast<size_t>(id)].kv_tokens;
-  };
-  for (const PrefillChunk& chunk : plan.prefill) {
-    if (chunk.completes) {
-      emit(chunk.id);
-    }
-  }
-  for (int64_t id : plan.decode) {
-    emit(id);
-  }
+  });
   if (rows > 0) {
     const double decode_seconds = perf_.DecodeStepTime(gen_, devices_, rows, context_tokens);
     const double comm_seconds = perf_.DecodeCommStepTime(gen_, devices_, rows);
@@ -211,21 +205,13 @@ StepLoopResult RunStepLoop(const StepLoopConfig& config, std::vector<RolloutSequ
     eos_finished.clear();
     now += executor.Execute(plan, seqs, now, &eos_finished);
     scheduler.SetSimNow(now);
-    const auto stamp = [&](int64_t id) {
+    plan.ForEachEmitting([&](int64_t id) {
       const size_t idx = static_cast<size_t>(id);
       if (seqs[idx].generated == 0) {
         result.first_token_seconds[idx] = now;
       }
       result.last_token_seconds[idx] = now;
-    };
-    for (const PrefillChunk& chunk : plan.prefill) {
-      if (chunk.completes) {
-        stamp(chunk.id);
-      }
-    }
-    for (int64_t id : plan.decode) {
-      stamp(id);
-    }
+    });
     scheduler.CommitStep(plan, eos_finished);
     step_boundary();
   }

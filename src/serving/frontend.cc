@@ -1,6 +1,5 @@
 #include "src/serving/frontend.h"
 
-#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -117,11 +116,7 @@ ServingResult ServingFrontend::Serve(const std::vector<ServingRequest>& requests
     record.response = std::move(executor.responses[i]);
     record.log_probs = std::move(executor.log_probs[i]);
   }
-  FillRecordOutcomes(run, &result.records);
-  result.report = BuildServingReport(result.records);
-  result.scheduler_stats = run.scheduler_stats;
-  result.kv_high_water_blocks = run.stats.kv_high_water_blocks;
-  result.kv_leaked_blocks = run.kv_leaked_blocks;
+  FinishServingResult(run, &result);
 
   finished_total_.Increment(static_cast<double>(result.report.finished));
   cancelled_total_.Increment(static_cast<double>(result.report.cancelled));

@@ -45,15 +45,6 @@ struct ServingFrontendConfig {
   SeqEventLog* event_log = nullptr;
 };
 
-struct ServingResult {
-  std::vector<RequestRecord> records;  // One per request, by request id.
-  ServingReport report;
-  RolloutSchedulerStats scheduler_stats;
-  int64_t kv_high_water_blocks = 0;
-  // Every terminal exit returned its blocks: end-of-run used_blocks == 0.
-  int64_t kv_leaked_blocks = 0;
-};
-
 class ServingFrontend {
  public:
   // `net` is borrowed (read-only); `kv_ranks` mirrors the generation

@@ -7,6 +7,7 @@
 #include "src/common/check.h"
 #include "src/common/rng.h"
 #include "src/obs/json_util.h"
+#include "src/rollout/step_loop.h"
 
 namespace hybridflow {
 
@@ -35,10 +36,10 @@ const char* RequestOutcomeName(RequestOutcome outcome) {
   return "unknown";
 }
 
-void FillRecordOutcomes(const StepLoopResult& run, std::vector<RequestRecord>* records) {
-  for (size_t i = 0; i < records->size(); ++i) {
+void FinishServingResult(const StepLoopResult& run, ServingResult* result) {
+  for (size_t i = 0; i < result->records.size(); ++i) {
     const RolloutSequence& sequence = run.sequences[i];
-    RequestRecord& record = (*records)[i];
+    RequestRecord& record = result->records[i];
     record.id = sequence.id;
     record.tenant = sequence.tenant;
     record.priority = sequence.priority;
@@ -48,22 +49,12 @@ void FillRecordOutcomes(const StepLoopResult& run, std::vector<RequestRecord>* r
     record.preemptions = sequence.preemptions;
     record.first_token_time = run.first_token_seconds[i];
     const double last_token_time = run.last_token_seconds[i];
-    switch (sequence.state) {
-      case SequenceState::kFinished:
-        record.outcome = RequestOutcome::kFinished;
-        record.end_time = last_token_time;
-        break;
-      case SequenceState::kCancelled:
-        record.outcome = RequestOutcome::kCancelled;
-        record.end_time = std::max(run.end_seconds, record.arrival);
-        break;
-      case SequenceState::kExpired:
-        record.outcome = RequestOutcome::kExpired;
-        record.end_time = std::max(run.end_seconds, record.arrival);
-        break;
-      default:
-        HF_CHECK_MSG(false, "serving request ended in a non-terminal state");
-    }
+    // The step loop guarantees a terminal state.
+    const bool finished = sequence.state == SequenceState::kFinished;
+    record.outcome = finished ? RequestOutcome::kFinished
+                     : sequence.state == SequenceState::kCancelled ? RequestOutcome::kCancelled
+                                                                   : RequestOutcome::kExpired;
+    record.end_time = finished ? last_token_time : std::max(run.end_seconds, record.arrival);
     if (record.tokens >= 1) {
       record.ttft = record.first_token_time - record.arrival;
     }
@@ -76,8 +67,11 @@ void FillRecordOutcomes(const StepLoopResult& run, std::vector<RequestRecord>* r
         (record.ttft_deadline <= 0.0 || record.first_token_time <= record.ttft_deadline) &&
         (record.tpot_slo <= 0.0 || record.tokens < 2 || record.tpot <= record.tpot_slo);
   }
+  result->report = BuildServingReport(result->records);
+  result->scheduler_stats = run.scheduler_stats;
+  result->kv_high_water_blocks = run.stats.kv_high_water_blocks;
+  result->kv_leaked_blocks = run.kv_leaked_blocks;
 }
-
 ServingReport BuildServingReport(const std::vector<RequestRecord>& records) {
   ServingReport report;
   std::map<int64_t, TenantServingStats> tenants;

@@ -24,7 +24,6 @@
 #include "src/data/arrival_trace.h"
 #include "src/obs/seq_events.h"
 #include "src/rollout/scheduler.h"
-#include "src/rollout/step_loop.h"
 
 namespace hybridflow {
 
@@ -114,10 +113,6 @@ struct RequestRecord {
   std::vector<float> log_probs;
 };
 
-// Fills every record but its tpot_slo (and the data plane's response) from
-// the step loop's terminal sequence i, then derives ttft/tpot/slo_ok.
-// Cancelled and expired requests end at the drain clock.
-void FillRecordOutcomes(const StepLoopResult& run, std::vector<RequestRecord>* records);
 
 struct TenantServingStats {
   int64_t tenant = 0;
@@ -144,6 +139,24 @@ struct ServingReport {
 };
 
 ServingReport BuildServingReport(const std::vector<RequestRecord>& records);
+
+// One serving run's outcome, on either plane.
+struct ServingResult {
+  std::vector<RequestRecord> records;  // One per request, by request id.
+  ServingReport report;
+  RolloutSchedulerStats scheduler_stats;
+  int64_t kv_high_water_blocks = 0;
+  // Every terminal exit returned its blocks: end-of-run used_blocks == 0.
+  int64_t kv_leaked_blocks = 0;
+};
+
+struct StepLoopResult;  // src/rollout/step_loop.h
+
+// Fills `result` from the step loop's terminal sequences: every record but
+// its tpot_slo and the data plane's response (record i = sequence i;
+// cancelled and expired requests end at the drain clock), the report, and
+// the scheduler and KV stats.
+void FinishServingResult(const StepLoopResult& run, ServingResult* result);
 
 // One JSON object per request (JsonValidate-clean), e.g.
 //   {"req":3,"tenant":1,"priority":0,"outcome":"finished","arrival":0.42,

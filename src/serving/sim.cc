@@ -42,11 +42,7 @@ ServingSimResult SimulateServing(const PerfModel& perf, const GenParallelConfig&
     result.records[i].tpot_slo = record.tpot_slo;
   }
   const StepLoopResult run = RunStepLoop(loop, std::move(states), executor);
-  FillRecordOutcomes(run, &result.records);
-  result.report = BuildServingReport(result.records);
-  result.scheduler_stats = run.scheduler_stats;
-  result.kv_high_water_blocks = run.stats.kv_high_water_blocks;
-  result.kv_leaked_blocks = run.kv_leaked_blocks;
+  FinishServingResult(run, &result);
   result.sim_seconds = run.end_seconds;
   return result;
 }

@@ -21,13 +21,9 @@
 
 namespace hybridflow {
 
-struct ServingSimResult {
-  std::vector<RequestRecord> records;  // One per trace record, by index.
-  ServingReport report;
-  RolloutSchedulerStats scheduler_stats;
-  int64_t kv_high_water_blocks = 0;
-  int64_t kv_leaked_blocks = 0;  // Must be 0: every exit returns its blocks.
-  double sim_seconds = 0.0;      // DES clock at drain.
+// Records are by trace index.
+struct ServingSimResult : ServingResult {
+  double sim_seconds = 0.0;  // DES clock at drain.
 };
 
 // Serves `trace` on one generation replica of `replica_devices` GPUs under

@@ -120,34 +120,29 @@ double ActorWorkerGroup::GenerationSeconds(const RlhfWorkloadSpec& workload,
     last_rollout_latency_ = sim.latency;
     // Sim-plane scheduler gauges; GenerationSeconds runs only on the
     // single controller thread, so last-write-wins is well defined.
-    MetricsRegistry& registry = MetricsRegistry::Global();
+    const RolloutStats& stats = sim.stats;
+    const std::pair<const char*, double> gauges[] = {
+        {"rollout.sim_steps", static_cast<double>(stats.steps)},
+        {"rollout.sim_preemptions", static_cast<double>(stats.preemptions)},
+        {"rollout.sim_max_running_batch", static_cast<double>(stats.max_running_batch)},
+        {"rollout.sim_kv_high_water_blocks", static_cast<double>(stats.kv_high_water_blocks)},
+        {"rollout.sim_kv_peak_utilization", stats.kv_peak_utilization},
+        {"rollout.sim_resumes", static_cast<double>(stats.resumes)},
+        {"rollout.sim_recomputed_tokens", static_cast<double>(stats.recomputed_tokens)},
+        {"kvcache.prefix_hits_total", static_cast<double>(stats.prefix_skipped_tokens)},
+        {"kvcache.cow_splits_total", static_cast<double>(stats.cow_splits)},
+        {"kvcache.shared_blocks", static_cast<double>(stats.shared_blocks_high_water)},
+        {"rollout.sim_ttft_p50_s", sim.latency.ttft.p50},
+        {"rollout.sim_ttft_p90_s", sim.latency.ttft.p90},
+        {"rollout.sim_ttft_p99_s", sim.latency.ttft.p99},
+        {"rollout.sim_tpot_p50_s", sim.latency.tpot.p50},
+        {"rollout.sim_tpot_p90_s", sim.latency.tpot.p90},
+        {"rollout.sim_tpot_p99_s", sim.latency.tpot.p99},
+    };
     const MetricLabels plane{{"plane", "sim"}};
-    registry.GetGauge("rollout.sim_steps", plane)
-        .Set(static_cast<double>(sim.stats.steps));
-    registry.GetGauge("rollout.sim_preemptions", plane)
-        .Set(static_cast<double>(sim.stats.preemptions));
-    registry.GetGauge("rollout.sim_max_running_batch", plane)
-        .Set(static_cast<double>(sim.stats.max_running_batch));
-    registry.GetGauge("rollout.sim_kv_high_water_blocks", plane)
-        .Set(static_cast<double>(sim.stats.kv_high_water_blocks));
-    registry.GetGauge("rollout.sim_kv_peak_utilization", plane)
-        .Set(sim.stats.kv_peak_utilization);
-    registry.GetGauge("rollout.sim_resumes", plane)
-        .Set(static_cast<double>(sim.stats.resumes));
-    registry.GetGauge("rollout.sim_recomputed_tokens", plane)
-        .Set(static_cast<double>(sim.stats.recomputed_tokens));
-    registry.GetGauge("kvcache.prefix_hits_total", plane)
-        .Set(static_cast<double>(sim.stats.prefix_skipped_tokens));
-    registry.GetGauge("kvcache.cow_splits_total", plane)
-        .Set(static_cast<double>(sim.stats.cow_splits));
-    registry.GetGauge("kvcache.shared_blocks", plane)
-        .Set(static_cast<double>(sim.stats.shared_blocks_high_water));
-    registry.GetGauge("rollout.sim_ttft_p50_s", plane).Set(sim.latency.ttft.p50);
-    registry.GetGauge("rollout.sim_ttft_p90_s", plane).Set(sim.latency.ttft.p90);
-    registry.GetGauge("rollout.sim_ttft_p99_s", plane).Set(sim.latency.ttft.p99);
-    registry.GetGauge("rollout.sim_tpot_p50_s", plane).Set(sim.latency.tpot.p50);
-    registry.GetGauge("rollout.sim_tpot_p90_s", plane).Set(sim.latency.tpot.p90);
-    registry.GetGauge("rollout.sim_tpot_p99_s", plane).Set(sim.latency.tpot.p99);
+    for (const auto& [name, value] : gauges) {
+      MetricsRegistry::Global().GetGauge(name, plane).Set(value);
+    }
   } else {
     result = perf().GenerateTime(gen, replica_devices, per_replica, workload.prompt_len,
                                  workload.response_len, kv_budget, actor_.use_kv_cache);

@@ -773,6 +773,31 @@ TEST(RolloutWorkersTest, ContinuousActorMatchesStaticActorGreedy) {
   EXPECT_GT(continuous_stats.preemptions, 0);  // The tight cache was felt.
 }
 
+TEST(RolloutWorkersTest, StaticModeRunsTheSameStepLoopSampled) {
+  // rollout.mode picks only the sim timing model: both modes generate
+  // through RolloutEngine, so even sampled tokens match.
+  RlhfWorkloadSpec workload;
+  workload.global_batch = 64;
+  workload.prompt_len = 256;
+  workload.response_len = 256;
+  std::vector<DataBatch> outs;
+  for (const RolloutMode mode : {RolloutMode::kStatic, RolloutMode::kContinuous}) {
+    Controller controller(ClusterSpec::WithGpus(8));
+    std::shared_ptr<ResourcePool> pool = controller.CreatePoolRange("pool", 0, 8);
+    ActorOptions actor_options;
+    actor_options.gen = GenParallelConfig{1, 2};
+    actor_options.rollout.mode = mode;
+    ActorWorkerGroup actor(RolloutActorGroupOptions(), pool, &controller, SmallRolloutReal(),
+                           actor_options);
+    PromptDataset dataset(actor.real().task, /*seed=*/5);
+    BatchFuture prompts = BatchFuture::Immediate(dataset.NextBatch(16));
+    outs.push_back(actor.GenerateSequences(prompts, workload, /*do_sample=*/true).data);
+    EXPECT_EQ(actor.rollout_stats().sequences, 16);
+  }
+  EXPECT_EQ(outs[0].Tokens("responses"), outs[1].Tokens("responses"));
+  EXPECT_EQ(outs[0].Float("log_probs"), outs[1].Float("log_probs"));
+}
+
 // --- Performance-plane timing -------------------------------------------------
 
 TEST(RolloutTimingTest, ConstrainedBudgetPreemptsAndIsDeterministic) {
