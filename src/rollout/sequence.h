@@ -28,6 +28,7 @@ enum class SequenceState {
   kExpired,
 };
 
+// Finished, cancelled or expired: holds no KV and never runs again.
 inline bool IsTerminal(SequenceState state) {
   return state == SequenceState::kFinished || state == SequenceState::kCancelled ||
          state == SequenceState::kExpired;

@@ -113,7 +113,6 @@ struct RequestRecord {
   std::vector<float> log_probs;
 };
 
-
 struct TenantServingStats {
   int64_t tenant = 0;
   int64_t requests = 0;
