@@ -9,7 +9,9 @@
 // clock), `wall_us` is WallclockTracer::NowMicros(). Recording is opt-in:
 // a null SeqEventLog* on the scheduler makes every hook a no-op branch, so
 // the default (Release and hot-path) cost is one pointer compare, matching
-// the concurrency-contract hook discipline.
+// the concurrency-contract hook discipline. Only callers construct a log
+// (hflint borrowed-event-log); latency accounting does not need one, since
+// the scheduler also stamps each RolloutSequence's lifecycle clocks.
 //
 // Events export as JSONL (one object per line, JsonValidate-clean) and
 // merge into the dual-plane Chrome trace as per-sequence async spans

@@ -324,25 +324,6 @@ IterationMetrics RlhfProgram::TrainOnExperience(StagedExperience experience, siz
   }
   metrics.transition_seconds = actor.last_transition_seconds();
   metrics.generation_seconds = actor.last_gen_breakdown().total();
-  // Continuous rollout: per-iteration scheduler counters and latency
-  // percentiles of the most recent generation (in async mode that is the
-  // batch issued this iteration, one step ahead of the one consumed).
-  if (actor.actor_options().rollout.mode == RolloutMode::kContinuous) {
-    const RolloutStats& sim = actor.last_rollout_sim_stats();
-    metrics.rollout_preemptions = sim.preemptions;
-    metrics.rollout_resumes = sim.resumes;
-    metrics.rollout_recomputed_tokens = sim.recomputed_tokens;
-    metrics.kvcache_prefix_skipped_tokens = sim.prefix_skipped_tokens;
-    metrics.kvcache_cow_splits = sim.cow_splits;
-    metrics.kvcache_shared_blocks = sim.shared_blocks_high_water;
-    const SeqLatencySummary& latency = actor.last_rollout_sim_latency();
-    metrics.rollout_ttft_p50_s = latency.ttft.p50;
-    metrics.rollout_ttft_p90_s = latency.ttft.p90;
-    metrics.rollout_ttft_p99_s = latency.ttft.p99;
-    metrics.rollout_tpot_p50_s = latency.tpot.p50;
-    metrics.rollout_tpot_p90_s = latency.tpot.p90;
-    metrics.rollout_tpot_p99_s = latency.tpot.p99;
-  }
   metrics.async_staleness = staleness;
   metrics.async_queue_depth = static_cast<int64_t>(staged_.size());
   const std::vector<TraceSpan>& trace = controller_->cluster().trace();
@@ -429,21 +410,24 @@ IterationMetrics RlhfProgram::TrainOnExperience(StagedExperience experience, siz
           .Number("async_queue_depth", static_cast<double>(metrics.async_queue_depth))
           .Number("overlap_fraction", metrics.overlap_fraction);
     }
+    // Continuous rollout: scheduler counters and latency percentiles of the
+    // most recent generation (in async mode that is the batch issued this
+    // iteration, one step ahead of the one consumed).
     if (actor.actor_options().rollout.mode == RolloutMode::kContinuous) {
-      record.Number("rollout_preemptions", static_cast<double>(metrics.rollout_preemptions))
-          .Number("rollout_resumes", static_cast<double>(metrics.rollout_resumes))
-          .Number("rollout_recomputed_tokens",
-                  static_cast<double>(metrics.rollout_recomputed_tokens))
-          .Number("kvcache_prefix_skipped_tokens",
-                  static_cast<double>(metrics.kvcache_prefix_skipped_tokens))
-          .Number("kvcache_cow_splits", static_cast<double>(metrics.kvcache_cow_splits))
-          .Number("kvcache_shared_blocks", static_cast<double>(metrics.kvcache_shared_blocks))
-          .Number("rollout_ttft_p50_s", metrics.rollout_ttft_p50_s)
-          .Number("rollout_ttft_p90_s", metrics.rollout_ttft_p90_s)
-          .Number("rollout_ttft_p99_s", metrics.rollout_ttft_p99_s)
-          .Number("rollout_tpot_p50_s", metrics.rollout_tpot_p50_s)
-          .Number("rollout_tpot_p90_s", metrics.rollout_tpot_p90_s)
-          .Number("rollout_tpot_p99_s", metrics.rollout_tpot_p99_s);
+      const RolloutStats& sim = actor.last_rollout_sim_stats();
+      const SeqLatencySummary& latency = actor.last_rollout_sim_latency();
+      record.Number("rollout_preemptions", static_cast<double>(sim.preemptions))
+          .Number("rollout_resumes", static_cast<double>(sim.resumes))
+          .Number("rollout_recomputed_tokens", static_cast<double>(sim.recomputed_tokens))
+          .Number("kvcache_prefix_skipped_tokens", static_cast<double>(sim.prefix_skipped_tokens))
+          .Number("kvcache_cow_splits", static_cast<double>(sim.cow_splits))
+          .Number("kvcache_shared_blocks", static_cast<double>(sim.shared_blocks_high_water))
+          .Number("rollout_ttft_p50_s", latency.ttft.p50)
+          .Number("rollout_ttft_p90_s", latency.ttft.p90)
+          .Number("rollout_ttft_p99_s", latency.ttft.p99)
+          .Number("rollout_tpot_p50_s", latency.tpot.p50)
+          .Number("rollout_tpot_p90_s", latency.tpot.p90)
+          .Number("rollout_tpot_p99_s", latency.tpot.p99);
     }
     telemetry_->Append(record);
   }

@@ -101,25 +101,6 @@ struct IterationMetrics {
   double overlap_fraction = 0.0;
   int64_t async_staleness = 0;
   int64_t async_queue_depth = 0;
-  // Continuous rollout (sim plane, rollout.mode=continuous only): the most
-  // recent generation's per-iteration scheduler counters — preemptions,
-  // recompute-on-resume re-admissions and the context tokens they re-ran —
-  // plus per-sequence TTFT/TPOT percentiles in sim-seconds
-  // (src/obs/seq_events.h digests). All zero under kStatic.
-  int64_t rollout_preemptions = 0;
-  int64_t rollout_resumes = 0;
-  int64_t rollout_recomputed_tokens = 0;
-  // Prefix-sharing KV cache (docs/KVCACHE.md): prefill tokens skipped over
-  // cached prompt prefixes, copy-on-write splits, and peak shared blocks.
-  int64_t kvcache_prefix_skipped_tokens = 0;
-  int64_t kvcache_cow_splits = 0;
-  int64_t kvcache_shared_blocks = 0;
-  double rollout_ttft_p50_s = 0.0;
-  double rollout_ttft_p90_s = 0.0;
-  double rollout_ttft_p99_s = 0.0;
-  double rollout_tpot_p50_s = 0.0;
-  double rollout_tpot_p90_s = 0.0;
-  double rollout_tpot_p99_s = 0.0;
 };
 
 class RlhfProgram {

@@ -21,6 +21,8 @@ void RolloutStats::Merge(const RolloutStats& other) {
   max_prefill_tokens_step = std::max(max_prefill_tokens_step, other.max_prefill_tokens_step);
   resumes += other.resumes;
   recomputed_tokens += other.recomputed_tokens;
+  cancelled += other.cancelled;
+  expired += other.expired;
   prefix_skipped_tokens += other.prefix_skipped_tokens;
   cow_splits += other.cow_splits;
   shared_blocks_high_water = std::max(shared_blocks_high_water, other.shared_blocks_high_water);

@@ -68,9 +68,9 @@ struct RolloutOptions {
   SeqEventLog* event_log = nullptr;
   // Same, for the timing simulator's sim-plane events. Kept separate from
   // `event_log` because sim-plane volume scales with the *simulated*
-  // workload (full-scale batches), not the toy data plane. The simulator
-  // derives RolloutSimResult::latency from an internal log either way;
-  // this sink only controls whether the raw events outlive the call.
+  // workload (full-scale batches), not the toy data plane. Export-only:
+  // RolloutSimResult::latency comes from the scheduler's per-sequence
+  // stamps whether or not a sink is attached.
   SeqEventLog* sim_event_log = nullptr;
 };
 
@@ -84,29 +84,16 @@ struct RolloutLimits {
   int64_t eos_token = -1;
 };
 
-// Aggregate counters of one engine run (or many, via the collector).
-struct RolloutStats {
-  int64_t steps = 0;
+// Aggregate counters of one engine run (or many, via the collector): the
+// scheduler's own counters plus the step loop's KV and queueing figures.
+struct RolloutStats : RolloutSchedulerStats {
   int64_t sequences = 0;
-  int64_t admissions = 0;
-  int64_t preemptions = 0;
-  int64_t max_running_batch = 0;
   int64_t queue_wait_steps_total = 0;  // Enqueue -> first admission.
   int64_t queue_wait_steps_max = 0;
   int64_t kv_high_water_blocks = 0;
   double kv_peak_utilization = 0.0;  // used/num_blocks peak (rank 0).
-  // Chunked prefill: partial (non-completing) chunks scheduled, and the
-  // largest per-step prefill token total.
-  int64_t prefill_chunks = 0;
-  int64_t max_prefill_tokens_step = 0;
-  // Recompute-on-resume overhead: re-admissions after preemption and the
-  // context tokens they re-prefilled.
-  int64_t resumes = 0;
-  int64_t recomputed_tokens = 0;
-  // Prefix-sharing KV cache: prefill compute skipped over cached prompt
-  // prefixes, copy-on-write splits of shared tail blocks, and the peak
-  // number of physically shared blocks (rank 0).
-  int64_t prefix_skipped_tokens = 0;
+  // Prefix-sharing KV cache: copy-on-write splits of shared tail blocks
+  // and the peak number of physically shared blocks (rank 0).
   int64_t cow_splits = 0;
   int64_t shared_blocks_high_water = 0;
 

@@ -47,6 +47,7 @@ void RolloutScheduler::Enqueue(int64_t id) {
   RolloutSequence& sequence = seq(id);
   HF_CHECK(sequence.state == SequenceState::kWaiting);
   sequence.enqueue_step = stats_.steps;
+  sequence.enqueue_seconds = sim_now_;
   waiting_.push_back(id);
   RecordEvent(SeqEventKind::kEnqueue, id, sequence.total_tokens(), stats_.steps);
 }
@@ -74,6 +75,7 @@ void RolloutScheduler::Preempt(int64_t id) {
   sequence.prefill_computed = 0;
   sequence.state = SequenceState::kPreempted;
   sequence.preemptions += 1;
+  sequence.preempted_seconds = sim_now_;
   stats_.preemptions += 1;
   RemoveFromRunning(id);
   // Recompute-on-resume: the victim goes to the *front* of the waiting
@@ -262,6 +264,7 @@ bool RolloutScheduler::TryAdmit(int64_t id, StepPlan* plan, int64_t* budget) {
   }
   if (sequence.first_admit_step < 0) {
     sequence.first_admit_step = stats_.steps - 1;
+    sequence.first_admit_seconds = sim_now_;
     RecordEvent(SeqEventKind::kAdmit, id, total, stats_.steps - 1);
   } else {
     // Recompute-on-resume: the current context re-enters prefill, minus
@@ -269,6 +272,8 @@ bool RolloutScheduler::TryAdmit(int64_t id, StepPlan* plan, int64_t* budget) {
     // blocks are retained evictable, so resumes often hit their prompt).
     stats_.resumes += 1;
     stats_.recomputed_tokens += total - skip;
+    sequence.recomputed_tokens += total - skip;
+    sequence.preemption_stall_seconds += sim_now_ - sequence.preempted_seconds;
     RecordEvent(SeqEventKind::kResume, id, total - skip, stats_.steps - 1);
   }
   stats_.admissions += 1;
@@ -422,7 +427,7 @@ StepPlan RolloutScheduler::BeginStep() {
 
   HF_CHECK_MSG(!plan.empty(),
                "scheduler made no progress: a sequence exceeds KV capacity at full length");
-  stats_.max_running = std::max(stats_.max_running, plan.rows());
+  stats_.max_running_batch = std::max(stats_.max_running_batch, plan.rows());
   int64_t prefill_tokens = 0;
   for (const PrefillChunk& chunk : plan.prefill) {
     prefill_tokens += chunk.tokens;
@@ -465,6 +470,10 @@ void RolloutScheduler::CommitEmittedToken(int64_t id, const std::vector<int64_t>
   const bool resident = sequence.state == SequenceState::kPrefill ||
                         sequence.state == SequenceState::kDecode;
   sequence.generated += 1;
+  if (sequence.generated == 1) {
+    sequence.first_token_seconds = sim_now_;
+  }
+  sequence.last_token_seconds = sim_now_;
   RecordEvent(sequence.generated == 1 ? SeqEventKind::kFirstToken : SeqEventKind::kDecodeStep, id,
               sequence.generated, stats_.steps - 1);
   const bool finished =

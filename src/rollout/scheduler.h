@@ -135,11 +135,13 @@ struct StepPlan {
   }
 };
 
+// The scheduler's counters of one run; RolloutStats (src/rollout/engine.h)
+// extends them with the step loop's KV and queueing figures.
 struct RolloutSchedulerStats {
   int64_t steps = 0;
   int64_t admissions = 0;   // Includes re-admissions after preemption.
   int64_t preemptions = 0;
-  int64_t max_running = 0;  // Largest planned batch (rows) of any step.
+  int64_t max_running_batch = 0;  // Largest planned batch (rows) of any step.
   // Chunked prefill: partial (non-completing) chunks planned, and the
   // largest per-step prefill token total (bounded by prefill_chunk_tokens
   // when chunking is on).
@@ -204,10 +206,12 @@ class RolloutScheduler {
   // (the default) makes every recording hook a single pointer compare, so
   // the scheduler's behavior and hot-path cost are unchanged when nobody
   // is listening — the same no-op contract as the sync-contract hooks.
+  // Latency accounting does not need a log: the scheduler stamps each
+  // RolloutSequence's lifecycle clocks itself.
   void SetEventLog(SeqEventLog* log, int64_t run);
-  // Advances the sim-time stamp on subsequent events. The timing simulator
-  // calls this as its DES clock moves; data-plane callers leave it at 0
-  // (events then carry wall-clock only).
+  // Advances the clock stamped on sequences and events. The step loop
+  // sets it at every arrival injection and step end; on the RLHF data
+  // plane it stays 0 (events then carry wall-clock only).
   void SetSimNow(double sim_seconds) { sim_now_ = sim_seconds; }
 
  private:

@@ -49,9 +49,22 @@ struct RolloutSequence {
   // this catches up with total_tokens(); preemption resets it to zero
   // (recompute-on-resume covers the whole grown context).
   int64_t prefill_computed = 0;
-  int64_t enqueue_step = 0;
+  int64_t enqueue_step = -1;      // -1 until enqueued.
   int64_t first_admit_step = -1;  // -1 until first admitted.
   int64_t preemptions = 0;
+
+  // Lifecycle accounting, stamped by the scheduler on its SetSimNow clock
+  // (sim-seconds, virtual serving seconds, or 0 on the RLHF data plane).
+  // Admission and preemption instants are step starts; token instants are
+  // step ends. A clock is meaningful once its event happened
+  // (enqueue_step / first_admit_step >= 0, generated >= 1).
+  double enqueue_seconds = 0.0;
+  double first_admit_seconds = 0.0;
+  double first_token_seconds = 0.0;
+  double last_token_seconds = 0.0;
+  double preempted_seconds = 0.0;         // Clock of the latest preemption.
+  double preemption_stall_seconds = 0.0;  // Sum of preempt -> resume gaps.
+  int64_t recomputed_tokens = 0;          // Context tokens resumes re-prefilled.
 
   // Prefix-sharing metadata (src/kvcache/ prefix cache): chained content
   // hashes of the full prompt blocks, from PromptBlockHashes (data plane)

@@ -119,8 +119,6 @@ StepLoopResult RunStepLoop(const StepLoopConfig& config, std::vector<RolloutSequ
   StepLoopResult result;
   const size_t count = sequences.size();
   result.stats.sequences = static_cast<int64_t>(count);
-  result.first_token_seconds.assign(count, 0.0);
-  result.last_token_seconds.assign(count, 0.0);
   result.sequences = std::move(sequences);
   std::vector<RolloutSequence>& seqs = result.sequences;
   if (count == 0) {
@@ -161,7 +159,9 @@ StepLoopResult RunStepLoop(const StepLoopConfig& config, std::vector<RolloutSequ
   std::vector<int64_t> to_cancel;
   // Enqueues everything that has arrived by `now`, then applies the hook's
   // cancellations — legal only between CommitStep and the next BeginStep.
+  // Their stamps and events carry `now`, also after an idle gap.
   const auto step_boundary = [&]() {
+    scheduler.SetSimNow(now);
     for (; next < count && seqs[static_cast<size_t>(order[next])].arrival <= now; ++next) {
       if (seqs[static_cast<size_t>(order[next])].state == SequenceState::kWaiting) {
         scheduler.Enqueue(order[next]);
@@ -185,9 +185,8 @@ StepLoopResult RunStepLoop(const StepLoopConfig& config, std::vector<RolloutSequ
       step_boundary();
       continue;
     }
-    // Admission, preemption and expiry events carry the step-start clock;
-    // the commit's token events carry the step-end clock.
-    scheduler.SetSimNow(now);
+    // Admission, preemption and expiry carry the step-start clock (set at
+    // the last boundary); the commit's tokens carry the step-end clock.
     const StepPlan plan = scheduler.BeginStep();
     // KV pressure right after admission is the step's peak residency.
     const double utilization = kv_config.num_blocks > 0
@@ -205,30 +204,13 @@ StepLoopResult RunStepLoop(const StepLoopConfig& config, std::vector<RolloutSequ
     eos_finished.clear();
     now += executor.Execute(plan, seqs, now, &eos_finished);
     scheduler.SetSimNow(now);
-    plan.ForEachEmitting([&](int64_t id) {
-      const size_t idx = static_cast<size_t>(id);
-      if (seqs[idx].generated == 0) {
-        result.first_token_seconds[idx] = now;
-      }
-      result.last_token_seconds[idx] = now;
-    });
     scheduler.CommitStep(plan, eos_finished);
     step_boundary();
   }
   result.end_seconds = now;
 
-  const RolloutSchedulerStats& scheduler_stats = scheduler.stats();
-  result.scheduler_stats = scheduler_stats;
   RolloutStats& stats = result.stats;
-  stats.steps = scheduler_stats.steps;
-  stats.admissions = scheduler_stats.admissions;
-  stats.preemptions = scheduler_stats.preemptions;
-  stats.max_running_batch = scheduler_stats.max_running;
-  stats.prefill_chunks = scheduler_stats.prefill_chunks;
-  stats.max_prefill_tokens_step = scheduler_stats.max_prefill_tokens_step;
-  stats.resumes = scheduler_stats.resumes;
-  stats.recomputed_tokens = scheduler_stats.recomputed_tokens;
-  stats.prefix_skipped_tokens = scheduler_stats.prefix_skipped_tokens;
+  static_cast<RolloutSchedulerStats&>(stats) = scheduler.stats();
   stats.kv_high_water_blocks = kv.high_water_blocks();
   stats.cow_splits = kv.rank(0).cow_splits_total();
   stats.shared_blocks_high_water = kv.rank(0).shared_blocks_high_water();

@@ -6,8 +6,11 @@
 // RunStepLoop sizes and builds the DistributedKvManager, owns the
 // RolloutScheduler, replays arrivals (a batch rollout is a trace with every
 // arrival at t=0), calls the between-steps hook, and runs the cycle
-//   SetSimNow -> BeginStep -> execute -> advance clock -> CommitStep
-// until every sequence is terminal. What a step computes is the executor's
+//   BeginStep -> execute -> advance clock (SetSimNow) -> CommitStep
+// until every sequence is terminal. The scheduler is the one producer of
+// rollout accounting: its counters become StepLoopResult::stats, and it
+// stamps each sequence's lifecycle clocks, which the callers read back from
+// StepLoopResult::sequences. What a step computes is the executor's
 // only job (the engine/worker split of vLLM-style engines):
 //   * DataStepExecutor: PolicyNet::Forward over the emitting rows, then
 //     SampleLogitsRow on each sequence's forked RNG stream;
@@ -116,15 +119,12 @@ using BetweenStepsHook = std::function<void(
     double now, const std::vector<RolloutSequence>& sequences, std::vector<int64_t>* cancel)>;
 
 struct StepLoopResult {
-  std::vector<RolloutSequence> sequences;  // Terminal states, by id.
+  // Terminal states and lifecycle stamps, by id.
+  std::vector<RolloutSequence> sequences;
   RolloutStats stats;
-  RolloutSchedulerStats scheduler_stats;
   int64_t prefix_hit_tokens = 0;  // Rank 0.
   int64_t kv_leaked_blocks = 0;   // Rank 0 used blocks at drain; must be 0.
   double end_seconds = 0.0;       // Clock at drain.
-  // Per id: clock of the first and last emitted token (0 = none).
-  std::vector<double> first_token_seconds;
-  std::vector<double> last_token_seconds;
   int64_t event_run = 0;
 };
 

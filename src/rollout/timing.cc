@@ -23,10 +23,7 @@ RolloutSimResult SimulateContinuousGeneration(const PerfModel& perf,
   StepLoopConfig loop;
   loop.scheduler = ToSchedulerConfig(options);
   loop.kv = executor.KvGeometry(options.enable_prefix_cache, kv_budget_bytes);
-  // Lifecycle events always feed the latency digests; they only outlive
-  // this call when the caller provides a sink.
-  SeqEventLog local_events;
-  loop.event_log = options.sim_event_log != nullptr ? options.sim_event_log : &local_events;
+  loop.event_log = options.sim_event_log;  // Export only.
   std::vector<RolloutSequence> states(sequences.size());
   for (size_t i = 0; i < sequences.size(); ++i) {
     HF_CHECK_GT(sequences[i].prompt_tokens, 0);
@@ -54,11 +51,32 @@ RolloutSimResult SimulateContinuousGeneration(const PerfModel& perf,
   result.stats = run.stats;
   result.time = executor.time;
   result.max_step_seconds = executor.max_step_seconds;
-  result.latency = SummarizeSeqLatencies(
-      DeriveSeqLatencies(loop.event_log == &local_events
-                             ? local_events.Snapshot()
-                             : loop.event_log->SnapshotRun(run.event_run),
-                         /*wall=*/false));
+  // The scheduler's per-sequence stamps, shaped as DeriveSeqLatencies
+  // would derive them from the run's events (never-enqueued zero-target
+  // sequences have none and are left out).
+  std::vector<SeqLatency> rows;
+  rows.reserve(run.sequences.size());
+  for (const RolloutSequence& state : run.sequences) {
+    if (state.enqueue_step < 0) {
+      continue;
+    }
+    SeqLatency& row = rows.emplace_back();
+    row.seq = state.id;
+    row.tokens = state.generated;
+    row.preemptions = state.preemptions;
+    row.recomputed_tokens = state.recomputed_tokens;
+    row.finished = state.state == SequenceState::kFinished;
+    row.preemption_stall = state.preemption_stall_seconds;
+    if (state.generated >= 1) {
+      row.queue_delay = state.first_admit_seconds - state.enqueue_seconds;
+      row.ttft = state.first_token_seconds - state.enqueue_seconds;
+    }
+    if (state.generated >= 2) {
+      row.tpot = (state.last_token_seconds - state.first_token_seconds) /
+                 static_cast<double>(state.generated - 1);
+    }
+  }
+  result.latency = SummarizeSeqLatencies(rows);
   return result;
 }
 

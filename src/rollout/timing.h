@@ -35,10 +35,10 @@ struct RolloutSimResult {
   // the step every decode row must wait behind.
   double max_step_seconds = 0.0;
   // Sim-plane per-sequence latency digests (TTFT / TPOT / queue delay /
-  // preemption stall, all in sim-seconds), derived from the lifecycle
-  // event stream the scheduler records against the advancing step clock.
-  // Always populated; the raw events additionally outlive the call when
-  // RolloutOptions::sim_event_log is set.
+  // preemption stall, all in sim-seconds), summarized from the lifecycle
+  // clocks the scheduler stamps on each sequence. Always populated, with
+  // no event log; RolloutOptions::sim_event_log only exports the raw
+  // events, which DeriveSeqLatencies turns into the same digests.
   SeqLatencySummary latency;
 };
 

@@ -24,6 +24,9 @@ ServingFrontend::ServingFrontend(const PolicyNet& net, const ServingFrontendConf
   HF_CHECK_GT(kv_ranks_, 0);
   HF_CHECK_GT(config_.block_tokens, 0);
   HF_CHECK_GT(config_.seconds_per_step, 0.0);
+  HF_CHECK_MSG(config_.prefix_cache == config_.scheduler.prefix_cache,
+               "ServingFrontendConfig::prefix_cache and ServingPolicyConfig::prefix_cache "
+               "disagree; set both");
 }
 
 ServingResult ServingFrontend::Serve(const std::vector<ServingRequest>& requests, bool do_sample,

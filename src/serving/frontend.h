@@ -36,7 +36,9 @@ struct ServingFrontendConfig {
   // Prefix-sharing KV cache (docs/KVCACHE.md): requests with identical
   // prompt prefixes — concurrent or arriving after an identical request
   // finished (cross-request reuse; finished requests' prompt blocks are
-  // retained evictable) — share blocks and skip the shared prefill.
+  // retained evictable) — share blocks and skip the shared prefill. Must
+  // equal scheduler.prefix_cache (the sim plane's flag); the constructor
+  // rejects a config where they disagree.
   bool prefix_cache = false;
   // Virtual seconds one engine step advances the serving clock by.
   double seconds_per_step = 0.1;

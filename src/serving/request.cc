@@ -47,8 +47,8 @@ void FinishServingResult(const StepLoopResult& run, ServingResult* result) {
     record.ttft_deadline = sequence.ttft_deadline;
     record.tokens = sequence.generated;
     record.preemptions = sequence.preemptions;
-    record.first_token_time = run.first_token_seconds[i];
-    const double last_token_time = run.last_token_seconds[i];
+    record.first_token_time = sequence.first_token_seconds;
+    const double last_token_time = sequence.last_token_seconds;
     // The step loop guarantees a terminal state.
     const bool finished = sequence.state == SequenceState::kFinished;
     record.outcome = finished ? RequestOutcome::kFinished
@@ -68,10 +68,11 @@ void FinishServingResult(const StepLoopResult& run, ServingResult* result) {
         (record.tpot_slo <= 0.0 || record.tokens < 2 || record.tpot <= record.tpot_slo);
   }
   result->report = BuildServingReport(result->records);
-  result->scheduler_stats = run.scheduler_stats;
+  result->scheduler_stats = run.stats;
   result->kv_high_water_blocks = run.stats.kv_high_water_blocks;
   result->kv_leaked_blocks = run.kv_leaked_blocks;
 }
+
 ServingReport BuildServingReport(const std::vector<RequestRecord>& records) {
   ServingReport report;
   std::map<int64_t, TenantServingStats> tenants;

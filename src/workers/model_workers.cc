@@ -14,6 +14,21 @@ namespace {
 
 int64_t CeilDiv(int64_t a, int64_t b) { return (a + b - 1) / b; }
 
+// Next-token NLL over a pretraining corpus: each proper prefix of each
+// sequence (its last context_window tokens, left-padded) predicts the
+// token after it.
+Tensor PretrainNll(const PolicyNet& net, const DataBatch::TokenColumn& corpus) {
+  std::vector<std::vector<int64_t>> contexts;
+  std::vector<int64_t> targets;
+  for (const std::vector<int64_t>& sequence : corpus) {
+    for (size_t k = 1; k < sequence.size(); ++k) {
+      contexts.push_back(ContextWindow({}, sequence, k, net.config().context_window));
+      targets.push_back(sequence[k]);
+    }
+  }
+  return PretrainLoss(net.LogProb(contexts, targets));
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -300,20 +315,7 @@ BatchFuture ActorWorkerGroup::ComputeLoss(const BatchFuture& pretrain,
   const double duration = InferSeconds(workload.global_batch, workload.prompt_len);
   ComputeFn compute = [this](const DataBatch& shard, int) {
     DataBatch out;
-    const DataBatch::TokenColumn& corpus = shard.Tokens("prompts");
-    std::vector<std::vector<int64_t>> contexts;
-    std::vector<int64_t> targets;
-    for (const std::vector<int64_t>& sequence : corpus) {
-      for (size_t k = 1; k < sequence.size(); ++k) {
-        contexts.push_back(ContextWindow(sequence, {}, 0, real_.net.context_window));
-        contexts.back() = ContextWindow(
-            std::vector<int64_t>(sequence.begin(), sequence.begin() + static_cast<int64_t>(k)),
-            {}, 0, real_.net.context_window);
-        targets.push_back(sequence[k]);
-      }
-    }
-    Tensor loss = PretrainLoss(net_->LogProb(contexts, targets));
-    out.SetFloat("pretrain_loss", {{loss.item()}});
+    out.SetFloat("pretrain_loss", {{PretrainNll(*net_, shard.Tokens("prompts")).item()}});
     return out;
   };
   return Dispatch("compute_loss", "infer", TransferProtocol::k3dProto, pretrain, duration,
@@ -349,17 +351,7 @@ BatchFuture ActorWorkerGroup::UpdateActor(const BatchFuture& batch,
       loss = Sub(loss, Scale(MeanEntropy(logits), config.entropy_coef));
     }
     if (config.ptx_coef > 0.0f && config.pretrain != nullptr && !config.pretrain->empty()) {
-      std::vector<std::vector<int64_t>> ptx_contexts;
-      std::vector<int64_t> ptx_targets;
-      for (const std::vector<int64_t>& sequence : config.pretrain->Tokens("prompts")) {
-        for (size_t k = 1; k < sequence.size(); ++k) {
-          ptx_contexts.push_back(ContextWindow(
-              std::vector<int64_t>(sequence.begin(), sequence.begin() + static_cast<int64_t>(k)),
-              {}, 0, real_.net.context_window));
-          ptx_targets.push_back(sequence[k]);
-        }
-      }
-      Tensor ptx_loss = PretrainLoss(net_->LogProb(ptx_contexts, ptx_targets));
+      const Tensor ptx_loss = PretrainNll(*net_, config.pretrain->Tokens("prompts"));
       loss = Add(loss, Scale(ptx_loss, config.ptx_coef));
     }
     // Weight by the shard's share so accumulated gradients equal the

@@ -415,6 +415,56 @@ TEST(SeqLatencyTest, TimingSimIsDeterministicWithAndWithoutEventSink) {
   EXPECT_GT(max_sim, 0.0);
 }
 
+void ExpectSameDigest(const LatencyDigest& got, const LatencyDigest& want, const char* name) {
+  EXPECT_EQ(got.count, want.count) << name;
+  EXPECT_EQ(got.mean, want.mean) << name;
+  EXPECT_EQ(got.p50, want.p50) << name;
+  EXPECT_EQ(got.p90, want.p90) << name;
+  EXPECT_EQ(got.p99, want.p99) << name;
+  EXPECT_EQ(got.max, want.max) << name;
+}
+
+TEST(SeqLatencyTest, SequenceStampsSummarizeExactlyLikeTheEventStream) {
+  // DeriveSeqLatencies over the exported sim events is the reference: the
+  // summary built from the scheduler's per-sequence stamps must equal it
+  // bit for bit on a run that preempts, chunks prefill and hits the prefix
+  // cache. The zero-target sequence is never enqueued, so both leave it out.
+  const PerfModel perf(ModelSpec::Llama7B(), ClusterSpec::WithGpus(8));
+  const GenParallelConfig gen{1, 2};
+  const std::vector<DeviceId> devices{0, 1};
+  std::vector<NominalSequence> sequences;
+  for (int64_t i = 0; i < 48; ++i) {
+    sequences.push_back({128 + 32 * (i % 5), 64 + 48 * (i % 7), i % 3 == 0 ? i % 4 : -1});
+  }
+  sequences.push_back({64, 0, -1});
+  RolloutOptions options;
+  options.mode = RolloutMode::kContinuous;
+  options.prefill_chunk_tokens = 256;
+  options.enable_prefix_cache = true;
+  SeqEventLog log;
+  options.sim_event_log = &log;
+  const double budget = 64.0 * 16.0 * perf.KvBytesPerTokenPerGpu(gen);
+  const RolloutSimResult result =
+      SimulateContinuousGeneration(perf, gen, devices, sequences, budget, options);
+  ASSERT_GT(result.stats.preemptions, 0);
+  ASSERT_GT(result.stats.prefill_chunks, 0);
+  ASSERT_GT(result.stats.prefix_skipped_tokens, 0);
+
+  const SeqLatencySummary want =
+      SummarizeSeqLatencies(DeriveSeqLatencies(log.Snapshot(), /*wall=*/false));
+  const SeqLatencySummary& got = result.latency;
+  EXPECT_EQ(want.sequences, 48);
+  EXPECT_GT(want.preemption_stall.count, 0u);
+  EXPECT_EQ(got.sequences, want.sequences);
+  EXPECT_EQ(got.finished, want.finished);
+  EXPECT_EQ(got.preemptions, want.preemptions);
+  EXPECT_EQ(got.recomputed_tokens, want.recomputed_tokens);
+  ExpectSameDigest(got.ttft, want.ttft, "ttft");
+  ExpectSameDigest(got.tpot, want.tpot, "tpot");
+  ExpectSameDigest(got.queue_delay, want.queue_delay, "queue_delay");
+  ExpectSameDigest(got.preemption_stall, want.preemption_stall, "preemption_stall");
+}
+
 TEST(SeqLatencyTest, DualTraceMergesSeqEventsAsValidJson) {
   ClusterState state(ClusterSpec::WithGpus(1));
   std::vector<SeqEvent> events;

@@ -25,6 +25,7 @@
 #include "src/data/arrival_trace.h"
 #include "src/nn/policy_net.h"
 #include "src/obs/json_util.h"
+#include "src/obs/seq_events.h"
 #include "src/rollout/engine.h"
 #include "src/rollout/timing.h"
 #include "src/serving/frontend.h"
@@ -548,6 +549,46 @@ TEST(ServingFrontendTest, CancellationAppliesAfterAnExpiryDrainedStep) {
   EXPECT_TRUE(got.records[2].response.empty());
   EXPECT_EQ(got.scheduler_stats.cancelled, 1);
   EXPECT_EQ(got.kv_leaked_blocks, 0);
+}
+
+TEST(ServingFrontendTest, ArrivalAfterAnIdleGapIsStampedAtItsArrival) {
+  // Request 0 drains by 0.2; request 1 arrives at 10.0 into an idle
+  // scheduler. Its enqueue must carry the clock the loop jumped to, not the
+  // last step end, so the event-derived TTFT agrees with its record.
+  const PolicyNet net = TestNet();
+  std::vector<ServingRequest> requests = TestRequests();
+  requests.resize(2);
+  requests[0].arrival = 0.0;
+  requests[1].arrival = 10.0;
+  for (ServingRequest& request : requests) {
+    request.max_new_tokens = 2;
+  }
+  SeqEventLog log;
+  ServingFrontendConfig config;
+  config.seconds_per_step = 0.1;
+  config.event_log = &log;
+  const ServingResult got = ServeWith(net, requests, config);
+  ASSERT_EQ(got.report.finished, 2);
+
+  const std::vector<SeqEvent> events = log.Snapshot();
+  const auto enqueue = std::find_if(events.begin(), events.end(), [](const SeqEvent& event) {
+    return event.seq == 1 && event.kind == SeqEventKind::kEnqueue;
+  });
+  ASSERT_NE(enqueue, events.end());
+  EXPECT_EQ(enqueue->sim_seconds, 10.0);
+  const std::vector<SeqLatency> rows = DeriveSeqLatencies(events, /*wall=*/false);
+  ASSERT_EQ(rows.size(), 2u);
+  for (const SeqLatency& row : rows) {
+    EXPECT_EQ(row.ttft, got.records[static_cast<size_t>(row.seq)].ttft) << "request " << row.seq;
+  }
+}
+
+TEST(ServingFrontendDeathTest, RejectsDisagreeingPrefixCacheFlags) {
+  const PolicyNet net = TestNet();
+  ServingFrontendConfig config;
+  config.prefix_cache = true;  // config.scheduler.prefix_cache stays false.
+  EXPECT_DEATH(ServingFrontend(net, config, /*kv_ranks=*/1),
+               "ServingFrontendConfig::prefix_cache and ServingPolicyConfig::prefix_cache");
 }
 
 TEST(ServingFrontendTest, StreamingCallbackDeliversTokensInOrderAndCanCancel) {

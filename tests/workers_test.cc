@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
+#include "src/rlhf/losses.h"
 #include "src/workers/model_workers.h"
 
 namespace hybridflow {
@@ -151,6 +156,33 @@ TEST_F(ActorWorkerTest, ComputeLossReturnsPretrainNll) {
   // NLL of a near-uniform random policy over V=16 tokens is ~log(16).
   EXPECT_GT(out.data.Float("pretrain_loss")[0][0], 1.0f);
   EXPECT_LT(out.data.Float("pretrain_loss")[0][0], 5.0f);
+}
+
+TEST_F(ActorWorkerTest, ComputeLossEqualsPretrainLossOfEachShard) {
+  // Each DP rank (dp=2) scores its chunk of the corpus: every proper prefix,
+  // as its last context_window tokens left-padded with 0, predicts the next
+  // token. Rebuilt here by hand and scored with the same net.
+  const DataBatch corpus = Prompts(8, actor_->real().task, 9);
+  const BatchFuture out = actor_->ComputeLoss(BatchFuture::Immediate(corpus), workload_);
+  const std::vector<DataBatch> shards = corpus.SplitChunks(2);
+  ASSERT_EQ(out.data.Float("pretrain_loss").size(), shards.size());
+  const size_t window = static_cast<size_t>(actor_->real().net.context_window);
+  for (size_t s = 0; s < shards.size(); ++s) {
+    std::vector<std::vector<int64_t>> contexts;
+    std::vector<int64_t> targets;
+    for (const std::vector<int64_t>& sequence : shards[s].Tokens("prompts")) {
+      for (size_t k = 1; k < sequence.size(); ++k) {
+        std::vector<int64_t> context(window, 0);
+        for (size_t j = 0; j < std::min(k, window); ++j) {
+          context[window - 1 - j] = sequence[k - 1 - j];
+        }
+        contexts.push_back(std::move(context));
+        targets.push_back(sequence[k]);
+      }
+    }
+    const float want = PretrainLoss(actor_->net().LogProb(contexts, targets)).item();
+    EXPECT_EQ(out.data.Float("pretrain_loss")[s][0], want) << "shard " << s;
+  }
 }
 
 TEST_F(ActorWorkerTest, EntropyBonusKeepsPolicyFlatter) {

@@ -53,6 +53,11 @@
 //                        generation path runs the one StepLoop with a data
 //                        or sim executor, so a fifth scheduler step loop
 //                        cannot come back unnoticed
+//   borrowed-event-log   (src/ only) outside src/obs/, code only borrows a
+//                        SeqEventLog* from its caller and never constructs
+//                        one: latency accounting lives on the sequences,
+//                        so a hidden always-on log cannot come back behind
+//                        the null-log contract
 //   raw-diagnostics      library code under src/ never writes diagnostics
 //                        with std::cerr / printf / fprintf; route them
 //                        through src/common/logging.h (HF_LOG) or the
@@ -68,9 +73,10 @@
 //                        synthetic tree with known-stale references.
 //
 // `--rules-selftest` is the same style of negative gate for the
-// concurrency rules (condvar-wait, unreferenced-guard): a synthetic tree
-// with known-bad waits and comment-only guards must produce exactly the
-// expected findings, and the allow() hatches must suppress them.
+// concurrency and confinement rules (condvar-wait, unreferenced-guard,
+// simd-intrinsics, one-step-loop, borrowed-event-log): a synthetic tree
+// with known-bad shapes must produce exactly the expected findings, and
+// the allow() hatches must suppress them.
 //
 // Suppress a finding on one line with: // hflint: allow(<rule>)
 //
@@ -670,23 +676,18 @@ void CheckSimdIntrinsics(const FileText& file, std::vector<Finding>& findings) {
   }
 }
 
-// One step loop: RunStepLoop (src/rollout/step_loop.cc) is the only code
-// in src/ that constructs a RolloutScheduler and drives its step cycle.
-// Construction shapes: `RolloutScheduler name(...)` / `{...}` / `;`, a
-// temporary `RolloutScheduler(...)`, `new RolloutScheduler`, or a template
-// argument `<RolloutScheduler>` (make_unique, optional, containers).
-// References, pointers and `RolloutScheduler::` scope access are fine.
-void CheckOneStepLoop(const FileText& file, std::vector<Finding>& findings) {
-  if (file.path.rfind("src/", 0) != 0 || file.path == "src/rollout/step_loop.cc" ||
-      file.path == "src/rollout/scheduler.h" || file.path == "src/rollout/scheduler.cc") {
-    return;
-  }
-  const std::string token = "RolloutScheduler";
+// Flags each line of `file` that constructs a `type` object, unless
+// hatched with allow(rule). Construction shapes: `Type name(...)` /
+// `{...}` / `;`, a temporary `Type(...)`, `new Type`, or a template
+// argument `<Type>` (make_unique, optional, containers). References,
+// pointers and `Type::` scope access are fine.
+void FlagConstructions(const FileText& file, const std::string& type, const std::string& rule,
+                       const std::string& message, std::vector<Finding>& findings) {
   for (size_t i = 0; i < file.code.size(); ++i) {
     const std::string& line = file.code[i];
-    for (size_t pos = FindToken(line, token); pos != std::string::npos;
-         pos = FindToken(line, token, pos + 1)) {
-      size_t at = line.find_first_not_of(' ', pos + token.size());
+    for (size_t pos = FindToken(line, type); pos != std::string::npos;
+         pos = FindToken(line, type, pos + 1)) {
+      size_t at = line.find_first_not_of(' ', pos + type.size());
       const char next = at == std::string::npos ? '\0' : line[at];
       const size_t before = pos == 0 ? std::string::npos : line.find_last_not_of(' ', pos - 1);
       bool constructs = next == '(' || next == '{' ||
@@ -701,13 +702,37 @@ void CheckOneStepLoop(const FileText& file, std::vector<Finding>& findings) {
         constructs = at == std::string::npos || line[at] == '(' || line[at] == '{' ||
                      line[at] == ';';
       }
-      if (constructs && !Allowed(file, i, "one-step-loop")) {
-        findings.push_back({file.path, static_cast<int>(i) + 1, "one-step-loop",
-                            "RolloutScheduler constructed outside src/rollout/step_loop.cc; "
-                            "run RunStepLoop with a data or sim executor"});
+      if (constructs && !Allowed(file, i, rule)) {
+        findings.push_back({file.path, static_cast<int>(i) + 1, rule, message});
       }
     }
   }
+}
+
+// One step loop: RunStepLoop (src/rollout/step_loop.cc) is the only code
+// in src/ that constructs a RolloutScheduler and drives its step cycle.
+void CheckOneStepLoop(const FileText& file, std::vector<Finding>& findings) {
+  if (file.path.rfind("src/", 0) != 0 || file.path == "src/rollout/step_loop.cc" ||
+      file.path == "src/rollout/scheduler.h" || file.path == "src/rollout/scheduler.cc") {
+    return;
+  }
+  FlagConstructions(file, "RolloutScheduler", "one-step-loop",
+                    "RolloutScheduler constructed outside src/rollout/step_loop.cc; "
+                    "run RunStepLoop with a data or sim executor",
+                    findings);
+}
+
+// Borrowed event log: outside src/obs/, src/ code records into a
+// SeqEventLog only when a caller hands one in, so "null log = one pointer
+// compare" holds on every path.
+void CheckBorrowedEventLog(const FileText& file, std::vector<Finding>& findings) {
+  if (file.path.rfind("src/", 0) != 0 || file.path.rfind("src/obs/", 0) == 0) {
+    return;
+  }
+  FlagConstructions(file, "SeqEventLog", "borrowed-event-log",
+                    "SeqEventLog constructed outside src/obs/; borrow the caller's "
+                    "SeqEventLog* and read latency from the sequences' stamps",
+                    findings);
 }
 
 // ---------------------------------------------------------------------------
@@ -1003,6 +1028,7 @@ std::vector<Finding> LintTree(const fs::path& root, int* files_checked, int* doc
       CheckAnnotatedSync(file, findings);
       CheckSimdIntrinsics(file, findings);
       CheckOneStepLoop(file, findings);
+      CheckBorrowedEventLog(file, findings);
       for (const std::string& line : file.code) {
         corpus += line;
         corpus += '\n';
@@ -1049,31 +1075,6 @@ int RunDocsSelftest() {
     stale << "# Stale\n\n"
           << "A removed file `src/widget/gadget.h`, a renamed method\n"
           << "`Widget::Defrobulate`, and a deleted type `Gizmo::Spin`.\n";
-  }
-  {
-    // A scheduler constructed in the step loop's home is fine; a fifth
-    // loop anywhere else in src/ is flagged unless hatched, and borrowing
-    // one by reference never is.
-    fs::create_directories(tree / "src/rollout");
-    std::ofstream home(tree / "src/rollout/step_loop.cc");
-    home << "namespace hybridflow {\n"
-         << "void Loop(DistributedKvManager* kv, std::vector<RolloutSequence>* s) {\n"
-         << "  RolloutScheduler scheduler(RolloutSchedulerConfig(), kv, s);\n"
-         << "}\n"
-         << "}  // namespace hybridflow\n";
-    std::ofstream fifth(tree / "src/gadget/fifth_loop.cc");
-    fifth << "namespace hybridflow {\n"
-          << "void Fifth(DistributedKvManager* kv, std::vector<RolloutSequence>* s) {\n"
-          << "  RolloutScheduler scheduler(RolloutSchedulerConfig(), kv, s);\n"
-          << "}\n"
-          << "void Hatched(DistributedKvManager* kv, std::vector<RolloutSequence>* s) {\n"
-          << "  RolloutScheduler kept(RolloutSchedulerConfig(), kv, s);"
-          << "  // hflint: allow(one-step-loop)\n"
-          << "}\n"
-          << "int64_t Borrowed(const RolloutScheduler& scheduler) {\n"
-          << "  return scheduler.current_step();\n"
-          << "}\n"
-          << "}  // namespace hybridflow\n";
   }
   int files_checked = 0;
   int docs_checked = 0;
@@ -1126,10 +1127,11 @@ int RunDocsSelftest() {
 // --rules-selftest: the concurrency and confinement rules must flag each
 // known-bad shape (if-guarded wait, naked wait, comment-only guard,
 // intrinsics outside src/tensor/simd.*, a RolloutScheduler outside the
-// step loop) and accept the good ones (while-looped wait,
-// HF_GUARDED_BY-referenced mutex, intrinsics inside simd.h, the step
-// loop's own scheduler, a borrowed reference, the allow() hatches) in a
-// synthetic tree — a regression gate on the rules.
+// step loop, a SeqEventLog constructed outside src/obs/) and accept the
+// good ones (while-looped wait, HF_GUARDED_BY-referenced mutex,
+// intrinsics inside simd.h, the step loop's own scheduler, src/obs/'s own
+// log, borrowed references, the allow() hatches) in a synthetic tree — a
+// regression gate on the rules.
 int RunRulesSelftest() {
   const fs::path tree = fs::path("hflint_rules_selftest_tree");
   fs::remove_all(tree);
@@ -1229,6 +1231,25 @@ int RunRulesSelftest() {
           << "}\n"
           << "}  // namespace hybridflow\n";
   }
+  {
+    // Outside src/obs/, a SeqEventLog is only borrowed: constructing one is
+    // flagged unless hatched; src/obs/ may own one.
+    fs::create_directories(tree / "src/obs");
+    std::ofstream owner(tree / "src/obs/recorder.cc");
+    owner << "namespace hybridflow {\n"
+          << "void Own() { SeqEventLog owned; }\n"
+          << "}  // namespace hybridflow\n";
+    std::ofstream hidden(tree / "src/gadget/hidden_log.cc");
+    hidden << "namespace hybridflow {\n"
+           << "void Hidden() {\n"
+           << "  SeqEventLog local_events;\n"
+           << "}\n"
+           << "void Hatched() {\n"
+           << "  SeqEventLog kept;  // hflint: allow(borrowed-event-log)\n"
+           << "}\n"
+           << "size_t Borrowed(const SeqEventLog* log) { return log->size(); }\n"
+           << "}  // namespace hybridflow\n";
+  }
   int files_checked = 0;
   int docs_checked = 0;
   const std::vector<Finding> findings = LintTree(tree, &files_checked, &docs_checked);
@@ -1242,6 +1263,7 @@ int RunRulesSelftest() {
       {"simd-intrinsics", "intrinsics header include"},
       {"simd-intrinsics", "_mm256_ intrinsic outside"},
       {"one-step-loop", "RolloutScheduler constructed outside"},
+      {"borrowed-event-log", "SeqEventLog constructed outside src/obs/"},
   };
   for (const Finding& finding : findings) {
     bool matched = false;
@@ -1268,9 +1290,9 @@ int RunRulesSelftest() {
     std::cerr << "hflint --rules-selftest: " << failures << " failure(s)\n";
     return 1;
   }
-  std::cout << "hflint --rules-selftest: ok (6 bad shapes flagged, allow() hatches, "
-               "loop-shaped waits, confined intrinsics, and the step loop's own "
-               "scheduler accepted)\n";
+  std::cout << "hflint --rules-selftest: ok (7 bad shapes flagged, allow() hatches, "
+               "loop-shaped waits, confined intrinsics, the step loop's own "
+               "scheduler and src/obs/'s own event log accepted)\n";
   return 0;
 }
 
