@@ -1,9 +1,10 @@
-# Golden check for the deterministic sim-plane benches (ctest bench_golden).
+# Golden check for the deterministic benches (ctest bench_golden): the
+# sim-plane benches and the data-plane work counts.
 #
 # Reruns each bench in WORK_DIR and requires exit 0 plus byte equality of
 # the BENCH_<name>.json it writes with the copy committed at SOURCE_DIR.
-# A deliberate change to a simulated number means committing the
-# regenerated file (run the bench from the repo root).
+# A deliberate change to a simulated number or a kernel work count means
+# committing the regenerated file (run the bench from the repo root).
 #
 #   cmake -DBENCH_DIR=<dir with the bench binaries> -DSOURCE_DIR=<repo root>
 #         -DWORK_DIR=<scratch dir> -P bench/golden.cmake
@@ -11,7 +12,8 @@
 set(goldens
   "bench_rollout_scheduler:BENCH_rollout.json"
   "bench_serving:BENCH_serving.json"
-  "bench_async_pipeline:BENCH_async.json")
+  "bench_async_pipeline:BENCH_async.json"
+  "bench_dataplane_work:BENCH_dataplane_work.json")
 
 # Own working directory: bench_rollout_gate writes BENCH_rollout.json into
 # the bench build directory and may run concurrently under ctest -j.
@@ -45,4 +47,4 @@ endforeach()
 if(failed)
   message(FATAL_ERROR "bench_golden failed: ${failed}")
 endif()
-message(STATUS "bench_golden: every sim-plane golden is byte-identical")
+message(STATUS "bench_golden: every golden is byte-identical")
