@@ -67,10 +67,31 @@ PolicyNet::PolicyNet(const PolicyNetConfig& config, Rng& rng) : config_(config) 
   out_bias_ = Tensor::Zeros({out_dim}, /*requires_grad=*/true);
 }
 
-Tensor PolicyNet::TransformerSequence(const std::vector<int64_t>& tokens) const {
-  HF_CHECK_EQ(static_cast<int64_t>(tokens.size()), config_.context_window);
+Tensor PolicyNet::TransformerTrunk(const std::vector<std::vector<int64_t>>& contexts) const {
+  // Every context's K window positions are stacked as rows
+  // [i * K, (i + 1) * K) of one [batch * K, E] activation, so each
+  // shared-weight op runs once per layer for the whole batch. Every
+  // kernel works row by row, so the values equal a per-context forward
+  // bit for bit; only attention mixes rows, and BlockAttention keeps it
+  // inside each context's K x K block.
+  const int64_t window = config_.context_window;
+  const size_t rows = contexts.size() * static_cast<size_t>(window);
+  std::vector<int64_t> tokens;
+  std::vector<int64_t> positions;
+  std::vector<int64_t> last_rows;
+  tokens.reserve(rows);
+  positions.reserve(rows);
+  last_rows.reserve(contexts.size());
+  for (const std::vector<int64_t>& context : contexts) {
+    HF_CHECK_EQ(static_cast<int64_t>(context.size()), window);
+    tokens.insert(tokens.end(), context.begin(), context.end());
+    for (int64_t t = 0; t < window; ++t) {
+      positions.push_back(t);
+    }
+    last_rows.push_back(static_cast<int64_t>(tokens.size()) - 1);
+  }
   const float attention_scale = 1.0f / std::sqrt(static_cast<float>(config_.embed_dim));
-  Tensor x = Add(GatherRows(embedding_, tokens), pos_embedding_);
+  Tensor x = Add(GatherRows(embedding_, tokens), GatherRows(pos_embedding_, positions));
   for (const Block& block : blocks_) {
     // Pre-norm single-head self-attention with a residual connection. The
     // whole window is past context for the next-token prediction, so no
@@ -79,10 +100,7 @@ Tensor PolicyNet::TransformerSequence(const std::vector<int64_t>& tokens) const 
     Tensor q = MatMul(normed, block.wq);
     Tensor k = MatMul(normed, block.wk);
     Tensor v = MatMul(normed, block.wv);
-    // Fused q*k^T: no materialized Transpose(k); forward values are
-    // bitwise identical to the composed form.
-    Tensor scores = Scale(MatMulNT(q, k), attention_scale);
-    Tensor attention = MatMul(Softmax(scores), v);
+    Tensor attention = BlockAttention(q, k, v, window, attention_scale);
     x = Add(x, MatMul(attention, block.wo));
     // Pre-norm MLP with a residual connection. ln2 feeds only ff1, so
     // the fused LayerNormMatMul applies (ln1 above is shared by q/k/v
@@ -91,18 +109,8 @@ Tensor PolicyNet::TransformerSequence(const std::vector<int64_t>& tokens) const 
     Tensor hidden = Gelu(Add(mlp_pre, block.ff1_bias));
     x = Add(x, Add(MatMul(hidden, block.ff2), block.ff2_bias));
   }
-  return LayerNorm(x, final_gamma_, final_beta_);
-}
-
-Tensor PolicyNet::TransformerTrunk(const std::vector<std::vector<int64_t>>& contexts) const {
-  std::vector<Tensor> last_rows;
-  last_rows.reserve(contexts.size());
-  for (const std::vector<int64_t>& context : contexts) {
-    Tensor sequence = TransformerSequence(context);
-    last_rows.push_back(
-        SliceRows(sequence, config_.context_window - 1, config_.context_window));
-  }
-  return ConcatRows(last_rows);
+  // Only each context's last position feeds the head.
+  return LayerNorm(GatherRows(x, last_rows), final_gamma_, final_beta_);
 }
 
 Tensor PolicyNet::Trunk(const std::vector<std::vector<int64_t>>& contexts) const {

@@ -9,7 +9,12 @@
 //     GELU MLP with residual connections, final layernorm, and the output
 //     head applied to the last position. The window holds only
 //     already-generated tokens, so full (unmasked) attention inside the
-//     window is causal with respect to the token being predicted.
+//     window is causal with respect to the token being predicted. The
+//     trunk is one batched autograd graph: all contexts' window positions
+//     are stacked as [batch * K, embed] rows, every shared-weight op runs
+//     once on them, and BlockAttention attends within each context's
+//     K rows — so a forward costs the same ~30 kernel calls at any batch
+//     size, with values bitwise equal to running each context alone.
 //
 // The output head is either vocabulary logits (actor / reference policy)
 // or a scalar (critic / reward / cost models — the paper's "language
@@ -84,7 +89,6 @@ class PolicyNet {
 
   Tensor Trunk(const std::vector<std::vector<int64_t>>& contexts) const;
   Tensor TransformerTrunk(const std::vector<std::vector<int64_t>>& contexts) const;
-  Tensor TransformerSequence(const std::vector<int64_t>& tokens) const;
 
   PolicyNetConfig config_;
   Tensor embedding_;  // [vocab, embed].

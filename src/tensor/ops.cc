@@ -70,26 +70,102 @@ constexpr int64_t kReduceRowGrain = 32;
 // keyed by this fixed grain and folded serially in chunk order.
 constexpr int64_t kReduceElemGrain = 4096;
 
-// Blocked out-of-place transpose: yt[j * m + i] = x[i * n + j]. Pure data
-// movement (no float arithmetic), parallel over row blocks; square tiles
-// keep both access streams cache-resident.
+// Blocked out-of-place transpose of source rows [i0, i1):
+// yt[j * m + i] = x[i * n + j]. Pure data movement (no float arithmetic);
+// square tiles keep both access streams cache-resident.
 constexpr int64_t kTransposeTile = 32;
+void TransposeRows(int64_t i0, int64_t i1, int64_t m, int64_t n, const float* x,
+                   float* yt) {
+  for (int64_t ib = i0; ib < i1; ib += kTransposeTile) {
+    const int64_t ie = std::min(i1, ib + kTransposeTile);
+    for (int64_t j0 = 0; j0 < n; j0 += kTransposeTile) {
+      const int64_t je = std::min(n, j0 + kTransposeTile);
+      for (int64_t i = ib; i < ie; ++i) {
+        for (int64_t j = j0; j < je; ++j) {
+          yt[j * m + i] = x[i * n + j];
+        }
+      }
+    }
+  }
+}
+
+// TransposeRows over all m rows, parallel over row blocks.
 void TransposeInto(int64_t m, int64_t n, const float* x, float* yt,
                    int64_t work) {
   ParallelChunks(m, GetKernelTuning().row_grain, work,
-                 [&](int64_t i0, int64_t i1) {
-                   for (int64_t ib = i0; ib < i1; ib += kTransposeTile) {
-                     const int64_t ie = std::min(i1, ib + kTransposeTile);
-                     for (int64_t j0 = 0; j0 < n; j0 += kTransposeTile) {
-                       const int64_t je = std::min(n, j0 + kTransposeTile);
-                       for (int64_t i = ib; i < ie; ++i) {
-                         for (int64_t j = j0; j < je; ++j) {
-                           yt[j * m + i] = x[i * n + j];
-                         }
-                       }
-                     }
-                   }
-                 });
+                 [&](int64_t i0, int64_t i1) { TransposeRows(i0, i1, m, n, x, yt); });
+}
+
+// The GEMM forward loop over output rows [i0, i1): y[i,:] += x[i,:] * w
+// for x with k columns and w [k, n]. k-blocks advance in order and the
+// simd::GemmKBlock micro-kernel walks p ascending per output element, so
+// every y[i,j] accumulates over p in ascending fma order regardless of
+// the row range, the k block, the thread count, or the SIMD level.
+void GemmRows(int64_t i0, int64_t i1, int64_t k, int64_t n, const float* x,
+              const float* w, int64_t k_block, float* y) {
+  for (int64_t p0 = 0; p0 < k; p0 += k_block) {
+    const int64_t p1 = std::min(k, p0 + k_block);
+    for (int64_t i = i0; i < i1; ++i) {
+      simd::GemmKBlock(p1 - p0, n, x + i * k + p0, w + p0 * n, n, y + i * n);
+    }
+  }
+}
+
+// MatMulNT's forward, y[m, n] (zeroed) = a[m, k] * b[n, k]^T: b^T is
+// packed once into bt[k, n] (a blocked transpose — pure data movement,
+// one pass over b, amortized across every row chunk), then GemmRows runs
+// on the packed panel: exactly the sequence MatMul runs on a materialized
+// Transpose(b). `work` (flops-equivalent) decides whether the pack and
+// the rows fan out over the pool; 0 runs both inline.
+void MatMulNTInto(int64_t m, int64_t k, int64_t n, const float* a, const float* b,
+                  int64_t work, float* bt, float* y) {
+  TransposeInto(n, k, b, bt, work / 8);
+  const KernelTuning tuning = GetKernelTuning();
+  ParallelChunks(m, tuning.gemm_row_grain, work, [&](int64_t i0, int64_t i1) {
+    GemmRows(i0, i1, k, n, a, bt, tuning.gemm_k_block, y);
+  });
+}
+
+// GEMM backward, input side, rows [i0, i1): da[i,p] += dot(g[i,:], w[p,:])
+// over the n columns (one lane-partial simd::Dot per element). With
+// w = B [k, n] this is MatMul's dA = dC * B^T; with w = a packed B^T it
+// is MatMulNT's dA = dC * B.
+void DotRows(int64_t i0, int64_t i1, int64_t k, int64_t n, const float* g,
+             const float* w, float* da) {
+  for (int64_t i = i0; i < i1; ++i) {
+    const float* g_row = g + i * n;
+    float* da_row = da + i * k;
+    for (int64_t p = 0; p < k; ++p) {
+      da_row[p] += simd::Dot(n, g_row, w + p * n);
+    }
+  }
+}
+
+// GEMM backward, weight side, rows [r0, r1) of y[·, n]:
+// y[r,:] += sum_i x[i * x_stride + r] * w[i * w_stride, ...] over i in
+// [0, m) ascending (strided-x micro-kernel: a column walk of x). MatMul's
+// dB = A^T * dC is x = A, w = dC; MatMulNT's dB = dC^T * A is x = dC,
+// w = A.
+void ColumnGemmRows(int64_t r0, int64_t r1, int64_t m, int64_t n, const float* x,
+                    int64_t x_stride, const float* w, int64_t w_stride, float* y) {
+  for (int64_t r = r0; r < r1; ++r) {
+    simd::GemmKBlockStridedX(m, n, x + r, x_stride, w, w_stride, y + r * n);
+  }
+}
+
+// One LogSoftmax row: lane-partial max, lane-partial sum of
+// HfExpf(x - max) (so the shifted exponentials never overflow), one
+// scalar log, then a vector shift. y may alias x.
+void LogSoftmaxRow(int64_t n, const float* x, float* y) {
+  const float max_val = simd::Max(n, x);
+  const float denom = simd::SumExpShifted(n, x, -max_val);
+  const float log_denom = std::log(denom) + max_val;
+  simd::AddScalar(n, x, -log_denom, y);
+}
+
+// LogSoftmax backward row: dx = dy - softmax(x) * sum(dy).
+void LogSoftmaxBackward(int64_t n, const float* y, const float* g, float* dx) {
+  simd::LogSoftmaxBackwardRow(n, y, g, simd::Sum(n, g), dx);
 }
 
 // Wires a simple elementwise unary op: out[i] = fwd(a[i]); da[i] += dOut[i] * dfn(a[i], out[i]).
@@ -184,18 +260,8 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   {
     KernelTimer timer(series, fwd_flops);
     // Row-partitioned, k-blocked: a chunk owns output rows [i0, i1).
-    // k-blocks advance in order and the simd::GemmKBlock micro-kernel
-    // walks p ascending per output element, so every y[i,j] accumulates
-    // over p in ascending fma order regardless of the row grain, the k
-    // block, the thread count, or the SIMD level.
     ParallelChunks(m, tuning.gemm_row_grain, fwd_flops, [&](int64_t i0, int64_t i1) {
-      for (int64_t p0 = 0; p0 < k; p0 += tuning.gemm_k_block) {
-        const int64_t p1 = std::min(k, p0 + tuning.gemm_k_block);
-        for (int64_t i = i0; i < i1; ++i) {
-          simd::GemmKBlock(p1 - p0, n, x.data() + i * k + p0,
-                           w.data() + p0 * n, n, y.data() + i * n);
-        }
-      }
+      GemmRows(i0, i1, k, n, x.data(), w.data(), tuning.gemm_k_block, y.data());
     });
   }
   TensorNodePtr an = a.node();
@@ -207,26 +273,15 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
     const KernelTuning tuning = GetKernelTuning();
     const int64_t bwd_flops = 4 * m * k * n;
     KernelTimer timer(series_bwd, bwd_flops);
-    // dA = dC * B^T: a chunk owns rows of A; each dA[i,p] is one
-    // lane-partial dot product over j (simd::Dot order).
+    // dA = dC * B^T: a chunk owns rows of A.
     ParallelChunks(m, tuning.gemm_row_grain, bwd_flops / 2, [&](int64_t i0, int64_t i1) {
-      for (int64_t i = i0; i < i1; ++i) {
-        const float* g_row = out.grad.data() + i * n;
-        float* da_row = an->grad.data() + i * k;
-        for (int64_t p = 0; p < k; ++p) {
-          da_row[p] += simd::Dot(n, g_row, bn->data.data() + p * n);
-        }
-      }
+      DotRows(i0, i1, k, n, out.grad.data(), bn->data.data(), an->grad.data());
     });
     // dB = A^T * dC: a chunk owns rows of B (the k dimension); each
-    // dB[p,j] accumulates over i ascending (strided-x micro-kernel: the
-    // i-th input is A[i,p], a column walk).
+    // dB[p,j] accumulates over i ascending.
     ParallelChunks(k, tuning.gemm_row_grain, bwd_flops / 2, [&](int64_t p0, int64_t p1) {
-      for (int64_t p = p0; p < p1; ++p) {
-        simd::GemmKBlockStridedX(m, n, an->data.data() + p, k,
-                                 out.grad.data(), n,
-                                 bn->grad.data() + p * n);
-      }
+      ColumnGemmRows(p0, p1, m, n, an->data.data(), k, out.grad.data(), n,
+                     bn->grad.data());
     });
   });
 }
@@ -243,30 +298,14 @@ Tensor MatMulNT(const Tensor& a, const Tensor& b) {
   std::vector<float> y(static_cast<size_t>(m * n));
   const std::vector<float>& x = a.data();
   const std::vector<float>& w = b.data();
-  const KernelTuning tuning = GetKernelTuning();
   const int64_t fwd_flops = 2 * m * k * n;
   {
     KernelTimer timer(series, fwd_flops);
-    // Panel packing, re-tuned: B^T is packed ONCE up front (a parallel
-    // blocked transpose — pure data movement, one pass over B, amortized
-    // across every row chunk; per-chunk tile packing repeated that pass
-    // per chunk and lost to the composed form). The inner kernel is then
-    // the exact register-blocked simd::GemmKBlock sequence MatMul runs
-    // on a materialized Transpose(b), so values are bitwise identical to
-    // MatMul(a, Transpose(b)) — the fused form just skips the transpose
-    // autograd node and its extra buffer hand-off.
-    // (Uninitialized scratch: TransposeInto overwrites every element.)
+    // Values are bitwise identical to MatMul(a, Transpose(b)); the fused
+    // form just skips the transpose autograd node and its extra buffer
+    // hand-off. (Uninitialized scratch: the pack overwrites every element.)
     std::unique_ptr<float[]> bt(new float[static_cast<size_t>(k * n)]);
-    TransposeInto(n, k, w.data(), bt.get(), fwd_flops / 8);
-    ParallelChunks(m, tuning.gemm_row_grain, fwd_flops, [&](int64_t i0, int64_t i1) {
-      for (int64_t p0 = 0; p0 < k; p0 += tuning.gemm_k_block) {
-        const int64_t p1 = std::min(k, p0 + tuning.gemm_k_block);
-        for (int64_t i = i0; i < i1; ++i) {
-          simd::GemmKBlock(p1 - p0, n, x.data() + i * k + p0,
-                           bt.get() + p0 * n, n, y.data() + i * n);
-        }
-      }
-    });
+    MatMulNTInto(m, k, n, x.data(), w.data(), fwd_flops, bt.get(), y.data());
   }
   TensorNodePtr an = a.node();
   TensorNodePtr bn = b.node();
@@ -284,22 +323,13 @@ Tensor MatMulNT(const Tensor& a, const Tensor& b) {
     std::unique_ptr<float[]> bt(new float[static_cast<size_t>(k * n)]);
     TransposeInto(n, k, bn->data.data(), bt.get(), bwd_flops / 8);
     ParallelChunks(m, tuning.gemm_row_grain, bwd_flops / 2, [&](int64_t i0, int64_t i1) {
-      for (int64_t i = i0; i < i1; ++i) {
-        const float* g_row = out.grad.data() + i * n;
-        float* da_row = an->grad.data() + i * k;
-        for (int64_t p = 0; p < k; ++p) {
-          da_row[p] += simd::Dot(n, g_row, bt.get() + p * n);
-        }
-      }
+      DotRows(i0, i1, k, n, out.grad.data(), bt.get(), an->grad.data());
     });
     // dB = dC^T * A: a chunk owns rows of B; each dB[j,p] accumulates
     // over i ascending (strided-x walk down dC's column j).
     ParallelChunks(n, tuning.gemm_row_grain, bwd_flops / 2, [&](int64_t j0, int64_t j1) {
-      for (int64_t j = j0; j < j1; ++j) {
-        simd::GemmKBlockStridedX(m, k, out.grad.data() + j, n,
-                                 an->data.data(), k,
-                                 bn->grad.data() + j * k);
-      }
+      ColumnGemmRows(j0, j1, m, k, out.grad.data(), n, an->data.data(), k,
+                     bn->grad.data());
     });
   });
 }
@@ -361,6 +391,115 @@ Tensor MatMulTN(const Tensor& a, const Tensor& b) {
       }
     });
   });
+}
+
+Tensor BlockAttention(const Tensor& q, const Tensor& k, const Tensor& v, int64_t block,
+                      float scale) {
+  HF_TRACE_SCOPE("tensor.block_attention", "tensor");
+  static const KernelSeries series = MakeKernelSeries("block_attention");
+  HF_CHECK_EQ(q.ndim(), 2);
+  HF_CHECK(k.shape() == q.shape());
+  HF_CHECK_EQ(v.ndim(), 2);
+  HF_CHECK_EQ(v.dim(0), q.dim(0));
+  HF_CHECK_GE(block, 1);
+  const int64_t rows = q.dim(0);
+  HF_CHECK_EQ(rows % block, 0);
+  const int64_t blocks = rows / block;
+  const int64_t dk = q.dim(1);
+  const int64_t dv = v.dim(1);
+  const int64_t kk = block * block;
+  // Flop-equivalents of the composed per-block ops it replays.
+  const int64_t fwd_flops =
+      blocks * (2 * kk * dk + kk * (2 * kUnaryFlopsPerElem + kSoftmaxFwdFlopsPerElem) +
+                2 * kk * dv);
+  // Whole blocks per chunk, about gemm_row_grain rows each.
+  const int64_t block_grain = std::max<int64_t>(1, GetKernelTuning().gemm_row_grain / block);
+  const int64_t k_block = GetKernelTuning().gemm_k_block;
+  std::vector<float> y(static_cast<size_t>(rows * dv), 0.0f);
+  // Per-row log-softmax and softmax of the block's scores ([rows, block]):
+  // block b's block x block matrix is the contiguous rows of block b.
+  std::vector<float> log_probs(static_cast<size_t>(rows * block), 0.0f);
+  std::vector<float> probs(static_cast<size_t>(rows * block));
+  {
+    KernelTimer timer(series, fwd_flops);
+    // Per block, the composed sequence verbatim: MatMulNT's forward into a
+    // zeroed buffer, Scale, LogSoftmax rows and Exp (= Softmax), then
+    // MatMul's k-block loop against the block's v rows.
+    ParallelChunks(blocks, block_grain, fwd_flops, [&](int64_t b0, int64_t b1) {
+      std::vector<float> kt(static_cast<size_t>(dk * block));
+      for (int64_t b = b0; b < b1; ++b) {
+        const int64_t r0 = b * block;
+        float* scores = log_probs.data() + r0 * block;
+        MatMulNTInto(block, dk, block, q.data().data() + r0 * dk, k.data().data() + r0 * dk,
+                     /*work=*/0, kt.data(), scores);
+        simd::Scale(kk, scores, scale, scores);
+        for (int64_t i = 0; i < block; ++i) {
+          LogSoftmaxRow(block, scores + i * block, scores + i * block);
+        }
+        float* p = probs.data() + r0 * block;
+        simd::Exp(kk, scores, p);
+        GemmRows(0, block, block, dv, p, v.data().data() + r0 * dv, k_block,
+                 y.data() + r0 * dv);
+      }
+    });
+  }
+  TensorNodePtr qn = q.node();
+  TensorNodePtr kn = k.node();
+  TensorNodePtr vn = v.node();
+  return MakeResult(
+      {rows, dv}, std::move(y), {qn, kn, vn},
+      [qn, kn, vn, block, blocks, dk, dv, kk, scale, block_grain, log_probs,
+       probs](TensorNode& out) {
+        static const KernelSeries series_bwd = MakeKernelSeries("block_attention_bwd");
+        qn->EnsureGrad();
+        kn->EnsureGrad();
+        vn->EnsureGrad();
+        const int64_t flops =
+            blocks * (4 * kk * dk + kk * (2 * kUnaryFlopsPerElem + kSoftmaxBwdFlopsPerElem) +
+                      4 * kk * dv);
+        KernelTimer timer(series_bwd, flops);
+        // Per block, the composed backward verbatim: each intermediate's
+        // gradient lands in a zeroed scratch (the composed nodes' fresh
+        // grad buffers) and the q/k/v slices are added into the inputs'
+        // grads as SliceRows' backward does, so gradients from zeroed
+        // grads are bitwise identical to the composed chain.
+        ParallelChunks(blocks, block_grain, flops, [&](int64_t b0, int64_t b1) {
+          std::vector<float> kt(static_cast<size_t>(dk * block));
+          std::vector<float> scratch(static_cast<size_t>(4 * kk + block * (2 * dk + dv)));
+          float* d_probs = scratch.data();
+          float* d_log_probs = d_probs + kk;
+          float* d_scaled = d_log_probs + kk;
+          float* d_scores = d_scaled + kk;
+          float* dq = d_scores + kk;
+          float* dkey = dq + block * dk;
+          float* dval = dkey + block * dk;
+          for (int64_t b = b0; b < b1; ++b) {
+            const int64_t r0 = b * block;
+            const float* g = out.grad.data() + r0 * dv;
+            const float* p = probs.data() + r0 * block;
+            const float* lp = log_probs.data() + r0 * block;
+            const float* qb = qn->data.data() + r0 * dk;
+            std::fill(scratch.begin(), scratch.end(), 0.0f);
+            // MatMul(P, v) backward.
+            DotRows(0, block, block, dv, g, vn->data.data() + r0 * dv, d_probs);
+            ColumnGemmRows(0, block, block, dv, p, block, g, dv, dval);
+            // Exp, LogSoftmax and Scale backward.
+            simd::MulAcc(kk, d_probs, p, d_log_probs);
+            for (int64_t i = 0; i < block; ++i) {
+              LogSoftmaxBackward(block, lp + i * block, d_log_probs + i * block,
+                                 d_scaled + i * block);
+            }
+            simd::ScaleAcc(kk, d_scaled, scale, d_scores);
+            // MatMulNT(q, k) backward.
+            TransposeRows(0, block, block, dk, kn->data.data() + r0 * dk, kt.data());
+            DotRows(0, block, dk, block, d_scores, kt.data(), dq);
+            ColumnGemmRows(0, block, block, dk, d_scores, block, qb, dk, dkey);
+            simd::AddAcc(block * dk, dq, qn->grad.data() + r0 * dk);
+            simd::AddAcc(block * dk, dkey, kn->grad.data() + r0 * dk);
+            simd::AddAcc(block * dv, dval, vn->grad.data() + r0 * dv);
+          }
+        });
+      });
 }
 
 Tensor Add(const Tensor& a, const Tensor& b) {
@@ -624,19 +763,14 @@ Tensor Tanh(const Tensor& a) {
       [](float, float y) { return 1.0f - y * y; });
 }
 
+// Tanh-form GELU on HfExpf (simd::Gelu): bitwise identical at every SIMD
+// level and free of libm's platform-varying tanhf.
 Tensor Gelu(const Tensor& a) {
-  constexpr float kSqrt2OverPi = 0.7978845608f;
-  return Unary(
-      a,
-      [](float x) {
-        const float inner = kSqrt2OverPi * (x + 0.044715f * x * x * x);
-        return 0.5f * x * (1.0f + std::tanh(inner));
-      },
-      [](float x, float) {
-        const float inner = kSqrt2OverPi * (x + 0.044715f * x * x * x);
-        const float t = std::tanh(inner);
-        const float dinner = kSqrt2OverPi * (1.0f + 3.0f * 0.044715f * x * x);
-        return 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * dinner;
+  return SimdUnary(
+      a, [](int64_t c, const float* x, float* y) { simd::Gelu(c, x, y); },
+      [](int64_t c, int64_t begin, TensorNode& an, TensorNode& out) {
+        simd::GeluBackward(c, an.data.data() + begin, out.grad.data() + begin,
+                           an.grad.data() + begin);
       });
 }
 
@@ -955,11 +1089,8 @@ Tensor LayerNormMatMul(const Tensor& a, const Tensor& gamma, const Tensor& beta,
         float* ln_row = ln_out.data() + i * k;
         simd::LayerNormRow(k, x_row, mean, inv, g.data(), c.data(),
                            normalized.data() + i * k, ln_row);
-        for (int64_t p0 = 0; p0 < k; p0 += tuning.gemm_k_block) {
-          const int64_t p1 = std::min(k, p0 + tuning.gemm_k_block);
-          simd::GemmKBlock(p1 - p0, n, ln_row + p0, wd.data() + p0 * n, n,
-                           y.data() + i * n);
-        }
+        GemmRows(i, i + 1, k, n, ln_out.data(), wd.data(), tuning.gemm_k_block,
+                 y.data());
       }
     });
   }
@@ -987,22 +1118,13 @@ Tensor LayerNormMatMul(const Tensor& a, const Tensor& gamma, const Tensor& beta,
         std::vector<float> d_ln(static_cast<size_t>(m * k), 0.0f);
         ParallelChunks(m, tuning.gemm_row_grain, 2 * m * k * n,
                        [&](int64_t i0, int64_t i1) {
-                         for (int64_t i = i0; i < i1; ++i) {
-                           const float* g_row = out.grad.data() + i * n;
-                           float* d_ln_row = d_ln.data() + i * k;
-                           for (int64_t p = 0; p < k; ++p) {
-                             d_ln_row[p] +=
-                                 simd::Dot(n, g_row, wn->data.data() + p * n);
-                           }
-                         }
+                         DotRows(i0, i1, k, n, out.grad.data(), wn->data.data(),
+                                 d_ln.data());
                        });
         ParallelChunks(k, tuning.gemm_row_grain, 2 * m * k * n,
                        [&](int64_t p0, int64_t p1) {
-                         for (int64_t p = p0; p < p1; ++p) {
-                           simd::GemmKBlockStridedX(m, n, ln_out.data() + p, k,
-                                                    out.grad.data(), n,
-                                                    wn->grad.data() + p * n);
-                         }
+                         ColumnGemmRows(p0, p1, m, n, ln_out.data(), k, out.grad.data(), n,
+                                        wn->grad.data());
                        });
         // Stage 2: LayerNorm's backward, fed by d_ln — identical to the
         // standalone op's backward with out.grad := d_ln.
@@ -1046,18 +1168,11 @@ Tensor LogSoftmax(const Tensor& a) {
   const std::vector<float>& x = a.data();
   {
     KernelTimer timer(series, m * n * kSoftmaxFwdFlopsPerElem);
-    // Rows are independent: a chunk owns rows [i0, i1). Per row: lane-
-    // partial max, lane-partial sum of HfExpf(x - max) (so the shifted
-    // exponentials never overflow), one scalar log, then a vector shift.
+    // Rows are independent: a chunk owns rows [i0, i1).
     ParallelChunks(m, GetKernelTuning().row_grain, m * n * kSoftmaxFwdFlopsPerElem,
                    [&](int64_t i0, int64_t i1) {
                      for (int64_t i = i0; i < i1; ++i) {
-                       const float* x_row = x.data() + i * n;
-                       const float max_val = simd::Max(n, x_row);
-                       const float denom =
-                           simd::SumExpShifted(n, x_row, -max_val);
-                       const float log_denom = std::log(denom) + max_val;
-                       simd::AddScalar(n, x_row, -log_denom, y.data() + i * n);
+                       LogSoftmaxRow(n, x.data() + i * n, y.data() + i * n);
                      }
                    });
   }
@@ -1067,14 +1182,11 @@ Tensor LogSoftmax(const Tensor& a) {
     an->EnsureGrad();
     const int64_t flops = m * n * kSoftmaxBwdFlopsPerElem;
     KernelTimer timer(series_bwd, flops);
-    // dx = dy - softmax(x) * sum(dy); the sum is within one row, so
-    // chunks of rows stay independent.
+    // The sum is within one row, so chunks of rows stay independent.
     ParallelChunks(m, GetKernelTuning().row_grain, flops, [&](int64_t i0, int64_t i1) {
       for (int64_t i = i0; i < i1; ++i) {
-        const float* g_row = out.grad.data() + i * n;
-        const float grad_sum = simd::Sum(n, g_row);
-        simd::LogSoftmaxBackwardRow(n, out.data.data() + i * n, g_row,
-                                    grad_sum, an->grad.data() + i * n);
+        LogSoftmaxBackward(n, out.data.data() + i * n, out.grad.data() + i * n,
+                           an->grad.data() + i * n);
       }
     });
   });

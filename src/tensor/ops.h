@@ -19,12 +19,22 @@ Tensor MatMul(const Tensor& a, const Tensor& b);
 
 // Fused transposed GEMMs (no transposed operand is materialized).
 // C[m,n] = A[m,k] * B[n,k]^T — forward values bitwise identical to
-// MatMul(a, Transpose(b)) (same per-element accumulation order). The
-// attention score path (scores = q * k^T) uses this.
+// MatMul(a, Transpose(b)) (same per-element accumulation order).
+// BlockAttention runs this forward on every block's scores.
 Tensor MatMulNT(const Tensor& a, const Tensor& b);
 // C[m,n] = A[k,m]^T * B[k,n] — forward values bitwise identical to
 // MatMul(Transpose(a), b).
 Tensor MatMulTN(const Tensor& a, const Tensor& b);
+
+// Block-diagonal attention over stacked contexts. q, k [R, d] and v
+// [R, dv] hold R / block contexts of `block` rows each; block b's output
+// rows are Softmax(Scale(MatMulNT(q_b, k_b), scale)) * v_b, where x_b is
+// rows [b * block, (b + 1) * block) of x. One node for every block:
+// values, and gradients from zeroed grads, are bitwise identical to that
+// composed chain run per block through SliceRows and joined by
+// ConcatRows. PolicyNet's transformer runs all its contexts through this.
+Tensor BlockAttention(const Tensor& q, const Tensor& k, const Tensor& v, int64_t block,
+                      float scale);
 
 // Elementwise a + b; if b is 1-D with b.size() == a.dim(1), broadcasts b
 // across the rows of a.
@@ -43,7 +53,10 @@ Tensor Sigmoid(const Tensor& a);
 Tensor Softplus(const Tensor& a);
 Tensor Square(const Tensor& a);
 Tensor Tanh(const Tensor& a);
-Tensor Gelu(const Tensor& a);  // tanh approximation.
+// Tanh-approximation GELU, 0.5·x·(1 + tanh(u)) with
+// u = sqrt(2/pi)·(x + 0.044715·x³), evaluated as x / (1 + HfExpf(-2u)):
+// no libm, bitwise identical at every SIMD level.
+Tensor Gelu(const Tensor& a);
 
 Tensor Minimum(const Tensor& a, const Tensor& b);
 Tensor Maximum(const Tensor& a, const Tensor& b);

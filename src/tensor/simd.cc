@@ -47,6 +47,14 @@ constexpr float kExpP3 = 4.1665795894e-2f;
 constexpr float kExpP4 = 1.6666665459e-1f;
 constexpr float kExpP5 = 5.0000001201e-1f;
 
+// ---- GELU constants. The tanh form 0.5·x·(1 + tanh(u)) with
+// u = sqrt(2/pi)·(x + 0.044715·x³) is evaluated as x·sigmoid(2u) =
+// x / (1 + HfExpf(-2u)), so it needs no libm tanhf. 2·sqrt(2/pi) is the
+// float sqrt(2/pi) doubled exactly.
+constexpr float kGeluCubic = 0.044715f;
+constexpr float kGeluThreeCubic = 3.0f * kGeluCubic;
+constexpr float kGeluTwoSqrt2OverPi = 2.0f * 0.7978845608f;
+
 // Core on an already-range-checked x in [kExpMinInput, kExpMaxInput].
 // (Callers handle NaN / overflow / underflow; the int cast below would
 // be UB on unbounded input.)
@@ -304,6 +312,30 @@ void Exp(int64_t n, const float* x, float* y) {
   }
 }
 
+// 2u = 2·sqrt(2/pi)·(x + ((c·x)·x)·x) of the GELU input x.
+inline float GeluTwoU(float x) {
+  return kGeluTwoSqrt2OverPi * (x + kGeluCubic * x * x * x);
+}
+
+void Gelu(int64_t n, const float* x, float* y) {
+  for (int64_t j = 0; j < n; ++j) {
+    y[j] = x[j] / (1.0f + HfExpf(-GeluTwoU(x[j])));
+  }
+}
+
+// gelu' = s + x·s·(1 - s)·2u' with s = sigmoid(2u). 1 - s is computed as
+// sigmoid(-2u) from its own exponential: 1 - s would cancel for large x.
+void GeluBackward(int64_t n, const float* x, const float* g, float* dx) {
+  for (int64_t j = 0; j < n; ++j) {
+    const float two_u = GeluTwoU(x[j]);
+    const float s = 1.0f / (1.0f + HfExpf(-two_u));
+    const float one_minus_s = 1.0f / (1.0f + HfExpf(two_u));
+    const float du = kGeluTwoSqrt2OverPi * (1.0f + kGeluThreeCubic * x[j] * x[j]);
+    const float d = s + x[j] * s * one_minus_s * du;
+    dx[j] = std::fmaf(g[j], d, dx[j]);
+  }
+}
+
 void LogSoftmaxBackwardRow(int64_t n, const float* y, const float* g,
                            float gsum, float* dx) {
   for (int64_t j = 0; j < n; ++j) {
@@ -386,6 +418,9 @@ void LayerNormRow(int64_t n, const float* a, float mu, float inv,
                   const float* gamma, const float* beta, float* norm_out,
                   float* y) HF_AVX2_TARGET;
 void Exp(int64_t n, const float* x, float* y) HF_AVX2_TARGET;
+void Gelu(int64_t n, const float* x, float* y) HF_AVX2_TARGET;
+void GeluBackward(int64_t n, const float* x, const float* g, float* dx)
+    HF_AVX2_TARGET;
 void LogSoftmaxBackwardRow(int64_t n, const float* y, const float* g,
                            float gsum, float* dx) HF_AVX2_TARGET;
 void LayerNormBackwardRow(int64_t n, const float* norm, const float* dxhat,
@@ -737,6 +772,48 @@ void Exp(int64_t n, const float* x, float* y) {
   }
 }
 
+// 8-lane scalar_impl::GeluTwoU: the same mul/mul/mul/add/mul sequence.
+HF_AVX2_TARGET inline __m256 GeluTwoU8(__m256 x) {
+  const __m256 cubic = _mm256_mul_ps(
+      _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(kGeluCubic), x), x), x);
+  return _mm256_mul_ps(_mm256_set1_ps(kGeluTwoSqrt2OverPi), _mm256_add_ps(x, cubic));
+}
+
+HF_AVX2_TARGET inline __m256 Neg8(__m256 x) {
+  return _mm256_xor_ps(x, _mm256_set1_ps(-0.0f));
+}
+
+void Gelu(int64_t n, const float* x, float* y) {
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const int64_t n8 = n & ~int64_t{7};
+  for (int64_t j = 0; j < n8; j += 8) {
+    const __m256 xv = _mm256_loadu_ps(x + j);
+    const __m256 e = Exp8(Neg8(GeluTwoU8(xv)));
+    _mm256_storeu_ps(y + j, _mm256_div_ps(xv, _mm256_add_ps(one, e)));
+  }
+  scalar_impl::Gelu(n - n8, x + n8, y + n8);
+}
+
+void GeluBackward(int64_t n, const float* x, const float* g, float* dx) {
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const int64_t n8 = n & ~int64_t{7};
+  for (int64_t j = 0; j < n8; j += 8) {
+    const __m256 xv = _mm256_loadu_ps(x + j);
+    const __m256 two_u = GeluTwoU8(xv);
+    const __m256 s = _mm256_div_ps(one, _mm256_add_ps(one, Exp8(Neg8(two_u))));
+    const __m256 one_minus_s = _mm256_div_ps(one, _mm256_add_ps(one, Exp8(two_u)));
+    const __m256 du = _mm256_mul_ps(
+        _mm256_set1_ps(kGeluTwoSqrt2OverPi),
+        _mm256_add_ps(one, _mm256_mul_ps(
+                               _mm256_mul_ps(_mm256_set1_ps(kGeluThreeCubic), xv), xv)));
+    const __m256 d = _mm256_add_ps(
+        s, _mm256_mul_ps(_mm256_mul_ps(_mm256_mul_ps(xv, s), one_minus_s), du));
+    _mm256_storeu_ps(dx + j, _mm256_fmadd_ps(_mm256_loadu_ps(g + j), d,
+                                             _mm256_loadu_ps(dx + j)));
+  }
+  scalar_impl::GeluBackward(n - n8, x + n8, g + n8, dx + n8);
+}
+
 void LogSoftmaxBackwardRow(int64_t n, const float* y, const float* g,
                            float gsum, float* dx) {
   const __m256 gsumv = _mm256_set1_ps(gsum);
@@ -1021,6 +1098,26 @@ void Exp(int64_t n, const float* x, float* y) {
   }
 #endif
   scalar_impl::Exp(n, x, y);
+}
+
+void Gelu(int64_t n, const float* x, float* y) {
+#if HF_SIMD_X86
+  if (UseAvx2()) {
+    avx2_impl::Gelu(n, x, y);
+    return;
+  }
+#endif
+  scalar_impl::Gelu(n, x, y);
+}
+
+void GeluBackward(int64_t n, const float* x, const float* g, float* dx) {
+#if HF_SIMD_X86
+  if (UseAvx2()) {
+    avx2_impl::GeluBackward(n, x, g, dx);
+    return;
+  }
+#endif
+  scalar_impl::GeluBackward(n, x, g, dx);
 }
 
 void LogSoftmaxBackwardRow(int64_t n, const float* y, const float* g,

@@ -109,6 +109,12 @@ void LayerNormRow(int64_t n, const float* a, float mu, float inv,
                   float* y);
 // exp(x[j]) via the shared HfExpf polynomial (below) in both tiers.
 void Exp(int64_t n, const float* x, float* y);
+// Tanh-form GELU as x / (1 + HfExpf(-2u)), u = sqrt(2/pi)·(x + 0.044715·x³)
+// (= 0.5·x·(1 + tanh(u)) exactly; no libm call, so both tiers agree).
+void Gelu(int64_t n, const float* x, float* y);
+// dx[j] = fma(g[j], gelu'(x[j]), dx[j]) with gelu' = s + x·s·(1 - s)·2u',
+// s = 1 / (1 + HfExpf(-2u)) and 1 - s = 1 / (1 + HfExpf(2u)).
+void GeluBackward(int64_t n, const float* x, const float* g, float* dx);
 // dx[j] += fma(-exp(y[j]), gsum, g[j]) — LogSoftmax backward row.
 void LogSoftmaxBackwardRow(int64_t n, const float* y, const float* g,
                            float gsum, float* dx);

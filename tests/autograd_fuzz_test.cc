@@ -140,15 +140,15 @@ TEST(AutogradFuzzTest, MatrixPipelinesMatchNumericalGradients) {
   }
 }
 
-// Fuzzed determinism sweep: random matrix pipelines (GEMM family +
-// row-wise + elementwise kernels) must produce bitwise-identical values
-// and gradients at every tensor.threads setting.
+// Fuzzed determinism sweep: random matrix pipelines (GEMM family,
+// BlockAttention, row-wise and elementwise kernels) must produce
+// bitwise-identical values and gradients at every tensor.threads setting.
 TEST(AutogradKernelFuzzTest, RandomPipelinesBitwiseInvariantAcrossThreads) {
   for (int trial = 0; trial < 6; ++trial) {
     std::vector<std::vector<float>> outputs;
     std::vector<std::vector<float>> grads_x;
     std::vector<std::vector<float>> grads_w;
-    for (int threads : {1, 2, 8}) {
+    for (int threads : {1, 2, 3, 8}) {
       SetTensorThreads(threads);
       // Re-seed per run so every thread count sees identical inputs.
       Rng rng(9000 + static_cast<uint64_t>(trial));
@@ -160,7 +160,17 @@ TEST(AutogradKernelFuzzTest, RandomPipelinesBitwiseInvariantAcrossThreads) {
       Tensor scores = MatMulNT(x, w);                      // [m, n]
       Tensor probs = Softmax(scores);
       Tensor h = Gelu(MatMulTN(probs, x));                 // [n, k]
-      Tensor loss = Add(Sum(Square(h)), Sum(LogSoftmax(scores)));
+      // Attention blocks: the largest of 8, 5, 4, 3, 2 dividing m, else 1.
+      int64_t block = 1;
+      for (int64_t b : {8, 5, 4, 3, 2}) {
+        if (m % b == 0) {
+          block = b;
+          break;
+        }
+      }
+      Tensor attended = BlockAttention(x, Scale(x, 0.5f), scores, block, 0.3f);  // [m, n]
+      Tensor loss = Add(Add(Sum(Square(h)), Sum(LogSoftmax(scores))),
+                        Sum(Square(attended)));
       loss.Backward();
       outputs.push_back(loss.data());
       grads_x.push_back(x.grad());

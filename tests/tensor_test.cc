@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -310,6 +311,134 @@ TEST(LayerNormMatMulTest, MatchesComposedBitwise) {
   ExpectBitwiseEq(w.grad(), w2.grad(), "dW");
 }
 
+// The per-block chain BlockAttention replays: each block's rows sliced
+// out, attended, and the block outputs concatenated back in order.
+Tensor ComposedBlockAttention(const Tensor& q, const Tensor& k, const Tensor& v,
+                              int64_t block, float scale) {
+  std::vector<Tensor> parts;
+  for (int64_t r = 0; r < q.dim(0); r += block) {
+    Tensor scores =
+        Scale(MatMulNT(SliceRows(q, r, r + block), SliceRows(k, r, r + block)), scale);
+    parts.push_back(MatMul(Softmax(scores), SliceRows(v, r, r + block)));
+  }
+  return ConcatRows(parts);
+}
+
+// BlockAttention replays the composed per-block ops' exact sequences, so
+// values AND gradients are bitwise identical to the composed chain from
+// freshly zeroed gradients — for one-row blocks, odd blocks, the
+// transformer's block of 4, and a single block covering every row.
+TEST(BlockAttentionTest, MatchesComposedBitwise) {
+  struct Case {
+    int64_t rows;
+    int64_t block;
+  };
+  for (const Case& c : {Case{12, 1}, Case{12, 3}, Case{12, 4}, Case{9, 9}}) {
+    Rng rng(31 + static_cast<uint64_t>(c.block));
+    Tensor q = Tensor::Randn({c.rows, 13}, rng, 1.0f);
+    Tensor k = Tensor::Randn({c.rows, 13}, rng, 1.0f);
+    Tensor v = Tensor::Randn({c.rows, 9}, rng, 1.0f);
+    Tensor q2 = Tensor::FromData(q.shape(), q.data(), /*requires_grad=*/true);
+    Tensor k2 = Tensor::FromData(k.shape(), k.data(), /*requires_grad=*/true);
+    Tensor v2 = Tensor::FromData(v.shape(), v.data(), /*requires_grad=*/true);
+    Tensor fused = BlockAttention(q, k, v, c.block, 0.37f);
+    Tensor composed = ComposedBlockAttention(q2, k2, v2, c.block, 0.37f);
+    const std::string label = "block=" + std::to_string(c.block);
+    ExpectBitwiseEq(fused.data(), composed.data(), (label + " forward").c_str());
+    Sum(Square(fused)).Backward();
+    Sum(Square(composed)).Backward();
+    ExpectBitwiseEq(q.grad(), q2.grad(), (label + " dq").c_str());
+    ExpectBitwiseEq(k.grad(), k2.grad(), (label + " dk").c_str());
+    ExpectBitwiseEq(v.grad(), v2.grad(), (label + " dv").c_str());
+  }
+}
+
+TEST(BlockAttentionTest, GradientCheck) {
+  Rng rng(12);
+  Tensor q = Tensor::Randn({6, 4}, rng, 1.0f, /*requires_grad=*/false);
+  Tensor k = Tensor::Randn({6, 4}, rng, 1.0f, /*requires_grad=*/false);
+  Tensor v = Tensor::Randn({6, 3}, rng, 1.0f, /*requires_grad=*/false);
+  CheckGradient([&](const Tensor& x) { return Sum(Square(BlockAttention(x, k, v, 3, 0.5f))); },
+                Tensor::Randn({6, 4}, rng, 1.0f));
+  CheckGradient([&](const Tensor& x) { return Sum(Square(BlockAttention(q, x, v, 3, 0.5f))); },
+                Tensor::Randn({6, 4}, rng, 1.0f));
+  CheckGradient([&](const Tensor& x) { return Sum(Square(BlockAttention(q, k, x, 3, 0.5f))); },
+                Tensor::Randn({6, 3}, rng, 1.0f));
+}
+
+// The tanh-form GELU in float, as the libm version computed it.
+float LibmTanhGelu(float x) {
+  const float inner = 0.7978845608f * (x + 0.044715f * x * x * x);
+  return 0.5f * x * (1.0f + std::tanh(inner));
+}
+
+// Gelu runs on HfExpf instead of libm tanhf; it must be at least as
+// accurate as the libm form against a double-precision reference over
+// [-12, 12]. Relative error is measured where the reference is at least
+// 1e-30 (a normal float), so both forms' flush to zero in the far
+// negative tail is excluded alike.
+TEST(GeluTest, AccuracyNoWorseThanLibmTanhForm) {
+  std::vector<float> grid;
+  for (int i = -12 * 4096; i <= 12 * 4096; ++i) {
+    grid.push_back(static_cast<float>(i) / 4096.0f);
+  }
+  const int64_t n = static_cast<int64_t>(grid.size());
+  Tensor x = Tensor::FromData({n}, grid, /*requires_grad=*/true);
+  Tensor y = Gelu(x);
+  Sum(y).Backward();
+  const double sqrt_2_over_pi = std::sqrt(2.0 / std::acos(-1.0));
+  double gelu_err = 0.0;
+  double libm_err = 0.0;
+  double grad_err = 0.0;
+  for (int64_t i = 0; i < n; ++i) {
+    const double xd = grid[static_cast<size_t>(i)];
+    const double u = sqrt_2_over_pi * (xd + 0.044715 * xd * xd * xd);
+    // 0.5·(1 + tanh(u)) as sigmoid(2u): no cancellation for negative u.
+    const double s = 1.0 / (1.0 + std::exp(-2.0 * u));
+    const double ref = xd * s;
+    const double dref = s + xd * s * (1.0 - s) * 2.0 * sqrt_2_over_pi *
+                                (1.0 + 3.0 * 0.044715 * xd * xd);
+    grad_err = std::max(grad_err, std::fabs(x.grad()[static_cast<size_t>(i)] - dref));
+    if (std::fabs(ref) < 1e-30) {
+      continue;
+    }
+    gelu_err = std::max(gelu_err, std::fabs(y.at(i) - ref) / std::fabs(ref));
+    libm_err = std::max(
+        libm_err, std::fabs(LibmTanhGelu(grid[static_cast<size_t>(i)]) - ref) / std::fabs(ref));
+  }
+  EXPECT_LE(gelu_err, libm_err);
+  EXPECT_LT(gelu_err, 2e-5);
+  EXPECT_LT(grad_err, 1e-6);
+}
+
+// simd::Gelu / GeluBackward in the AVX2 tier replay the scalar tier's op
+// sequence: forward values and gradients are bitwise equal at every
+// width 1-129 (every n % 8 tail), extremes included.
+TEST(GeluTest, ScalarAndAvx2BitwiseAtEveryWidth) {
+  auto run = [](int64_t n) {
+    Rng rng(500 + static_cast<uint64_t>(n));
+    Tensor x = Tensor::Randn({n}, rng, 3.0f);
+    const float extremes[] = {0.0f, -0.0f, -12.0f, 12.0f, -90.0f, 90.0f, 1e-20f, -9.5f};
+    for (int64_t i = 0; i < n && i < 8; ++i) {
+      x.data()[static_cast<size_t>(i * 7 % n)] = extremes[i];
+    }
+    Tensor g = Tensor::Randn({n}, rng, 1.0f, /*requires_grad=*/false);
+    Tensor y = Gelu(x);
+    Sum(Mul(y, g)).Backward();
+    std::vector<float> out = y.data();
+    out.insert(out.end(), x.grad().begin(), x.grad().end());
+    return out;
+  };
+  for (int64_t n = 1; n <= 129; ++n) {
+    SetSimdOverride(SimdLevel::kScalar);
+    const std::vector<float> scalar = run(n);
+    SetSimdOverride(SimdLevel::kAvx2Fma);  // Clamped to scalar without AVX2.
+    const std::vector<float> vectorized = run(n);
+    ClearSimdOverride();
+    ExpectBitwiseEq(scalar, vectorized, ("n=" + std::to_string(n)).c_str());
+  }
+}
+
 TEST(LayerNormMatMulTest, GradientCheck) {
   Rng rng(10);
   Tensor x = Tensor::Randn({4, 6}, rng, 1.0f, /*requires_grad=*/false);
@@ -366,9 +495,9 @@ struct KernelStackResult {
 
 // One compound forward+backward pass that drives every parallel kernel
 // past the serial-work cutoff: plain/NT/TN GEMMs, the fused
-// LayerNorm+MatMul, LayerNorm, Softmax, LogSoftmax, Gelu, Transpose,
-// GatherRows (with duplicate indices), PickPerRow, ConcatRows, RowSum,
-// Mean, and the elementwise kernels.
+// LayerNorm+MatMul, BlockAttention, LayerNorm, Softmax, LogSoftmax, Gelu,
+// Transpose, GatherRows (with duplicate indices), PickPerRow, ConcatRows,
+// RowSum, Mean, and the elementwise kernels.
 KernelStackResult RunKernelStack(int threads, const KernelTuning& tuning) {
   SetTensorThreads(threads);
   SetKernelTuning(tuning);
@@ -386,6 +515,7 @@ KernelStackResult RunKernelStack(int threads, const KernelTuning& tuning) {
   Tensor mixed = MatMul(Softmax(scores), x);              // [128, 80]
   Tensor gram = MatMulTN(x, Gelu(mixed));                 // [80, 80]
   Tensor fused = LayerNormMatMul(mixed, gamma2, beta2, w);  // [128, 48]
+  Tensor attended = BlockAttention(x, k, mixed, 4, 0.125f);  // [128, 80]
   Tensor cat = Add(ConcatRows({h, fused}), beta);         // [256, 48] + bias
   std::vector<int64_t> picks(256);
   for (size_t i = 0; i < picks.size(); ++i) {
@@ -402,7 +532,8 @@ KernelStackResult RunKernelStack(int threads, const KernelTuning& tuning) {
       Add(Add(Sum(Mul(rs, AddScalar(rs, 0.5f))), Mean(Exp(Scale(picked, 0.01f)))),
           Sum(Sub(h, fused)));
   Tensor loss = Add(
-      Add(Add(Sum(Square(h)), Sum(LogSoftmax(gram))), Sum(Gelu(mixed))), extras);
+      Add(Add(Sum(Square(h)), Sum(LogSoftmax(gram))), Sum(Gelu(mixed))),
+      Add(extras, Sum(Square(attended))));
   loss.Backward();
 
   KernelStackResult result;
@@ -524,8 +655,9 @@ TEST(KernelDeterminismTest, SimdScalarBitwisePerOpTailSweep) {
       pick_idx[i] = static_cast<int64_t>((i * 5) % n);
     }
     Tensor t14 = Sum(PickPerRow(a, pick_idx));
+    Tensor t15 = Sum(Square(BlockAttention(a, b, Gelu(b), 3, 0.3f)));
     Tensor loss = t1;
-    for (const Tensor& t : {t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13, t14}) {
+    for (const Tensor& t : {t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13, t14, t15}) {
       loss = Add(loss, t);
     }
     loss.Backward();

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <vector>
 
 #include "src/nn/adam.h"
 #include "src/nn/policy_net.h"
@@ -200,6 +203,93 @@ TEST(TransformerPolicyTest, LearnsSuccessorFunction) {
     }
   }
   EXPECT_GE(correct, 6);
+}
+
+// The per-context transformer the batched trunk replaced, rebuilt from
+// Parameters(): one [K, E] sequence per context, its last row sliced out
+// after the final layernorm, the rows concatenated, then the head.
+Tensor PerContextForward(const PolicyNet& net,
+                         const std::vector<std::vector<int64_t>>& contexts) {
+  const PolicyNetConfig& config = net.config();
+  const std::vector<Tensor> params = net.Parameters();
+  const float scale = 1.0f / std::sqrt(static_cast<float>(config.embed_dim));
+  const Tensor& embedding = params[0];
+  const Tensor& pos_embedding = params[1];
+  std::vector<Tensor> last_rows;
+  for (const std::vector<int64_t>& context : contexts) {
+    Tensor x = Add(GatherRows(embedding, context), pos_embedding);
+    for (int64_t layer = 0; layer < config.num_layers; ++layer) {
+      const Tensor* p = &params[2 + 12 * static_cast<size_t>(layer)];
+      // p: wq, wk, wv, wo, ln1 gamma/beta, ln2 gamma/beta, ff1, ff1 bias,
+      // ff2, ff2 bias.
+      Tensor normed = LayerNorm(x, p[4], p[5]);
+      Tensor q = MatMul(normed, p[0]);
+      Tensor k = MatMul(normed, p[1]);
+      Tensor v = MatMul(normed, p[2]);
+      Tensor attention = MatMul(Softmax(Scale(MatMulNT(q, k), scale)), v);
+      x = Add(x, MatMul(attention, p[3]));
+      Tensor hidden = Gelu(Add(LayerNormMatMul(x, p[6], p[7], p[8]), p[9]));
+      x = Add(x, Add(MatMul(hidden, p[10]), p[11]));
+    }
+    const size_t final_ln = 2 + 12 * static_cast<size_t>(config.num_layers);
+    Tensor sequence = LayerNorm(x, params[final_ln], params[final_ln + 1]);
+    last_rows.push_back(
+        SliceRows(sequence, config.context_window - 1, config.context_window));
+  }
+  Tensor out = Add(MatMul(ConcatRows(last_rows), params[params.size() - 2]), params.back());
+  return config.scalar_head ? Reshape(out, {static_cast<int64_t>(contexts.size())}) : out;
+}
+
+// The batched trunk stacks every context's rows into one graph. Every
+// kernel works per row and attention stays inside each context's block,
+// so forward values equal the per-context network bit for bit. Parameter
+// gradients sum over all rows in one pass instead of context by context,
+// so they may differ in the last bits only.
+TEST(TransformerPolicyTest, BatchedForwardMatchesPerContextBitwise) {
+  for (bool scalar : {false, true}) {
+    Rng rng(11);
+    PolicyNet net(TransformerConfig(scalar), rng);
+    Rng data_rng(12);
+    std::vector<std::vector<int64_t>> contexts(37);
+    for (std::vector<int64_t>& context : contexts) {
+      for (int t = 0; t < 4; ++t) {
+        context.push_back(data_rng.UniformInt(0, 7));
+      }
+    }
+    contexts[5] = {0, 0, 0, 3};  // Left padding.
+    contexts[6] = contexts[5];   // A repeated context.
+
+    Tensor batched = net.Forward(contexts);
+    Tensor reference = PerContextForward(net, contexts);
+    ASSERT_EQ(batched.shape(), reference.shape());
+    ASSERT_EQ(std::memcmp(batched.data().data(), reference.data().data(),
+                          batched.data().size() * sizeof(float)),
+              0)
+        << "scalar head " << scalar;
+
+    const std::vector<Tensor> params = net.Parameters();
+    Sum(Square(batched)).Backward();
+    std::vector<std::vector<float>> batched_grads;
+    for (const Tensor& param : params) {
+      batched_grads.push_back(param.grad());
+    }
+    for (Tensor param : params) {
+      param.ZeroGrad();
+    }
+    Sum(Square(reference)).Backward();
+    for (size_t i = 0; i < params.size(); ++i) {
+      const std::vector<float>& expected = params[i].grad();
+      float scale = 0.0f;
+      for (float g : expected) {
+        scale = std::max(scale, std::abs(g));
+      }
+      ASSERT_GT(scale, 0.0f) << "parameter " << i;
+      for (size_t j = 0; j < expected.size(); ++j) {
+        EXPECT_LE(std::abs(batched_grads[i][j] - expected[j]), 1e-3f * scale)
+            << "parameter " << i << " element " << j << " scalar head " << scalar;
+      }
+    }
+  }
 }
 
 TEST(TransformerPolicyTest, GradCheckThroughWholeNetwork) {
