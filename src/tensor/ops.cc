@@ -299,17 +299,18 @@ Tensor MatMulNT(const Tensor& a, const Tensor& b) {
   const std::vector<float>& x = a.data();
   const std::vector<float>& w = b.data();
   const int64_t fwd_flops = 2 * m * k * n;
+  std::unique_ptr<float[]> bt(new float[static_cast<size_t>(k * n)]);
   {
     KernelTimer timer(series, fwd_flops);
     // Values are bitwise identical to MatMul(a, Transpose(b)); the fused
     // form just skips the transpose autograd node and its extra buffer
     // hand-off. (Uninitialized scratch: the pack overwrites every element.)
-    std::unique_ptr<float[]> bt(new float[static_cast<size_t>(k * n)]);
     MatMulNTInto(m, k, n, x.data(), w.data(), fwd_flops, bt.get(), y.data());
   }
   TensorNodePtr an = a.node();
   TensorNodePtr bn = b.node();
-  return MakeResult({m, n}, std::move(y), {an, bn}, [an, bn, m, k, n](TensorNode& out) {
+  std::shared_ptr<const float[]> packed = std::move(bt);
+  return MakeResult({m, n}, std::move(y), {an, bn}, [an, bn, m, k, n, packed](TensorNode& out) {
     static const KernelSeries series_bwd = MakeKernelSeries("matmul_nt_bwd");
     an->EnsureGrad();
     bn->EnsureGrad();
@@ -318,12 +319,11 @@ Tensor MatMulNT(const Tensor& a, const Tensor& b) {
     KernelTimer timer(series_bwd, bwd_flops);
     // dA = dC * B: each dA[i,p] is the same lane-partial dot over j that
     // MatMul's backward computes on a materialized Transpose(b), so the
-    // grads stay bitwise identical to the composed form. B^T is packed
-    // once (pure data movement) so the dot reads contiguously.
-    std::unique_ptr<float[]> bt(new float[static_cast<size_t>(k * n)]);
-    TransposeInto(n, k, bn->data.data(), bt.get(), bwd_flops / 8);
+    // grads stay bitwise identical to the composed form. It reads the
+    // B^T the forward packed, as the composed MatMul reads the Transpose
+    // node's forward output.
     ParallelChunks(m, tuning.gemm_row_grain, bwd_flops / 2, [&](int64_t i0, int64_t i1) {
-      DotRows(i0, i1, k, n, out.grad.data(), bt.get(), an->grad.data());
+      DotRows(i0, i1, k, n, out.grad.data(), packed.get(), an->grad.data());
     });
     // dB = dC^T * A: a chunk owns rows of B; each dB[j,p] accumulates
     // over i ascending (strided-x walk down dC's column j).

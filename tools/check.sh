@@ -69,7 +69,7 @@ ctest --test-dir build-check --output-on-failure -j "$JOBS"
 step "ctest kernel suite with HF_SIMD=off (scalar fallback)"
 HF_SIMD=off \
   ctest --test-dir build-check --output-on-failure -j "$JOBS" \
-  -R 'Kernel|MatMul|LayerNorm|Tensor|Autograd|Adam|bench_kernels_gate'
+  -R 'Kernel|MatMul|LayerNorm|Tensor|Autograd|Adam|BlockAttention|Gelu|TransformerPolicy|bench_kernels_gate'
 
 if [ "$SANITIZE" -eq 1 ]; then
   step "configure + build (HF_SANITIZE=thread)"
