@@ -420,6 +420,9 @@ Tensor BlockAttention(const Tensor& q, const Tensor& k, const Tensor& v, int64_t
   // block b's block x block matrix is the contiguous rows of block b.
   std::vector<float> log_probs(static_cast<size_t>(rows * block), 0.0f);
   std::vector<float> probs(static_cast<size_t>(rows * block));
+  const float* qd = q.data().data();
+  const float* kd = k.data().data();
+  const float* vd = v.data().data();
   {
     KernelTimer timer(series, fwd_flops);
     // Per block, the composed sequence verbatim: MatMulNT's forward into a
@@ -430,16 +433,15 @@ Tensor BlockAttention(const Tensor& q, const Tensor& k, const Tensor& v, int64_t
       for (int64_t b = b0; b < b1; ++b) {
         const int64_t r0 = b * block;
         float* scores = log_probs.data() + r0 * block;
-        MatMulNTInto(block, dk, block, q.data().data() + r0 * dk, k.data().data() + r0 * dk,
-                     /*work=*/0, kt.data(), scores);
+        MatMulNTInto(block, dk, block, qd + r0 * dk, kd + r0 * dk, /*work=*/0, kt.data(),
+                     scores);
         simd::Scale(kk, scores, scale, scores);
         for (int64_t i = 0; i < block; ++i) {
           LogSoftmaxRow(block, scores + i * block, scores + i * block);
         }
         float* p = probs.data() + r0 * block;
         simd::Exp(kk, scores, p);
-        GemmRows(0, block, block, dv, p, v.data().data() + r0 * dv, k_block,
-                 y.data() + r0 * dv);
+        GemmRows(0, block, block, dv, p, vd + r0 * dv, k_block, y.data() + r0 * dv);
       }
     });
   }
@@ -448,8 +450,8 @@ Tensor BlockAttention(const Tensor& q, const Tensor& k, const Tensor& v, int64_t
   TensorNodePtr vn = v.node();
   return MakeResult(
       {rows, dv}, std::move(y), {qn, kn, vn},
-      [qn, kn, vn, block, blocks, dk, dv, kk, scale, block_grain, log_probs,
-       probs](TensorNode& out) {
+      [qn, kn, vn, block, blocks, dk, dv, kk, scale, block_grain,
+       log_probs = std::move(log_probs), probs = std::move(probs)](TensorNode& out) {
         static const KernelSeries series_bwd = MakeKernelSeries("block_attention_bwd");
         qn->EnsureGrad();
         kn->EnsureGrad();
