@@ -160,7 +160,7 @@ TEST(AutogradKernelFuzzTest, RandomPipelinesBitwiseInvariantAcrossThreads) {
       Tensor scores = MatMulNT(x, w);                      // [m, n]
       Tensor probs = Softmax(scores);
       Tensor h = Gelu(MatMulTN(probs, x));                 // [n, k]
-      // Attention blocks: the largest of 8, 5, 4, 3, 2 dividing m, else 1.
+      // Attention blocks: the first of 8, 5, 4, 3, 2 that divides m, else 1.
       int64_t block = 1;
       for (int64_t b : {8, 5, 4, 3, 2}) {
         if (m % b == 0) {
