@@ -1,5 +1,7 @@
 # Golden check for the deterministic benches (ctest bench_golden): the
-# sim-plane benches and the data-plane work counts.
+# sim-plane benches, the data-plane work counts and the Fig 16 mapping
+# search (its counts and chosen mapping; the wall-clock column is not in
+# the file).
 #
 # Reruns each bench in WORK_DIR and requires exit 0 plus byte equality of
 # the BENCH_<name>.json it writes with the copy committed at SOURCE_DIR.
@@ -13,7 +15,8 @@ set(goldens
   "bench_rollout_scheduler:BENCH_rollout.json"
   "bench_serving:BENCH_serving.json"
   "bench_async_pipeline:BENCH_async.json"
-  "bench_dataplane_work:BENCH_dataplane_work.json")
+  "bench_dataplane_work:BENCH_dataplane_work.json"
+  "bench_fig16_mapping_runtime:BENCH_fig16_mapping_runtime.json")
 
 # Own working directory: bench_rollout_gate writes BENCH_rollout.json into
 # the bench build directory and may run concurrently under ctest -j.
