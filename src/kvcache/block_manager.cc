@@ -19,6 +19,17 @@ uint64_t Mix64(uint64_t x) {
 
 uint64_t NonZero(uint64_t h) { return h == 0 ? 0x9e3779b97f4a7c15ULL : h; }
 
+int64_t CeilBlocks(int64_t tokens, int64_t block_tokens) {
+  return (tokens + block_tokens - 1) / block_tokens;
+}
+
+// The one capacity rule: whole sequences of `tokens_per_sequence` that fit
+// in `blocks` blocks.
+int64_t SequencesIn(int64_t blocks, int64_t block_tokens, int64_t tokens_per_sequence) {
+  HF_CHECK_GT(tokens_per_sequence, 0);
+  return blocks / CeilBlocks(tokens_per_sequence, block_tokens);
+}
+
 }  // namespace
 
 std::vector<uint64_t> PromptBlockHashes(const std::vector<int64_t>& tokens,
@@ -62,7 +73,7 @@ KvBlockManager::KvBlockManager(const KvBlockConfig& config) : config_(config) {
 }
 
 int64_t KvBlockManager::BlocksFor(int64_t tokens) const {
-  return (tokens + config_.block_tokens - 1) / config_.block_tokens;
+  return CeilBlocks(tokens, config_.block_tokens);
 }
 
 KvBlockManager::SequenceState& KvBlockManager::State(int64_t sequence_id) {
@@ -443,9 +454,14 @@ double KvBlockManager::Occupancy() const {
 }
 
 int64_t KvBlockManager::CapacitySequences(int64_t tokens_per_sequence) const {
-  HF_CHECK_GT(tokens_per_sequence, 0);
-  const int64_t blocks_each = BlocksFor(tokens_per_sequence);
-  return blocks_each == 0 ? 0 : available_blocks() / blocks_each;
+  return SequencesIn(available_blocks(), config_.block_tokens, tokens_per_sequence);
+}
+
+int64_t KvBlockManager::CapacitySequences(const KvBlockConfig& config,
+                                          int64_t tokens_per_sequence) {
+  HF_CHECK_GT(config.block_tokens, 0);
+  HF_CHECK_GE(config.num_blocks, 0);
+  return SequencesIn(config.num_blocks, config.block_tokens, tokens_per_sequence);
 }
 
 bool KvBlockManager::RefcountsConsistent() const {

@@ -167,6 +167,10 @@ class KvBlockManager {
   int64_t high_water_blocks() const { return high_water_blocks_; }
   // Sequences that fit if each needs `tokens_per_sequence` in total.
   int64_t CapacitySequences(int64_t tokens_per_sequence) const;
+  // What an empty manager built from `config` would answer, in closed
+  // form: pricing code asks this per candidate, and building the paged
+  // cache just to divide two integers is what it must not pay for.
+  static int64_t CapacitySequences(const KvBlockConfig& config, int64_t tokens_per_sequence);
   // Blocks needed to hold `tokens` (ceiling division).
   int64_t BlocksFor(int64_t tokens) const;
 

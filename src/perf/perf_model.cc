@@ -212,8 +212,9 @@ GenTimeBreakdown PerfModel::GenerateTime(const GenParallelConfig& gen,
   const int64_t seq_total = prompt_len + response_len;
   int64_t wave_batch = batch;
   if (use_kv_cache) {
-    // Capacity through the paged block manager (vLLM semantics): block-
-    // granular allocation slightly under-packs relative to raw bytes.
+    // Capacity at paged block granularity (vLLM semantics): block-granular
+    // allocation slightly under-packs relative to raw bytes. Closed form,
+    // the answer an empty KvBlockManager would give; no cache is built.
     const double bytes_per_token = KvBytesPerTokenPerGpu(gen);
     if (bytes_per_token > 0.0 && kv_budget_bytes > 0.0) {
       KvBlockConfig blocks;
@@ -221,8 +222,8 @@ GenTimeBreakdown PerfModel::GenerateTime(const GenParallelConfig& gen,
       blocks.bytes_per_token = bytes_per_token;
       blocks.num_blocks = static_cast<int64_t>(
           kv_budget_bytes / (static_cast<double>(blocks.block_tokens) * bytes_per_token));
-      const KvBlockManager manager(blocks);
-      wave_batch = std::clamp<int64_t>(manager.CapacitySequences(seq_total), 1, batch);
+      wave_batch =
+          std::clamp<int64_t>(KvBlockManager::CapacitySequences(blocks, seq_total), 1, batch);
     }
     out.waves = static_cast<int>(CeilDiv(batch, wave_batch));
     // Balance the batch across waves (a scheduler would): the wave count is

@@ -87,6 +87,27 @@ TEST(KvBlockManagerTest, UsedBytesAndCapacity) {
   EXPECT_EQ(manager.CapacitySequences(12), 2);
 }
 
+TEST(KvBlockManagerTest, StaticCapacityMatchesAFreshManager) {
+  // The closed form pricing code uses must give exactly what an empty
+  // manager answers, including a zero-block pool and one-token blocks.
+  for (int64_t num_blocks : {0, 1, 7, 1024}) {
+    for (int64_t block_tokens : {1, 4, 16}) {
+      const KvBlockConfig config = SmallConfig(num_blocks, block_tokens);
+      const KvBlockManager manager(config);
+      for (int64_t tokens : {int64_t{1}, block_tokens - 1, block_tokens, block_tokens + 1,
+                             int64_t{1000}}) {
+        if (tokens < 1) {
+          continue;  // Both forms reject an empty sequence.
+        }
+        EXPECT_EQ(KvBlockManager::CapacitySequences(config, tokens),
+                  manager.CapacitySequences(tokens))
+            << "num_blocks " << num_blocks << " block_tokens " << block_tokens << " tokens "
+            << tokens;
+      }
+    }
+  }
+}
+
 // --- Admission control & rollout extensions -----------------------------------
 
 TEST(KvBlockManagerTest, CanAdmitMatchesBlockArithmetic) {

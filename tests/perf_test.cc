@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "src/perf/perf_model.h"
@@ -142,6 +143,28 @@ TEST_F(PerfModelTest, WaveCountIsMonotoneInKvBudget) {
         perf_.GenerateTime({1, 2}, Devices(2), 256, 1024, 1024, budget, true);
     EXPECT_LE(breakdown.waves, previous_waves) << budget;
     previous_waves = breakdown.waves;
+  }
+}
+
+TEST_F(PerfModelTest, WaveCountIsTheClosedFormBlockCapacity) {
+  // waves = ceil(batch / clamp(num_blocks / blocks_each, 1, batch)) over
+  // 16-token blocks, from a sub-block budget (no whole block: one sequence
+  // per wave) up to a budget that fits the whole batch.
+  const GenParallelConfig gen{1, 2};
+  const int64_t prompt = 1000;
+  const int64_t response = 1030;
+  const int64_t blocks_each = (prompt + response + 15) / 16;
+  const double block_bytes = 16.0 * perf_.KvBytesPerTokenPerGpu(gen);
+  for (int64_t batch : {1, 7, 256}) {
+    for (double blocks : {0.5, 1.0, 127.0, 128.0, 1000.0, 5e4, 1e6}) {
+      const double budget = blocks * block_bytes;
+      const int64_t num_blocks = static_cast<int64_t>(budget / block_bytes);
+      const int64_t per_wave = std::clamp<int64_t>(num_blocks / blocks_each, 1, batch);
+      const int64_t waves = (batch + per_wave - 1) / per_wave;
+      EXPECT_EQ(perf_.GenerateTime(gen, Devices(2), batch, prompt, response, budget, true).waves,
+                waves)
+          << "batch " << batch << " budget " << blocks << " blocks";
+    }
   }
 }
 

@@ -58,6 +58,12 @@
 //                        one: latency accounting lives on the sequences,
 //                        so a hidden always-on log cannot come back behind
 //                        the null-log contract
+//   closed-form-pricing  no KvBlockManager or DistributedKvManager is
+//                        constructed in src/perf/ or src/mapping/: pricing
+//                        code asks the static
+//                        KvBlockManager::CapacitySequences(config, tokens)
+//                        instead of building a paged cache per candidate,
+//                        so Algorithm 1 stays as cheap as what it prices
 //   raw-diagnostics      library code under src/ never writes diagnostics
 //                        with std::cerr / printf / fprintf; route them
 //                        through src/common/logging.h (HF_LOG) or the
@@ -74,7 +80,8 @@
 //
 // `--rules-selftest` is the same style of negative gate for the
 // concurrency and confinement rules (condvar-wait, unreferenced-guard,
-// simd-intrinsics, one-step-loop, borrowed-event-log): a synthetic tree
+// simd-intrinsics, one-step-loop, borrowed-event-log,
+// closed-form-pricing): a synthetic tree
 // with known-bad shapes must produce exactly the expected findings, and
 // the allow() hatches must suppress them.
 //
@@ -735,6 +742,21 @@ void CheckBorrowedEventLog(const FileText& file, std::vector<Finding>& findings)
                     findings);
 }
 
+// Closed-form pricing: src/perf/ and src/mapping/ price KV capacity with
+// the static KvBlockManager::CapacitySequences, never by building a paged
+// cache (and its block vector) per candidate.
+void CheckClosedFormPricing(const FileText& file, std::vector<Finding>& findings) {
+  if (file.path.rfind("src/perf/", 0) != 0 && file.path.rfind("src/mapping/", 0) != 0) {
+    return;
+  }
+  for (const std::string type : {"KvBlockManager", "DistributedKvManager"}) {
+    FlagConstructions(file, type, "closed-form-pricing",
+                      type + " constructed in pricing code; use the static "
+                             "KvBlockManager::CapacitySequences(config, tokens)",
+                      findings);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // doc-drift: documentation references must resolve against the tree.
 // ---------------------------------------------------------------------------
@@ -1029,6 +1051,7 @@ std::vector<Finding> LintTree(const fs::path& root, int* files_checked, int* doc
       CheckSimdIntrinsics(file, findings);
       CheckOneStepLoop(file, findings);
       CheckBorrowedEventLog(file, findings);
+      CheckClosedFormPricing(file, findings);
       for (const std::string& line : file.code) {
         corpus += line;
         corpus += '\n';
@@ -1127,10 +1150,11 @@ int RunDocsSelftest() {
 // --rules-selftest: the concurrency and confinement rules must flag each
 // known-bad shape (if-guarded wait, naked wait, comment-only guard,
 // intrinsics outside src/tensor/simd.*, a RolloutScheduler outside the
-// step loop, a SeqEventLog constructed outside src/obs/) and accept the
-// good ones (while-looped wait, HF_GUARDED_BY-referenced mutex,
-// intrinsics inside simd.h, the step loop's own scheduler, src/obs/'s own
-// log, borrowed references, the allow() hatches) in a synthetic tree — a
+// step loop, a SeqEventLog constructed outside src/obs/, a paged KV cache
+// built in pricing code) and accept the good ones (while-looped wait,
+// HF_GUARDED_BY-referenced mutex, intrinsics inside simd.h, the step
+// loop's own scheduler, src/obs/'s own log, the static capacity call,
+// borrowed references, the allow() hatches) in a synthetic tree — a
 // regression gate on the rules.
 int RunRulesSelftest() {
   const fs::path tree = fs::path("hflint_rules_selftest_tree");
@@ -1250,6 +1274,37 @@ int RunRulesSelftest() {
            << "size_t Borrowed(const SeqEventLog* log) { return log->size(); }\n"
            << "}  // namespace hybridflow\n";
   }
+  {
+    // Pricing code asks the closed form; building a paged cache there is
+    // flagged unless hatched, and the same construction outside src/perf/
+    // and src/mapping/ is none of this rule's business.
+    fs::create_directories(tree / "src/perf");
+    std::ofstream pricing(tree / "src/perf/pricing.cc");
+    pricing << "namespace hybridflow {\n"
+            << "int64_t Paged(const KvBlockConfig& config, int64_t tokens) {\n"
+            << "  const KvBlockManager manager(config);\n"
+            << "  return manager.CapacitySequences(tokens);\n"
+            << "}\n"
+            << "int64_t Closed(const KvBlockConfig& config, int64_t tokens) {\n"
+            << "  return KvBlockManager::CapacitySequences(config, tokens);\n"
+            << "}\n"
+            << "int64_t Hatched(const KvBlockConfig& config, int64_t tokens) {\n"
+            << "  KvBlockManager kept(config);  // hflint: allow(closed-form-pricing)\n"
+            << "  return kept.CapacitySequences(tokens);\n"
+            << "}\n"
+            << "}  // namespace hybridflow\n";
+    fs::create_directories(tree / "src/mapping");
+    std::ofstream mapper(tree / "src/mapping/search.cc");
+    mapper << "namespace hybridflow {\n"
+           << "void Price(const KvBlockConfig& config) {\n"
+           << "  auto kv = std::make_unique<DistributedKvManager>(config, 2);\n"
+           << "}\n"
+           << "}  // namespace hybridflow\n";
+    std::ofstream rollout(tree / "src/rollout/cache_user.cc");
+    rollout << "namespace hybridflow {\n"
+            << "void Run(const KvBlockConfig& config) { KvBlockManager manager(config); }\n"
+            << "}  // namespace hybridflow\n";
+  }
   int files_checked = 0;
   int docs_checked = 0;
   const std::vector<Finding> findings = LintTree(tree, &files_checked, &docs_checked);
@@ -1264,6 +1319,8 @@ int RunRulesSelftest() {
       {"simd-intrinsics", "_mm256_ intrinsic outside"},
       {"one-step-loop", "RolloutScheduler constructed outside"},
       {"borrowed-event-log", "SeqEventLog constructed outside src/obs/"},
+      {"closed-form-pricing", "KvBlockManager constructed in pricing code"},
+      {"closed-form-pricing", "DistributedKvManager constructed in pricing code"},
   };
   for (const Finding& finding : findings) {
     bool matched = false;
@@ -1290,9 +1347,10 @@ int RunRulesSelftest() {
     std::cerr << "hflint --rules-selftest: " << failures << " failure(s)\n";
     return 1;
   }
-  std::cout << "hflint --rules-selftest: ok (7 bad shapes flagged, allow() hatches, "
+  std::cout << "hflint --rules-selftest: ok (9 bad shapes flagged, allow() hatches, "
                "loop-shaped waits, confined intrinsics, the step loop's own "
-               "scheduler and src/obs/'s own event log accepted)\n";
+               "scheduler, src/obs/'s own event log and the closed-form capacity "
+               "call accepted)\n";
   return 0;
 }
 
