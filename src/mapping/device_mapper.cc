@@ -9,7 +9,6 @@
 
 #include "src/common/logging.h"
 #include "src/common/units.h"
-#include "src/hybridengine/hybrid_engine.h"
 
 namespace hybridflow {
 
@@ -135,6 +134,35 @@ std::vector<int> DeviceMapper::CandidateSizes(int num_gpus) const {
   return sizes;
 }
 
+double DeviceMapper::GenerationCost(const PerfModel& perf, const MappedModelDesc& model,
+                                    const ClusterSpec& cluster,
+                                    const std::vector<DeviceId>& devices,
+                                    const ParallelConfig& train, const GenParallelConfig& gen,
+                                    ActorEngineMode mode, double kv_budget) {
+  const EngineKey key{model.name, static_cast<int>(devices.size()), mode,
+                      train.pp, train.tp, train.dp, gen.pp, gen.tp};
+  auto it = engine_cache_.find(key);
+  if (it == engine_cache_.end()) {
+    const HybridEngine engine(model.spec, train, gen, mode, cluster, devices);
+    EnginePricing pricing;
+    pricing.replicas = engine.NumGenReplicas();
+    pricing.replica_devices = engine.GenReplicaDevices(0);
+    pricing.transition_seconds = engine.TrainToGenTransition().seconds;
+    it = engine_cache_.emplace(key, std::move(pricing)).first;
+  }
+  const EnginePricing& engine = it->second;
+  const int64_t per_replica = CeilDiv(workload_.global_batch, engine.replicas);
+  simulations_ += 1;
+  const GenTimeBreakdown breakdown =
+      perf.GenerateTime(gen, engine.replica_devices, per_replica, workload_.prompt_len,
+                        workload_.response_len, kv_budget, /*use_kv_cache=*/true);
+  double total = breakdown.total() + engine.transition_seconds;
+  if (options_.extra_generation_pass) {
+    total += breakdown.total();
+  }
+  return total;
+}
+
 ModelMapping DeviceMapper::AutoParallel(const MappedModelDesc& model, int gpus,
                                         double reserved_bytes) {
   // Bucket reserved memory at 1 GiB so near-identical contexts share cache
@@ -210,18 +238,8 @@ ModelMapping DeviceMapper::AutoParallel(const MappedModelDesc& model, int gpus,
             if (kv_budget <= 0.0) {
               continue;
             }
-            HybridEngine engine(model.spec, cfg, gen, ActorEngineMode::kHybridFlow, cluster,
-                                devices);
-            const int replicas = engine.NumGenReplicas();
-            const int64_t per_replica = CeilDiv(workload_.global_batch, replicas);
-            simulations_ += 1;
-            const GenTimeBreakdown breakdown = perf.GenerateTime(
-                gen, engine.GenReplicaDevices(0), per_replica, workload_.prompt_len,
-                workload_.response_len, kv_budget, /*use_kv_cache=*/true);
-            double total = breakdown.total() + engine.TrainToGenTransition().seconds;
-            if (options_.extra_generation_pass) {
-              total += breakdown.total();
-            }
+            const double total = GenerationCost(perf, model, cluster, devices, cfg, gen,
+                                                ActorEngineMode::kHybridFlow, kv_budget);
             if (total < best_gen) {
               best_gen = total;
               best_gen_cfg = gen;
@@ -285,18 +303,8 @@ ModelMapping DeviceMapper::AutoParallel(const MappedModelDesc& model, int gpus,
           if (kv_budget <= 0.0) {
             continue;
           }
-          HybridEngine engine(model.spec, candidate.train, gen, ActorEngineMode::kDsChat,
-                              cluster, devices);
-          const int replicas = engine.NumGenReplicas();
-          const int64_t per_replica = CeilDiv(workload_.global_batch, replicas);
-          simulations_ += 1;
-          const GenTimeBreakdown breakdown = perf.GenerateTime(
-              gen, engine.GenReplicaDevices(0), per_replica, workload_.prompt_len,
-              workload_.response_len, kv_budget, /*use_kv_cache=*/true);
-          double total = breakdown.total() + engine.TrainToGenTransition().seconds;
-          if (options_.extra_generation_pass) {
-            total += breakdown.total();
-          }
+          const double total = GenerationCost(perf, model, cluster, devices, candidate.train,
+                                              gen, ActorEngineMode::kDsChat, kv_budget);
           if (total < best_gen) {
             best_gen = total;
             best_gen_cfg = gen;

@@ -20,8 +20,10 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "src/hybridengine/hybrid_engine.h"
 #include "src/model/model_spec.h"
 #include "src/parallel/parallel_config.h"
 #include "src/perf/perf_model.h"
@@ -130,6 +132,23 @@ class DeviceMapper {
                             const std::vector<int>& sizes,
                             std::vector<std::vector<int>>* out) const;
   double StageCost(const ModelMapping& mapping, RlhfStage stage) const;
+  // Generation-stage cost of the actor under (train, gen) on `devices`:
+  // one GenerateTime simulation plus the engine's train->gen transition.
+  double GenerationCost(const PerfModel& perf, const MappedModelDesc& model,
+                        const ClusterSpec& cluster, const std::vector<DeviceId>& devices,
+                        const ParallelConfig& train, const GenParallelConfig& gen,
+                        ActorEngineMode mode, double kv_budget);
+
+  // What GenerationCost reads from a HybridEngine. Neither the engine's
+  // layout nor its transition depends on reserved memory, so the actor's
+  // re-searches under other reserved-memory buckets reuse one pricing per
+  // (model, gpus, mode, train, gen) instead of re-walking every rank.
+  struct EnginePricing {
+    int replicas = 0;
+    std::vector<DeviceId> replica_devices;  // Generation replica 0.
+    double transition_seconds = 0.0;
+  };
+  using EngineKey = std::tuple<std::string, int, ActorEngineMode, int, int, int, int, int>;
 
   std::vector<MappedModelDesc> models_;
   RlhfWorkloadSpec workload_;
@@ -138,6 +157,7 @@ class DeviceMapper {
   // Cache: (model name, gpus, reserved-memory bucket) -> mapping (§6's
   // parallelism-strategy cache).
   std::map<std::tuple<std::string, int, int>, ModelMapping> cache_;
+  std::map<EngineKey, EnginePricing> engine_cache_;
   int64_t simulations_ = 0;
   int64_t cache_hits_ = 0;
 };
