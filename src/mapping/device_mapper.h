@@ -157,6 +157,7 @@ class DeviceMapper {
   // Cache: (model name, gpus, reserved-memory bucket) -> mapping (§6's
   // parallelism-strategy cache).
   std::map<std::tuple<std::string, int, int>, ModelMapping> cache_;
+  // Cache: EngineKey -> the engine's pricing (GenerationCost).
   std::map<EngineKey, EnginePricing> engine_cache_;
   int64_t simulations_ = 0;
   int64_t cache_hits_ = 0;

@@ -219,7 +219,6 @@ GenTimeBreakdown PerfModel::GenerateTime(const GenParallelConfig& gen,
     if (bytes_per_token > 0.0 && kv_budget_bytes > 0.0) {
       KvBlockConfig blocks;
       blocks.block_tokens = 16;
-      blocks.bytes_per_token = bytes_per_token;
       blocks.num_blocks = static_cast<int64_t>(
           kv_budget_bytes / (static_cast<double>(blocks.block_tokens) * bytes_per_token));
       wave_batch =
