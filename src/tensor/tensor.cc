@@ -12,7 +12,7 @@ namespace {
 
 #ifdef __GLIBC__
 // Heap policy for data-plane tensor buffers, set once at load. A PPO
-// iteration allocates ~170 buffers of 128 KiB or more (~51 MB, mostly
+// iteration allocates ~170 buffers of 128 KiB or more (~51 MiB, mostly
 // 256-512 KiB). Under glibc's defaults each one above the 128 KiB mmap
 // threshold is mmap'ed and munmap'ed, and its pages faulted in again, on
 // every iteration. glibc raises the threshold on its own only after a
