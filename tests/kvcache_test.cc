@@ -88,7 +88,7 @@ TEST(KvBlockManagerTest, UsedBytesAndCapacity) {
 }
 
 TEST(KvBlockManagerTest, StaticCapacityMatchesAFreshManager) {
-  // The closed form pricing code uses must give exactly what an empty
+  // The closed form that pricing code uses must give exactly what an empty
   // manager answers, including a zero-block pool and one-token blocks.
   for (int64_t num_blocks : {0, 1, 7, 1024}) {
     for (int64_t block_tokens : {1, 4, 16}) {
