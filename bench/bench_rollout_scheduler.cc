@@ -116,7 +116,7 @@ int Main() {
       // lengths, so admission never over-commits and decode-time preemption
       // churn disappears — the scheduler degrades into exact capacity waves
       // on lockstep-uniform workloads instead of thrashing below them).
-      options.enable_prefix_cache = true;
+      options.prefix_cache = true;
       options.reserve_full_length = true;
       const RolloutSimResult continuous =
           SimulateContinuousGeneration(perf, gen, devices, workload.sequences, budget, options);
@@ -188,10 +188,10 @@ int Main() {
     const Workload group = GroupSampledWorkload(/*groups=*/32, /*n=*/4, prompt, /*response=*/512);
     RolloutOptions cached;
     cached.mode = RolloutMode::kContinuous;
-    cached.enable_prefix_cache = true;
+    cached.prefix_cache = true;
     cached.reserve_full_length = true;
     RolloutOptions uncached = cached;
-    uncached.enable_prefix_cache = false;
+    uncached.prefix_cache = false;
     uncached.reserve_full_length = true;
     const RolloutSimResult with_cache =
         SimulateContinuousGeneration(perf, gen, devices, group.sequences, full_demand, cached);

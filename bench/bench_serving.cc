@@ -69,7 +69,7 @@ ArrivalTraceConfig TraceConfig(TraceShape shape) {
 
 struct Policy {
   const char* name;
-  ServingPolicyConfig config;
+  RolloutSchedulerConfig config;
 };
 
 std::vector<Policy> Policies() {

@@ -69,11 +69,13 @@ bool ConfigMap::ParseFile(const std::string& path, std::string* error) {
 }
 
 std::string ConfigMap::GetString(const std::string& key, const std::string& fallback) const {
+  read_.insert(key);
   auto it = values_.find(key);
   return it == values_.end() ? fallback : it->second;
 }
 
 int64_t ConfigMap::GetInt(const std::string& key, int64_t fallback) const {
+  read_.insert(key);
   auto it = values_.find(key);
   if (it == values_.end()) {
     return fallback;
@@ -86,6 +88,7 @@ int64_t ConfigMap::GetInt(const std::string& key, int64_t fallback) const {
 }
 
 double ConfigMap::GetDouble(const std::string& key, double fallback) const {
+  read_.insert(key);
   auto it = values_.find(key);
   if (it == values_.end()) {
     return fallback;
@@ -98,6 +101,7 @@ double ConfigMap::GetDouble(const std::string& key, double fallback) const {
 }
 
 bool ConfigMap::GetBool(const std::string& key, bool fallback) const {
+  read_.insert(key);
   auto it = values_.find(key);
   if (it == values_.end()) {
     return fallback;
@@ -111,6 +115,16 @@ bool ConfigMap::GetBool(const std::string& key, bool fallback) const {
   }
   HF_CHECK_MSG(false, "config key " << key << " is not a boolean: '" << value << "'");
   return fallback;
+}
+
+std::vector<std::string> ConfigMap::UnreadKeys() const {
+  std::vector<std::string> unread;
+  for (const auto& [key, value] : values_) {
+    if (read_.count(key) == 0) {
+      unread.push_back(key);
+    }
+  }
+  return unread;
 }
 
 }  // namespace hybridflow

@@ -8,7 +8,9 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
+#include <vector>
 
 namespace hybridflow {
 
@@ -20,7 +22,8 @@ class ConfigMap {
 
   bool Has(const std::string& key) const { return values_.count(key) > 0; }
   // Getters return `fallback` when the key is absent; they abort on a
-  // present-but-unparsable value (a config error the user must fix).
+  // present-but-unparsable value (a config error the user must fix). Each
+  // getter marks its key as read.
   std::string GetString(const std::string& key, const std::string& fallback = "") const;
   int64_t GetInt(const std::string& key, int64_t fallback) const;
   double GetDouble(const std::string& key, double fallback) const;
@@ -28,9 +31,13 @@ class ConfigMap {
 
   void Set(const std::string& key, const std::string& value) { values_[key] = value; }
   const std::map<std::string, std::string>& values() const { return values_; }
+  // Keys that are set but were never passed to a getter, in key order: a
+  // misspelt or retired key, once every read is done.
+  std::vector<std::string> UnreadKeys() const;
 
  private:
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;  // Keys passed to a getter.
 };
 
 // Trims ASCII whitespace from both ends.

@@ -74,7 +74,7 @@ struct ArrivalRecord {
   double tpot_slo = 0.0;       // Relative per-token budget; 0 = none.
   // Count-based prompt identity for the prefix-sharing KV cache: records
   // with the same non-negative group carry an identical prompt (shared
-  // when ServingPolicyConfig::prefix_cache is on); -1 = unique prompt.
+  // when RolloutSchedulerConfig::prefix_cache is on); -1 = unique prompt.
   int64_t prompt_group = -1;
 };
 

@@ -38,16 +38,6 @@ RolloutStats RolloutStatsCollector::Snapshot() const {
   return total_;
 }
 
-RolloutSchedulerConfig ToSchedulerConfig(const RolloutOptions& options) {
-  RolloutSchedulerConfig scheduler;
-  scheduler.policy = options.policy;
-  scheduler.reserve_tokens = options.reserve_tokens;
-  scheduler.max_running = options.max_running;
-  scheduler.prefill_chunk_tokens = options.prefill_chunk_tokens;
-  scheduler.reserve_full_length = options.reserve_full_length;
-  return scheduler;
-}
-
 RolloutEngine::RolloutEngine(const PolicyNet& net, const RolloutLimits& limits,
                              const RolloutOptions& options, int kv_ranks)
     : net_(net),
@@ -66,10 +56,10 @@ RolloutEngine::RolloutEngine(const PolicyNet& net, const RolloutLimits& limits,
           "rollout.running_batch", ExponentialBuckets(1, 2, 10), {{"plane", "data"}})),
       kv_utilization_(MetricsRegistry::Global().GetHistogram(
           "rollout.kv_utilization", LinearBuckets(0.1, 0.1, 10), {{"plane", "data"}})),
-      ttft_us_(MetricsRegistry::Global().GetQuantileHistogram(
-          "rollout.ttft_us", QuantileHistogram::kDefaultRelativeError, {{"plane", "data"}})),
-      tpot_us_(MetricsRegistry::Global().GetQuantileHistogram(
-          "rollout.tpot_us", QuantileHistogram::kDefaultRelativeError, {{"plane", "data"}})),
+      ttft_wall_us_(MetricsRegistry::Global().GetQuantileHistogram(
+          "rollout.ttft_wall_us", QuantileHistogram::kDefaultRelativeError, {{"plane", "data"}})),
+      tpot_wall_us_(MetricsRegistry::Global().GetQuantileHistogram(
+          "rollout.tpot_wall_us", QuantileHistogram::kDefaultRelativeError, {{"plane", "data"}})),
       prefix_hits_total_(MetricsRegistry::Global().GetCounter("kvcache.prefix_hits_total",
                                                               {{"plane", "data"}})),
       cow_splits_total_(MetricsRegistry::Global().GetCounter("kvcache.cow_splits_total",
@@ -93,10 +83,10 @@ RolloutShardResult RolloutEngine::Run(const std::vector<std::vector<int64_t>>& p
   }
 
   StepLoopConfig loop;
-  loop.scheduler = ToSchedulerConfig(options_);
+  loop.scheduler = options_;
   loop.kv.block_tokens = options_.block_tokens;
   loop.kv.num_blocks = options_.num_blocks;
-  loop.kv.enable_prefix_cache = options_.enable_prefix_cache;
+  loop.kv.enable_prefix_cache = options_.prefix_cache;
   loop.kv_ranks = kv_ranks_;
   // Opt-in lifecycle recording: the loop opens a distinct run per engine
   // call, keeping concurrent per-rank shards apart in the shared log.
@@ -112,7 +102,7 @@ RolloutShardResult RolloutEngine::Run(const std::vector<std::vector<int64_t>>& p
     sequence.id = static_cast<int64_t>(i);
     sequence.prompt_tokens = static_cast<int64_t>(prompts[i].size());
     sequence.target_new_tokens = limits_.max_new_tokens;
-    if (options_.enable_prefix_cache) {
+    if (options_.prefix_cache) {
       // Content identity for the prefix cache: identical prompt prefixes
       // (e.g. group sampling's n copies of one prompt) share blocks.
       sequence.block_hashes = PromptBlockHashes(prompts[i], options_.block_tokens);
@@ -132,10 +122,10 @@ RolloutShardResult RolloutEngine::Run(const std::vector<std::vector<int64_t>>& p
     for (const SeqLatency& latency :
          DeriveSeqLatencies(options_.event_log->SnapshotRun(run.event_run), /*wall=*/true)) {
       if (latency.tokens >= 1) {
-        ttft_us_.Observe(latency.ttft);
+        ttft_wall_us_.Observe(latency.ttft);
       }
       if (latency.tokens >= 2) {
-        tpot_us_.Observe(latency.tpot);
+        tpot_wall_us_.Observe(latency.tpot);
       }
     }
   }

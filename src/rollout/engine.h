@@ -31,40 +31,21 @@ enum class RolloutMode {
   kContinuous,  // Per-step replay (SimulateContinuousGeneration).
 };
 
-// Engine knobs; shared between ActorOptions and the timing simulator.
-struct RolloutOptions {
+// Engine knobs, shared between ActorOptions and the timing simulator: the
+// scheduler's settings (inherited; they apply to both planes alike) plus
+// the timing model, the data-plane KV geometry and the event sinks.
+struct RolloutOptions : RolloutSchedulerConfig {
   RolloutMode mode = RolloutMode::kStatic;
-  RolloutPolicy policy = RolloutPolicy::kFcfs;
   // Data-plane KV geometry (toy scale). num_blocks == 0 auto-sizes the
   // cache to fit the whole shard at full length (no preemption).
   int64_t block_tokens = 4;
   int64_t num_blocks = 0;
-  int64_t reserve_tokens = 1;
-  int64_t max_running = 0;  // 0 = KV-capacity-bounded only.
-  // Per-step prefill token budget (chunked prefill); 0 = whole-context
-  // prefill in one step. Applies to both planes: the data-plane engine and
-  // the timing simulator chunk identically. When > 0, KV residency is also
-  // acquired incrementally per chunk instead of in full at admission
-  // (docs/ROLLOUT.md, docs/KVCACHE.md).
-  int64_t prefill_chunk_tokens = 0;
-  // Prefix-sharing KV cache (docs/KVCACHE.md): ref-counted blocks with a
-  // content-hash index over full prompt blocks. Identical prompt prefixes
-  // share blocks and skip the shared tokens' prefill compute; blocks of
-  // finished sequences are retained (evictable) for later hits. Greedy
-  // outputs stay bitwise-identical — sharing changes residency and
-  // scheduling, never per-row compute. Applies to both planes.
-  bool enable_prefix_cache = false;
-  // Full-length admission reservations (RolloutSchedulerConfig::
-  // reserve_full_length): admission charges each sequence's block demand at
-  // prompt + target length against capacity, eliminating decode-time
-  // preemption churn when targets are accurate. Off = optimistic admission.
-  bool reserve_full_length = false;
   // Optional per-sequence lifecycle event sink (src/obs/seq_events.h),
   // borrowed, shared safely by concurrent per-rank engines. Null (the
   // default) disables data-plane recording entirely: the scheduler hooks
   // no-op and no latency derivation runs. When set, the engine also
   // observes per-sequence wall-clock TTFT/TPOT into the
-  // `rollout.ttft_us`/`rollout.tpot_us` quantile instruments.
+  // `rollout.ttft_wall_us`/`rollout.tpot_wall_us` quantile instruments.
   SeqEventLog* event_log = nullptr;
   // Same, for the timing simulator's sim-plane events. Kept separate from
   // `event_log` because sim-plane volume scales with the *simulated*
@@ -73,8 +54,6 @@ struct RolloutOptions {
   // stamps whether or not a sink is attached.
   SeqEventLog* sim_event_log = nullptr;
 };
-
-RolloutSchedulerConfig ToSchedulerConfig(const RolloutOptions& options);
 
 // Termination rules for one generation call (mirrors AlignmentTask's
 // response_len / use_eos without depending on hf_data).
@@ -143,8 +122,8 @@ class RolloutEngine {
   Histogram& queue_wait_steps_;
   Histogram& running_batch_;
   Histogram& kv_utilization_;
-  QuantileHistogram& ttft_us_;
-  QuantileHistogram& tpot_us_;
+  QuantileHistogram& ttft_wall_us_;
+  QuantileHistogram& tpot_wall_us_;
   Counter& prefix_hits_total_;
   Counter& cow_splits_total_;
   Gauge& shared_blocks_;

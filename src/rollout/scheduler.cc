@@ -6,13 +6,19 @@
 #include "src/common/check.h"
 
 namespace hybridflow {
+namespace {
+
+// Decode headroom demanded beyond the current context when admitting a
+// sequence: room for its first generated token.
+constexpr int64_t kAdmitReserveTokens = 1;
+
+}  // namespace
 
 RolloutScheduler::RolloutScheduler(const RolloutSchedulerConfig& config, DistributedKvManager* kv,
                                    std::vector<RolloutSequence>* sequences)
     : config_(config), kv_(kv), sequences_(sequences) {
   HF_CHECK(kv_ != nullptr);
   HF_CHECK(sequences_ != nullptr);
-  HF_CHECK_GE(config_.reserve_tokens, 0);
   HF_CHECK_GE(config_.max_running, 0);
   HF_CHECK_GE(config_.prefill_chunk_tokens, 0);
   HF_CHECK_GT(config_.fair_quantum_tokens, 0);
@@ -48,6 +54,7 @@ void RolloutScheduler::Enqueue(int64_t id) {
   HF_CHECK(sequence.state == SequenceState::kWaiting);
   sequence.enqueue_step = stats_.steps;
   sequence.enqueue_seconds = sim_now_;
+  deadlines_enqueued_ = deadlines_enqueued_ || sequence.ttft_deadline > 0.0;
   waiting_.push_back(id);
   RecordEvent(SeqEventKind::kEnqueue, id, sequence.total_tokens(), stats_.steps);
 }
@@ -114,22 +121,22 @@ void RolloutScheduler::Cancel(int64_t id, bool expired) {
 }
 
 void RolloutScheduler::ExpireOverdue() {
-  if (!config_.expire_overdue) {
+  if (!config_.expire_overdue || !deadlines_enqueued_) {
     return;
   }
   // A sequence is overdue when its first token has not been emitted by its
   // TTFT deadline; rows already streaming (generated > 0, including ones
   // sitting preempted in the waiting queue) met their deadline and run on.
   std::vector<int64_t> overdue;
-  for (const auto& queue : {waiting_, std::deque<int64_t>(running_.begin(), running_.end())}) {
-    for (int64_t id : queue) {
-      const RolloutSequence& sequence = (*sequences_)[static_cast<size_t>(id)];
-      if (sequence.ttft_deadline > 0.0 && sequence.generated == 0 &&
-          sim_now_ > sequence.ttft_deadline) {
-        overdue.push_back(id);
-      }
+  const auto collect = [this, &overdue](int64_t id) {
+    const RolloutSequence& sequence = (*sequences_)[static_cast<size_t>(id)];
+    if (sequence.ttft_deadline > 0.0 && sequence.generated == 0 &&
+        sim_now_ > sequence.ttft_deadline) {
+      overdue.push_back(id);
     }
-  }
+  };
+  std::for_each(waiting_.begin(), waiting_.end(), collect);
+  std::for_each(running_.begin(), running_.end(), collect);
   for (int64_t id : overdue) {
     Cancel(id, /*expired=*/true);
   }
@@ -217,7 +224,7 @@ bool RolloutScheduler::TryAdmit(int64_t id, StepPlan* plan, int64_t* budget) {
   RolloutSequence& sequence = seq(id);
   const int64_t total = sequence.total_tokens();
   const int64_t reserve =
-      std::min(config_.reserve_tokens, std::max<int64_t>(sequence.remaining_tokens() - 1, 0));
+      std::min(kAdmitReserveTokens, std::max<int64_t>(sequence.remaining_tokens() - 1, 0));
   // Prefix-cache probe: leading prompt blocks already materialized are
   // shared instead of allocated, and their prefill compute is skipped —
   // capped at total-1 so the completing chunk always computes at least the

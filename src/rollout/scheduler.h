@@ -4,8 +4,8 @@
 // it first reserves KV headroom for the running sequences' next token
 // (preempting the youngest on exhaustion — vLLM's recompute-on-resume
 // policy), then admits waiting sequences in policy order while the
-// KvBlockManager accepts their full current context plus a configurable
-// token reserve. Admission and appends go through the *real*
+// KvBlockManager accepts their full current context plus one token of
+// decode headroom. Admission and appends go through the *real*
 // DistributedKvManager, so capacity effects are block-granular, not
 // analytical.
 //
@@ -45,11 +45,14 @@ enum class AdmissionPolicy {
   kWeightedFair,  // Weighted deficit round-robin across tenants.
 };
 
+// The one configuration of the scheduler, shared by every generation
+// surface: RolloutOptions (the RLHF rollout engine and its timing
+// simulator) derives from it, and the serving surfaces take it as is.
 struct RolloutSchedulerConfig {
   RolloutPolicy policy = RolloutPolicy::kFcfs;
-  // Decode-headroom tokens demanded (beyond the current context) when
-  // admitting a sequence; higher values admit less but preempt less.
-  int64_t reserve_tokens = 1;
+  // SLO-aware admission (serving front end). kQueueOrder leaves the plain
+  // RLHF path untouched.
+  AdmissionPolicy admission = AdmissionPolicy::kQueueOrder;
   // Cap on concurrently running sequences; 0 = bounded by KV capacity only.
   int64_t max_running = 0;
   // Chunked prefill (vLLM-style): per-step token budget for prefill
@@ -79,9 +82,6 @@ struct RolloutSchedulerConfig {
   // preempts when the bet loses — better when targets are loose caps.
   // An empty running set always admits (the progress contract).
   bool reserve_full_length = false;
-  // SLO-aware admission (serving front end). kQueueOrder leaves the plain
-  // RLHF path untouched.
-  AdmissionPolicy admission = AdmissionPolicy::kQueueOrder;
   // kWeightedFair: context tokens of credit granted per tenant visit; a
   // tenant admits its queue head only while its accumulated deficit covers
   // the head's full context, so admitted tokens track weights over time.
@@ -89,9 +89,19 @@ struct RolloutSchedulerConfig {
   // kWeightedFair: per-tenant service weights (missing tenants weigh 1.0).
   std::map<int64_t, double> tenant_weights;
   // Expire un-started sequences whose ttft_deadline is behind the SetSimNow
-  // clock at the top of BeginStep — rejected rather than served late. Off by
-  // default (deadlines are inert on the plain RLHF path).
-  bool expire_overdue = false;
+  // clock at the top of BeginStep — rejected rather than served late. Turn
+  // off to measure how late a policy would have served them. Inert on the
+  // RLHF paths: their sequences carry no deadline (ttft_deadline <= 0), so
+  // nothing expires and the scan is skipped.
+  bool expire_overdue = true;
+  // Prefix-sharing KV cache (docs/KVCACHE.md): ref-counted blocks with a
+  // content-hash index over full prompt blocks. Identical prompt prefixes
+  // share blocks and skip the shared tokens' prefill compute; blocks of
+  // finished sequences are retained (evictable) for later hits. Greedy
+  // outputs stay bitwise-identical — sharing changes residency and
+  // scheduling, never per-row compute. Data plane: prompts hash by
+  // content. Sim plane: count-based group identity.
+  bool prefix_cache = false;
 };
 
 // One slice of prefill compute for one sequence this step. A sequence's
@@ -252,6 +262,9 @@ class RolloutScheduler {
   SeqEventLog* event_log_ = nullptr;
   int64_t event_run_ = 0;
   double sim_now_ = 0.0;
+  // Whether any enqueued sequence carries a ttft_deadline; without one
+  // nothing can expire, so ExpireOverdue skips its scan (the RLHF paths).
+  bool deadlines_enqueued_ = false;
   // Sum of running sequences' reserved_blocks (reserve_full_length only).
   int64_t reserved_blocks_total_ = 0;
   // kWeightedFair state: unspent per-tenant credit (context tokens) and the

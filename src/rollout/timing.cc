@@ -21,8 +21,8 @@ RolloutSimResult SimulateContinuousGeneration(const PerfModel& perf,
 
   SimStepExecutor executor(perf, gen, replica_devices);
   StepLoopConfig loop;
-  loop.scheduler = ToSchedulerConfig(options);
-  loop.kv = executor.KvGeometry(options.enable_prefix_cache, kv_budget_bytes);
+  loop.scheduler = options;
+  loop.kv = executor.KvGeometry(options.prefix_cache, kv_budget_bytes);
   loop.event_log = options.sim_event_log;  // Export only.
   std::vector<RolloutSequence> states(sequences.size());
   for (size_t i = 0; i < sequences.size(); ++i) {
@@ -32,7 +32,7 @@ RolloutSimResult SimulateContinuousGeneration(const PerfModel& perf,
     state.id = static_cast<int64_t>(i);
     state.prompt_tokens = sequences[i].prompt_tokens;
     state.target_new_tokens = sequences[i].response_tokens;
-    if (options.enable_prefix_cache) {
+    if (options.prefix_cache) {
       // Count-based content identity: equal groups hash equal, so the sim
       // plane shares (and skips prefill over) the same prompt blocks the
       // data plane would. Unique prompts (group < 0) still get hashes — in

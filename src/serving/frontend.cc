@@ -25,7 +25,7 @@ ServingFrontend::ServingFrontend(const PolicyNet& net, const ServingFrontendConf
   HF_CHECK_GT(config_.block_tokens, 0);
   HF_CHECK_GT(config_.seconds_per_step, 0.0);
   HF_CHECK_MSG(config_.prefix_cache == config_.scheduler.prefix_cache,
-               "ServingFrontendConfig::prefix_cache and ServingPolicyConfig::prefix_cache "
+               "ServingFrontendConfig::prefix_cache and RolloutSchedulerConfig::prefix_cache "
                "disagree; set both");
 }
 
@@ -41,7 +41,7 @@ ServingResult ServingFrontend::Serve(const std::vector<ServingRequest>& requests
   }
 
   StepLoopConfig loop;
-  loop.scheduler = ToSchedulerConfig(config_.scheduler);
+  loop.scheduler = config_.scheduler;
   loop.kv.block_tokens = config_.block_tokens;
   loop.kv.num_blocks = config_.num_blocks;
   loop.kv.enable_prefix_cache = config_.prefix_cache;
@@ -133,19 +133,19 @@ ServingResult ServingFrontend::Serve(const std::vector<ServingRequest>& requests
     MetricsRegistry::Global()
         .GetCounter("serving.goodput_tokens_total", labels)
         .Increment(static_cast<double>(tenant.goodput_tokens));
-    QuantileHistogram& ttft_us = MetricsRegistry::Global().GetQuantileHistogram(
-        "rollout.ttft_us", QuantileHistogram::kDefaultRelativeError, labels);
-    QuantileHistogram& tpot_us = MetricsRegistry::Global().GetQuantileHistogram(
-        "rollout.tpot_us", QuantileHistogram::kDefaultRelativeError, labels);
+    QuantileHistogram& ttft_virtual_us = MetricsRegistry::Global().GetQuantileHistogram(
+        "serving.ttft_virtual_us", QuantileHistogram::kDefaultRelativeError, labels);
+    QuantileHistogram& tpot_virtual_us = MetricsRegistry::Global().GetQuantileHistogram(
+        "serving.tpot_virtual_us", QuantileHistogram::kDefaultRelativeError, labels);
     for (const RequestRecord& record : result.records) {
       if (record.tenant != tenant.tenant) {
         continue;
       }
       if (record.tokens >= 1) {
-        ttft_us.Observe(record.ttft * 1e6);  // Virtual seconds -> micros.
+        ttft_virtual_us.Observe(record.ttft * 1e6);  // Virtual seconds -> micros.
       }
       if (record.tokens >= 2) {
-        tpot_us.Observe(record.tpot * 1e6);
+        tpot_virtual_us.Observe(record.tpot * 1e6);
       }
     }
   }

@@ -28,7 +28,7 @@
 namespace hybridflow {
 
 struct ServingFrontendConfig {
-  ServingPolicyConfig scheduler;
+  RolloutSchedulerConfig scheduler;
   // Data-plane KV geometry (toy scale); num_blocks == 0 auto-sizes to fit
   // every request at full length (no capacity pressure).
   int64_t block_tokens = 4;
@@ -37,8 +37,8 @@ struct ServingFrontendConfig {
   // prompt prefixes — concurrent or arriving after an identical request
   // finished (cross-request reuse; finished requests' prompt blocks are
   // retained evictable) — share blocks and skip the shared prefill. Must
-  // equal scheduler.prefix_cache (the sim plane's flag); the constructor
-  // rejects a config where they disagree.
+  // equal scheduler.prefix_cache; the constructor rejects a config where
+  // they disagree.
   bool prefix_cache = false;
   // Virtual seconds one engine step advances the serving clock by.
   double seconds_per_step = 0.1;

@@ -11,19 +11,6 @@
 
 namespace hybridflow {
 
-RolloutSchedulerConfig ToSchedulerConfig(const ServingPolicyConfig& config) {
-  RolloutSchedulerConfig scheduler;
-  scheduler.policy = config.policy;
-  scheduler.admission = config.admission;
-  scheduler.reserve_tokens = config.reserve_tokens;
-  scheduler.max_running = config.max_running;
-  scheduler.prefill_chunk_tokens = config.prefill_chunk_tokens;
-  scheduler.fair_quantum_tokens = config.fair_quantum_tokens;
-  scheduler.tenant_weights = config.tenant_weights;
-  scheduler.expire_overdue = config.expire_overdue;
-  return scheduler;
-}
-
 const char* RequestOutcomeName(RequestOutcome outcome) {
   switch (outcome) {
     case RequestOutcome::kFinished:

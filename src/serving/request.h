@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -27,26 +26,10 @@
 
 namespace hybridflow {
 
-// Scheduler-facing serving knobs shared by the data plane
-// (ServingFrontend) and the sim plane (SimulateServing).
-struct ServingPolicyConfig {
-  RolloutPolicy policy = RolloutPolicy::kFcfs;
-  AdmissionPolicy admission = AdmissionPolicy::kQueueOrder;
-  int64_t reserve_tokens = 1;
-  int64_t max_running = 0;
-  int64_t prefill_chunk_tokens = 0;
-  int64_t fair_quantum_tokens = 256;
-  std::map<int64_t, double> tenant_weights;
-  // Serving default: reject TTFT-overdue requests instead of serving them
-  // late. Turn off to measure how late a policy would have served them.
-  bool expire_overdue = true;
-  // Prefix-sharing KV cache across requests (docs/KVCACHE.md). Data plane:
-  // prompts hash by content. Sim plane: ArrivalRecord::prompt_group
-  // supplies count-based content identity.
-  bool prefix_cache = false;
-};
-
-RolloutSchedulerConfig ToSchedulerConfig(const ServingPolicyConfig& config);
+// The serving surfaces take the scheduler's one config as is. The alias
+// exists only because perfbench/ still names this type; it goes away with
+// the next change to perfbench's sources.
+using ServingPolicyConfig = RolloutSchedulerConfig;
 
 // One client request. `arrival`, `ttft_deadline`, and `cancel_at` are
 // absolute instants on the serving clock (virtual seconds on the data

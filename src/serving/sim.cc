@@ -10,7 +10,7 @@ namespace hybridflow {
 ServingSimResult SimulateServing(const PerfModel& perf, const GenParallelConfig& gen,
                                  const std::vector<DeviceId>& replica_devices,
                                  const std::vector<ArrivalRecord>& trace,
-                                 double kv_budget_bytes, const ServingPolicyConfig& config) {
+                                 double kv_budget_bytes, const RolloutSchedulerConfig& config) {
   ServingSimResult result;
   result.records.resize(trace.size());
   if (trace.empty()) {
@@ -19,7 +19,7 @@ ServingSimResult SimulateServing(const PerfModel& perf, const GenParallelConfig&
 
   SimStepExecutor executor(perf, gen, replica_devices);
   StepLoopConfig loop;
-  loop.scheduler = ToSchedulerConfig(config);
+  loop.scheduler = config;
   loop.kv = executor.KvGeometry(config.prefix_cache, kv_budget_bytes);
   std::vector<RolloutSequence> states(trace.size());
   for (size_t i = 0; i < trace.size(); ++i) {

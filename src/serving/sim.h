@@ -33,7 +33,7 @@ struct ServingSimResult : ServingResult {
 ServingSimResult SimulateServing(const PerfModel& perf, const GenParallelConfig& gen,
                                  const std::vector<DeviceId>& replica_devices,
                                  const std::vector<ArrivalRecord>& trace,
-                                 double kv_budget_bytes, const ServingPolicyConfig& config);
+                                 double kv_budget_bytes, const RolloutSchedulerConfig& config);
 
 }  // namespace hybridflow
 

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "src/common/config.h"
 
@@ -66,6 +68,20 @@ TEST(ConfigMapTest, BoolSpellings) {
   EXPECT_FALSE(config.GetBool("b", true));
   EXPECT_TRUE(config.GetBool("c", false));
   EXPECT_FALSE(config.GetBool("d", true));
+}
+
+TEST(ConfigMapTest, UnreadKeysListsSetKeysNoGetterAsked) {
+  ConfigMap config;
+  ASSERT_TRUE(config.ParseString("a = 1\nb = x\nc = true\nd = 0.5\nzz.typo = 3\n"));
+  EXPECT_EQ(config.UnreadKeys(),
+            (std::vector<std::string>{"a", "b", "c", "d", "zz.typo"}));
+  EXPECT_EQ(config.GetInt("a", 0), 1);
+  EXPECT_EQ(config.GetString("b"), "x");
+  EXPECT_TRUE(config.GetBool("c", false));
+  EXPECT_DOUBLE_EQ(config.GetDouble("d", 0.0), 0.5);
+  EXPECT_EQ(config.GetInt("absent", 7), 7);  // Reading an unset key adds nothing.
+  EXPECT_TRUE(config.Has("zz.typo"));        // Has() is not a read.
+  EXPECT_EQ(config.UnreadKeys(), std::vector<std::string>{"zz.typo"});
 }
 
 TEST(ConfigMapTest, ParseFileRoundTrip) {

@@ -349,7 +349,7 @@ TEST(RolloutEngineTest, GreedyMatchesStaticReferenceWithPrefixSharing) {
       options.block_tokens = 2;
       options.num_blocks = 7;  // One full sequence (<= 12 tokens) barely fits.
       options.prefill_chunk_tokens = chunk;
-      options.enable_prefix_cache = true;
+      options.prefix_cache = true;
       options.reserve_full_length = seed % 3 == 0;
 
       const RolloutEngine engine(net, limits, options, /*kv_ranks=*/2);
@@ -393,7 +393,7 @@ TEST(RolloutEngineTest, GroupSamplingSkipsFollowerPromptPrefills) {
   limits.max_new_tokens = 4;
   RolloutOptions options;
   options.block_tokens = 2;
-  options.enable_prefix_cache = true;  // Auto-sized KV: no preemption noise.
+  options.prefix_cache = true;  // Auto-sized KV: no preemption noise.
   const RolloutEngine engine(net, limits, options, /*kv_ranks=*/2);
   const int64_t n = 4;
   const std::vector<int64_t> prompt = {3, 1, 4, 1};
@@ -895,9 +895,9 @@ TEST(RolloutTimingTest, PrefixCacheSkipsGroupPromptPrefillsInSimPlane) {
   }
   RolloutOptions cached;
   cached.mode = RolloutMode::kContinuous;
-  cached.enable_prefix_cache = true;
+  cached.prefix_cache = true;
   RolloutOptions uncached = cached;
-  uncached.enable_prefix_cache = false;
+  uncached.prefix_cache = false;
   const double budget = 1e12;  // Ample KV: isolate the sharing effect.
   const RolloutSimResult with_cache =
       SimulateContinuousGeneration(perf, gen, devices, sequences, budget, cached);

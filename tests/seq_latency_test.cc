@@ -440,7 +440,7 @@ TEST(SeqLatencyTest, SequenceStampsSummarizeExactlyLikeTheEventStream) {
   RolloutOptions options;
   options.mode = RolloutMode::kContinuous;
   options.prefill_chunk_tokens = 256;
-  options.enable_prefix_cache = true;
+  options.prefix_cache = true;
   SeqEventLog log;
   options.sim_event_log = &log;
   const double budget = 64.0 * 16.0 * perf.KvBytesPerTokenPerGpu(gen);

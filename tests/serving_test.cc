@@ -25,6 +25,7 @@
 #include "src/data/arrival_trace.h"
 #include "src/nn/policy_net.h"
 #include "src/obs/json_util.h"
+#include "src/obs/metrics.h"
 #include "src/obs/seq_events.h"
 #include "src/rollout/engine.h"
 #include "src/rollout/timing.h"
@@ -588,7 +589,38 @@ TEST(ServingFrontendDeathTest, RejectsDisagreeingPrefixCacheFlags) {
   ServingFrontendConfig config;
   config.prefix_cache = true;  // config.scheduler.prefix_cache stays false.
   EXPECT_DEATH(ServingFrontend(net, config, /*kv_ranks=*/1),
-               "ServingFrontendConfig::prefix_cache and ServingPolicyConfig::prefix_cache");
+               "ServingFrontendConfig::prefix_cache and RolloutSchedulerConfig::prefix_cache");
+}
+
+TEST(ServingFrontendTest, LatencyLandsUnderTheVirtualClockMetricNames) {
+  // One request on an idle server prefills in the first step and emits a
+  // token at each step end: TTFT and TPOT are one step each on the virtual
+  // serving clock, 0.25 s, observed as 250000 us under the serving.*
+  // virtual names. Tenant 9017 is served by no other test, so its
+  // instruments hold this run alone.
+  const PolicyNet net = TestNet();
+  std::vector<ServingRequest> requests = TestRequests();
+  requests.resize(1);
+  requests[0].tenant = 9017;
+  requests[0].arrival = 0.0;
+  requests[0].max_new_tokens = 3;
+  ServingFrontendConfig config;
+  config.seconds_per_step = 0.25;
+  const ServingResult got = ServeWith(net, requests, config);
+  ASSERT_EQ(got.report.finished, 1);
+  ASSERT_EQ(got.records[0].ttft, 0.25);
+
+  const MetricLabels labels = {{"plane", "serving"}, {"tenant", "9017"}};
+  for (const char* name : {"serving.ttft_virtual_us", "serving.tpot_virtual_us"}) {
+    const QuantileHistogram& latency = MetricsRegistry::Global().GetQuantileHistogram(
+        name, QuantileHistogram::kDefaultRelativeError, labels);
+    EXPECT_EQ(latency.TotalCount(), 1u) << name;
+    EXPECT_EQ(latency.Quantile(0.0), 250000.0) << name;  // Exact min = exact max.
+    EXPECT_EQ(latency.Quantile(1.0), 250000.0) << name;
+  }
+  // The clock-less name that used to mix both clocks is gone.
+  EXPECT_EQ(MetricsRegistry::Global().ToJsonLines().find("\"rollout.ttft_us\""),
+            std::string::npos);
 }
 
 TEST(ServingFrontendTest, StreamingCallbackDeliversTokensInOrderAndCanCancel) {
@@ -696,7 +728,7 @@ TEST(ServingSimTest, SloAwareAdmissionBeatsFcfsOnHighPriorityP99Ttft) {
 
   for (const TraceShape shape : {TraceShape::kBursty, TraceShape::kDiurnal}) {
     const std::vector<ArrivalRecord> trace = GenerateArrivalTrace(BenchLikeTrace(shape), 7);
-    ServingPolicyConfig fcfs;
+    RolloutSchedulerConfig fcfs;
     fcfs.expire_overdue = false;  // The plain rollout path serves late.
     const ServingSimResult base = SimulateServing(perf, gen, devices, trace, kv_budget, fcfs);
     const ServingSimResult base_again =
@@ -708,7 +740,7 @@ TEST(ServingSimTest, SloAwareAdmissionBeatsFcfsOnHighPriorityP99Ttft) {
     for (const AdmissionPolicy admission :
          {AdmissionPolicy::kPriority, AdmissionPolicy::kDeadline,
           AdmissionPolicy::kWeightedFair}) {
-      ServingPolicyConfig slo_aware;
+      RolloutSchedulerConfig slo_aware;
       slo_aware.admission = admission;
       slo_aware.tenant_weights = {{0, 4.0}, {1, 1.0}};
       const ServingSimResult got =
@@ -732,6 +764,30 @@ TEST(ServingSimTest, SloAwareAdmissionBeatsFcfsOnHighPriorityP99Ttft) {
 // serving entry points are a batch rollout: the same StepLoop, the same
 // executor, the same schedule.
 
+TEST(ServingSimTest, FullLengthReservationsRemovePreemption) {
+  // Serving takes the scheduler's one config, so reserve_full_length
+  // reaches it. The prefix cache stays off: every request's target is its
+  // exact length, so reserving it in full must never over-commit.
+  const PerfModel perf(ModelSpec::Llama7B(), ClusterSpec::WithGpus(8));
+  const GenParallelConfig gen{1, 2};
+  const std::vector<DeviceId> devices{0, 1};
+  const double kv_budget = 96.0 * 16.0 * perf.KvBytesPerTokenPerGpu(gen);
+  const std::vector<ArrivalRecord> trace =
+      GenerateArrivalTrace(BenchLikeTrace(TraceShape::kBursty), 7);
+  RolloutSchedulerConfig optimistic;
+  optimistic.expire_overdue = false;  // Every request finishes either way.
+  RolloutSchedulerConfig reserved = optimistic;
+  reserved.reserve_full_length = true;
+
+  const ServingSimResult base = SimulateServing(perf, gen, devices, trace, kv_budget, optimistic);
+  const ServingSimResult got = SimulateServing(perf, gen, devices, trace, kv_budget, reserved);
+  ASSERT_GT(base.scheduler_stats.preemptions, 0);
+  EXPECT_EQ(got.scheduler_stats.preemptions, 0);
+  EXPECT_EQ(got.kv_leaked_blocks, 0);
+  EXPECT_EQ(got.report.finished, base.report.finished);
+  EXPECT_EQ(got.report.finished, static_cast<int64_t>(trace.size()));
+}
+
 TEST(ServingEquivalenceTest, SimulateServingMatchesSimulateContinuousGeneration) {
   const PerfModel perf(ModelSpec::Llama7B(), ClusterSpec::WithGpus(8));
   const GenParallelConfig gen{1, 2};
@@ -754,7 +810,7 @@ TEST(ServingEquivalenceTest, SimulateServingMatchesSimulateContinuousGeneration)
   RolloutOptions rollout;
   rollout.mode = RolloutMode::kContinuous;
   rollout.prefill_chunk_tokens = 256;
-  ServingPolicyConfig serving;
+  RolloutSchedulerConfig serving;
   serving.prefill_chunk_tokens = 256;
 
   const RolloutSimResult want =

@@ -64,6 +64,13 @@
 //                        KvBlockManager::CapacitySequences(config, tokens)
 //                        instead of building a paged cache per candidate,
 //                        so Algorithm 1 stays as cheap as what it prices
+//   one-scheduler-config (src/ only) no struct or class other than
+//                        RolloutSchedulerConfig declares a member named
+//                        prefill_chunk_tokens, reserve_full_length,
+//                        max_running, fair_quantum_tokens, tenant_weights
+//                        or expire_overdue: every generation surface takes
+//                        the scheduler's one config, so a mirror struct and
+//                        a converter that drops fields cannot come back
 //   raw-diagnostics      library code under src/ never writes diagnostics
 //                        with std::cerr / printf / fprintf; route them
 //                        through src/common/logging.h (HF_LOG) or the
@@ -81,7 +88,7 @@
 // `--rules-selftest` is the same style of negative gate for the
 // concurrency and confinement rules (condvar-wait, unreferenced-guard,
 // simd-intrinsics, one-step-loop, borrowed-event-log,
-// closed-form-pricing): a synthetic tree
+// closed-form-pricing, one-scheduler-config): a synthetic tree
 // with known-bad shapes must produce exactly the expected findings, and
 // the allow() hatches must suppress them.
 //
@@ -757,6 +764,91 @@ void CheckClosedFormPricing(const FileText& file, std::vector<Finding>& findings
   }
 }
 
+// One scheduler config: in src/, only RolloutSchedulerConfig declares the
+// scheduler's settings as members; every surface derives from it or holds
+// one, so no hand-written converter can drop a field again. Tracks the
+// enclosing struct/class of each brace so that locals and member accesses
+// of the same names never match.
+void CheckOneSchedulerConfig(const FileText& file, std::vector<Finding>& findings) {
+  if (file.path.rfind("src/", 0) != 0) {
+    return;
+  }
+  static const char* const kSettings[] = {"prefill_chunk_tokens", "reserve_full_length",
+                                          "max_running",          "fair_quantum_tokens",
+                                          "tenant_weights",       "expire_overdue"};
+  std::vector<std::string> scopes;  // Enclosing record name per brace; "" = other.
+  std::string pending;              // Record named since the last `{` or `;`.
+  for (size_t i = 0; i < file.code.size(); ++i) {
+    const std::string& line = file.code[i];
+    const std::string record = scopes.empty() ? "" : scopes.back();
+    if (!record.empty() && record != "RolloutSchedulerConfig") {
+      for (const char* name : kSettings) {
+        const size_t pos = FindToken(line, name);
+        if (pos == std::string::npos) {
+          continue;
+        }
+        // A declaration: a type (identifier, `>`, `*`, `&`) before the
+        // name and an initializer or `;` after it.
+        const size_t before = pos == 0 ? std::string::npos : line.find_last_not_of(' ', pos - 1);
+        const size_t after = line.find_first_not_of(' ', pos + std::string(name).size());
+        const bool typed = before != std::string::npos &&
+                           (IsIdentChar(line[before]) || line[before] == '>' ||
+                            line[before] == '*' || line[before] == '&');
+        const bool declares = after == std::string::npos || line[after] == ';' ||
+                              line[after] == '{' ||
+                              (line[after] == '=' && line.compare(after, 2, "==") != 0);
+        if (typed && declares && !Allowed(file, i, "one-scheduler-config")) {
+          findings.push_back({file.path, static_cast<int>(i) + 1, "one-scheduler-config",
+                              std::string(name) + " declared in " + record +
+                                  "; the scheduler's settings live only in "
+                                  "RolloutSchedulerConfig (derive from it or hold one)"});
+        }
+      }
+    }
+    for (size_t pos = 0; pos < line.size(); ++pos) {
+      const char c = line[pos];
+      if (c == '{') {
+        scopes.push_back(pending);
+        pending.clear();
+      } else if (c == '}') {
+        if (!scopes.empty()) {
+          scopes.pop_back();
+        }
+      } else if (c == ';') {
+        pending.clear();  // A forward declaration or a variable of the type.
+      } else if (IsIdentChar(c) && (pos == 0 || !IsIdentChar(line[pos - 1]))) {
+        size_t end = pos;
+        while (end < line.size() && IsIdentChar(line[end])) {
+          ++end;
+        }
+        const std::string word = line.substr(pos, end - pos);
+        const size_t before = pos == 0 ? std::string::npos : line.find_last_not_of(' ', pos - 1);
+        const bool after_enum = before != std::string::npos && before >= 3 &&
+                                line.compare(before - 3, 4, "enum") == 0;
+        if ((word == "struct" || word == "class") && !after_enum) {
+          // The record's name, unless this is a template parameter
+          // (`class T>` / `class T,` / `class T =`).
+          size_t name = line.find_first_not_of(' ', end);
+          size_t name_end = name;
+          while (name_end < line.size() && IsIdentChar(line[name_end])) {
+            ++name_end;
+          }
+          const size_t next = line.find_first_not_of(' ', name_end);
+          const bool parameter = next != std::string::npos &&
+                                 (line[next] == '>' || line[next] == ',' || line[next] == '=');
+          if (name != std::string::npos && name_end > name && !parameter) {
+            pending = line.substr(name, name_end - name);
+          }
+          if (name != std::string::npos) {
+            end = name_end;
+          }
+        }
+        pos = end - 1;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // doc-drift: documentation references must resolve against the tree.
 // ---------------------------------------------------------------------------
@@ -1052,6 +1144,7 @@ std::vector<Finding> LintTree(const fs::path& root, int* files_checked, int* doc
       CheckOneStepLoop(file, findings);
       CheckBorrowedEventLog(file, findings);
       CheckClosedFormPricing(file, findings);
+      CheckOneSchedulerConfig(file, findings);
       for (const std::string& line : file.code) {
         corpus += line;
         corpus += '\n';
@@ -1151,11 +1244,12 @@ int RunDocsSelftest() {
 // known-bad shape (if-guarded wait, naked wait, comment-only guard,
 // intrinsics outside src/tensor/simd.*, a RolloutScheduler outside the
 // step loop, a SeqEventLog constructed outside src/obs/, a paged KV cache
-// built in pricing code) and accept the good ones (while-looped wait,
-// HF_GUARDED_BY-referenced mutex, intrinsics inside simd.h, the step
-// loop's own scheduler, src/obs/'s own log, the static capacity call,
-// borrowed references, the allow() hatches) in a synthetic tree — a
-// regression gate on the rules.
+// built in pricing code, a scheduler setting mirrored in another struct)
+// and accept the good ones (while-looped wait, HF_GUARDED_BY-referenced
+// mutex, intrinsics inside simd.h, the step loop's own scheduler,
+// src/obs/'s own log, the static capacity call, the scheduler config's
+// own settings, borrowed references, the allow() hatches) in a synthetic
+// tree — a regression gate on the rules.
 int RunRulesSelftest() {
   const fs::path tree = fs::path("hflint_rules_selftest_tree");
   fs::remove_all(tree);
@@ -1305,6 +1399,34 @@ int RunRulesSelftest() {
             << "void Run(const KvBlockConfig& config) { KvBlockManager manager(config); }\n"
             << "}  // namespace hybridflow\n";
   }
+  {
+    // Only RolloutSchedulerConfig declares the scheduler's settings; a
+    // mirror struct is flagged unless hatched, while deriving from it,
+    // locals, parameters and member accesses of the same names are not.
+    std::ofstream mirror(tree / "src/gadget/mirror.cc");
+    mirror << "namespace hybridflow {\n"
+           << "struct RolloutSchedulerConfig {\n"
+           << "  int64_t max_running = 0;\n"
+           << "  std::map<int64_t, double> tenant_weights;\n"
+           << "};\n"
+           << "struct MirrorOptions {\n"
+           << "  int64_t max_running = 0;\n"
+           << "  bool expire_overdue = true;  // hflint: allow(one-scheduler-config)\n"
+           << "  void Cap(int64_t max_running);\n"
+           << "};\n"
+           << "template <class T>\n"
+           << "struct Derived : RolloutSchedulerConfig {\n"
+           << "  int64_t Budget() const {\n"
+           << "    int64_t prefill_chunk_tokens = 4;\n"
+           << "    return prefill_chunk_tokens + max_running;\n"
+           << "  }\n"
+           << "};\n"
+           << "void Use(RolloutSchedulerConfig& c) {\n"
+           << "  c.max_running = 3;\n"
+           << "  const bool reserve_full_length = c.max_running == 0;\n"
+           << "}\n"
+           << "}  // namespace hybridflow\n";
+  }
   int files_checked = 0;
   int docs_checked = 0;
   const std::vector<Finding> findings = LintTree(tree, &files_checked, &docs_checked);
@@ -1321,6 +1443,7 @@ int RunRulesSelftest() {
       {"borrowed-event-log", "SeqEventLog constructed outside src/obs/"},
       {"closed-form-pricing", "KvBlockManager constructed in pricing code"},
       {"closed-form-pricing", "DistributedKvManager constructed in pricing code"},
+      {"one-scheduler-config", "max_running declared in MirrorOptions"},
   };
   for (const Finding& finding : findings) {
     bool matched = false;
@@ -1347,10 +1470,10 @@ int RunRulesSelftest() {
     std::cerr << "hflint --rules-selftest: " << failures << " failure(s)\n";
     return 1;
   }
-  std::cout << "hflint --rules-selftest: ok (9 bad shapes flagged, allow() hatches, "
+  std::cout << "hflint --rules-selftest: ok (10 bad shapes flagged, allow() hatches, "
                "loop-shaped waits, confined intrinsics, the step loop's own "
-               "scheduler, src/obs/'s own event log and the closed-form capacity "
-               "call accepted)\n";
+               "scheduler, src/obs/'s own event log, the closed-form capacity "
+               "call and the scheduler config's own settings accepted)\n";
   return 0;
 }
 

@@ -24,7 +24,7 @@
 //                     model only (closed-form waves vs per-step replay);
 //                     data-plane generation always runs the step loop
 //   rollout.policy    fcfs | longest_prefix (fcfs); rollout.block_tokens,
-//   rollout.num_blocks, rollout.reserve_tokens, rollout.max_running,
+//   rollout.num_blocks, rollout.max_running,
 //   rollout.prefill_chunk_tokens (0 = off)
 //   rollout.reserve_full_length (false) admit at full-length KV demand
 //   kvcache.prefix_cache (false) prefix-sharing KV cache (docs/KVCACHE.md)
@@ -44,6 +44,9 @@
 //   serving.interactive_share (0.3)  serving.interactive_weight (4.0)
 //   serving.ttft_slo (2.0)  serving.tpot_slo (0.5)  — interactive tenant 0
 //   serving.requests_path  write the per-request JSONL artifact (hfstat)
+//
+// A key the selected mode never reads (a misspelling, a retired key, or an
+// RLHF key in serving mode) is a config error: the run exits 2 naming it.
 
 #include <cstdlib>
 #include <iostream>
@@ -130,6 +133,22 @@ AdmissionPolicy ParseAdmission(const std::string& name) {
   std::exit(2);
 }
 
+// Exits 2 naming every set key that nothing read, so a misspelt or retired
+// key cannot run silently on a default. Call once all of a mode's reads
+// are done.
+void RejectUnreadKeys(const ConfigMap& config) {
+  const std::vector<std::string> unread = config.UnreadKeys();
+  if (unread.empty()) {
+    return;
+  }
+  std::cerr << "config error: unknown key(s):";
+  for (const std::string& key : unread) {
+    std::cerr << " " << key;
+  }
+  std::cerr << "\n";
+  std::exit(2);
+}
+
 int RunServing(const ConfigMap& config) {
   TraceShape shape;
   const std::string shape_name = config.GetString("serving.trace");
@@ -165,7 +184,7 @@ int RunServing(const ConfigMap& config) {
   const uint64_t seed = static_cast<uint64_t>(config.GetInt("serving.seed", 7));
   const std::vector<ArrivalRecord> trace = GenerateArrivalTrace(trace_config, seed);
 
-  ServingPolicyConfig policy;
+  RolloutSchedulerConfig policy;
   policy.admission = ParseAdmission(config.GetString("serving.admission", "queue"));
   policy.expire_overdue = config.GetBool("serving.expire_overdue", true);
   policy.fair_quantum_tokens = config.GetInt("serving.fair_quantum_tokens", 256);
@@ -182,6 +201,8 @@ int RunServing(const ConfigMap& config) {
   }
   const double kv_budget = static_cast<double>(config.GetInt("serving.kv_tokens", 4096)) *
                            perf.KvBytesPerTokenPerGpu(gen);
+  const std::string requests_path = config.GetString("serving.requests_path");
+  RejectUnreadKeys(config);
 
   std::cout << StrFormat("serving: %zu requests, trace=%s rate=%.1f/s admission=%s model=%s\n",
                          trace.size(), TraceShapeName(shape), trace_config.rate,
@@ -210,7 +231,6 @@ int RunServing(const ConfigMap& config) {
     std::cerr << "KV LEAK: " << result.kv_leaked_blocks << " blocks still resident\n";
     return 1;
   }
-  const std::string requests_path = config.GetString("serving.requests_path");
   if (!requests_path.empty()) {
     if (WriteRequestRecordsJsonl(requests_path, result.records)) {
       std::cout << "per-request JSONL written to " << requests_path << " (analyze with hfstat)\n";
@@ -262,18 +282,20 @@ int Run(const ConfigMap& config) {
   }
   build.rollout.block_tokens = config.GetInt("rollout.block_tokens", build.rollout.block_tokens);
   build.rollout.num_blocks = config.GetInt("rollout.num_blocks", build.rollout.num_blocks);
-  build.rollout.reserve_tokens =
-      config.GetInt("rollout.reserve_tokens", build.rollout.reserve_tokens);
   build.rollout.max_running = config.GetInt("rollout.max_running", build.rollout.max_running);
   build.rollout.prefill_chunk_tokens =
       config.GetInt("rollout.prefill_chunk_tokens", build.rollout.prefill_chunk_tokens);
-  build.rollout.enable_prefix_cache =
-      config.GetBool("kvcache.prefix_cache", build.rollout.enable_prefix_cache);
+  build.rollout.prefix_cache = config.GetBool("kvcache.prefix_cache", build.rollout.prefix_cache);
   build.rollout.reserve_full_length =
       config.GetBool("rollout.reserve_full_length", build.rollout.reserve_full_length);
   build.async_pipeline = config.GetBool("async_pipeline", false);
   build.async_staleness = config.GetInt("async_staleness", build.async_staleness);
   build.tensor_threads = static_cast<int>(config.GetInt("tensor.threads", 0));
+  const int warmup = static_cast<int>(config.GetInt("run.warmup", 1));
+  const int iterations = static_cast<int>(config.GetInt("run.iterations", 3));
+  const std::string trace_path = config.GetString("run.trace_path");
+  const std::string checkpoint_path = config.GetString("run.checkpoint_path");
+  RejectUnreadKeys(config);
 
   const std::string config_error = ValidateSystemConfig(build);
   if (!config_error.empty()) {
@@ -304,8 +326,6 @@ int Run(const ConfigMap& config) {
     }
   }
 
-  const int warmup = static_cast<int>(config.GetInt("run.warmup", 1));
-  const int iterations = static_cast<int>(config.GetInt("run.iterations", 3));
   for (int i = 0; i < warmup; ++i) {
     instance.RunIteration();
   }
@@ -363,7 +383,6 @@ int Run(const ConfigMap& config) {
     }
   }
 
-  const std::string trace_path = config.GetString("run.trace_path");
   if (!trace_path.empty()) {
     if (WriteChromeTrace(instance.controller->cluster(), trace_path)) {
       std::cout << "trace written to " << trace_path << " (open in chrome://tracing)\n";
@@ -371,7 +390,6 @@ int Run(const ConfigMap& config) {
       std::cerr << "failed to write trace to " << trace_path << "\n";
     }
   }
-  const std::string checkpoint_path = config.GetString("run.checkpoint_path");
   if (!checkpoint_path.empty() && build.real_compute) {
     CheckpointManager manager;
     std::map<std::string, const PolicyNet*> nets;
