@@ -1,7 +1,7 @@
 # Golden check for the deterministic benches (ctest bench_golden): the
-# sim-plane benches, the data-plane work counts and the Fig 16 mapping
+# sim-plane benches, the data-plane work counts, the Fig 16 mapping
 # search (its counts and chosen mapping; the wall-clock column is not in
-# the file).
+# the file) and the full-precision sim-plane step loop (bench_sim_steps).
 #
 # Reruns each bench in WORK_DIR and requires exit 0 plus byte equality of
 # the BENCH_<name>.json it writes with the copy committed at SOURCE_DIR.
@@ -16,7 +16,8 @@ set(goldens
   "bench_serving:BENCH_serving.json"
   "bench_async_pipeline:BENCH_async.json"
   "bench_dataplane_work:BENCH_dataplane_work.json"
-  "bench_fig16_mapping_runtime:BENCH_fig16_mapping_runtime.json")
+  "bench_fig16_mapping_runtime:BENCH_fig16_mapping_runtime.json"
+  "bench_sim_steps:BENCH_sim_steps.json")
 
 # Own working directory: bench_rollout_gate writes BENCH_rollout.json into
 # the bench build directory and may run concurrently under ctest -j.

@@ -92,6 +92,7 @@ int64_t KvBlockManager::AllocateBlock() {
   if (!free_list_.empty()) {
     const int64_t block = free_list_.back();
     free_list_.pop_back();
+    ++allocations_total_;
     return block;
   }
   if (evictable_lru_.empty()) {
@@ -110,6 +111,7 @@ int64_t KvBlockManager::AllocateBlock() {
   }
   b = Block{};
   ++evictions_total_;
+  ++allocations_total_;
   return block;
 }
 
@@ -370,6 +372,7 @@ bool KvBlockManager::AppendToken(int64_t sequence_id) {
     ++used_blocks_;
     state.blocks.push_back(block);
     state.tokens += 1;
+    ++appends_total_;
     NoteAllocation();
     return true;
   }
@@ -392,11 +395,13 @@ bool KvBlockManager::AppendToken(int64_t sequence_id) {
     ++cow_splits_total_;
     blocks_[static_cast<size_t>(block)].tokens += 1;
     state.tokens += 1;
+    ++appends_total_;
     NoteAllocation();
     return true;
   }
   tail.tokens += 1;
   state.tokens += 1;
+  ++appends_total_;
   return true;
 }
 

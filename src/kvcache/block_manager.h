@@ -177,6 +177,10 @@ class KvBlockManager {
   // Lifetime counters (docs/KVCACHE.md; surfaced as kvcache.* metrics).
   int64_t prefix_hit_tokens_total() const { return prefix_hit_tokens_total_; }
   int64_t cow_splits_total() const { return cow_splits_total_; }
+  // Successful append operations (one per AppendToken call) and blocks
+  // taken by any allocation: the KV cache's work counters.
+  int64_t appends_total() const { return appends_total_; }
+  int64_t allocations_total() const { return allocations_total_; }
   int64_t evictions_total() const { return evictions_total_; }
   int64_t shared_blocks_high_water() const { return shared_blocks_high_water_; }
 
@@ -236,6 +240,8 @@ class KvBlockManager {
   int64_t shared_blocks_high_water_ = 0;
   int64_t prefix_hit_tokens_total_ = 0;
   int64_t cow_splits_total_ = 0;
+  int64_t appends_total_ = 0;
+  int64_t allocations_total_ = 0;
   int64_t evictions_total_ = 0;
 };
 

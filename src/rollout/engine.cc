@@ -26,6 +26,8 @@ void RolloutStats::Merge(const RolloutStats& other) {
   prefix_skipped_tokens += other.prefix_skipped_tokens;
   cow_splits += other.cow_splits;
   shared_blocks_high_water = std::max(shared_blocks_high_water, other.shared_blocks_high_water);
+  kv_appends += other.kv_appends;
+  kv_allocations += other.kv_allocations;
 }
 
 void RolloutStatsCollector::Add(const RolloutStats& stats) {

@@ -75,6 +75,9 @@ struct RolloutStats : RolloutSchedulerStats {
   // and the peak number of physically shared blocks (rank 0).
   int64_t cow_splits = 0;
   int64_t shared_blocks_high_water = 0;
+  // KV work (rank 0): append operations and blocks allocated.
+  int64_t kv_appends = 0;
+  int64_t kv_allocations = 0;
 
   void Merge(const RolloutStats& other);
 };

@@ -214,6 +214,8 @@ StepLoopResult RunStepLoop(const StepLoopConfig& config, std::vector<RolloutSequ
   stats.kv_high_water_blocks = kv.high_water_blocks();
   stats.cow_splits = kv.rank(0).cow_splits_total();
   stats.shared_blocks_high_water = kv.rank(0).shared_blocks_high_water();
+  stats.kv_appends = kv.rank(0).appends_total();
+  stats.kv_allocations = kv.rank(0).allocations_total();
   result.prefix_hit_tokens = kv.rank(0).prefix_hit_tokens_total();
   result.kv_leaked_blocks = kv.rank(0).used_blocks();
   for (const RolloutSequence& sequence : seqs) {
