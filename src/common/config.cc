@@ -4,8 +4,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
-
-#include "src/common/check.h"
+#include <stdexcept>
 
 namespace hybridflow {
 
@@ -82,8 +81,9 @@ int64_t ConfigMap::GetInt(const std::string& key, int64_t fallback) const {
   }
   char* end = nullptr;
   const long long value = std::strtoll(it->second.c_str(), &end, 10);
-  HF_CHECK_MSG(end != nullptr && *end == '\0' && !it->second.empty(),
-               "config key " << key << " is not an integer: '" << it->second << "'");
+  if (end == nullptr || *end != '\0' || it->second.empty()) {
+    throw std::invalid_argument("config key " + key + " is not an integer: '" + it->second + "'");
+  }
   return static_cast<int64_t>(value);
 }
 
@@ -95,8 +95,9 @@ double ConfigMap::GetDouble(const std::string& key, double fallback) const {
   }
   char* end = nullptr;
   const double value = std::strtod(it->second.c_str(), &end);
-  HF_CHECK_MSG(end != nullptr && *end == '\0' && !it->second.empty(),
-               "config key " << key << " is not a number: '" << it->second << "'");
+  if (end == nullptr || *end != '\0' || it->second.empty()) {
+    throw std::invalid_argument("config key " + key + " is not a number: '" + it->second + "'");
+  }
   return value;
 }
 
@@ -113,8 +114,7 @@ bool ConfigMap::GetBool(const std::string& key, bool fallback) const {
   if (value == "false" || value == "0" || value == "no" || value == "off") {
     return false;
   }
-  HF_CHECK_MSG(false, "config key " << key << " is not a boolean: '" << value << "'");
-  return fallback;
+  throw std::invalid_argument("config key " + key + " is not a boolean: '" + value + "'");
 }
 
 std::vector<std::string> ConfigMap::UnreadKeys() const {

@@ -21,9 +21,9 @@ class ConfigMap {
   bool ParseFile(const std::string& path, std::string* error = nullptr);
 
   bool Has(const std::string& key) const { return values_.count(key) > 0; }
-  // Getters return `fallback` when the key is absent; they abort on a
-  // present-but-unparsable value (a config error the user must fix). Each
-  // getter marks its key as read.
+  // Getters return `fallback` when the key is absent; they throw
+  // std::invalid_argument on a present-but-unparsable value (a config
+  // error the user must fix). Each getter marks its key as read.
   std::string GetString(const std::string& key, const std::string& fallback = "") const;
   int64_t GetInt(const std::string& key, int64_t fallback) const;
   double GetDouble(const std::string& key, double fallback) const;

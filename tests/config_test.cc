@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -54,11 +55,12 @@ TEST(ConfigMapTest, MalformedLineReportsError) {
   EXPECT_FALSE(config.ParseString("= value\n", &error));
 }
 
-TEST(ConfigMapTest, BadTypedValueAborts) {
+TEST(ConfigMapTest, BadTypedValueThrows) {
   ConfigMap config;
-  ASSERT_TRUE(config.ParseString("n = notanumber\nb = maybe\n"));
-  EXPECT_DEATH(config.GetInt("n", 0), "not an integer");
-  EXPECT_DEATH(config.GetBool("b", false), "not a boolean");
+  ASSERT_TRUE(config.ParseString("n = notanumber\nb = maybe\nd = 1.5x\n"));
+  EXPECT_THROW(config.GetInt("n", 0), std::invalid_argument);
+  EXPECT_THROW(config.GetBool("b", false), std::invalid_argument);
+  EXPECT_THROW(config.GetDouble("d", 0.0), std::invalid_argument);
 }
 
 TEST(ConfigMapTest, BoolSpellings) {

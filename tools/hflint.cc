@@ -998,6 +998,57 @@ bool CorpusHasType(const std::string& corpus, const std::string& name) {
   return FindToken(corpus, name) != std::string::npos;
 }
 
+// Appends to `out` the body of every class/struct/enum declaring `name`,
+// of its bases, and of the type a `using name = X;` alias names, so a
+// member reference is checked against the type that must declare it.
+// Returns false when no such declaration is found (an attribute-decorated
+// class, a namespace), which leaves the caller the corpus-wide check.
+bool CollectTypeBodies(const std::string& corpus, const std::string& name, int depth,
+                       std::string* out) {
+  if (depth > 4) {
+    return false;
+  }
+  bool found = false;
+  for (const char* keyword : {"class ", "struct ", "enum ", "using "}) {
+    const std::string needle = std::string(keyword) + name;
+    for (size_t pos = FindToken(corpus, needle); pos != std::string::npos;
+         pos = FindToken(corpus, needle, pos + 1)) {
+      const size_t head_end = corpus.find_first_of("{;", pos + needle.size());
+      if (head_end == std::string::npos) {
+        break;
+      }
+      // Between the name and `{`: a base list (`: public Base`) or, for an
+      // alias, `= Target`. Each identifier there may declare members.
+      std::string ident;
+      for (size_t i = pos + needle.size(); i <= head_end; ++i) {
+        if (i < head_end && IsIdentChar(corpus[i])) {
+          ident.push_back(corpus[i]);
+          continue;
+        }
+        if (!ident.empty() && ident != "public" && ident != "private" &&
+            ident != "protected" && ident != "virtual" && ident != "final") {
+          found = CollectTypeBodies(corpus, ident, depth + 1, out) || found;
+        }
+        ident.clear();
+      }
+      if (corpus[head_end] != '{') {
+        continue;  // Forward declaration or alias.
+      }
+      int open = 0;
+      size_t end = head_end;
+      for (; end < corpus.size(); ++end) {
+        open += corpus[end] == '{' ? 1 : corpus[end] == '}' ? -1 : 0;
+        if (open == 0) {
+          break;
+        }
+      }
+      out->append(corpus, head_end, end - head_end + 1);
+      found = true;
+    }
+  }
+  return found;
+}
+
 // Splits `head` ("ClassName::Member", "ClassName::{kA, kB}", possibly
 // hybridflow::-qualified) into the class token and the member tokens.
 // Returns false when the text is not a symbol reference (no `::`, a URL,
@@ -1087,8 +1138,14 @@ void CheckDocRefs(const fs::path& root, const std::string& corpus,
                                 "' is not declared anywhere in the tree"});
         continue;
       }
+      std::string bodies;
+      const bool declared = CollectTypeBodies(corpus, type_name, 0, &bodies);
       for (const std::string& member : members) {
-        if (!CorpusHasWord(corpus, member)) {
+        if (declared && !CorpusHasWord(bodies, member)) {
+          findings.push_back({ref.doc, ref.line, "doc-drift",
+                              "`" + ref.text + "`: member '" + member + "' is not declared in '" +
+                                  type_name + "' or its bases"});
+        } else if (!CorpusHasWord(corpus, member)) {
           findings.push_back({ref.doc, ref.line, "doc-drift",
                               "`" + ref.text + "`: member '" + member +
                                   "' does not occur in the tree"});
@@ -1427,6 +1484,25 @@ int RunRulesSelftest() {
            << "}\n"
            << "}  // namespace hybridflow\n";
   }
+  {
+    // A doc's `Type::member` must name a member of that type or its bases:
+    // a word that only another type declares is stale.
+    std::ofstream options(tree / "src/gadget/options.cc");
+    options << "namespace hybridflow {\n"
+            << "struct KvBlockConfig {\n"
+            << "  bool enable_prefix_cache = false;\n"
+            << "};\n"
+            << "struct RolloutOptions : RolloutSchedulerConfig {\n"
+            << "  int mode = 0;\n"
+            << "};\n"
+            << "}  // namespace hybridflow\n";
+    fs::create_directories(tree / "docs");
+    std::ofstream doc(tree / "docs/OPTIONS.md");
+    doc << "# Options\n\n"
+        << "`RolloutOptions::mode` and the inherited `RolloutOptions::max_running` are\n"
+        << "settings; `KvBlockConfig::enable_prefix_cache` is the cache's switch, and\n"
+        << "`RolloutOptions::enable_prefix_cache` is not a rollout option.\n";
+  }
   int files_checked = 0;
   int docs_checked = 0;
   const std::vector<Finding> findings = LintTree(tree, &files_checked, &docs_checked);
@@ -1444,6 +1520,7 @@ int RunRulesSelftest() {
       {"closed-form-pricing", "KvBlockManager constructed in pricing code"},
       {"closed-form-pricing", "DistributedKvManager constructed in pricing code"},
       {"one-scheduler-config", "max_running declared in MirrorOptions"},
+      {"doc-drift", "member 'enable_prefix_cache' is not declared in 'RolloutOptions'"},
   };
   for (const Finding& finding : findings) {
     bool matched = false;
@@ -1470,10 +1547,11 @@ int RunRulesSelftest() {
     std::cerr << "hflint --rules-selftest: " << failures << " failure(s)\n";
     return 1;
   }
-  std::cout << "hflint --rules-selftest: ok (10 bad shapes flagged, allow() hatches, "
+  std::cout << "hflint --rules-selftest: ok (11 bad shapes flagged, allow() hatches, "
                "loop-shaped waits, confined intrinsics, the step loop's own "
                "scheduler, src/obs/'s own event log, the closed-form capacity "
-               "call and the scheduler config's own settings accepted)\n";
+               "call, the scheduler config's own settings and inherited doc "
+               "members accepted)\n";
   return 0;
 }
 

@@ -50,6 +50,7 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -426,5 +427,10 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  return Run(config);
+  try {
+    return Run(config);
+  } catch (const std::invalid_argument& bad_value) {
+    std::cerr << "config error: " << bad_value.what() << "\n";
+    return 2;
+  }
 }
