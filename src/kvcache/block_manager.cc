@@ -77,15 +77,13 @@ int64_t KvBlockManager::BlocksFor(int64_t tokens) const {
 }
 
 KvBlockManager::SequenceState& KvBlockManager::State(int64_t sequence_id) {
-  auto it = tables_.find(sequence_id);
-  HF_CHECK_MSG(it != tables_.end(), "unknown sequence " << sequence_id);
-  return it->second;
+  HF_CHECK_MSG(HasSequence(sequence_id), "unknown sequence " << sequence_id);
+  return tables_[static_cast<size_t>(sequence_id)];
 }
 
 const KvBlockManager::SequenceState& KvBlockManager::State(int64_t sequence_id) const {
-  auto it = tables_.find(sequence_id);
-  HF_CHECK_MSG(it != tables_.end(), "unknown sequence " << sequence_id);
-  return it->second;
+  HF_CHECK_MSG(HasSequence(sequence_id), "unknown sequence " << sequence_id);
+  return tables_[static_cast<size_t>(sequence_id)];
 }
 
 int64_t KvBlockManager::AllocateBlock() {
@@ -184,7 +182,8 @@ bool KvBlockManager::AddSequence(int64_t sequence_id, int64_t prompt_tokens) {
 bool KvBlockManager::AddSequenceShared(int64_t sequence_id, int64_t resident_tokens,
                                        const std::vector<uint64_t>& block_hashes) {
   HF_CHECK_GE(resident_tokens, 0);
-  HF_CHECK_MSG(tables_.count(sequence_id) == 0, "sequence " << sequence_id << " already exists");
+  HF_CHECK_GE(sequence_id, 0);
+  HF_CHECK_MSG(!HasSequence(sequence_id), "sequence " << sequence_id << " already exists");
   const int64_t hit_tokens =
       config_.enable_prefix_cache ? PrefixHitTokens(block_hashes) : 0;
   const int64_t hit_count = hit_tokens / config_.block_tokens;
@@ -197,7 +196,11 @@ bool KvBlockManager::AddSequenceShared(int64_t sequence_id, int64_t resident_tok
   if (needed > available_blocks() - EvictableHitBlocks(block_hashes, hit_count)) {
     return false;
   }
-  SequenceState state;
+  if (static_cast<size_t>(sequence_id) >= tables_.size()) {
+    tables_.resize(static_cast<size_t>(sequence_id) + 1);
+  }
+  SequenceState& state = tables_[static_cast<size_t>(sequence_id)];
+  state.live = true;
   state.tokens = tokens;
   if (config_.enable_prefix_cache) {
     state.hashes = block_hashes;
@@ -220,9 +223,8 @@ bool KvBlockManager::AddSequenceShared(int64_t sequence_id, int64_t resident_tok
     state.blocks.push_back(block);
   }
   prefix_hit_tokens_total_ += hit_tokens;
-  auto [it, inserted] = tables_.emplace(sequence_id, std::move(state));
-  HF_CHECK(inserted);
-  IndexFullBlocks(it->second);
+  ++num_sequences_;
+  IndexFullBlocks(state);
   NoteAllocation();
   return true;
 }
@@ -314,16 +316,17 @@ bool KvBlockManager::ExtendSequence(int64_t sequence_id, int64_t resident_tokens
 }
 
 void KvBlockManager::Fork(int64_t parent_id, int64_t child_id) {
-  HF_CHECK_MSG(tables_.count(child_id) == 0, "sequence " << child_id << " already exists");
-  const SequenceState& parent = State(parent_id);
-  SequenceState child;
-  child.tokens = parent.tokens;
-  child.hashes = parent.hashes;
-  child.blocks = parent.blocks;
+  HF_CHECK_GE(child_id, 0);
+  HF_CHECK_MSG(!HasSequence(child_id), "sequence " << child_id << " already exists");
+  if (static_cast<size_t>(child_id) >= tables_.size()) {
+    tables_.resize(static_cast<size_t>(child_id) + 1);
+  }
+  SequenceState child = State(parent_id);
   for (int64_t block : child.blocks) {
     Ref(block);
   }
-  tables_.emplace(child_id, std::move(child));
+  tables_[static_cast<size_t>(child_id)] = std::move(child);
+  ++num_sequences_;
   NoteAllocation();
 }
 
@@ -344,64 +347,57 @@ bool KvBlockManager::CanAdmitShared(int64_t resident_tokens, int64_t reserve_tok
          available_blocks() - EvictableHitBlocks(block_hashes, hit_count);
 }
 
-bool KvBlockManager::CanAppendToken(int64_t sequence_id) const {
-  const SequenceState& state = State(sequence_id);
-  const bool needs_block = state.tokens % config_.block_tokens == 0 &&
-                           BlocksFor(state.tokens + 1) > static_cast<int64_t>(state.blocks.size());
-  if (needs_block) {
-    return available_blocks() > 0;
-  }
-  // Writing into the tail block: a shared tail must copy-on-write split,
-  // which also needs one block.
-  const Block& tail = blocks_[state.blocks.back()];
-  return tail.refs == 1 || available_blocks() > 0;
+int64_t KvBlockManager::BlocksToAppend(const SequenceState& state, int64_t tokens) const {
+  HF_CHECK_GE(tokens, 0);
+  const bool shared_tail = tokens > 0 && state.tokens % config_.block_tokens != 0 &&
+                           blocks_[static_cast<size_t>(state.blocks.back())].refs > 1;
+  return (shared_tail ? 1 : 0) + BlocksFor(state.tokens + tokens) - BlocksFor(state.tokens);
 }
 
-bool KvBlockManager::AppendToken(int64_t sequence_id) {
+bool KvBlockManager::CanAppendTokens(int64_t sequence_id, int64_t tokens) const {
+  return BlocksToAppend(State(sequence_id), tokens) <= available_blocks();
+}
+
+bool KvBlockManager::AppendTokens(int64_t sequence_id, int64_t tokens) {
   SequenceState& state = State(sequence_id);
-  const bool needs_block = state.tokens % config_.block_tokens == 0 &&
-                           BlocksFor(state.tokens + 1) > static_cast<int64_t>(state.blocks.size());
-  if (needs_block) {
-    const int64_t block = AllocateBlock();
-    if (block < 0) {
-      return false;
+  if (BlocksToAppend(state, tokens) > available_blocks()) {
+    return false;
+  }
+  int64_t left = tokens;
+  const int64_t tail_room = (config_.block_tokens - state.tokens % config_.block_tokens) %
+                            config_.block_tokens;
+  if (left > 0 && tail_room > 0) {
+    if (blocks_[static_cast<size_t>(state.blocks.back())].refs > 1) {
+      // First divergent write into a shared tail: copy-on-write split. The
+      // writer gets a private copy holding the same tokens; readers keep
+      // the original untouched. Full shared blocks are never written
+      // (appends at a boundary allocate fresh), so COW only ever hits the
+      // partial tail.
+      const int64_t block = AllocateBlock();
+      Block& copy = blocks_[static_cast<size_t>(block)];
+      copy.refs = 1;
+      copy.tokens = blocks_[static_cast<size_t>(state.blocks.back())].tokens;
+      ++used_blocks_;
+      Unref(state.blocks.back());
+      state.blocks.back() = block;
+      ++cow_splits_total_;
     }
+    const int64_t fill = std::min(left, tail_room);
+    blocks_[static_cast<size_t>(state.blocks.back())].tokens += fill;
+    state.tokens += fill;
+    left -= fill;
+  }
+  for (; left > 0; left -= config_.block_tokens) {
+    const int64_t block = AllocateBlock();
     Block& b = blocks_[static_cast<size_t>(block)];
     b.refs = 1;
-    b.tokens = 1;
+    b.tokens = std::min(left, config_.block_tokens);
     ++used_blocks_;
     state.blocks.push_back(block);
-    state.tokens += 1;
-    ++appends_total_;
-    NoteAllocation();
-    return true;
+    state.tokens += b.tokens;
   }
-  Block& tail = blocks_[state.blocks.back()];
-  if (tail.refs > 1) {
-    // First divergent write into a shared tail: copy-on-write split. The
-    // writer gets a private copy holding the same tokens; readers keep the
-    // original untouched. Full shared blocks are never written (appends at
-    // a boundary allocate fresh), so COW only ever hits the partial tail.
-    const int64_t block = AllocateBlock();
-    if (block < 0) {
-      return false;
-    }
-    Block& copy = blocks_[static_cast<size_t>(block)];
-    copy.refs = 1;
-    copy.tokens = tail.tokens;
-    ++used_blocks_;
-    Unref(state.blocks.back());
-    state.blocks.back() = block;
-    ++cow_splits_total_;
-    blocks_[static_cast<size_t>(block)].tokens += 1;
-    state.tokens += 1;
-    ++appends_total_;
-    NoteAllocation();
-    return true;
-  }
-  tail.tokens += 1;
-  state.tokens += 1;
-  ++appends_total_;
+  appends_total_ += tokens > 0 ? 1 : 0;
+  NoteAllocation();
   return true;
 }
 
@@ -414,12 +410,15 @@ void KvBlockManager::NoteSharing() {
 }
 
 void KvBlockManager::FreeSequence(int64_t sequence_id) {
-  auto it = tables_.find(sequence_id);
-  HF_CHECK_MSG(it != tables_.end(), "unknown sequence " << sequence_id);
-  for (int64_t block : it->second.blocks) {
+  SequenceState& state = State(sequence_id);
+  for (int64_t block : state.blocks) {
     Unref(block);
   }
-  tables_.erase(it);
+  state.live = false;
+  state.blocks.clear();  // Keeps capacity for the id's next admission.
+  state.hashes.clear();
+  state.tokens = 0;
+  --num_sequences_;
 }
 
 void KvBlockManager::FreeSequences(const std::vector<int64_t>& sequence_ids) {
@@ -473,7 +472,7 @@ bool KvBlockManager::RefcountsConsistent() const {
   // Recount references from the tables and compare with the per-block
   // refcounts and the cached aggregates.
   std::vector<int64_t> counted(blocks_.size(), 0);
-  for (const auto& [id, state] : tables_) {
+  for (const SequenceState& state : tables_) {
     for (int64_t block : state.blocks) {
       counted[static_cast<size_t>(block)] += 1;
     }
@@ -587,16 +586,16 @@ void DistributedKvManager::Fork(int64_t parent_id, int64_t child_id) {
   }
 }
 
-bool DistributedKvManager::AppendToken(int64_t sequence_id) {
+bool DistributedKvManager::AppendTokens(int64_t sequence_id, int64_t tokens) {
   // Either every rank can append (allocating or COW-splitting as needed)
   // or none does.
   for (const KvBlockManager& manager : ranks_) {
-    if (!manager.CanAppendToken(sequence_id)) {
+    if (!manager.CanAppendTokens(sequence_id, tokens)) {
       return false;
     }
   }
   for (KvBlockManager& manager : ranks_) {
-    HF_CHECK(manager.AppendToken(sequence_id));
+    HF_CHECK(manager.AppendTokens(sequence_id, tokens));
   }
   return true;
 }

@@ -35,9 +35,9 @@
 #ifndef SRC_KVCACHE_BLOCK_MANAGER_H_
 #define SRC_KVCACHE_BLOCK_MANAGER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <list>
-#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -117,14 +117,17 @@ class KvBlockManager {
   bool CanAdmitShared(int64_t resident_tokens, int64_t reserve_tokens,
                       const std::vector<uint64_t>& block_hashes) const;
 
-  // Appends one generated token. May allocate one block (at a block
-  // boundary) or copy-on-write split a shared tail block (first divergent
-  // write after Fork). Returns false on capacity exhaustion (sequence
-  // state unchanged).
-  bool AppendToken(int64_t sequence_id);
-  // Would AppendToken succeed right now? Pure probe (used by the
+  // Appends `tokens` generated tokens, exactly as that many AppendToken
+  // calls would: the first write into a shared partial tail copy-on-write
+  // splits it (first divergent write after Fork), and each block boundary
+  // crossed allocates one block. An append that stays inside the tail
+  // block is a counter bump. All-or-nothing: returns false on capacity
+  // exhaustion with the sequence unchanged.
+  bool AppendTokens(int64_t sequence_id, int64_t tokens);
+  bool AppendToken(int64_t sequence_id) { return AppendTokens(sequence_id, 1); }
+  // Would AppendTokens succeed right now? Pure probe (used by the
   // distributed manager to keep ranks all-or-nothing).
-  bool CanAppendToken(int64_t sequence_id) const;
+  bool CanAppendTokens(int64_t sequence_id, int64_t tokens) const;
   // Would ExtendSequence succeed right now? Pure probe.
   bool CanExtendSequence(int64_t sequence_id, int64_t resident_tokens) const;
 
@@ -137,7 +140,10 @@ class KvBlockManager {
   // call so a scheduler can reclaim a victim set atomically.
   void FreeSequences(const std::vector<int64_t>& sequence_ids);
 
-  bool HasSequence(int64_t sequence_id) const { return tables_.count(sequence_id) > 0; }
+  bool HasSequence(int64_t sequence_id) const {
+    return sequence_id >= 0 && static_cast<size_t>(sequence_id) < tables_.size() &&
+           tables_[static_cast<size_t>(sequence_id)].live;
+  }
   int64_t SequenceTokens(int64_t sequence_id) const;
   // The block table (physical block ids, in order) of a sequence.
   const std::vector<int64_t>& BlockTable(int64_t sequence_id) const;
@@ -154,7 +160,7 @@ class KvBlockManager {
   int64_t available_blocks() const { return free_blocks() + cached_blocks(); }
   // Blocks currently referenced by two or more sequences.
   int64_t shared_blocks() const { return shared_blocks_; }
-  int64_t num_sequences() const { return static_cast<int64_t>(tables_.size()); }
+  int64_t num_sequences() const { return num_sequences_; }
   double used_bytes() const;
   // Fraction of allocated block capacity actually holding tokens (1 -
   // internal fragmentation). Physical: a block shared by n sequences
@@ -199,6 +205,7 @@ class KvBlockManager {
     std::list<int64_t>::iterator lru;  // Valid iff evictable.
   };
   struct SequenceState {
+    bool live = false;
     std::vector<int64_t> blocks;
     int64_t tokens = 0;
     // Content hashes for this sequence's prompt blocks (AddSequenceShared
@@ -209,6 +216,9 @@ class KvBlockManager {
 
   SequenceState& State(int64_t sequence_id);
   const SequenceState& State(int64_t sequence_id) const;
+  // Blocks AppendTokens(·, tokens) takes: a copy of a shared partial tail
+  // plus one per block boundary crossed.
+  int64_t BlocksToAppend(const SequenceState& state, int64_t tokens) const;
   // Takes a block from the free list, or evicts the LRU cached block
   // (pruning its index entry). Returns -1 when neither is possible.
   int64_t AllocateBlock();
@@ -233,7 +243,10 @@ class KvBlockManager {
   // Unreferenced-but-retained blocks, least recently used at the front.
   std::list<int64_t> evictable_lru_;
   std::unordered_map<uint64_t, int64_t> prefix_index_;  // hash -> block id.
-  std::map<int64_t, SequenceState> tables_;
+  // Indexed by sequence id: ids are small and dense (every scheduler
+  // numbers its sequences from 0), so a lookup is one vector index.
+  std::vector<SequenceState> tables_;
+  int64_t num_sequences_ = 0;
   int64_t used_blocks_ = 0;
   int64_t shared_blocks_ = 0;
   int64_t high_water_blocks_ = 0;
@@ -263,7 +276,8 @@ class DistributedKvManager {
                          const std::vector<uint64_t>& block_hashes);
   bool ExtendSequence(int64_t sequence_id, int64_t resident_tokens);
   void Fork(int64_t parent_id, int64_t child_id);
-  bool AppendToken(int64_t sequence_id);
+  bool AppendTokens(int64_t sequence_id, int64_t tokens);
+  bool AppendToken(int64_t sequence_id) { return AppendTokens(sequence_id, 1); }
   void FreeSequence(int64_t sequence_id);
   void FreeSequences(const std::vector<int64_t>& sequence_ids);
 

@@ -22,6 +22,8 @@ RolloutScheduler::RolloutScheduler(const RolloutSchedulerConfig& config, Distrib
   HF_CHECK_GE(config_.max_running, 0);
   HF_CHECK_GE(config_.prefill_chunk_tokens, 0);
   HF_CHECK_GT(config_.fair_quantum_tokens, 0);
+  rows_.resize(sequences_->size());
+  phase_rows_.resize(static_cast<size_t>(kv_->rank(0).config().block_tokens));
 }
 
 RolloutSequence& RolloutScheduler::seq(int64_t id) {
@@ -60,9 +62,73 @@ void RolloutScheduler::Enqueue(int64_t id) {
 }
 
 void RolloutScheduler::RemoveFromRunning(int64_t id) {
-  auto it = std::find(running_.begin(), running_.end(), id);
-  HF_CHECK(it != running_.end());
-  running_.erase(it);
+  const auto erase = [id](std::vector<int64_t>& rows) {
+    auto it = std::find(rows.rbegin(), rows.rend(), id);
+    HF_CHECK(it != rows.rend());
+    rows.erase(std::next(it).base());
+  };
+  erase(running_);
+  if (seq(id).state == SequenceState::kPrefill) {
+    erase(prefilling_);
+    return;
+  }
+  erase(decoding_);
+  erase(phase_rows_[static_cast<size_t>(Phase(id))]);
+  auto [begin, end] = finish_at_.equal_range(FinishTick(id));
+  finish_at_.erase(std::find_if(begin, end, [id](const auto& entry) { return entry.second == id; }));
+  decode_kv_base_ -= seq(id).kv_tokens - rows_[static_cast<size_t>(id)].anchor;
+}
+
+void RolloutScheduler::AddDecodeRow(int64_t id, int64_t anchor) {
+  RowClock& row = rows_[static_cast<size_t>(id)];
+  row.anchor = anchor;
+  decoding_.insert(std::upper_bound(decoding_.begin(), decoding_.end(), row.ticket,
+                                    [this](int64_t ticket, int64_t other) {
+                                      return ticket < rows_[static_cast<size_t>(other)].ticket;
+                                    }),
+                   id);
+  phase_rows_[static_cast<size_t>(Phase(id))].push_back(id);
+  finish_at_.emplace(FinishTick(id), id);
+  decode_kv_base_ += seq(id).kv_tokens - anchor;
+}
+
+int64_t RolloutScheduler::Phase(int64_t id) const {
+  const int64_t block_tokens = static_cast<int64_t>(phase_rows_.size());
+  const int64_t offset = (*sequences_)[static_cast<size_t>(id)].kv_tokens -
+                         rows_[static_cast<size_t>(id)].anchor;
+  return (offset % block_tokens + block_tokens) % block_tokens;
+}
+
+int64_t RolloutScheduler::CrossingPhase() const {
+  const int64_t block_tokens = static_cast<int64_t>(phase_rows_.size());
+  return (block_tokens - ticks_ % block_tokens) % block_tokens;
+}
+
+int64_t RolloutScheduler::FinishTick(int64_t id) const {
+  const RolloutSequence& sequence = (*sequences_)[static_cast<size_t>(id)];
+  return rows_[static_cast<size_t>(id)].anchor + sequence.remaining_tokens();
+}
+
+void RolloutScheduler::Sync(int64_t id) {
+  RolloutSequence& sequence = seq(id);
+  RowClock& row = rows_[static_cast<size_t>(id)];
+  if (sequence.state != SequenceState::kDecode || row.anchor > ticks_) {
+    return;  // Not lagging: not decoding, or already committed this step.
+  }
+  const bool passed = row.ticket < commit_cursor_;
+  const int64_t lag = ticks_ + (passed ? 1 : 0) - row.anchor;
+  if (lag > 0) {
+    sequence.generated += lag;
+    sequence.kv_tokens += lag;
+    sequence.last_token_seconds = passed ? sim_now_ : last_commit_seconds_;
+    row.anchor += lag;
+  }
+}
+
+void RolloutScheduler::SyncSequences() {
+  for (int64_t id : decoding_) {
+    Sync(id);
+  }
 }
 
 void RolloutScheduler::ReleaseReservation(RolloutSequence& sequence) {
@@ -75,16 +141,17 @@ void RolloutScheduler::Preempt(int64_t id) {
   RolloutSequence& sequence = seq(id);
   HF_CHECK(sequence.state == SequenceState::kPrefill ||
            sequence.state == SequenceState::kDecode);
+  Sync(id);
   RecordEvent(SeqEventKind::kPreempt, id, sequence.kv_tokens, stats_.steps - 1);
   ReleaseReservation(sequence);
   kv_->FreeSequence(id);
+  RemoveFromRunning(id);
   sequence.kv_tokens = 0;
   sequence.prefill_computed = 0;
   sequence.state = SequenceState::kPreempted;
   sequence.preemptions += 1;
   sequence.preempted_seconds = sim_now_;
   stats_.preemptions += 1;
-  RemoveFromRunning(id);
   // Recompute-on-resume: the victim goes to the *front* of the waiting
   // queue (vLLM semantics) so preemption reorders, never starves.
   waiting_.push_front(id);
@@ -99,6 +166,7 @@ void RolloutScheduler::Cancel(int64_t id, bool expired) {
                "Cancel on a sequence that is not waiting or running");
   const bool resident = sequence.state == SequenceState::kPrefill ||
                         sequence.state == SequenceState::kDecode;
+  Sync(id);
   RecordEvent(expired ? SeqEventKind::kExpire : SeqEventKind::kCancel, id, sequence.kv_tokens,
               std::max<int64_t>(stats_.steps - 1, 0));
   if (resident) {
@@ -142,34 +210,27 @@ void RolloutScheduler::ExpireOverdue() {
   }
 }
 
-int64_t RolloutScheduler::BlocksNeededForRunning() const {
+std::vector<int64_t> RolloutScheduler::PrefillBlocksNeeded() const {
   const KvBlockManager& rank0 = kv_->rank(0);
-  const int64_t block_tokens = rank0.config().block_tokens;
   // Mirrors BeginStep's plan-building loop: same running order, same
   // budget accounting, so the preemption pass reserves exactly the blocks
   // the plan will then take.
   int64_t budget = config_.prefill_chunk_tokens > 0 ? config_.prefill_chunk_tokens
                                                     : std::numeric_limits<int64_t>::max();
-  int64_t needed = 0;
-  for (int64_t id : running_) {
+  std::vector<int64_t> needed;
+  needed.reserve(prefilling_.size());
+  for (int64_t id : prefilling_) {
     const RolloutSequence& sequence = (*sequences_)[static_cast<size_t>(id)];
-    if (sequence.state == SequenceState::kDecode) {
-      if (sequence.kv_tokens % block_tokens == 0) {
-        needed += 1;  // The next append crosses a block boundary.
-      }
-      continue;
-    }
-    // Mid-prefill row (chunked prefill): its next chunk must extend KV
-    // residency to cover the tokens it computes (incremental residency).
-    const int64_t pending = sequence.total_tokens() - sequence.prefill_computed;
-    const int64_t grant = std::min(budget, pending);
-    if (grant <= 0) {
-      continue;  // Budget exhausted: the row idles this step, needs nothing.
-    }
-    budget -= grant;
+    // Its next chunk must extend KV residency to cover the tokens it
+    // computes; a row the budget no longer reaches idles and needs nothing.
+    const int64_t grant =
+        std::min(budget, sequence.total_tokens() - sequence.prefill_computed);
+    budget -= std::max<int64_t>(grant, 0);
     const int64_t resident_target =
         std::max(sequence.kv_tokens, sequence.prefill_computed + grant);
-    needed += rank0.BlocksFor(resident_target) - rank0.BlocksFor(sequence.kv_tokens);
+    needed.push_back(grant <= 0 ? 0
+                                : rank0.BlocksFor(resident_target) -
+                                      rank0.BlocksFor(sequence.kv_tokens));
   }
   return needed;
 }
@@ -284,7 +345,9 @@ bool RolloutScheduler::TryAdmit(int64_t id, StepPlan* plan, int64_t* budget) {
     RecordEvent(SeqEventKind::kResume, id, total - skip, stats_.steps - 1);
   }
   stats_.admissions += 1;
+  rows_[static_cast<size_t>(id)].ticket = next_ticket_++;
   running_.push_back(id);
+  prefilling_.push_back(id);
   *budget -= grant;
   plan->prefill.push_back({id, grant, skip + grant == total});
   waiting_.erase(std::find(waiting_.begin(), waiting_.end(), id));
@@ -378,11 +441,23 @@ StepPlan RolloutScheduler::BeginStep() {
   // 1. Reserve the running set's blocks for this step — decode rows' next-
   // token appends plus mid-prefill rows' residency extensions (incremental
   // residency) — before admitting anyone; evict the youngest until the
-  // incumbents fit (free-and-requeue). Recomputed after every eviction: a
-  // preempted mid-prefill victim returns its chunk grant to the budget.
-  while (!running_.empty() &&
-         BlocksNeededForRunning() > kv_->rank(0).available_blocks()) {
-    Preempt(running_.back());
+  // incumbents fit (free-and-requeue). The victim is always the last row
+  // of the running order, so no other row's grant changes: the need is
+  // computed once and each victim's own share subtracted.
+  std::vector<int64_t> prefill_needed = PrefillBlocksNeeded();
+  int64_t needed = static_cast<int64_t>(phase_rows_[static_cast<size_t>(CrossingPhase())].size());
+  for (int64_t blocks : prefill_needed) {
+    needed += blocks;
+  }
+  while (!running_.empty() && needed > kv_->rank(0).available_blocks()) {
+    const int64_t victim = running_.back();
+    if (seq(victim).state == SequenceState::kDecode) {
+      needed -= Phase(victim) == CrossingPhase() ? 1 : 0;
+    } else {
+      needed -= prefill_needed.back();
+      prefill_needed.pop_back();
+    }
+    Preempt(victim);
   }
 
   int64_t budget = config_.prefill_chunk_tokens > 0 ? config_.prefill_chunk_tokens
@@ -394,12 +469,11 @@ StepPlan RolloutScheduler::BeginStep() {
   // to cover each chunk as it enters compute. The extensions cannot fail:
   // phase 1 preempted until exactly these needs fit, and nothing else has
   // allocated since.
-  for (int64_t id : running_) {
+  plan.decode = decoding_;
+  plan.decode_kv_tokens =
+      decode_kv_base_ + ticks_ * static_cast<int64_t>(decoding_.size());
+  for (int64_t id : prefilling_) {
     RolloutSequence& sequence = seq(id);
-    if (sequence.state == SequenceState::kDecode) {
-      plan.decode.push_back(id);
-      continue;
-    }
     const int64_t pending = sequence.total_tokens() - sequence.prefill_computed;
     const int64_t grant = std::min(budget, pending);
     if (grant <= 0) {
@@ -424,6 +498,10 @@ StepPlan RolloutScheduler::BeginStep() {
   // head of the order is never starved by smaller requests behind it.
   if (config_.admission == AdmissionPolicy::kWeightedFair) {
     AdmitWeightedFair(&plan, &budget);
+  } else if (config_.policy == RolloutPolicy::kFcfs &&
+             config_.admission == AdmissionPolicy::kQueueOrder) {
+    while (!waiting_.empty() && TryAdmit(waiting_.front(), &plan, &budget)) {
+    }
   } else {
     for (int64_t id : AdmissionOrder()) {
       if (!TryAdmit(id, &plan, &budget)) {
@@ -452,6 +530,29 @@ StepPlan RolloutScheduler::BeginStep() {
 }
 
 void RolloutScheduler::CommitStep(const StepPlan& plan, const std::vector<int64_t>& eos_finished) {
+  // The decode rows an event touches this step, taken before the commit
+  // changes anything: every row when a log records each token; otherwise
+  // the rows whose append crosses a block boundary, the rows reaching
+  // their target, and EOS rows. Victims join as they are preempted.
+  touched_.clear();
+  if (event_log_ != nullptr) {
+    touched_ = plan.decode;
+  } else {
+    touched_ = phase_rows_[static_cast<size_t>(CrossingPhase())];
+    for (auto [it, end] = finish_at_.equal_range(ticks_ + 1); it != end; ++it) {
+      touched_.push_back(it->second);
+    }
+    for (int64_t id : eos_finished) {
+      if (seq(id).state == SequenceState::kDecode) {
+        touched_.push_back(id);
+      }
+    }
+    const auto by_ticket = [this](int64_t a, int64_t b) {
+      return rows_[static_cast<size_t>(a)].ticket < rows_[static_cast<size_t>(b)].ticket;
+    };
+    std::sort(touched_.begin(), touched_.end(), by_ticket);
+    touched_.erase(std::unique(touched_.begin(), touched_.end()), touched_.end());
+  }
   for (const PrefillChunk& chunk : plan.prefill) {
     RolloutSequence& sequence = seq(chunk.id);
     const bool resident = sequence.state == SequenceState::kPrefill ||
@@ -465,17 +566,32 @@ void RolloutScheduler::CommitStep(const StepPlan& plan, const std::vector<int64_
       CommitEmittedToken(chunk.id, eos_finished);
     }
   }
-  for (int64_t id : plan.decode) {
-    CommitEmittedToken(id, eos_finished);
+  // Decode rows in running order; the rows between two touched ones only
+  // gain their token, which Sync applies once the cursor has passed them.
+  for (size_t i = 0; i < touched_.size(); ++i) {
+    commit_cursor_ = rows_[static_cast<size_t>(touched_[i])].ticket;
+    CommitEmittedToken(touched_[i], eos_finished);
   }
+  commit_cursor_ = -1;
+  ticks_ += 1;
+  last_commit_seconds_ = sim_now_;
 }
 
 void RolloutScheduler::CommitEmittedToken(int64_t id, const std::vector<int64_t>& eos_finished) {
   RolloutSequence& sequence = seq(id);
+  Sync(id);
   // A row preempted earlier in this commit (as someone's victim) still
   // emitted its token; it just lost its KV residency.
   const bool resident = sequence.state == SequenceState::kPrefill ||
                         sequence.state == SequenceState::kDecode;
+  const bool finished =
+      sequence.generated + 1 >= sequence.target_new_tokens ||
+      std::find(eos_finished.begin(), eos_finished.end(), id) != eos_finished.end();
+  if (finished && resident) {
+    ReleaseReservation(sequence);
+    kv_->FreeSequence(id);
+    RemoveFromRunning(id);
+  }
   sequence.generated += 1;
   if (sequence.generated == 1) {
     sequence.first_token_seconds = sim_now_;
@@ -483,15 +599,8 @@ void RolloutScheduler::CommitEmittedToken(int64_t id, const std::vector<int64_t>
   sequence.last_token_seconds = sim_now_;
   RecordEvent(sequence.generated == 1 ? SeqEventKind::kFirstToken : SeqEventKind::kDecodeStep, id,
               sequence.generated, stats_.steps - 1);
-  const bool finished =
-      sequence.generated >= sequence.target_new_tokens ||
-      std::find(eos_finished.begin(), eos_finished.end(), id) != eos_finished.end();
   if (finished) {
-    if (resident) {
-      ReleaseReservation(sequence);
-      kv_->FreeSequence(id);
-      RemoveFromRunning(id);
-    } else {
+    if (!resident) {
       // Preempted mid-commit but its freshly emitted token ends it:
       // drop it from the waiting queue it was just pushed onto.
       waiting_.erase(std::find(waiting_.begin(), waiting_.end(), id));
@@ -505,10 +614,13 @@ void RolloutScheduler::CommitEmittedToken(int64_t id, const std::vector<int64_t>
   if (!resident) {
     return;  // Waits for re-admission; token kept, KV recomputed later.
   }
-  // Append the new token's KV entry, evicting youngest-first on
-  // exhaustion (possibly this sequence itself, if it is the only one
-  // left — only possible when admission overcommitted shared headroom).
-  while (!kv_->AppendToken(id)) {
+  // Append the new token's KV entry, plus the tokens this row gained
+  // without a visit (they never cross a block boundary), evicting
+  // youngest-first on exhaustion (possibly this sequence itself, if it is
+  // the only one left — only possible when admission overcommitted shared
+  // headroom).
+  const int64_t lagging = sequence.kv_tokens - kv_->rank(0).SequenceTokens(id);
+  while (!kv_->AppendTokens(id, lagging + 1)) {
     int64_t victim = -1;
     for (auto it = running_.rbegin(); it != running_.rend(); ++it) {
       if (*it != id) {
@@ -516,15 +628,32 @@ void RolloutScheduler::CommitEmittedToken(int64_t id, const std::vector<int64_t>
         break;
       }
     }
-    Preempt(victim >= 0 ? victim : id);
     if (victim < 0) {
+      Preempt(id);
       return;  // Preempted itself; the appended token is recomputed later.
     }
+    // A decode row the cursor has not reached still emits this step: it
+    // must be visited once it is preempted.
+    const RowClock& row = rows_[static_cast<size_t>(victim)];
+    const bool pending = seq(victim).state == SequenceState::kDecode && row.anchor <= ticks_ &&
+                         row.ticket > commit_cursor_;
+    Preempt(victim);
+    const auto at = std::lower_bound(
+        touched_.begin(), touched_.end(), row.ticket, [this](int64_t other, int64_t ticket) {
+          return rows_[static_cast<size_t>(other)].ticket < ticket;
+        });
+    if (pending && (at == touched_.end() || *at != victim)) {
+      touched_.insert(at, victim);
+    }
   }
-  if (sequence.state == SequenceState::kPrefill || sequence.state == SequenceState::kDecode) {
-    sequence.kv_tokens += 1;
+  sequence.kv_tokens += 1;
+  if (sequence.state == SequenceState::kPrefill) {
     sequence.prefill_computed = 0;
     sequence.state = SequenceState::kDecode;
+    prefilling_.erase(std::find(prefilling_.begin(), prefilling_.end(), id));
+    AddDecodeRow(id, ticks_ + 1);
+  } else {
+    rows_[static_cast<size_t>(id)].anchor = ticks_ + 1;
   }
 }
 

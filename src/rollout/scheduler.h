@@ -120,6 +120,10 @@ struct PrefillChunk {
 struct StepPlan {
   std::vector<PrefillChunk> prefill;
   std::vector<int64_t> decode;
+  // Sum of the decode rows' kv_tokens this step: what a decode step's cost
+  // depends on. The rows' own RolloutSequence::kv_tokens may lag behind
+  // (see RolloutScheduler::SyncSequences).
+  int64_t decode_kv_tokens = 0;
 
   bool empty() const { return prefill.empty() && decode.empty(); }
   int64_t rows() const {
@@ -203,11 +207,22 @@ class RolloutScheduler {
   // target_new_tokens) release their blocks; the rest append their new
   // token to the KV cache, preempting victims (youngest-first, possibly
   // themselves) on exhaustion.
+  //
+  // Cost is O(events), not O(rows): between events a decode row only
+  // gains one token per step, so the commit visits just the rows an event
+  // touches (block-boundary crossers, finishers, EOS rows, prefill chunks,
+  // victims), in running order. The others' generated, kv_tokens and
+  // last_token_seconds advance lazily; with an event log attached every
+  // token is an event and every row is visited.
   void CommitStep(const StepPlan& plan, const std::vector<int64_t>& eos_finished);
+
+  // Brings every decode row's lagging generated, kv_tokens and
+  // last_token_seconds up to date. Call before reading those fields
+  // between steps; finished, cancelled and expired rows are always exact.
+  void SyncSequences();
 
   bool HasWork() const { return !waiting_.empty() || !running_.empty(); }
   const std::deque<int64_t>& waiting() const { return waiting_; }
-  const std::vector<int64_t>& running() const { return running_; }
   const RolloutSchedulerStats& stats() const { return stats_; }
   int64_t current_step() const { return stats_.steps; }
 
@@ -229,7 +244,20 @@ class RolloutScheduler {
   // Frees the victim's KV and requeues it at the front of the waiting
   // queue (its context is recomputed on resume).
   void Preempt(int64_t id);
+  // Drops a synced row from the running set (and the decode aggregates).
   void RemoveFromRunning(int64_t id);
+  // Decode-row bookkeeping: a row joins the aggregates with counters exact
+  // at tick `anchor`; Sync advances a row's counters to the tick it has
+  // reached (during a commit, rows the cursor has passed are one ahead).
+  void AddDecodeRow(int64_t id, int64_t anchor);
+  void Sync(int64_t id);
+  // (kv_tokens - anchor) mod block_tokens: constant while a row decodes.
+  // The row's next append crosses a block boundary when this equals
+  // CrossingPhase().
+  int64_t Phase(int64_t id) const;
+  int64_t CrossingPhase() const;
+  // Tick at which a decode row would finish (reach target_new_tokens).
+  int64_t FinishTick(int64_t id) const;
   // Expires every waiting or still-prefilling sequence whose ttft_deadline
   // is strictly behind sim_now_ (first token not yet emitted).
   void ExpireOverdue();
@@ -240,10 +268,9 @@ class RolloutScheduler {
   std::vector<int64_t> AdmissionOrder() const;
   // Weighted deficit round-robin admission over per-tenant FIFOs.
   void AdmitWeightedFair(StepPlan* plan, int64_t* budget);
-  // Blocks the running set needs this step on one rank: decode rows'
-  // boundary appends plus mid-prefill rows' residency extensions under
-  // this step's prefill budget (incremental residency).
-  int64_t BlocksNeededForRunning() const;
+  // Blocks each mid-prefill row's residency extension needs this step
+  // under the prefill budget (incremental residency), in running order.
+  std::vector<int64_t> PrefillBlocksNeeded() const;
   // Retires or appends one row that emitted a token this step.
   void CommitEmittedToken(int64_t id, const std::vector<int64_t>& eos_finished);
   // Returns the sequence's full-length reservation to the pool (no-op if it
@@ -257,7 +284,29 @@ class RolloutScheduler {
   DistributedKvManager* kv_;
   std::vector<RolloutSequence>* sequences_;
   std::deque<int64_t> waiting_;
-  std::vector<int64_t> running_;  // Admission order: oldest first.
+  std::vector<int64_t> running_;     // Admission order: oldest first.
+  std::vector<int64_t> decoding_;    // running_'s kDecode rows, in order.
+  std::vector<int64_t> prefilling_;  // running_'s kPrefill rows, in order.
+  // Per id: admission ticket (running_ is sorted by it) and the tick at
+  // which a decode row's counters were last exact.
+  struct RowClock {
+    int64_t ticket = 0;
+    int64_t anchor = 0;
+  };
+  std::vector<RowClock> rows_;
+  int64_t next_ticket_ = 0;
+  int64_t ticks_ = 0;  // Completed commits.
+  // During a commit's decode pass, the ticket of the row being committed;
+  // -1 otherwise.
+  int64_t commit_cursor_ = -1;
+  double last_commit_seconds_ = 0.0;
+  // Decode aggregates: sum of (kv_tokens - anchor), rows by Phase(), and
+  // rows by FinishTick().
+  int64_t decode_kv_base_ = 0;
+  std::vector<std::vector<int64_t>> phase_rows_;
+  std::multimap<int64_t, int64_t> finish_at_;
+  // The current commit's touched decode rows, sorted by ticket.
+  std::vector<int64_t> touched_;
   RolloutSchedulerStats stats_;
   SeqEventLog* event_log_ = nullptr;
   int64_t event_run_ = 0;

@@ -96,13 +96,16 @@ double SimStepExecutor::Execute(const StepPlan& plan,
     step_seconds += prefill_seconds;
   }
   // Decode: rows that caught up with their context emit one token against
-  // its live KV; partial chunks do not run the decode step yet.
-  int64_t rows = 0;
-  int64_t context_tokens = 0;
-  plan.ForEachEmitting([&](int64_t id) {
-    rows += 1;
-    context_tokens += sequences[static_cast<size_t>(id)].kv_tokens;
-  });
+  // its live KV; partial chunks do not run the decode step yet. The decode
+  // rows come priced as one sum, so a step costs O(prefill chunks).
+  int64_t rows = static_cast<int64_t>(plan.decode.size());
+  int64_t context_tokens = plan.decode_kv_tokens;
+  for (const PrefillChunk& chunk : plan.prefill) {
+    if (chunk.completes) {
+      rows += 1;
+      context_tokens += sequences[static_cast<size_t>(chunk.id)].kv_tokens;
+    }
+  }
   if (rows > 0) {
     const double decode_seconds = perf_.DecodeStepTime(gen_, devices_, rows, context_tokens);
     const double comm_seconds = perf_.DecodeCommStepTime(gen_, devices_, rows);
@@ -168,6 +171,7 @@ StepLoopResult RunStepLoop(const StepLoopConfig& config, std::vector<RolloutSequ
       }
     }
     if (between_steps != nullptr) {
+      scheduler.SyncSequences();
       to_cancel.clear();
       between_steps(now, seqs, &to_cancel);
       for (int64_t id : to_cancel) {

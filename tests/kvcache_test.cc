@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "src/kvcache/block_manager.h"
 
@@ -422,7 +424,7 @@ TEST(KvCacheCowTest, CowSplitFailsCleanlyWhenPoolIsDry) {
   ASSERT_TRUE(manager.AddSequence(1, 6));  // Both blocks taken.
   manager.Fork(1, 2);
   // The split needs a block and none is free or evictable.
-  EXPECT_FALSE(manager.CanAppendToken(2));
+  EXPECT_FALSE(manager.CanAppendTokens(2, 1));
   EXPECT_FALSE(manager.AppendToken(2));
   EXPECT_EQ(manager.SequenceTokens(2), 6);  // Unchanged on failure.
   EXPECT_EQ(manager.cow_splits_total(), 0);
@@ -528,6 +530,74 @@ TEST(KvCacheDistributedTest, SharedAdmissionAndForkStayInLockstep) {
   EXPECT_EQ(manager.rank(0).cached_blocks(), manager.rank(1).cached_blocks());
   EXPECT_TRUE(manager.rank(0).RefcountsConsistent());
   EXPECT_TRUE(manager.rank(1).RefcountsConsistent());
+}
+
+
+// Every observable of one rank that an append can change.
+void ExpectSameRank(const KvBlockManager& bulk, const KvBlockManager& single,
+                    const std::vector<int64_t>& ids) {
+  for (int64_t id : ids) {
+    ASSERT_EQ(bulk.HasSequence(id), single.HasSequence(id));
+    if (bulk.HasSequence(id)) {
+      EXPECT_EQ(bulk.BlockTable(id), single.BlockTable(id)) << "sequence " << id;
+      EXPECT_EQ(bulk.SequenceTokens(id), single.SequenceTokens(id)) << "sequence " << id;
+    }
+  }
+  EXPECT_EQ(bulk.used_blocks(), single.used_blocks());
+  EXPECT_EQ(bulk.shared_blocks(), single.shared_blocks());
+  EXPECT_EQ(bulk.cached_blocks(), single.cached_blocks());
+  EXPECT_EQ(bulk.cow_splits_total(), single.cow_splits_total());
+  EXPECT_EQ(bulk.high_water_blocks(), single.high_water_blocks());
+  EXPECT_EQ(bulk.allocations_total(), single.allocations_total());
+  EXPECT_DOUBLE_EQ(bulk.Occupancy(), single.Occupancy());
+  EXPECT_TRUE(bulk.RefcountsConsistent());
+  EXPECT_TRUE(single.RefcountsConsistent());
+}
+
+TEST(KvCacheBulkAppendTest, AppendTokensEqualsRepeatedAppendToken) {
+  for (const int ranks : {1, 4}) {
+    for (const bool prefix_cache : {false, true}) {
+      SCOPED_TRACE(testing::Message() << ranks << " ranks, prefix cache " << prefix_cache);
+      KvBlockConfig config = SmallConfig(/*blocks=*/32, /*block_tokens=*/4);
+      config.enable_prefix_cache = prefix_cache;
+      DistributedKvManager bulk(ranks, config);
+      DistributedKvManager single(ranks, config);
+      const std::vector<uint64_t> hashes = GroupBlockHashes(/*group=*/5, /*full_blocks=*/2);
+      for (DistributedKvManager* manager : {&bulk, &single}) {
+        ASSERT_TRUE(manager->AddSequenceShared(1, 6, hashes));  // Partial tail.
+        manager->Fork(1, 2);                                    // Shared partial tail.
+        ASSERT_TRUE(manager->AddSequenceShared(3, 8, hashes));  // Tail at a boundary.
+        ASSERT_TRUE(manager->AddSequence(4, 0));                // Empty.
+      }
+      const std::vector<int64_t> ids = {1, 2, 3, 4};
+      // (sequence, tokens): COW splits into a fill, fills that stop short
+      // of, reach, and cross boundaries, multi-block runs, and no-ops.
+      const std::vector<std::pair<int64_t, int64_t>> appends = {
+          {2, 1}, {1, 2}, {1, 1}, {2, 6}, {3, 4}, {3, 1}, {4, 9}, {1, 0}, {4, 3}, {3, 11}};
+      for (const auto& [id, tokens] : appends) {
+        SCOPED_TRACE(testing::Message() << "append " << tokens << " to " << id);
+        ASSERT_TRUE(bulk.AppendTokens(id, tokens));
+        for (int64_t i = 0; i < tokens; ++i) {
+          ASSERT_TRUE(single.AppendToken(id));
+        }
+        ASSERT_TRUE(bulk.TablesInLockstep());
+        for (int rank = 0; rank < ranks; ++rank) {
+          ExpectSameRank(bulk.rank(rank), single.rank(rank), ids);
+        }
+      }
+      EXPECT_EQ(bulk.rank(0).cow_splits_total(), 1);
+      // All-or-nothing: an append the pool cannot hold changes nothing.
+      const int64_t tokens = bulk.rank(0).SequenceTokens(4);
+      const std::vector<int64_t> table = bulk.rank(0).BlockTable(4);
+      EXPECT_FALSE(bulk.AppendTokens(4, 4 * config.num_blocks));
+      EXPECT_EQ(bulk.rank(0).SequenceTokens(4), tokens);
+      EXPECT_EQ(bulk.rank(0).BlockTable(4), table);
+      ExpectSameRank(bulk.rank(0), single.rank(0), ids);
+      bulk.FreeSequences(ids);
+      EXPECT_EQ(bulk.rank(0).used_blocks(), 0);
+      EXPECT_TRUE(bulk.rank(0).RefcountsConsistent());
+    }
+  }
 }
 
 }  // namespace

@@ -623,6 +623,8 @@ TEST(RolloutSchedulerTest, ChunkedPrefillSharesBudgetAcrossAdmissions) {
   EXPECT_TRUE(plan.prefill[0].completes);
   EXPECT_EQ(plan.decode, (std::vector<int64_t>{0}));
   scheduler.CommitStep(plan, /*eos_finished=*/{});
+  // Decode rows' counters advance lazily between events.
+  scheduler.SyncSequences();
   EXPECT_EQ(sequences[0].generated, 2);
   EXPECT_EQ(sequences[1].generated, 1);
 }

@@ -465,6 +465,57 @@ TEST(SeqLatencyTest, SequenceStampsSummarizeExactlyLikeTheEventStream) {
   ExpectSameDigest(got.preemption_stall, want.preemption_stall, "preemption_stall");
 }
 
+TEST(SeqLatencyTest, LazyDecodeRowsMatchTheEveryRowPathExactly) {
+  // Without a log the scheduler visits only the rows an event touches and
+  // advances the rest arithmetically; with one, every row is visited for
+  // its per-token event. Every simulated number must agree bit for bit on
+  // a run that preempts, chunks prefill and hits the prefix cache; only
+  // the KV append count differs.
+  const PerfModel perf(ModelSpec::Llama7B(), ClusterSpec::WithGpus(8));
+  const GenParallelConfig gen{1, 2};
+  const std::vector<DeviceId> devices{0, 1};
+  std::vector<NominalSequence> sequences;
+  for (int64_t i = 0; i < 48; ++i) {
+    sequences.push_back({100 + 37 * (i % 5), 1 + 53 * (i % 7), i % 3 == 0 ? i % 4 : -1});
+  }
+  RolloutOptions lazy;
+  lazy.mode = RolloutMode::kContinuous;
+  lazy.prefill_chunk_tokens = 192;
+  lazy.prefix_cache = true;
+  SeqEventLog log;
+  RolloutOptions visited = lazy;
+  visited.sim_event_log = &log;
+  const double budget = 48.0 * 16.0 * perf.KvBytesPerTokenPerGpu(gen);
+  const RolloutSimResult got =
+      SimulateContinuousGeneration(perf, gen, devices, sequences, budget, lazy);
+  const RolloutSimResult want =
+      SimulateContinuousGeneration(perf, gen, devices, sequences, budget, visited);
+  ASSERT_GT(want.stats.preemptions, 0);
+  ASSERT_GT(want.stats.prefill_chunks, 0);
+  ASSERT_GT(want.stats.prefix_skipped_tokens, 0);
+  EXPECT_EQ(got.time.prefill_seconds, want.time.prefill_seconds);
+  EXPECT_EQ(got.time.decode_seconds, want.time.decode_seconds);
+  EXPECT_EQ(got.time.comm_seconds, want.time.comm_seconds);
+  EXPECT_EQ(got.max_step_seconds, want.max_step_seconds);
+  EXPECT_EQ(got.stats.steps, want.stats.steps);
+  EXPECT_EQ(got.stats.admissions, want.stats.admissions);
+  EXPECT_EQ(got.stats.preemptions, want.stats.preemptions);
+  EXPECT_EQ(got.stats.recomputed_tokens, want.stats.recomputed_tokens);
+  EXPECT_EQ(got.stats.prefix_skipped_tokens, want.stats.prefix_skipped_tokens);
+  EXPECT_EQ(got.stats.queue_wait_steps_total, want.stats.queue_wait_steps_total);
+  EXPECT_EQ(got.stats.kv_high_water_blocks, want.stats.kv_high_water_blocks);
+  EXPECT_EQ(got.stats.kv_allocations, want.stats.kv_allocations);
+  EXPECT_EQ(got.stats.kv_peak_utilization, want.stats.kv_peak_utilization);
+  EXPECT_LT(got.stats.kv_appends, want.stats.kv_appends);
+  EXPECT_EQ(got.latency.finished, want.latency.finished);
+  EXPECT_EQ(got.latency.preemptions, want.latency.preemptions);
+  ExpectSameDigest(got.latency.ttft, want.latency.ttft, "ttft");
+  ExpectSameDigest(got.latency.tpot, want.latency.tpot, "tpot");
+  ExpectSameDigest(got.latency.queue_delay, want.latency.queue_delay, "queue_delay");
+  ExpectSameDigest(got.latency.preemption_stall, want.latency.preemption_stall,
+                   "preemption_stall");
+}
+
 TEST(SeqLatencyTest, DualTraceMergesSeqEventsAsValidJson) {
   ClusterState state(ClusterSpec::WithGpus(1));
   std::vector<SeqEvent> events;
