@@ -293,6 +293,7 @@ bool KvBlockManager::ExtendSequence(int64_t sequence_id, int64_t resident_tokens
   // The existing tail block (if partial) simply fills further; only whole
   // new blocks are allocated. Residency growth never shares: prefix hits
   // are taken once, at admission, so compute-skip accounting stays simple.
+  const size_t tail = state.blocks.empty() ? 0 : state.blocks.size() - 1;
   for (int64_t i = 0; i < needed; ++i) {
     const int64_t block = AllocateBlock();
     HF_CHECK_GE(block, 0);
@@ -302,8 +303,9 @@ bool KvBlockManager::ExtendSequence(int64_t sequence_id, int64_t resident_tokens
     state.blocks.push_back(block);
   }
   state.tokens = resident_tokens;
-  // Recompute per-block fill for this sequence's own (unshared) blocks.
-  for (size_t i = 0; i < state.blocks.size(); ++i) {
+  // Recompute the fill of this sequence's own (unshared) blocks from the
+  // old tail on; the blocks before it were already full.
+  for (size_t i = tail; i < state.blocks.size(); ++i) {
     Block& b = blocks_[state.blocks[i]];
     if (b.refs == 1) {
       b.tokens = std::min<int64_t>(config_.block_tokens,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 
 #include "src/common/check.h"
 
@@ -61,14 +62,19 @@ void RolloutScheduler::Enqueue(int64_t id) {
   RecordEvent(SeqEventKind::kEnqueue, id, sequence.total_tokens(), stats_.steps);
 }
 
-void RolloutScheduler::RemoveFromRunning(int64_t id) {
+void RolloutScheduler::ReleaseRunning(int64_t id) {
+  RolloutSequence& sequence = seq(id);
+  reserved_blocks_total_ -= sequence.reserved_blocks;
+  HF_CHECK_GE(reserved_blocks_total_, 0);
+  sequence.reserved_blocks = 0;
+  kv_->FreeSequence(id);
   const auto erase = [id](std::vector<int64_t>& rows) {
     auto it = std::find(rows.rbegin(), rows.rend(), id);
     HF_CHECK(it != rows.rend());
     rows.erase(std::next(it).base());
   };
   erase(running_);
-  if (seq(id).state == SequenceState::kPrefill) {
+  if (sequence.state == SequenceState::kPrefill) {
     erase(prefilling_);
     return;
   }
@@ -76,17 +82,19 @@ void RolloutScheduler::RemoveFromRunning(int64_t id) {
   erase(phase_rows_[static_cast<size_t>(Phase(id))]);
   auto [begin, end] = finish_at_.equal_range(FinishTick(id));
   finish_at_.erase(std::find_if(begin, end, [id](const auto& entry) { return entry.second == id; }));
-  decode_kv_base_ -= seq(id).kv_tokens - rows_[static_cast<size_t>(id)].anchor;
+  decode_kv_base_ -= sequence.kv_tokens - rows_[static_cast<size_t>(id)].anchor;
+}
+
+auto RolloutScheduler::ByTicket() const {
+  return [this](int64_t a, int64_t b) {
+    return rows_[static_cast<size_t>(a)].ticket < rows_[static_cast<size_t>(b)].ticket;
+  };
 }
 
 void RolloutScheduler::AddDecodeRow(int64_t id, int64_t anchor) {
   RowClock& row = rows_[static_cast<size_t>(id)];
   row.anchor = anchor;
-  decoding_.insert(std::upper_bound(decoding_.begin(), decoding_.end(), row.ticket,
-                                    [this](int64_t ticket, int64_t other) {
-                                      return ticket < rows_[static_cast<size_t>(other)].ticket;
-                                    }),
-                   id);
+  decoding_.insert(std::upper_bound(decoding_.begin(), decoding_.end(), id, ByTicket()), id);
   phase_rows_[static_cast<size_t>(Phase(id))].push_back(id);
   finish_at_.emplace(FinishTick(id), id);
   decode_kv_base_ += seq(id).kv_tokens - anchor;
@@ -131,21 +139,13 @@ void RolloutScheduler::SyncSequences() {
   }
 }
 
-void RolloutScheduler::ReleaseReservation(RolloutSequence& sequence) {
-  reserved_blocks_total_ -= sequence.reserved_blocks;
-  HF_CHECK_GE(reserved_blocks_total_, 0);
-  sequence.reserved_blocks = 0;
-}
-
 void RolloutScheduler::Preempt(int64_t id) {
   RolloutSequence& sequence = seq(id);
   HF_CHECK(sequence.state == SequenceState::kPrefill ||
            sequence.state == SequenceState::kDecode);
   Sync(id);
   RecordEvent(SeqEventKind::kPreempt, id, sequence.kv_tokens, stats_.steps - 1);
-  ReleaseReservation(sequence);
-  kv_->FreeSequence(id);
-  RemoveFromRunning(id);
+  ReleaseRunning(id);
   sequence.kv_tokens = 0;
   sequence.prefill_computed = 0;
   sequence.state = SequenceState::kPreempted;
@@ -170,9 +170,7 @@ void RolloutScheduler::Cancel(int64_t id, bool expired) {
   RecordEvent(expired ? SeqEventKind::kExpire : SeqEventKind::kCancel, id, sequence.kv_tokens,
               std::max<int64_t>(stats_.steps - 1, 0));
   if (resident) {
-    ReleaseReservation(sequence);
-    kv_->FreeSequence(id);
-    RemoveFromRunning(id);
+    ReleaseRunning(id);
   } else {
     auto it = std::find(waiting_.begin(), waiting_.end(), id);
     HF_CHECK(it != waiting_.end());
@@ -445,10 +443,9 @@ StepPlan RolloutScheduler::BeginStep() {
   // of the running order, so no other row's grant changes: the need is
   // computed once and each victim's own share subtracted.
   std::vector<int64_t> prefill_needed = PrefillBlocksNeeded();
-  int64_t needed = static_cast<int64_t>(phase_rows_[static_cast<size_t>(CrossingPhase())].size());
-  for (int64_t blocks : prefill_needed) {
-    needed += blocks;
-  }
+  int64_t needed = std::accumulate(
+      prefill_needed.begin(), prefill_needed.end(),
+      static_cast<int64_t>(phase_rows_[static_cast<size_t>(CrossingPhase())].size()));
   while (!running_.empty() && needed > kv_->rank(0).available_blocks()) {
     const int64_t victim = running_.back();
     if (seq(victim).state == SequenceState::kDecode) {
@@ -534,7 +531,6 @@ void RolloutScheduler::CommitStep(const StepPlan& plan, const std::vector<int64_
   // changes anything: every row when a log records each token; otherwise
   // the rows whose append crosses a block boundary, the rows reaching
   // their target, and EOS rows. Victims join as they are preempted.
-  touched_.clear();
   if (event_log_ != nullptr) {
     touched_ = plan.decode;
   } else {
@@ -547,10 +543,7 @@ void RolloutScheduler::CommitStep(const StepPlan& plan, const std::vector<int64_
         touched_.push_back(id);
       }
     }
-    const auto by_ticket = [this](int64_t a, int64_t b) {
-      return rows_[static_cast<size_t>(a)].ticket < rows_[static_cast<size_t>(b)].ticket;
-    };
-    std::sort(touched_.begin(), touched_.end(), by_ticket);
+    std::sort(touched_.begin(), touched_.end(), ByTicket());
     touched_.erase(std::unique(touched_.begin(), touched_.end()), touched_.end());
   }
   for (const PrefillChunk& chunk : plan.prefill) {
@@ -588,9 +581,7 @@ void RolloutScheduler::CommitEmittedToken(int64_t id, const std::vector<int64_t>
       sequence.generated + 1 >= sequence.target_new_tokens ||
       std::find(eos_finished.begin(), eos_finished.end(), id) != eos_finished.end();
   if (finished && resident) {
-    ReleaseReservation(sequence);
-    kv_->FreeSequence(id);
-    RemoveFromRunning(id);
+    ReleaseRunning(id);
   }
   sequence.generated += 1;
   if (sequence.generated == 1) {
@@ -621,13 +612,9 @@ void RolloutScheduler::CommitEmittedToken(int64_t id, const std::vector<int64_t>
   // headroom).
   const int64_t lagging = sequence.kv_tokens - kv_->rank(0).SequenceTokens(id);
   while (!kv_->AppendTokens(id, lagging + 1)) {
-    int64_t victim = -1;
-    for (auto it = running_.rbegin(); it != running_.rend(); ++it) {
-      if (*it != id) {
-        victim = *it;
-        break;
-      }
-    }
+    const int64_t victim = running_.back() != id ? running_.back()
+                           : running_.size() > 1 ? running_[running_.size() - 2]
+                                                 : -1;
     if (victim < 0) {
       Preempt(id);
       return;  // Preempted itself; the appended token is recomputed later.
@@ -638,10 +625,7 @@ void RolloutScheduler::CommitEmittedToken(int64_t id, const std::vector<int64_t>
     const bool pending = seq(victim).state == SequenceState::kDecode && row.anchor <= ticks_ &&
                          row.ticket > commit_cursor_;
     Preempt(victim);
-    const auto at = std::lower_bound(
-        touched_.begin(), touched_.end(), row.ticket, [this](int64_t other, int64_t ticket) {
-          return rows_[static_cast<size_t>(other)].ticket < ticket;
-        });
+    const auto at = std::lower_bound(touched_.begin(), touched_.end(), victim, ByTicket());
     if (pending && (at == touched_.end() || *at != victim)) {
       touched_.insert(at, victim);
     }

@@ -244,20 +244,22 @@ class RolloutScheduler {
   // Frees the victim's KV and requeues it at the front of the waiting
   // queue (its context is recomputed on resume).
   void Preempt(int64_t id);
-  // Drops a synced row from the running set (and the decode aggregates).
-  void RemoveFromRunning(int64_t id);
-  // Decode-row bookkeeping: a row joins the aggregates with counters exact
-  // at tick `anchor`; Sync advances a row's counters to the tick it has
-  // reached (during a commit, rows the cursor has passed are one ahead).
+  // Returns a synced running row's KV blocks and full-length reservation
+  // and drops it from the running set (and the decode aggregates).
+  void ReleaseRunning(int64_t id);
+  // A decode row joins the aggregates with counters exact at tick
+  // `anchor`; Sync advances them to the tick the row has reached (during
+  // a commit, rows the cursor has passed are one ahead).
   void AddDecodeRow(int64_t id, int64_t anchor);
   void Sync(int64_t id);
-  // (kv_tokens - anchor) mod block_tokens: constant while a row decodes.
-  // The row's next append crosses a block boundary when this equals
-  // CrossingPhase().
+  // (kv_tokens - anchor) mod block_tokens, constant while a row decodes:
+  // its next append crosses a block boundary when it equals CrossingPhase().
   int64_t Phase(int64_t id) const;
   int64_t CrossingPhase() const;
   // Tick at which a decode row would finish (reach target_new_tokens).
   int64_t FinishTick(int64_t id) const;
+  // Orders ids by admission: the running order.
+  auto ByTicket() const;
   // Expires every waiting or still-prefilling sequence whose ttft_deadline
   // is strictly behind sim_now_ (first token not yet emitted).
   void ExpireOverdue();
@@ -273,9 +275,6 @@ class RolloutScheduler {
   std::vector<int64_t> PrefillBlocksNeeded() const;
   // Retires or appends one row that emitted a token this step.
   void CommitEmittedToken(int64_t id, const std::vector<int64_t>& eos_finished);
-  // Returns the sequence's full-length reservation to the pool (no-op if it
-  // holds none). Called wherever a sequence leaves the running set.
-  void ReleaseReservation(RolloutSequence& sequence);
   // No-op unless an event log is attached. `step` is the 0-based step
   // index the event belongs to.
   void RecordEvent(SeqEventKind kind, int64_t id, int64_t tokens, int64_t step);
@@ -296,9 +295,7 @@ class RolloutScheduler {
   std::vector<RowClock> rows_;
   int64_t next_ticket_ = 0;
   int64_t ticks_ = 0;  // Completed commits.
-  // During a commit's decode pass, the ticket of the row being committed;
-  // -1 otherwise.
-  int64_t commit_cursor_ = -1;
+  int64_t commit_cursor_ = -1;  // Ticket of the decode row being committed.
   double last_commit_seconds_ = 0.0;
   // Decode aggregates: sum of (kv_tokens - anchor), rows by Phase(), and
   // rows by FinishTick().

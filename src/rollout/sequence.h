@@ -39,7 +39,9 @@ struct RolloutSequence {
   int64_t prompt_tokens = 0;
   // Response tokens emitted so far. Survives preemption: generated tokens
   // are kept by the data plane and only their KV entries are recomputed
-  // (charged as prefill) on resume.
+  // (charged as prefill) on resume. While a row decodes, generated,
+  // kv_tokens and last_token_seconds lag between its events (see
+  // RolloutScheduler::SyncSequences).
   int64_t generated = 0;
   int64_t target_new_tokens = 0;  // Response-length cap.
   SequenceState state = SequenceState::kWaiting;

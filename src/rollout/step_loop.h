@@ -36,7 +36,8 @@ class StepExecutor {
   virtual ~StepExecutor() = default;
   // Runs one planned step (empty when TTFT expiry drained it) starting at
   // clock `start`; returns the seconds the step advances the clock by.
-  // Emitting rows that produced EOS go to `eos_finished`.
+  // Emitting rows that produced EOS go to `eos_finished`. Decode rows'
+  // counters in `sequences` may lag; the plan carries their kv_tokens sum.
   virtual double Execute(const StepPlan& plan, const std::vector<RolloutSequence>& sequences,
                          double start, std::vector<int64_t>* eos_finished) = 0;
 };
