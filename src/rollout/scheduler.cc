@@ -23,7 +23,6 @@ RolloutScheduler::RolloutScheduler(const RolloutSchedulerConfig& config, Distrib
   HF_CHECK_GE(config_.max_running, 0);
   HF_CHECK_GE(config_.prefill_chunk_tokens, 0);
   HF_CHECK_GT(config_.fair_quantum_tokens, 0);
-  rows_.resize(sequences_->size());
   phase_rows_.resize(static_cast<size_t>(kv_->rank(0).config().block_tokens));
 }
 
@@ -55,6 +54,7 @@ void RolloutScheduler::RecordEvent(SeqEventKind kind, int64_t id, int64_t tokens
 void RolloutScheduler::Enqueue(int64_t id) {
   RolloutSequence& sequence = seq(id);
   HF_CHECK(sequence.state == SequenceState::kWaiting);
+  rows_.resize(std::max(rows_.size(), sequences_->size()));  // The vector may have grown.
   sequence.enqueue_step = stats_.steps;
   sequence.enqueue_seconds = sim_now_;
   deadlines_enqueued_ = deadlines_enqueued_ || sequence.ttft_deadline > 0.0;

@@ -570,10 +570,11 @@ TEST(KvCacheBulkAppendTest, AppendTokensEqualsRepeatedAppendToken) {
         ASSERT_TRUE(manager->AddSequence(4, 0));                // Empty.
       }
       const std::vector<int64_t> ids = {1, 2, 3, 4};
-      // (sequence, tokens): COW splits into a fill, fills that stop short
-      // of, reach, and cross boundaries, multi-block runs, and no-ops.
+      // (sequence, tokens): a COW split that fills the copy and crosses a
+      // boundary, fills that stop short of, reach, and cross boundaries,
+      // multi-block runs, and no-ops.
       const std::vector<std::pair<int64_t, int64_t>> appends = {
-          {2, 1}, {1, 2}, {1, 1}, {2, 6}, {3, 4}, {3, 1}, {4, 9}, {1, 0}, {4, 3}, {3, 11}};
+          {2, 3}, {1, 2}, {1, 1}, {2, 6}, {3, 4}, {3, 1}, {4, 9}, {1, 0}, {4, 3}, {3, 11}};
       for (const auto& [id, tokens] : appends) {
         SCOPED_TRACE(testing::Message() << "append " << tokens << " to " << id);
         ASSERT_TRUE(bulk.AppendTokens(id, tokens));

@@ -629,6 +629,32 @@ TEST(RolloutSchedulerTest, ChunkedPrefillSharesBudgetAcrossAdmissions) {
   EXPECT_EQ(sequences[1].generated, 1);
 }
 
+TEST(RolloutSchedulerTest, SyncStampsTheLastCommitNotTheCurrentClock) {
+  // Decode rows between events lag; bringing them up to date after the
+  // clock moved on must stamp their last token at the step that emitted
+  // it, as a per-row commit would have.
+  DistributedKvManager kv(1, KvConfig(/*blocks=*/64));
+  std::vector<RolloutSequence> sequences = MakeSequences({6, 6}, /*target_new=*/8);
+  RolloutScheduler scheduler({}, &kv, &sequences);
+  scheduler.Enqueue(0);
+  scheduler.Enqueue(1);
+  // Step 1 prefills (6 resident + 1 = 7 tokens); step 2's append stays
+  // inside the second 4-token block, so no event touches either row.
+  for (int step = 1; step <= 2; ++step) {
+    const StepPlan plan = scheduler.BeginStep();
+    scheduler.SetSimNow(static_cast<double>(step));
+    scheduler.CommitStep(plan, /*eos_finished=*/{});
+  }
+  scheduler.SetSimNow(10.0);
+  scheduler.SyncSequences();
+  for (const RolloutSequence& sequence : sequences) {
+    EXPECT_EQ(sequence.generated, 2);
+    EXPECT_EQ(sequence.kv_tokens, 8);
+    EXPECT_DOUBLE_EQ(sequence.first_token_seconds, 1.0);
+    EXPECT_DOUBLE_EQ(sequence.last_token_seconds, 2.0);
+  }
+}
+
 TEST(RolloutEngineTest, AutoSizedCacheRunsWithoutPreemption) {
   Rng rng(7);
   PolicyNetConfig net_config;
