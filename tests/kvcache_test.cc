@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -376,6 +379,31 @@ TEST(KvCachePrefixTest, EvictableHitsAreNotSpareCapacity) {
   EXPECT_TRUE(manager.RefcountsConsistent());
 }
 
+TEST(KvCachePrefixTest, FirstWriterWinsLeavesTheLoserPrivate) {
+  // Two chunked prefills of one prompt race to fill block 1. The second
+  // writer's copy is never indexed, so it frees like any private block,
+  // while its later block 2 is still indexed: a sequence's indexed blocks
+  // need not be a contiguous prefix of its residency.
+  KvBlockManager manager(PrefixConfig(/*blocks=*/8, /*block_tokens=*/2));
+  const std::vector<uint64_t> hashes = PromptBlockHashes({1, 2, 3, 4, 5, 6}, 2);
+  ASSERT_TRUE(manager.AddSequenceShared(1, 2, hashes));  // Indexes block 0.
+  ASSERT_TRUE(manager.AddSequenceShared(2, 4, hashes));  // Shares 0, indexes 1.
+  EXPECT_EQ(manager.used_blocks(), 2);
+  EXPECT_EQ(manager.shared_blocks(), 1);
+  ASSERT_TRUE(manager.ExtendSequence(1, 6));  // Its block 1 loses; block 2 wins.
+  EXPECT_EQ(manager.used_blocks(), 4);
+  EXPECT_EQ(manager.PrefixHitTokens(hashes), 6);
+  manager.FreeSequence(2);  // Retains the indexed block 1.
+  EXPECT_EQ(manager.used_blocks(), 3);
+  EXPECT_EQ(manager.cached_blocks(), 1);
+  EXPECT_EQ(manager.PrefixHitBlocksReferenced(hashes), 2);  // Blocks 0 and 2.
+  manager.FreeSequence(1);  // Retains blocks 0 and 2, frees the loser.
+  EXPECT_EQ(manager.used_blocks(), 0);
+  EXPECT_EQ(manager.cached_blocks(), 3);
+  EXPECT_EQ(manager.free_blocks(), 5);
+  EXPECT_TRUE(manager.RefcountsConsistent());
+}
+
 TEST(KvCachePrefixTest, ReferencedHitsDoNotConsumeCapacity) {
   // Contrast with the evictable case: hits on blocks live sequences still
   // reference are genuinely free, so the same admission fits.
@@ -511,6 +539,141 @@ TEST(KvCacheLeakTest, RandomizedOpSoakHoldsInvariants) {
     }
     EXPECT_EQ(manager.used_blocks(), 0) << "seed " << seed;
     EXPECT_TRUE(manager.RefcountsConsistent()) << "seed " << seed;
+  }
+}
+
+// --- Seeded op-trace golden ---------------------------------------------------
+// A seeded op mix over a tiny pool — shared and private admits of recurring
+// prompts at partial residency, ExtendSequence, bulk AppendTokens, bulk
+// frees, and eviction once the pool runs dry — with every observable
+// recorded after every op. The trace is pinned by its FNV-1a hash, so any
+// change to what a caller can see of the manager fails here.
+
+uint64_t Fnv1a(const std::string& text) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : text) {
+    hash = (hash ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+std::string KvOpTrace(bool prefix_cache, uint64_t seed) {
+  KvBlockConfig config;
+  config.block_tokens = 2;
+  config.num_blocks = 12;
+  config.enable_prefix_cache = prefix_cache;
+  KvBlockManager manager(config);
+  // Three recurring prompts: 1 shares its first two blocks with 0.
+  const std::vector<std::vector<int64_t>> prompts = {
+      {1, 2, 3, 4, 5, 6, 7, 8}, {1, 2, 3, 4, 9, 9}, {5, 5, 5, 5, 5}};
+  std::vector<std::vector<uint64_t>> hashes;
+  for (const std::vector<int64_t>& prompt : prompts) {
+    hashes.push_back(PromptBlockHashes(prompt, config.block_tokens));
+  }
+  uint64_t state = seed * 2654435761ULL;
+  const auto next = [&state]() {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  std::vector<int64_t> live;
+  int64_t next_id = 0;
+  std::ostringstream trace;
+  const auto record = [&](int op, const std::string& what, bool ok) {
+    trace << op << ' ' << what << " -> " << ok << " | " << manager.used_blocks() << ' '
+          << manager.available_blocks() << ' ' << manager.cached_blocks() << ' '
+          << manager.free_blocks() << ' ' << manager.shared_blocks() << ' '
+          << manager.num_sequences() << ' ' << manager.high_water_blocks() << ' '
+          << manager.shared_blocks_high_water() << ' ' << manager.prefix_hit_tokens_total()
+          << ' ' << manager.appends_total() << ' ' << manager.allocations_total() << ' '
+          << manager.evictions_total() << " | " << manager.CanAdmit(3, 1);
+    for (size_t p = 0; p < prompts.size(); ++p) {
+      trace << ' ' << manager.PrefixHitTokens(hashes[p]) << ':'
+            << manager.PrefixHitBlocksReferenced(hashes[p]) << ':'
+            << manager.CanAdmitShared(static_cast<int64_t>(prompts[p].size()), 1, hashes[p]);
+    }
+    trace << " |";
+    for (int64_t id : live) {
+      const int64_t tokens = manager.SequenceTokens(id);
+      trace << ' ' << id << ':' << tokens << ':' << manager.CanAppendTokens(id, 3) << ':'
+            << manager.CanExtendSequence(id, tokens + 4);
+    }
+    trace << '\n';
+  };
+  for (int op = 0; op < 300; ++op) {
+    std::ostringstream what;
+    bool ok = true;
+    const uint64_t kind = next() % 8;
+    if (kind <= 1) {  // Shared admit of a recurring prompt, maybe partially resident.
+      const size_t p = next() % prompts.size();
+      const int64_t resident = static_cast<int64_t>(next() % (prompts[p].size() + 1));
+      ok = manager.AddSequenceShared(next_id, resident, hashes[p]);
+      what << "shared " << next_id << ' ' << p << ' ' << resident;
+      if (ok) {
+        live.push_back(next_id++);
+      }
+    } else if (kind == 2) {  // Private admit.
+      const int64_t tokens = static_cast<int64_t>(next() % 7);
+      ok = manager.AddSequence(next_id, tokens);
+      what << "private " << next_id << ' ' << tokens;
+      if (ok) {
+        live.push_back(next_id++);
+      }
+    } else if (live.empty()) {
+      what << "idle";
+    } else if (kind == 3) {  // Grow residency (chunked prefill).
+      const int64_t id = live[next() % live.size()];
+      const int64_t target = manager.SequenceTokens(id) + static_cast<int64_t>(next() % 5);
+      ok = manager.ExtendSequence(id, target);
+      what << "extend " << id << ' ' << target;
+    } else if (kind <= 5) {  // Bulk append, single-token decode included.
+      const int64_t id = live[next() % live.size()];
+      const int64_t tokens = kind == 4 ? static_cast<int64_t>(next() % 5) : 1;
+      ok = manager.AppendTokens(id, tokens);
+      what << "append " << id << ' ' << tokens;
+    } else {  // Free one or two live sequences in one call (kinds 6 and 7).
+      std::vector<int64_t> victims;
+      const size_t count = std::min<size_t>(live.size(), 1 + next() % 2);
+      for (size_t i = 0; i < count; ++i) {
+        const size_t at = next() % live.size();
+        victims.push_back(live[at]);
+        live.erase(live.begin() + static_cast<int64_t>(at));
+      }
+      manager.FreeSequences(victims);
+      what << "free";
+      for (int64_t id : victims) {
+        what << ' ' << id;
+      }
+    }
+    record(op, what.str(), ok);
+    EXPECT_TRUE(manager.RefcountsConsistent()) << "op " << op;
+  }
+  manager.FreeSequences(live);
+  live.clear();
+  record(300, "drain", true);
+  EXPECT_EQ(manager.used_blocks(), 0);
+  EXPECT_TRUE(manager.RefcountsConsistent());
+  return trace.str();
+}
+
+TEST(KvCacheTraceTest, SeededOpTraceMatchesGolden) {
+  struct Golden {
+    bool prefix_cache;
+    uint64_t seed;
+    uint64_t hash;
+  };
+  const std::vector<Golden> goldens = {
+      {false, 1, 0x45dfbaa74fdf732dULL}, {false, 2, 0xd8715a9c77441488ULL},
+      {false, 3, 0xa4a9c536078d1da9ULL}, {true, 1, 0x855fef4f1bbc6b0aULL},
+      {true, 2, 0x86d2034130098a72ULL},  {true, 3, 0xd31a734fa40365ffULL},
+  };
+  for (const Golden& golden : goldens) {
+    const std::string trace = KvOpTrace(golden.prefix_cache, golden.seed);
+    EXPECT_EQ(Fnv1a(trace), golden.hash)
+        << std::hex << "prefix cache " << golden.prefix_cache << " seed " << golden.seed
+        << ": hash 0x" << Fnv1a(trace) << "\n"
+        << trace;
   }
 }
 
