@@ -75,7 +75,6 @@ class GoldenWriter {
     Int("queue_wait_steps_max", stats.queue_wait_steps_max);
     Int("kv_high_water_blocks", stats.kv_high_water_blocks);
     Double("kv_peak_utilization", stats.kv_peak_utilization);
-    Int("cow_splits", stats.cow_splits);
     Int("shared_blocks_high_water", stats.shared_blocks_high_water);
     Int("kv_appends", stats.kv_appends);
     Int("kv_allocations", stats.kv_allocations);

@@ -230,7 +230,7 @@ GenTimeBreakdown PerfModel::GenerateTime(const GenParallelConfig& gen,
     wave_batch = CeilDiv(batch, out.waves);
   }
 
-  const std::vector<DeviceId> tp_group = FirstN(replica_devices, gen.tp);
+  const std::vector<DeviceId> tp_group = ReplicaTpGroup(gen, replica_devices);
   const double layers_per_stage =
       static_cast<double>(model_.num_layers) / static_cast<double>(gen.pp);
 
@@ -339,14 +339,18 @@ double PerfModel::DecodeStepTime(const GenParallelConfig& gen,
   return step_time;
 }
 
-double PerfModel::DecodeCommStepTime(const GenParallelConfig& gen,
-                                     const std::vector<DeviceId>& replica_devices,
-                                     int64_t rows) const {
+std::vector<DeviceId> PerfModel::ReplicaTpGroup(const GenParallelConfig& gen,
+                                                const std::vector<DeviceId>& replica_devices) {
   HF_CHECK_EQ(static_cast<int>(replica_devices.size()), gen.pp * gen.tp);
+  return FirstN(replica_devices, gen.tp);
+}
+
+double PerfModel::DecodeCommStepTime(const GenParallelConfig& gen,
+                                     const std::vector<DeviceId>& tp_group, int64_t rows) const {
+  HF_CHECK_EQ(static_cast<int>(tp_group.size()), gen.tp);
   if (gen.tp <= 1) {
     return 0.0;
   }
-  const std::vector<DeviceId> tp_group = FirstN(replica_devices, gen.tp);
   const double layers_per_stage =
       static_cast<double>(model_.num_layers) / static_cast<double>(gen.pp);
   const double bytes =

@@ -113,8 +113,14 @@ class PerfModel {
                         const std::vector<DeviceId>& replica_devices, int64_t rows,
                         int64_t context_tokens) const;
   // TP activation collectives of one decode step over `rows` sequences.
-  double DecodeCommStepTime(const GenParallelConfig& gen,
-                            const std::vector<DeviceId>& replica_devices, int64_t rows) const;
+  // `tp_group` is ReplicaTpGroup's answer, which callers pricing many steps
+  // of one replica build once.
+  double DecodeCommStepTime(const GenParallelConfig& gen, const std::vector<DeviceId>& tp_group,
+                            int64_t rows) const;
+  // The TP group that stands for a generation replica in timing: its first
+  // gen.tp devices (rank-major layout puts a TP group on consecutive ranks).
+  static std::vector<DeviceId> ReplicaTpGroup(const GenParallelConfig& gen,
+                                              const std::vector<DeviceId>& replica_devices);
 
   // --- Memory (per GPU, bytes) -----------------------------------------------
   double TrainMemoryPerGpu(const ParallelConfig& cfg, int64_t tokens_per_microbatch,

@@ -420,7 +420,6 @@ IterationMetrics RlhfProgram::TrainOnExperience(StagedExperience experience, siz
           .Number("rollout_resumes", static_cast<double>(sim.resumes))
           .Number("rollout_recomputed_tokens", static_cast<double>(sim.recomputed_tokens))
           .Number("kvcache_prefix_skipped_tokens", static_cast<double>(sim.prefix_skipped_tokens))
-          .Number("kvcache_cow_splits", static_cast<double>(sim.cow_splits))
           .Number("kvcache_shared_blocks", static_cast<double>(sim.shared_blocks_high_water))
           .Number("rollout_ttft_p50_s", latency.ttft.p50)
           .Number("rollout_ttft_p90_s", latency.ttft.p90)

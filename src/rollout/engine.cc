@@ -24,7 +24,6 @@ void RolloutStats::Merge(const RolloutStats& other) {
   cancelled += other.cancelled;
   expired += other.expired;
   prefix_skipped_tokens += other.prefix_skipped_tokens;
-  cow_splits += other.cow_splits;
   shared_blocks_high_water = std::max(shared_blocks_high_water, other.shared_blocks_high_water);
   kv_appends += other.kv_appends;
   kv_allocations += other.kv_allocations;
@@ -41,11 +40,10 @@ RolloutStats RolloutStatsCollector::Snapshot() const {
 }
 
 RolloutEngine::RolloutEngine(const PolicyNet& net, const RolloutLimits& limits,
-                             const RolloutOptions& options, int kv_ranks)
+                             const RolloutOptions& options)
     : net_(net),
       limits_(limits),
       options_(options),
-      kv_ranks_(kv_ranks),
       steps_total_(MetricsRegistry::Global().GetCounter("rollout.steps_total",
                                                         {{"plane", "data"}})),
       admissions_total_(MetricsRegistry::Global().GetCounter("rollout.admissions_total",
@@ -64,11 +62,8 @@ RolloutEngine::RolloutEngine(const PolicyNet& net, const RolloutLimits& limits,
           "rollout.tpot_wall_us", QuantileHistogram::kDefaultRelativeError, {{"plane", "data"}})),
       prefix_hits_total_(MetricsRegistry::Global().GetCounter("kvcache.prefix_hits_total",
                                                               {{"plane", "data"}})),
-      cow_splits_total_(MetricsRegistry::Global().GetCounter("kvcache.cow_splits_total",
-                                                             {{"plane", "data"}})),
       shared_blocks_(MetricsRegistry::Global().GetGauge("kvcache.shared_blocks",
                                                         {{"plane", "data"}})) {
-  HF_CHECK_GT(kv_ranks_, 0);
   HF_CHECK_GT(options_.block_tokens, 0);
   HF_CHECK_GE(limits_.max_new_tokens, 0);
 }
@@ -89,7 +84,6 @@ RolloutShardResult RolloutEngine::Run(const std::vector<std::vector<int64_t>>& p
   loop.kv.block_tokens = options_.block_tokens;
   loop.kv.num_blocks = options_.num_blocks;
   loop.kv.enable_prefix_cache = options_.prefix_cache;
-  loop.kv_ranks = kv_ranks_;
   // Opt-in lifecycle recording: the loop opens a distinct run per engine
   // call, keeping concurrent per-rank shards apart in the shared log.
   loop.event_log = options_.event_log;
@@ -117,7 +111,6 @@ RolloutShardResult RolloutEngine::Run(const std::vector<std::vector<int64_t>>& p
   result.stats = run.stats;
 
   prefix_hits_total_.Increment(static_cast<double>(run.prefix_hit_tokens));
-  cow_splits_total_.Increment(static_cast<double>(result.stats.cow_splits));
   shared_blocks_.Set(static_cast<double>(result.stats.shared_blocks_high_water));
   if (options_.event_log != nullptr) {
     // Wall-clock per-sequence latency distributions for this shard's run.

@@ -3,7 +3,7 @@
 // Maps one prompt shard onto the shared step loop (src/rollout/step_loop.h)
 // with a DataStepExecutor: the real PolicyNet runs over dynamically
 // composed batches (mixed prefill + decode rows chosen by RolloutScheduler
-// against a real DistributedKvManager). The per-row forward is independent
+// against a real KvBlockManager). The per-row forward is independent
 // of batch composition and token selection goes through the shared
 // SampleLogitsRow, so greedy decoding produces bitwise-identical responses
 // and log-probs regardless of schedule, admission order, or preemption.
@@ -26,6 +26,7 @@ namespace hybridflow {
 
 // Sim-plane timing model of generation. The data plane always runs the
 // step loop; the mode only picks how the performance plane prices it.
+// Kept while perfbench (which only a benchmark change may edit) names it.
 enum class RolloutMode {
   kStatic,      // Closed-form wave model (PerfModel::GenerateTime).
   kContinuous,  // Per-step replay (SimulateContinuousGeneration).
@@ -70,12 +71,14 @@ struct RolloutStats : RolloutSchedulerStats {
   int64_t queue_wait_steps_total = 0;  // Enqueue -> first admission.
   int64_t queue_wait_steps_max = 0;
   int64_t kv_high_water_blocks = 0;
-  double kv_peak_utilization = 0.0;  // used/num_blocks peak (rank 0).
-  // Prefix-sharing KV cache: copy-on-write splits of shared tail blocks
-  // and the peak number of physically shared blocks (rank 0).
-  int64_t cow_splits = 0;
+  double kv_peak_utilization = 0.0;  // used/num_blocks peak.
+  // Prefix-sharing KV cache: the peak number of physically shared blocks.
   int64_t shared_blocks_high_water = 0;
-  // KV work (rank 0): append operations and blocks allocated.
+  // Always 0: nothing forks a sequence, so no copy-on-write split can
+  // happen. Kept while perfbench (which only a benchmark change may edit)
+  // reads it.
+  int64_t cow_splits = 0;
+  // KV work: append operations and blocks allocated.
   int64_t kv_appends = 0;
   int64_t kv_allocations = 0;
 
@@ -102,11 +105,10 @@ struct RolloutShardResult {
 
 class RolloutEngine {
  public:
-  // `net` is borrowed (read-only); `kv_ranks` is the tensor-parallel degree
-  // of the generation strategy — the DistributedKvManager keeps that many
-  // block tables in lockstep, as the paper's distributed KV manager does.
+  // `net` is borrowed (read-only). One KV manager serves the replica: its
+  // TP ranks hold identical block tables, so their count changes nothing.
   RolloutEngine(const PolicyNet& net, const RolloutLimits& limits,
-                const RolloutOptions& options, int kv_ranks);
+                const RolloutOptions& options);
 
   // Generates one response per prompt. `rng` seeds per-sequence streams
   // for sampling mode; greedy decoding never draws from it.
@@ -117,7 +119,6 @@ class RolloutEngine {
   const PolicyNet& net_;
   RolloutLimits limits_;
   RolloutOptions options_;
-  int kv_ranks_;
   // Cached registry handles (hot loop; see src/obs/metrics.h).
   Counter& steps_total_;
   Counter& admissions_total_;
@@ -128,7 +129,6 @@ class RolloutEngine {
   QuantileHistogram& ttft_wall_us_;
   QuantileHistogram& tpot_wall_us_;
   Counter& prefix_hits_total_;
-  Counter& cow_splits_total_;
   Gauge& shared_blocks_;
 };
 

@@ -15,7 +15,7 @@ constexpr int64_t kAdmitReserveTokens = 1;
 
 }  // namespace
 
-RolloutScheduler::RolloutScheduler(const RolloutSchedulerConfig& config, DistributedKvManager* kv,
+RolloutScheduler::RolloutScheduler(const RolloutSchedulerConfig& config, KvBlockManager* kv,
                                    std::vector<RolloutSequence>* sequences)
     : config_(config), kv_(kv), sequences_(sequences) {
   HF_CHECK(kv_ != nullptr);
@@ -23,7 +23,7 @@ RolloutScheduler::RolloutScheduler(const RolloutSchedulerConfig& config, Distrib
   HF_CHECK_GE(config_.max_running, 0);
   HF_CHECK_GE(config_.prefill_chunk_tokens, 0);
   HF_CHECK_GT(config_.fair_quantum_tokens, 0);
-  phase_rows_.resize(static_cast<size_t>(kv_->rank(0).config().block_tokens));
+  phase_rows_.resize(static_cast<size_t>(kv_->config().block_tokens));
 }
 
 RolloutSequence& RolloutScheduler::seq(int64_t id) {
@@ -209,7 +209,6 @@ void RolloutScheduler::ExpireOverdue() {
 }
 
 std::vector<int64_t> RolloutScheduler::PrefillBlocksNeeded() const {
-  const KvBlockManager& rank0 = kv_->rank(0);
   // Mirrors BeginStep's plan-building loop: same running order, same
   // budget accounting, so the preemption pass reserves exactly the blocks
   // the plan will then take.
@@ -227,8 +226,8 @@ std::vector<int64_t> RolloutScheduler::PrefillBlocksNeeded() const {
     const int64_t resident_target =
         std::max(sequence.kv_tokens, sequence.prefill_computed + grant);
     needed.push_back(grant <= 0 ? 0
-                                : rank0.BlocksFor(resident_target) -
-                                      rank0.BlocksFor(sequence.kv_tokens));
+                                : kv_->BlocksFor(resident_target) -
+                                      kv_->BlocksFor(sequence.kv_tokens));
   }
   return needed;
 }
@@ -292,19 +291,18 @@ bool RolloutScheduler::TryAdmit(int64_t id, StepPlan* plan, int64_t* budget) {
   const int64_t skip = std::min(hit_tokens, std::max<int64_t>(total - 1, 0));
   const int64_t grant = std::min(*budget, total - skip);
   // Full-length reservation gate: never commit the running set to more
-  // blocks than the rank holds, counting every member at its final length.
+  // blocks than the cache holds, counting every member at its final length.
   // Prefix blocks already referenced by live sequences are shared for free
   // and discounted; evictable hits are not (re-refing them drains the
   // reclaimable pool). An empty running set admits unconditionally — the
   // fit-alone-at-full-length contract guarantees progress.
   int64_t reservation = 0;
   if (config_.reserve_full_length) {
-    const KvBlockManager& rank0 = kv_->rank(0);
     const int64_t full_tokens = total + sequence.remaining_tokens();
     reservation = std::max<int64_t>(
-        rank0.BlocksFor(full_tokens) - rank0.PrefixHitBlocksReferenced(sequence.block_hashes), 0);
+        kv_->BlocksFor(full_tokens) - kv_->PrefixHitBlocksReferenced(sequence.block_hashes), 0);
     if (!running_.empty() &&
-        reserved_blocks_total_ + reservation > rank0.config().num_blocks) {
+        reserved_blocks_total_ + reservation > kv_->config().num_blocks) {
       return false;
     }
   }
@@ -320,7 +318,7 @@ bool RolloutScheduler::TryAdmit(int64_t id, StepPlan* plan, int64_t* budget) {
   HF_CHECK(kv_->AddSequenceShared(id, resident_target, sequence.block_hashes));
   sequence.reserved_blocks = reservation;
   reserved_blocks_total_ += reservation;
-  sequence.kv_tokens = kv_->rank(0).SequenceTokens(id);
+  sequence.kv_tokens = kv_->SequenceTokens(id);
   sequence.prefill_computed = skip;
   sequence.prefix_skipped_tokens = skip;
   sequence.state = SequenceState::kPrefill;
@@ -446,7 +444,7 @@ StepPlan RolloutScheduler::BeginStep() {
   int64_t needed = std::accumulate(
       prefill_needed.begin(), prefill_needed.end(),
       static_cast<int64_t>(phase_rows_[static_cast<size_t>(CrossingPhase())].size()));
-  while (!running_.empty() && needed > kv_->rank(0).available_blocks()) {
+  while (!running_.empty() && needed > kv_->available_blocks()) {
     const int64_t victim = running_.back();
     if (seq(victim).state == SequenceState::kDecode) {
       needed -= Phase(victim) == CrossingPhase() ? 1 : 0;
@@ -610,7 +608,7 @@ void RolloutScheduler::CommitEmittedToken(int64_t id, const std::vector<int64_t>
   // youngest-first on exhaustion (possibly this sequence itself, if it is
   // the only one left — only possible when admission overcommitted shared
   // headroom).
-  const int64_t lagging = sequence.kv_tokens - kv_->rank(0).SequenceTokens(id);
+  const int64_t lagging = sequence.kv_tokens - kv_->SequenceTokens(id);
   while (!kv_->AppendTokens(id, lagging + 1)) {
     const int64_t victim = running_.back() != id ? running_.back()
                            : running_.size() > 1 ? running_[running_.size() - 2]

@@ -5,12 +5,11 @@
 // (preempting the youngest on exhaustion — vLLM's recompute-on-resume
 // policy), then admits waiting sequences in policy order while the
 // KvBlockManager accepts their full current context plus one token of
-// decode headroom. Admission and appends go through the *real*
-// DistributedKvManager, so capacity effects are block-granular, not
-// analytical.
+// decode headroom. Admission and appends go through the replica's *real*
+// KvBlockManager, so capacity effects are block-granular, not analytical.
 //
 // Contract: every enqueued sequence must fit alone at full length
-// (BlocksFor(prompt + target_new_tokens) <= num_blocks per rank);
+// (BlocksFor(prompt + target_new_tokens) <= num_blocks);
 // otherwise it would preempt itself forever. The step loop
 // (src/rollout/step_loop.h) sizes every cache accordingly.
 #ifndef SRC_ROLLOUT_SCHEDULER_H_
@@ -71,7 +70,7 @@ struct RolloutSchedulerConfig {
   // Full-length admission reservations. When on, admission additionally
   // charges each candidate its block demand at full length (prompt +
   // target_new_tokens), discounted by prefix blocks already referenced by
-  // live sequences, against the rank's total block count; a candidate whose
+  // live sequences, against the cache's total block count; a candidate whose
   // reservation does not fit next to the running set's reservations waits.
   // Physical blocks are still acquired incrementally (chunked prefill), but
   // the scheduler never over-commits beyond what the running set will need
@@ -180,7 +179,7 @@ struct RolloutSchedulerStats {
 class RolloutScheduler {
  public:
   // `kv` and `sequences` are borrowed; ids index into *sequences.
-  RolloutScheduler(const RolloutSchedulerConfig& config, DistributedKvManager* kv,
+  RolloutScheduler(const RolloutSchedulerConfig& config, KvBlockManager* kv,
                    std::vector<RolloutSequence>* sequences);
 
   // Adds a waiting sequence (state must be kWaiting).
@@ -280,7 +279,7 @@ class RolloutScheduler {
   void RecordEvent(SeqEventKind kind, int64_t id, int64_t tokens, int64_t step);
 
   RolloutSchedulerConfig config_;
-  DistributedKvManager* kv_;
+  KvBlockManager* kv_;
   std::vector<RolloutSequence>* sequences_;
   std::deque<int64_t> waiting_;
   std::vector<int64_t> running_;     // Admission order: oldest first.

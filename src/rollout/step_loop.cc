@@ -63,15 +63,18 @@ double DataStepExecutor::Execute(const StepPlan& plan,
 
 SimStepExecutor::SimStepExecutor(const PerfModel& perf, const GenParallelConfig& gen,
                                  const std::vector<DeviceId>& replica_devices)
-    : perf_(perf), gen_(gen), devices_(replica_devices) {}
+    : perf_(perf),
+      gen_(gen),
+      devices_(replica_devices),
+      tp_group_(PerfModel::ReplicaTpGroup(gen, replica_devices)) {}
 
 KvBlockConfig SimStepExecutor::KvGeometry(bool prefix_cache, double kv_budget_bytes) const {
   KvBlockConfig kv;
   kv.block_tokens = 16;
-  kv.bytes_per_token = perf_.KvBytesPerTokenPerGpu(gen_);
   kv.enable_prefix_cache = prefix_cache;
   // A budget below one block still fits the longest sequence alone.
-  const double block_bytes = static_cast<double>(kv.block_tokens) * kv.bytes_per_token;
+  const double block_bytes =
+      static_cast<double>(kv.block_tokens) * perf_.KvBytesPerTokenPerGpu(gen_);
   kv.num_blocks =
       block_bytes > 0.0 ? std::max<int64_t>(static_cast<int64_t>(kv_budget_bytes / block_bytes), 1)
                         : 1;
@@ -86,12 +89,11 @@ double SimStepExecutor::Execute(const StepPlan& plan,
   // prefill each chunk charges only its own tokens.
   double step_seconds = 0.0;
   if (!plan.prefill.empty()) {
-    std::vector<int64_t> prefill_tokens;
-    prefill_tokens.reserve(plan.prefill.size());
+    prefill_tokens_.clear();
     for (const PrefillChunk& chunk : plan.prefill) {
-      prefill_tokens.push_back(chunk.tokens);
+      prefill_tokens_.push_back(chunk.tokens);
     }
-    const double prefill_seconds = perf_.PrefillStepTime(gen_, devices_, prefill_tokens);
+    const double prefill_seconds = perf_.PrefillStepTime(gen_, devices_, prefill_tokens_);
     time.prefill_seconds += prefill_seconds;
     step_seconds += prefill_seconds;
   }
@@ -108,7 +110,7 @@ double SimStepExecutor::Execute(const StepPlan& plan,
   }
   if (rows > 0) {
     const double decode_seconds = perf_.DecodeStepTime(gen_, devices_, rows, context_tokens);
-    const double comm_seconds = perf_.DecodeCommStepTime(gen_, devices_, rows);
+    const double comm_seconds = perf_.DecodeCommStepTime(gen_, tp_group_, rows);
     time.decode_seconds += decode_seconds;
     time.comm_seconds += comm_seconds;
     step_seconds += decode_seconds + comm_seconds;
@@ -128,9 +130,9 @@ StepLoopResult RunStepLoop(const StepLoopConfig& config, std::vector<RolloutSequ
     return result;
   }
 
-  // KV capacity per rank: the stated budget raised to fit the longest
-  // sequence alone (the scheduler's progress contract); with no budget,
-  // every sequence at full length.
+  // KV capacity: the stated budget raised to fit the longest sequence
+  // alone (the scheduler's progress contract); with no budget, every
+  // sequence at full length.
   KvBlockConfig kv_config = config.kv;
   int64_t fit_all = 0;
   int64_t fit_largest = 0;
@@ -146,7 +148,7 @@ StepLoopResult RunStepLoop(const StepLoopConfig& config, std::vector<RolloutSequ
   }
   kv_config.num_blocks =
       config.kv.num_blocks > 0 ? std::max(config.kv.num_blocks, fit_largest) : fit_all;
-  DistributedKvManager kv(config.kv_ranks, kv_config);
+  KvBlockManager kv(kv_config);
   RolloutScheduler scheduler(config.scheduler, &kv, &seqs);
   result.event_run = config.event_log != nullptr ? config.event_log->BeginRun() : 0;
   scheduler.SetEventLog(config.event_log, result.event_run);
@@ -194,7 +196,7 @@ StepLoopResult RunStepLoop(const StepLoopConfig& config, std::vector<RolloutSequ
     const StepPlan plan = scheduler.BeginStep();
     // KV pressure right after admission is the step's peak residency.
     const double utilization = kv_config.num_blocks > 0
-                                   ? static_cast<double>(kv.rank(0).used_blocks()) /
+                                   ? static_cast<double>(kv.used_blocks()) /
                                          static_cast<double>(kv_config.num_blocks)
                                    : 0.0;
     result.stats.kv_peak_utilization = std::max(result.stats.kv_peak_utilization, utilization);
@@ -216,12 +218,11 @@ StepLoopResult RunStepLoop(const StepLoopConfig& config, std::vector<RolloutSequ
   RolloutStats& stats = result.stats;
   static_cast<RolloutSchedulerStats&>(stats) = scheduler.stats();
   stats.kv_high_water_blocks = kv.high_water_blocks();
-  stats.cow_splits = kv.rank(0).cow_splits_total();
-  stats.shared_blocks_high_water = kv.rank(0).shared_blocks_high_water();
-  stats.kv_appends = kv.rank(0).appends_total();
-  stats.kv_allocations = kv.rank(0).allocations_total();
-  result.prefix_hit_tokens = kv.rank(0).prefix_hit_tokens_total();
-  result.kv_leaked_blocks = kv.rank(0).used_blocks();
+  stats.shared_blocks_high_water = kv.shared_blocks_high_water();
+  stats.kv_appends = kv.appends_total();
+  stats.kv_allocations = kv.allocations_total();
+  result.prefix_hit_tokens = kv.prefix_hit_tokens_total();
+  result.kv_leaked_blocks = kv.used_blocks();
   for (const RolloutSequence& sequence : seqs) {
     HF_CHECK_MSG(IsTerminal(sequence.state), "sequence " << sequence.id << " did not terminate");
     if (sequence.target_new_tokens == 0) {

@@ -3,7 +3,7 @@
 // ServingFrontend::Serve and SimulateServing only map their inputs onto
 // RolloutSequences and publish the StepLoopResult.
 //
-// RunStepLoop sizes and builds the DistributedKvManager, owns the
+// RunStepLoop sizes and builds the replica's KvBlockManager, owns the
 // RolloutScheduler, replays arrivals (a batch rollout is a trace with every
 // arrival at t=0), calls the between-steps hook, and runs the cycle
 //   BeginStep -> execute -> advance clock (SetSimNow) -> CommitStep
@@ -98,16 +98,19 @@ class SimStepExecutor : public StepExecutor {
   const PerfModel& perf_;
   GenParallelConfig gen_;
   std::vector<DeviceId> devices_;
+  // Fixed per replica, so built once rather than per step.
+  std::vector<DeviceId> tp_group_;
+  // One step's prefill chunk sizes; the buffer is reused across steps.
+  std::vector<int64_t> prefill_tokens_;
 };
 
 struct StepLoopConfig {
   RolloutSchedulerConfig scheduler;
-  // Geometry and per-rank capacity: kv.num_blocks is raised to fit the
-  // longest sequence alone; 0 fits every sequence at full length.
+  // Geometry and capacity: kv.num_blocks is raised to fit the longest
+  // sequence alone; 0 fits every sequence at full length.
   KvBlockConfig kv;
-  int kv_ranks = 1;
   SeqEventLog* event_log = nullptr;  // Optional; the loop opens one run.
-  // Optional instruments: rows and rank-0 KV utilization per step,
+  // Optional instruments: rows and KV utilization per step,
   // enqueue-to-admission wait per sequence.
   Histogram* running_batch = nullptr;
   Histogram* kv_utilization = nullptr;
@@ -123,8 +126,8 @@ struct StepLoopResult {
   // Terminal states and lifecycle stamps, by id.
   std::vector<RolloutSequence> sequences;
   RolloutStats stats;
-  int64_t prefix_hit_tokens = 0;  // Rank 0.
-  int64_t kv_leaked_blocks = 0;   // Rank 0 used blocks at drain; must be 0.
+  int64_t prefix_hit_tokens = 0;
+  int64_t kv_leaked_blocks = 0;  // Used blocks at drain; must be 0.
   double end_seconds = 0.0;       // Clock at drain.
   int64_t event_run = 0;
 };

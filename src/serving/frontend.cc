@@ -12,7 +12,6 @@ ServingFrontend::ServingFrontend(const PolicyNet& net, const ServingFrontendConf
                                  int kv_ranks)
     : net_(net),
       config_(config),
-      kv_ranks_(kv_ranks),
       requests_total_(MetricsRegistry::Global().GetCounter("serving.requests_total",
                                                            {{"plane", "data"}})),
       finished_total_(MetricsRegistry::Global().GetCounter("serving.finished_total",
@@ -21,7 +20,7 @@ ServingFrontend::ServingFrontend(const PolicyNet& net, const ServingFrontendConf
                                                             {{"plane", "data"}})),
       expired_total_(MetricsRegistry::Global().GetCounter("serving.expired_total",
                                                           {{"plane", "data"}})) {
-  HF_CHECK_GT(kv_ranks_, 0);
+  HF_CHECK_GT(kv_ranks, 0);
   HF_CHECK_GT(config_.block_tokens, 0);
   HF_CHECK_GT(config_.seconds_per_step, 0.0);
   HF_CHECK_MSG(config_.prefix_cache == config_.scheduler.prefix_cache,
@@ -45,7 +44,6 @@ ServingResult ServingFrontend::Serve(const std::vector<ServingRequest>& requests
   loop.kv.block_tokens = config_.block_tokens;
   loop.kv.num_blocks = config_.num_blocks;
   loop.kv.enable_prefix_cache = config_.prefix_cache;
-  loop.kv_ranks = kv_ranks_;
   loop.event_log = config_.event_log;
   // Client cancellation signals, applied at step boundaries. Only requests
   // that carry a cancel schedule are watched, or all of them under a stream

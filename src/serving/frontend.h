@@ -49,8 +49,9 @@ struct ServingFrontendConfig {
 
 class ServingFrontend {
  public:
-  // `net` is borrowed (read-only); `kv_ranks` mirrors the generation
-  // strategy's tensor-parallel degree as in RolloutEngine.
+  // `net` is borrowed (read-only). `kv_ranks` must be positive and is
+  // otherwise unused (one KV manager serves the replica); it is kept while
+  // perfbench (which only a benchmark change may edit) passes it.
   ServingFrontend(const PolicyNet& net, const ServingFrontendConfig& config, int kv_ranks);
 
   // Serves `requests` (ids must be dense 0..n-1 and equal each request's
@@ -65,7 +66,6 @@ class ServingFrontend {
  private:
   const PolicyNet& net_;
   ServingFrontendConfig config_;
-  int kv_ranks_;
   // Cached registry handles; per-tenant counters are resolved per run
   // (tenant sets are dynamic), these aggregate across tenants.
   Counter& requests_total_;

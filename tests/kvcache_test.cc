@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -16,7 +15,6 @@ KvBlockConfig SmallConfig(int64_t blocks = 8, int64_t block_tokens = 4) {
   KvBlockConfig config;
   config.block_tokens = block_tokens;
   config.num_blocks = blocks;
-  config.bytes_per_token = 100.0;
   return config;
 }
 
@@ -25,7 +23,6 @@ TEST(KvBlockManagerTest, AddSequenceAllocatesCeilBlocks) {
   ASSERT_TRUE(manager.AddSequence(1, 5));  // ceil(5/4) = 2 blocks.
   EXPECT_EQ(manager.used_blocks(), 2);
   EXPECT_EQ(manager.SequenceTokens(1), 5);
-  EXPECT_EQ(manager.BlockTable(1).size(), 2u);
 }
 
 TEST(KvBlockManagerTest, AppendAllocatesAtBlockBoundary) {
@@ -63,31 +60,23 @@ TEST(KvBlockManagerTest, FreeRecyclesBlocks) {
   ASSERT_TRUE(manager.AddSequence(2, 8));
 }
 
-TEST(KvBlockManagerTest, BlockTablesAreDisjointAcrossSequences) {
-  KvBlockManager manager(SmallConfig(/*blocks=*/8));
+TEST(KvBlockManagerTest, PrivateBlocksAreNeverShared) {
+  // Even with the prefix cache on, unhashed residency is never shared:
+  // two sequences of 8 tokens hold 4 distinct blocks.
+  KvBlockConfig config = SmallConfig(/*blocks=*/8);
+  config.enable_prefix_cache = true;
+  KvBlockManager manager(config);
   ASSERT_TRUE(manager.AddSequence(1, 8));
   ASSERT_TRUE(manager.AddSequence(2, 8));
-  std::set<int64_t> blocks;
-  for (int64_t block : manager.BlockTable(1)) {
-    blocks.insert(block);
-  }
-  for (int64_t block : manager.BlockTable(2)) {
-    EXPECT_EQ(blocks.count(block), 0u) << "block " << block << " double-allocated";
-  }
+  EXPECT_EQ(manager.used_blocks(), 4);
+  EXPECT_EQ(manager.shared_blocks(), 0);
+  EXPECT_EQ(manager.free_blocks(), 4);
+  EXPECT_TRUE(manager.RefcountsConsistent());
 }
 
-TEST(KvBlockManagerTest, OccupancyReflectsFragmentation) {
-  KvBlockManager manager(SmallConfig());
-  ASSERT_TRUE(manager.AddSequence(1, 1));  // 1 token in a 4-token block.
-  EXPECT_DOUBLE_EQ(manager.Occupancy(), 0.25);
-  ASSERT_TRUE(manager.AppendToken(1));
-  EXPECT_DOUBLE_EQ(manager.Occupancy(), 0.5);
-}
-
-TEST(KvBlockManagerTest, UsedBytesAndCapacity) {
+TEST(KvBlockManagerTest, CapacityCountsAvailableBlocks) {
   KvBlockManager manager(SmallConfig(/*blocks=*/8, /*block_tokens=*/4));
   ASSERT_TRUE(manager.AddSequence(1, 8));
-  EXPECT_DOUBLE_EQ(manager.used_bytes(), 2 * 4 * 100.0);
   // 6 free blocks; sequences of 12 tokens need 3 blocks -> 2 fit.
   EXPECT_EQ(manager.CapacitySequences(12), 2);
 }
@@ -156,14 +145,6 @@ TEST(KvBlockManagerTest, HighWaterTracksPeakNotCurrentUsage) {
   EXPECT_EQ(manager.high_water_blocks(), 5);
 }
 
-TEST(KvBlockManagerTest, InternalFragmentationComplementsOccupancy) {
-  KvBlockManager manager(SmallConfig());
-  ASSERT_TRUE(manager.AddSequence(1, 1));  // 1 of 4 slots in its block.
-  EXPECT_DOUBLE_EQ(manager.InternalFragmentation(), 0.75);
-  ASSERT_TRUE(manager.AppendToken(1));
-  EXPECT_DOUBLE_EQ(manager.InternalFragmentation(), 0.5);
-}
-
 // The rollout scheduler's exhaustion protocol: on a failed append, free a
 // victim, requeue it, and later re-admit it at its full grown context.
 TEST(KvBlockManagerTest, PreemptResumeCycleRecomputesAtFullContext) {
@@ -183,54 +164,21 @@ TEST(KvBlockManagerTest, PreemptResumeCycleRecomputesAtFullContext) {
   EXPECT_EQ(manager.high_water_blocks(), 4);
 }
 
-TEST(DistributedKvManagerTest, CanAdmitAndBulkFreeStayInLockstep) {
-  DistributedKvManager manager(2, SmallConfig(/*blocks=*/4));
+TEST(KvBlockManagerTest, CanAdmitAndBulkFreeKeepThePeak) {
+  KvBlockManager manager(SmallConfig(/*blocks=*/4));
   EXPECT_TRUE(manager.CanAdmit(16, 0));
   EXPECT_FALSE(manager.CanAdmit(16, 1));
   ASSERT_TRUE(manager.AddSequence(1, 8));
   ASSERT_TRUE(manager.AddSequence(2, 4));
   EXPECT_EQ(manager.high_water_blocks(), 3);
   manager.FreeSequences({1, 2});
-  EXPECT_TRUE(manager.TablesInLockstep());
-  EXPECT_EQ(manager.rank(0).used_blocks(), 0);
-  EXPECT_EQ(manager.rank(1).used_blocks(), 0);
+  EXPECT_EQ(manager.used_blocks(), 0);
   EXPECT_EQ(manager.high_water_blocks(), 3);  // Peak survives the free.
 }
 
-// --- Distributed (TP-sharded) manager -----------------------------------------
-
-TEST(DistributedKvManagerTest, RanksStayInLockstep) {
-  DistributedKvManager manager(4, SmallConfig());
-  ASSERT_TRUE(manager.AddSequence(1, 6));
-  ASSERT_TRUE(manager.AppendToken(1));
-  ASSERT_TRUE(manager.AddSequence(2, 3));
-  EXPECT_TRUE(manager.TablesInLockstep());
-  manager.FreeSequence(1);
-  EXPECT_TRUE(manager.TablesInLockstep());
-  EXPECT_EQ(manager.rank(0).num_sequences(), 1);
-  EXPECT_EQ(manager.rank(3).num_sequences(), 1);
-}
-
-TEST(DistributedKvManagerTest, AllOrNothingOnExhaustion) {
-  DistributedKvManager manager(2, SmallConfig(/*blocks=*/2));
-  ASSERT_TRUE(manager.AddSequence(1, 8));
-  EXPECT_FALSE(manager.AppendToken(1));
-  EXPECT_TRUE(manager.TablesInLockstep());
-  EXPECT_EQ(manager.rank(0).SequenceTokens(1), 8);
-  EXPECT_EQ(manager.rank(1).SequenceTokens(1), 8);
-}
-
-TEST(DistributedKvManagerTest, BytesShardAcrossRanks) {
-  KvBlockConfig config = SmallConfig();
-  config.bytes_per_token = 50.0;  // Per-rank shard of a 200 B/token cache at t_g=4.
-  DistributedKvManager manager(4, config);
-  ASSERT_TRUE(manager.AddSequence(1, 4));
-  EXPECT_DOUBLE_EQ(manager.total_used_bytes(), 4 * 4 * 50.0);
-}
-
 // Simulated generation loop: waves emerge from capacity, nothing leaks.
-TEST(DistributedKvManagerTest, WaveSchedulingDrainsEverything) {
-  DistributedKvManager manager(2, SmallConfig(/*blocks=*/16, /*block_tokens=*/4));
+TEST(KvBlockManagerTest, WaveSchedulingDrainsEverything) {
+  KvBlockManager manager(SmallConfig(/*blocks=*/16, /*block_tokens=*/4));
   const int64_t prompt = 8;
   const int64_t response = 8;
   int64_t next = 0;
@@ -244,7 +192,7 @@ TEST(DistributedKvManagerTest, WaveSchedulingDrainsEverything) {
     // decode loop never stalls mid-sequence (vLLM-style admission control).
     while (next < total_sequences &&
            (static_cast<int64_t>(active.size()) + 1) * blocks_per_full_sequence <=
-               manager.rank(0).config().num_blocks &&
+               manager.config().num_blocks &&
            manager.AddSequence(next, prompt)) {
       active.push_back(next);
       next += 1;
@@ -262,8 +210,8 @@ TEST(DistributedKvManagerTest, WaveSchedulingDrainsEverything) {
     active.clear();
   }
   EXPECT_GT(waves, 1);  // Capacity forced batching into waves.
-  EXPECT_EQ(manager.rank(0).used_blocks(), 0);
-  EXPECT_TRUE(manager.TablesInLockstep());
+  EXPECT_EQ(manager.used_blocks(), 0);
+  EXPECT_TRUE(manager.RefcountsConsistent());
 }
 
 // --- Prefix-sharing cache (docs/KVCACHE.md) -----------------------------------
@@ -283,8 +231,6 @@ TEST(KvCachePrefixTest, HashChainingSeparatesDivergentPrefixes) {
   ASSERT_EQ(b.size(), 2u);
   EXPECT_EQ(a[0], b[0]);  // Identical first block.
   EXPECT_NE(a[1], b[1]);  // Chained: divergence poisons every later hash.
-  EXPECT_NE(a[0], 0u);
-  EXPECT_NE(a[1], 0u);  // Zero is the unhashed sentinel, never produced.
   // Partial tail blocks are never hashed.
   EXPECT_EQ(PromptBlockHashes({1, 2, 3, 4, 5}, 4).size(), 1u);
 }
@@ -307,11 +253,8 @@ TEST(KvCachePrefixTest, IdenticalPromptsShareBlocksPhysically) {
   ASSERT_TRUE(manager.AddSequenceShared(2, 8, hashes));
   EXPECT_EQ(manager.used_blocks(), 2);  // Shared, not re-allocated.
   EXPECT_EQ(manager.shared_blocks(), 2);
-  EXPECT_EQ(manager.BlockTable(1), manager.BlockTable(2));
+  EXPECT_EQ(manager.free_blocks(), 6);  // Physical: a shared block counts once.
   EXPECT_EQ(manager.prefix_hit_tokens_total(), 8);
-  // Physical occupancy counts a shared block's capacity and fill once.
-  EXPECT_DOUBLE_EQ(manager.Occupancy(), 1.0);
-  EXPECT_DOUBLE_EQ(manager.used_bytes(), 2 * 4 * 100.0);
   EXPECT_TRUE(manager.RefcountsConsistent());
 }
 
@@ -419,57 +362,18 @@ TEST(KvCachePrefixTest, ReferencedHitsDoNotConsumeCapacity) {
   EXPECT_TRUE(manager.RefcountsConsistent());
 }
 
-TEST(KvCacheCowTest, ForkSharesEverythingAndSplitsOnFirstDivergentWrite) {
-  KvBlockManager manager(PrefixConfig(/*blocks=*/8));
-  ASSERT_TRUE(manager.AddSequence(1, 6));  // 2 blocks; tail holds 2 of 4.
-  manager.Fork(1, 2);
-  EXPECT_EQ(manager.used_blocks(), 2);  // The fork allocated nothing.
-  EXPECT_EQ(manager.shared_blocks(), 2);
-  EXPECT_EQ(manager.BlockTable(1), manager.BlockTable(2));
-  EXPECT_EQ(manager.SequenceTokens(2), 6);
-  // The child's first append writes into the shared partial tail: COW.
-  ASSERT_TRUE(manager.AppendToken(2));
-  EXPECT_EQ(manager.cow_splits_total(), 1);
-  EXPECT_EQ(manager.used_blocks(), 3);
-  EXPECT_EQ(manager.BlockTable(1)[0], manager.BlockTable(2)[0]);  // Prefix intact.
-  EXPECT_NE(manager.BlockTable(1)[1], manager.BlockTable(2)[1]);  // Tail split.
-  EXPECT_EQ(manager.SequenceTokens(1), 6);  // Reader undisturbed.
-  EXPECT_EQ(manager.SequenceTokens(2), 7);
-  // The parent's tail is exclusively owned again: no further split.
-  ASSERT_TRUE(manager.AppendToken(1));
-  EXPECT_EQ(manager.cow_splits_total(), 1);
-  EXPECT_EQ(manager.used_blocks(), 3);
-  EXPECT_EQ(manager.shared_blocks(), 1);
-  EXPECT_TRUE(manager.RefcountsConsistent());
-  manager.FreeSequence(1);
-  manager.FreeSequence(2);
-  EXPECT_EQ(manager.used_blocks(), 0);
-  EXPECT_TRUE(manager.RefcountsConsistent());
-}
-
-TEST(KvCacheCowTest, CowSplitFailsCleanlyWhenPoolIsDry) {
-  KvBlockManager manager(PrefixConfig(/*blocks=*/2, /*block_tokens=*/4));
-  ASSERT_TRUE(manager.AddSequence(1, 6));  // Both blocks taken.
-  manager.Fork(1, 2);
-  // The split needs a block and none is free or evictable.
-  EXPECT_FALSE(manager.CanAppendTokens(2, 1));
-  EXPECT_FALSE(manager.AppendToken(2));
-  EXPECT_EQ(manager.SequenceTokens(2), 6);  // Unchanged on failure.
-  EXPECT_EQ(manager.cow_splits_total(), 0);
-  EXPECT_TRUE(manager.RefcountsConsistent());
-}
-
 TEST(KvCacheLeakTest, SharedLifecyclesReturnEveryBlock) {
-  // Interleaved shared admissions, forks, divergent appends, and frees in
-  // varying orders: physical usage must return to zero and the refcount
-  // audit must hold at every quiescent point.
+  // Interleaved shared admissions, divergent appends, and frees in varying
+  // orders: physical usage must return to zero and the refcount audit must
+  // hold at every quiescent point.
   KvBlockManager manager(PrefixConfig(/*blocks=*/16, /*block_tokens=*/2));
   const std::vector<uint64_t> hashes = PromptBlockHashes({1, 2, 3, 4, 5, 6}, 2);
   ASSERT_TRUE(manager.AddSequenceShared(1, 6, hashes));
   ASSERT_TRUE(manager.AddSequenceShared(2, 6, hashes));
-  manager.Fork(2, 3);
-  ASSERT_TRUE(manager.AppendToken(1));  // New block (boundary).
-  ASSERT_TRUE(manager.AppendToken(3));  // New block: 3 diverges from 2.
+  ASSERT_TRUE(manager.AddSequenceShared(3, 6, hashes));
+  EXPECT_EQ(manager.shared_blocks(), 3);
+  ASSERT_TRUE(manager.AppendToken(1));  // New private block (boundary).
+  ASSERT_TRUE(manager.AppendToken(3));  // Another: 3 diverges from 2.
   ASSERT_TRUE(manager.RefcountsConsistent());
   manager.FreeSequence(2);  // Middle owner first: shared blocks survive.
   ASSERT_TRUE(manager.RefcountsConsistent());
@@ -482,8 +386,8 @@ TEST(KvCacheLeakTest, SharedLifecyclesReturnEveryBlock) {
 }
 
 TEST(KvCacheLeakTest, RandomizedOpSoakHoldsInvariants) {
-  // Property soak across seeds: random admits (shared and private), forks,
-  // appends, and frees against a tiny pool. After every operation the
+  // Property soak across seeds: random admits (shared and private), appends,
+  // and frees against a tiny pool. After every operation the
   // refcount/partition audit must hold; after the final drain nothing may
   // remain referenced.
   for (uint64_t seed = 1; seed <= 5; ++seed) {
@@ -510,14 +414,13 @@ TEST(KvCacheLeakTest, RandomizedOpSoakHoldsInvariants) {
           }
           break;
         }
-        case 1: {  // Fork a random live sequence.
-          if (!live.empty()) {
-            manager.Fork(live[next() % live.size()], next_id);
+        case 1: {  // Private admit.
+          if (manager.AddSequence(next_id, static_cast<int64_t>(next() % 5))) {
             live.push_back(next_id++);
           }
           break;
         }
-        case 2: {  // Append (may COW-split or fail on exhaustion).
+        case 2: {  // Append (may fail on exhaustion).
           if (!live.empty()) {
             manager.AppendToken(live[next() % live.size()]);
           }
@@ -677,90 +580,62 @@ TEST(KvCacheTraceTest, SeededOpTraceMatchesGolden) {
   }
 }
 
-TEST(KvCacheDistributedTest, SharedAdmissionAndForkStayInLockstep) {
-  DistributedKvManager manager(2, PrefixConfig(/*blocks=*/8));
-  const std::vector<uint64_t> hashes = PromptBlockHashes({1, 2, 3, 4, 5, 6, 7, 8}, 4);
-  ASSERT_TRUE(manager.AddSequenceShared(1, 8, hashes));
-  ASSERT_TRUE(manager.AddSequenceShared(2, 8, hashes));
-  manager.Fork(2, 3);
-  ASSERT_TRUE(manager.AppendToken(3));  // Boundary append, all ranks.
-  EXPECT_TRUE(manager.TablesInLockstep());
-  EXPECT_EQ(manager.rank(0).shared_blocks(), manager.rank(1).shared_blocks());
-  manager.FreeSequences({1, 2, 3});
-  EXPECT_TRUE(manager.TablesInLockstep());
-  EXPECT_EQ(manager.rank(0).used_blocks(), 0);
-  EXPECT_EQ(manager.rank(1).used_blocks(), 0);
-  EXPECT_EQ(manager.rank(0).cached_blocks(), manager.rank(1).cached_blocks());
-  EXPECT_TRUE(manager.rank(0).RefcountsConsistent());
-  EXPECT_TRUE(manager.rank(1).RefcountsConsistent());
-}
-
-
-// Every observable of one rank that an append can change.
-void ExpectSameRank(const KvBlockManager& bulk, const KvBlockManager& single,
-                    const std::vector<int64_t>& ids) {
+// Every observable of a manager that an append can change.
+void ExpectSameManager(const KvBlockManager& bulk, const KvBlockManager& single,
+                       const std::vector<int64_t>& ids) {
   for (int64_t id : ids) {
     ASSERT_EQ(bulk.HasSequence(id), single.HasSequence(id));
     if (bulk.HasSequence(id)) {
-      EXPECT_EQ(bulk.BlockTable(id), single.BlockTable(id)) << "sequence " << id;
       EXPECT_EQ(bulk.SequenceTokens(id), single.SequenceTokens(id)) << "sequence " << id;
     }
   }
   EXPECT_EQ(bulk.used_blocks(), single.used_blocks());
+  EXPECT_EQ(bulk.free_blocks(), single.free_blocks());
   EXPECT_EQ(bulk.shared_blocks(), single.shared_blocks());
   EXPECT_EQ(bulk.cached_blocks(), single.cached_blocks());
-  EXPECT_EQ(bulk.cow_splits_total(), single.cow_splits_total());
   EXPECT_EQ(bulk.high_water_blocks(), single.high_water_blocks());
   EXPECT_EQ(bulk.allocations_total(), single.allocations_total());
-  EXPECT_DOUBLE_EQ(bulk.Occupancy(), single.Occupancy());
   EXPECT_TRUE(bulk.RefcountsConsistent());
   EXPECT_TRUE(single.RefcountsConsistent());
 }
 
 TEST(KvCacheBulkAppendTest, AppendTokensEqualsRepeatedAppendToken) {
-  for (const int ranks : {1, 4}) {
-    for (const bool prefix_cache : {false, true}) {
-      SCOPED_TRACE(testing::Message() << ranks << " ranks, prefix cache " << prefix_cache);
-      KvBlockConfig config = SmallConfig(/*blocks=*/32, /*block_tokens=*/4);
-      config.enable_prefix_cache = prefix_cache;
-      DistributedKvManager bulk(ranks, config);
-      DistributedKvManager single(ranks, config);
-      const std::vector<uint64_t> hashes = GroupBlockHashes(/*group=*/5, /*full_blocks=*/2);
-      for (DistributedKvManager* manager : {&bulk, &single}) {
-        ASSERT_TRUE(manager->AddSequenceShared(1, 6, hashes));  // Partial tail.
-        manager->Fork(1, 2);                                    // Shared partial tail.
-        ASSERT_TRUE(manager->AddSequenceShared(3, 8, hashes));  // Tail at a boundary.
-        ASSERT_TRUE(manager->AddSequence(4, 0));                // Empty.
-      }
-      const std::vector<int64_t> ids = {1, 2, 3, 4};
-      // (sequence, tokens): a COW split that fills the copy and crosses a
-      // boundary, fills that stop short of, reach, and cross boundaries,
-      // multi-block runs, and no-ops.
-      const std::vector<std::pair<int64_t, int64_t>> appends = {
-          {2, 3}, {1, 2}, {1, 1}, {2, 6}, {3, 4}, {3, 1}, {4, 9}, {1, 0}, {4, 3}, {3, 11}};
-      for (const auto& [id, tokens] : appends) {
-        SCOPED_TRACE(testing::Message() << "append " << tokens << " to " << id);
-        ASSERT_TRUE(bulk.AppendTokens(id, tokens));
-        for (int64_t i = 0; i < tokens; ++i) {
-          ASSERT_TRUE(single.AppendToken(id));
-        }
-        ASSERT_TRUE(bulk.TablesInLockstep());
-        for (int rank = 0; rank < ranks; ++rank) {
-          ExpectSameRank(bulk.rank(rank), single.rank(rank), ids);
-        }
-      }
-      EXPECT_EQ(bulk.rank(0).cow_splits_total(), 1);
-      // All-or-nothing: an append the pool cannot hold changes nothing.
-      const int64_t tokens = bulk.rank(0).SequenceTokens(4);
-      const std::vector<int64_t> table = bulk.rank(0).BlockTable(4);
-      EXPECT_FALSE(bulk.AppendTokens(4, 4 * config.num_blocks));
-      EXPECT_EQ(bulk.rank(0).SequenceTokens(4), tokens);
-      EXPECT_EQ(bulk.rank(0).BlockTable(4), table);
-      ExpectSameRank(bulk.rank(0), single.rank(0), ids);
-      bulk.FreeSequences(ids);
-      EXPECT_EQ(bulk.rank(0).used_blocks(), 0);
-      EXPECT_TRUE(bulk.rank(0).RefcountsConsistent());
+  for (const bool prefix_cache : {false, true}) {
+    SCOPED_TRACE(testing::Message() << "prefix cache " << prefix_cache);
+    KvBlockConfig config = SmallConfig(/*blocks=*/32, /*block_tokens=*/4);
+    config.enable_prefix_cache = prefix_cache;
+    KvBlockManager bulk(config);
+    KvBlockManager single(config);
+    const std::vector<uint64_t> hashes = GroupBlockHashes(/*group=*/5, /*full_blocks=*/2);
+    for (KvBlockManager* manager : {&bulk, &single}) {
+      ASSERT_TRUE(manager->AddSequenceShared(1, 6, hashes));  // Partial tail.
+      ASSERT_TRUE(manager->AddSequenceShared(2, 6, hashes));  // Shares the full block.
+      ASSERT_TRUE(manager->AddSequenceShared(3, 8, hashes));  // Tail at a boundary.
+      ASSERT_TRUE(manager->AddSequence(4, 0));                // Empty.
     }
+    const std::vector<int64_t> ids = {1, 2, 3, 4};
+    // (sequence, tokens): fills that stop short of, reach, and cross
+    // boundaries, multi-block runs, and no-ops.
+    const std::vector<std::pair<int64_t, int64_t>> appends = {
+        {2, 3}, {1, 2}, {1, 1}, {2, 6}, {3, 4}, {3, 1}, {4, 9}, {1, 0}, {4, 3}, {3, 11}};
+    for (const auto& [id, tokens] : appends) {
+      SCOPED_TRACE(testing::Message() << "append " << tokens << " to " << id);
+      ASSERT_TRUE(bulk.AppendTokens(id, tokens));
+      for (int64_t i = 0; i < tokens; ++i) {
+        ASSERT_TRUE(single.AppendToken(id));
+      }
+      ExpectSameManager(bulk, single, ids);
+    }
+    // All-or-nothing: an append the pool cannot hold changes nothing.
+    const int64_t tokens = bulk.SequenceTokens(4);
+    const int64_t used = bulk.used_blocks();
+    EXPECT_FALSE(bulk.AppendTokens(4, 4 * config.num_blocks));
+    EXPECT_EQ(bulk.SequenceTokens(4), tokens);
+    EXPECT_EQ(bulk.used_blocks(), used);
+    ExpectSameManager(bulk, single, ids);
+    bulk.FreeSequences(ids);
+    EXPECT_EQ(bulk.used_blocks(), 0);
+    EXPECT_TRUE(bulk.RefcountsConsistent());
   }
 }
 

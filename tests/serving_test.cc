@@ -41,7 +41,6 @@ KvBlockConfig KvConfig(int64_t blocks, int64_t block_tokens = 4) {
   KvBlockConfig config;
   config.block_tokens = block_tokens;
   config.num_blocks = blocks;
-  config.bytes_per_token = 1.0;
   return config;
 }
 
@@ -191,7 +190,7 @@ TEST(ArrivalTraceTest, RateShapesMatchTheirEnvelope) {
 // --- Scheduler admission policies --------------------------------------------
 
 TEST(ServingSchedulerTest, PriorityAdmitsHigherFirstWithArrivalTies) {
-  DistributedKvManager kv(1, KvConfig(/*blocks=*/64));
+  KvBlockManager kv(KvConfig(/*blocks=*/64));
   std::vector<RolloutSequence> sequences = MakeSequences({4, 4, 4, 4}, /*target_new=*/2);
   sequences[0].priority = 0;
   sequences[1].priority = 7;
@@ -207,7 +206,7 @@ TEST(ServingSchedulerTest, PriorityAdmitsHigherFirstWithArrivalTies) {
 }
 
 TEST(ServingSchedulerTest, DeadlineAdmitsEarliestFirstAndDeadlineFreeLast) {
-  DistributedKvManager kv(1, KvConfig(/*blocks=*/64));
+  KvBlockManager kv(KvConfig(/*blocks=*/64));
   std::vector<RolloutSequence> sequences = MakeSequences({4, 4, 4, 4}, /*target_new=*/2);
   sequences[0].ttft_deadline = 0.0;  // No SLO: sorts last.
   sequences[1].ttft_deadline = 5.0;
@@ -226,7 +225,7 @@ TEST(ServingSchedulerTest, WeightedFairInterleavesPerDeficitRounds) {
   // Tenant 7 weighs 2.0, tenant 9 weighs 1.0, every context costs 4 tokens
   // and the quantum is 4: each round admits two of tenant 7's requests and
   // one of tenant 9's, starting at the cursor (tenant 7).
-  DistributedKvManager kv(1, KvConfig(/*blocks=*/64));
+  KvBlockManager kv(KvConfig(/*blocks=*/64));
   std::vector<RolloutSequence> sequences = MakeSequences({4, 4, 4, 4, 4, 4}, /*target_new=*/2);
   for (int64_t id : {0, 1, 2, 3}) {
     sequences[static_cast<size_t>(id)].tenant = 7;
@@ -249,7 +248,7 @@ TEST(ServingSchedulerTest, WeightedFairBlockedTenantDoesNotStarveOthers) {
   // Tenant 1's queue head (14 tokens -> 4 blocks + reserve) cannot fit
   // while tenant 0's small requests can: fair queueing must serve tenant 0
   // past the blocked tenant instead of stalling the whole admission.
-  DistributedKvManager kv(1, KvConfig(/*blocks=*/4));
+  KvBlockManager kv(KvConfig(/*blocks=*/4));
   std::vector<RolloutSequence> sequences = MakeSequences({14, 4, 4}, /*target_new=*/2);
   sequences[0].tenant = 1;
   sequences[1].tenant = 0;
@@ -269,7 +268,7 @@ TEST(ServingSchedulerTest, WeightedFairBlockedTenantDoesNotStarveOthers) {
 // --- Cancellation and expiry edge cases --------------------------------------
 
 TEST(ServingSchedulerTest, CancelWhileWaitingLeavesNoResidencyAndSkipsAdmission) {
-  DistributedKvManager kv(2, KvConfig(/*blocks=*/64));
+  KvBlockManager kv(KvConfig(/*blocks=*/64));
   std::vector<RolloutSequence> sequences = MakeSequences({4, 4}, /*target_new=*/2);
   RolloutScheduler scheduler({}, &kv, &sequences);
   scheduler.Enqueue(0);
@@ -281,15 +280,15 @@ TEST(ServingSchedulerTest, CancelWhileWaitingLeavesNoResidencyAndSkipsAdmission)
   EXPECT_EQ(sequences[0].state, SequenceState::kFinished);
   EXPECT_EQ(sequences[1].generated, 0);
   EXPECT_EQ(scheduler.stats().cancelled, 1);
-  EXPECT_EQ(kv.rank(0).used_blocks(), 0);
-  EXPECT_TRUE(kv.TablesInLockstep());
+  EXPECT_EQ(kv.used_blocks(), 0);
+  EXPECT_TRUE(kv.RefcountsConsistent());
 }
 
 TEST(ServingSchedulerTest, CancelMidPrefillChunkReturnsAllBlocks) {
   // Chunked prefill: seq 0's 8-token context enters compute 2 tokens per
   // step. Cancel after the first partial chunk, while its full context's
   // blocks are resident but prefill has not completed.
-  DistributedKvManager kv(1, KvConfig(/*blocks=*/16, /*block_tokens=*/2));
+  KvBlockManager kv(KvConfig(/*blocks=*/16, /*block_tokens=*/2));
   std::vector<RolloutSequence> sequences = MakeSequences({8, 2}, /*target_new=*/2);
   RolloutSchedulerConfig config;
   config.prefill_chunk_tokens = 2;
@@ -301,22 +300,22 @@ TEST(ServingSchedulerTest, CancelMidPrefillChunkReturnsAllBlocks) {
   EXPECT_FALSE(plan.prefill[0].completes);  // Mid-chunk by construction.
   scheduler.CommitStep(plan, {});
   ASSERT_EQ(sequences[0].state, SequenceState::kPrefill);
-  const int64_t resident_before = kv.rank(0).used_blocks();
+  const int64_t resident_before = kv.used_blocks();
   EXPECT_GT(resident_before, 0);
   scheduler.Cancel(0);
   EXPECT_EQ(sequences[0].state, SequenceState::kCancelled);
   EXPECT_EQ(sequences[0].kv_tokens, 0);
-  EXPECT_LT(kv.rank(0).used_blocks(), resident_before);
+  EXPECT_LT(kv.used_blocks(), resident_before);
   Drain(scheduler);
   EXPECT_EQ(sequences[1].state, SequenceState::kFinished);
-  EXPECT_EQ(kv.rank(0).used_blocks(), 0);
+  EXPECT_EQ(kv.used_blocks(), 0);
 }
 
 TEST(ServingSchedulerTest, CancelWhilePreemptedRemovesFromRequeue) {
   // Tight cache forces preemption; the victim sits in the waiting queue
   // with generated > 0 (recompute-on-resume). Cancelling it there must
   // remove it without touching KV (its blocks were freed at preemption).
-  DistributedKvManager kv(2, KvConfig(/*blocks=*/6, /*block_tokens=*/2));
+  KvBlockManager kv(KvConfig(/*blocks=*/6, /*block_tokens=*/2));
   std::vector<RolloutSequence> sequences = MakeSequences({2, 2, 2, 2}, /*target_new=*/6);
   RolloutScheduler scheduler({}, &kv, &sequences);
   for (int64_t id = 0; id < 4; ++id) {
@@ -348,12 +347,12 @@ TEST(ServingSchedulerTest, CancelWhilePreemptedRemovesFromRequeue) {
       EXPECT_EQ(sequence.state, SequenceState::kFinished);
     }
   }
-  EXPECT_EQ(kv.rank(0).used_blocks(), 0);
-  EXPECT_TRUE(kv.TablesInLockstep());
+  EXPECT_EQ(kv.used_blocks(), 0);
+  EXPECT_TRUE(kv.RefcountsConsistent());
 }
 
 TEST(ServingSchedulerTest, ExpiryRacesTheFinalTokenAtTheStepBoundary) {
-  DistributedKvManager kv(1, KvConfig(/*blocks=*/64));
+  KvBlockManager kv(KvConfig(/*blocks=*/64));
   std::vector<RolloutSequence> sequences = MakeSequences({2, 2, 2}, /*target_new=*/2);
   sequences[0].ttft_deadline = 1.0;  // Served before the deadline: finishes.
   sequences[1].ttft_deadline = 1.0;  // Still tokenless past it: expires.
@@ -384,11 +383,11 @@ TEST(ServingSchedulerTest, ExpiryRacesTheFinalTokenAtTheStepBoundary) {
   EXPECT_EQ(sequences[1].state, SequenceState::kFinished);
   EXPECT_EQ(scheduler.stats().expired, 1);
   EXPECT_FALSE(scheduler.HasWork());
-  EXPECT_EQ(kv.rank(0).used_blocks(), 0);
+  EXPECT_EQ(kv.used_blocks(), 0);
 }
 
 TEST(ServingSchedulerTest, ExpiryDrainingAllWorkReturnsAnEmptyPlan) {
-  DistributedKvManager kv(1, KvConfig(/*blocks=*/64));
+  KvBlockManager kv(KvConfig(/*blocks=*/64));
   std::vector<RolloutSequence> sequences = MakeSequences({2, 2}, /*target_new=*/2);
   sequences[0].ttft_deadline = 1.0;
   sequences[1].ttft_deadline = 1.0;
@@ -402,7 +401,7 @@ TEST(ServingSchedulerTest, ExpiryDrainingAllWorkReturnsAnEmptyPlan) {
   EXPECT_TRUE(plan.empty());
   EXPECT_FALSE(scheduler.HasWork());
   EXPECT_EQ(scheduler.stats().expired, 2);
-  EXPECT_EQ(kv.rank(0).used_blocks(), 0);
+  EXPECT_EQ(kv.used_blocks(), 0);
 }
 
 // --- Data-plane frontend: greedy equivalence ---------------------------------
@@ -839,7 +838,7 @@ TEST(ServingEquivalenceTest, ServeMatchesRolloutEngineBitwiseGreedyAndSampled) {
   limits.max_new_tokens = 5;
   RolloutOptions options;
   options.mode = RolloutMode::kContinuous;
-  const RolloutEngine engine(net, limits, options, /*kv_ranks=*/2);
+  const RolloutEngine engine(net, limits, options);
   ServingFrontendConfig config;
   config.block_tokens = 2;
   config.num_blocks = 9;  // Tight, unlike the engine: a different schedule.

@@ -58,9 +58,8 @@
 //                        one: latency accounting lives on the sequences,
 //                        so a hidden always-on log cannot come back behind
 //                        the null-log contract
-//   closed-form-pricing  no KvBlockManager or DistributedKvManager is
-//                        constructed in src/perf/ or src/mapping/: pricing
-//                        code asks the static
+//   closed-form-pricing  no KvBlockManager is constructed in src/perf/ or
+//                        src/mapping/: pricing code asks the static
 //                        KvBlockManager::CapacitySequences(config, tokens)
 //                        instead of building a paged cache per candidate,
 //                        so Algorithm 1 stays as cheap as what it prices
@@ -756,12 +755,10 @@ void CheckClosedFormPricing(const FileText& file, std::vector<Finding>& findings
   if (file.path.rfind("src/perf/", 0) != 0 && file.path.rfind("src/mapping/", 0) != 0) {
     return;
   }
-  for (const std::string type : {"KvBlockManager", "DistributedKvManager"}) {
-    FlagConstructions(file, type, "closed-form-pricing",
-                      type + " constructed in pricing code; use the static "
-                             "KvBlockManager::CapacitySequences(config, tokens)",
-                      findings);
-  }
+  FlagConstructions(file, "KvBlockManager", "closed-form-pricing",
+                    "KvBlockManager constructed in pricing code; use the static "
+                    "KvBlockManager::CapacitySequences(config, tokens)",
+                    findings);
 }
 
 // One scheduler config: in src/, only RolloutSchedulerConfig declares the
@@ -1388,16 +1385,16 @@ int RunRulesSelftest() {
     fs::create_directories(tree / "src/rollout");
     std::ofstream home(tree / "src/rollout/step_loop.cc");
     home << "namespace hybridflow {\n"
-         << "void Loop(DistributedKvManager* kv, std::vector<RolloutSequence>* s) {\n"
+         << "void Loop(KvBlockManager* kv, std::vector<RolloutSequence>* s) {\n"
          << "  RolloutScheduler scheduler(RolloutSchedulerConfig(), kv, s);\n"
          << "}\n"
          << "}  // namespace hybridflow\n";
     std::ofstream fifth(tree / "src/gadget/fifth_loop.cc");
     fifth << "namespace hybridflow {\n"
-          << "void Fifth(DistributedKvManager* kv, std::vector<RolloutSequence>* s) {\n"
+          << "void Fifth(KvBlockManager* kv, std::vector<RolloutSequence>* s) {\n"
           << "  RolloutScheduler scheduler(RolloutSchedulerConfig(), kv, s);\n"
           << "}\n"
-          << "void Hatched(DistributedKvManager* kv, std::vector<RolloutSequence>* s) {\n"
+          << "void Hatched(KvBlockManager* kv, std::vector<RolloutSequence>* s) {\n"
           << "  RolloutScheduler kept(RolloutSchedulerConfig(), kv, s);"
           << "  // hflint: allow(one-step-loop)\n"
           << "}\n"
@@ -1448,7 +1445,7 @@ int RunRulesSelftest() {
     std::ofstream mapper(tree / "src/mapping/search.cc");
     mapper << "namespace hybridflow {\n"
            << "void Price(const KvBlockConfig& config) {\n"
-           << "  auto kv = std::make_unique<DistributedKvManager>(config, 2);\n"
+           << "  auto kv = std::make_unique<KvBlockManager>(config);\n"
            << "}\n"
            << "}  // namespace hybridflow\n";
     std::ofstream rollout(tree / "src/rollout/cache_user.cc");
@@ -1518,7 +1515,7 @@ int RunRulesSelftest() {
       {"one-step-loop", "RolloutScheduler constructed outside"},
       {"borrowed-event-log", "SeqEventLog constructed outside src/obs/"},
       {"closed-form-pricing", "KvBlockManager constructed in pricing code"},
-      {"closed-form-pricing", "DistributedKvManager constructed in pricing code"},
+      {"closed-form-pricing", "KvBlockManager constructed in pricing code"},
       {"one-scheduler-config", "max_running declared in MirrorOptions"},
       {"doc-drift", "member 'enable_prefix_cache' is not declared in 'RolloutOptions'"},
   };
