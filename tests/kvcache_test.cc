@@ -214,6 +214,82 @@ TEST(KvBlockManagerTest, WaveSchedulingDrainsEverything) {
   EXPECT_TRUE(manager.RefcountsConsistent());
 }
 
+// A failed append, extension or admission changes nothing: not the
+// sequences, not the pool, not a counter.
+TEST(KvBlockManagerTest, AllOrNothingOnExhaustion) {
+  KvBlockManager manager(SmallConfig(/*blocks=*/4));
+  ASSERT_TRUE(manager.AddSequence(1, 6));  // 2 blocks, tail half full.
+  ASSERT_TRUE(manager.AddSequence(2, 4));  // 1 block: 1 left free.
+  const auto snapshot = [&manager]() {
+    return std::vector<int64_t>{manager.SequenceTokens(1),   manager.SequenceTokens(2),
+                                manager.used_blocks(),       manager.free_blocks(),
+                                manager.high_water_blocks(), manager.appends_total(),
+                                manager.allocations_total(), manager.num_sequences()};
+  };
+  const std::vector<int64_t> before = snapshot();
+  EXPECT_FALSE(manager.AppendTokens(1, 7));     // 13 tokens: 2 more blocks.
+  EXPECT_FALSE(manager.ExtendSequence(2, 12));  // 3 blocks: 2 more.
+  EXPECT_FALSE(manager.AddSequence(3, 5));      // 2 blocks.
+  EXPECT_FALSE(manager.HasSequence(3));
+  EXPECT_EQ(snapshot(), before);
+  // The one free block is still there for an append that fits.
+  ASSERT_TRUE(manager.AppendTokens(1, 6));  // 12 tokens: exactly 1 more block.
+  EXPECT_EQ(manager.free_blocks(), 0);
+  EXPECT_EQ(manager.allocations_total(), before[6] + 1);
+  EXPECT_TRUE(manager.RefcountsConsistent());
+}
+
+// Every Can* probe answers exactly what its operation then does, allocates
+// nothing, and counts retained prefix hits as the capacity they are.
+TEST(KvBlockManagerTest, ProbesPredictTheOperations) {
+  for (const bool prefix_cache : {false, true}) {
+    KvBlockConfig config = SmallConfig(/*blocks=*/6, /*block_tokens=*/4);
+    config.enable_prefix_cache = prefix_cache;
+    const std::vector<uint64_t> hashes = GroupBlockHashes(/*group=*/1, /*full_blocks=*/2);
+    // 3 blocks used; with the prefix cache on, 2 of the 3 available are
+    // seq 1's retained prompt blocks.
+    const auto setup = [&hashes](KvBlockManager& manager) {
+      ASSERT_TRUE(manager.AddSequenceShared(1, 8, hashes));
+      ASSERT_TRUE(manager.AddSequence(2, 5));
+      ASSERT_TRUE(manager.AddSequence(3, 1));
+      manager.FreeSequence(1);
+    };
+    for (int64_t tokens = 0; tokens <= 20; ++tokens) {
+      SCOPED_TRACE(testing::Message()
+                   << "prefix cache " << prefix_cache << " tokens " << tokens);
+      KvBlockManager append(config);
+      KvBlockManager extend(config);
+      KvBlockManager admit(config);
+      KvBlockManager shared(config);
+      for (KvBlockManager* manager : {&append, &extend, &admit, &shared}) {
+        setup(*manager);
+      }
+      const bool can_append = append.CanAppendTokens(2, tokens);
+      const bool can_extend = extend.CanExtendSequence(3, tokens);
+      const bool can_admit = admit.CanAdmit(tokens, 0);
+      const bool can_share = shared.CanAdmitShared(tokens, 0, hashes);
+      for (KvBlockManager* manager : {&append, &extend, &admit, &shared}) {
+        EXPECT_EQ(manager->used_blocks(), 3);
+        EXPECT_EQ(manager->available_blocks(), 3);
+      }
+      EXPECT_EQ(append.AppendTokens(2, tokens), can_append);
+      EXPECT_EQ(extend.ExtendSequence(3, tokens), can_extend);
+      EXPECT_EQ(admit.AddSequence(4, tokens), can_admit);
+      EXPECT_EQ(shared.AddSequenceShared(4, tokens, hashes), can_share);
+      EXPECT_EQ(can_append, tokens <= 15);  // 5 + 15 tokens: 2 + 3 blocks.
+      EXPECT_EQ(can_extend, tokens <= 16);  // 1 + 3 blocks.
+      EXPECT_EQ(can_admit, tokens <= 12);   // 3 blocks.
+      // With the prefix cache on, the 2 hits are retained blocks: sharing
+      // them saves 2 allocations but spends 2 of the 3 available blocks,
+      // so the same 12 tokens fit as without it.
+      EXPECT_EQ(can_share, tokens <= 12);
+      for (KvBlockManager* manager : {&append, &extend, &admit, &shared}) {
+        EXPECT_TRUE(manager->RefcountsConsistent());
+      }
+    }
+  }
+}
+
 // --- Prefix-sharing cache (docs/KVCACHE.md) -----------------------------------
 // Suites named KvCache* run under check.sh's TSan and schedule-fuzz ctest
 // subsets in addition to the plain suite.
@@ -359,6 +435,113 @@ TEST(KvCachePrefixTest, ReferencedHitsDoNotConsumeCapacity) {
   ASSERT_TRUE(manager.AddSequenceShared(2, 20, hashes));
   EXPECT_EQ(manager.used_blocks(), 5);
   EXPECT_EQ(manager.shared_blocks(), 4);
+  EXPECT_TRUE(manager.RefcountsConsistent());
+}
+
+TEST(KvCachePrefixTest, FailedSharedAdmissionLeavesTheCacheAlone) {
+  // The prompt's 2 blocks are retained and the pool is otherwise full: a
+  // shared admission that needs one block more must fail without reviving,
+  // evicting or counting a hit.
+  KvBlockManager manager(PrefixConfig(/*blocks=*/4));
+  const std::vector<uint64_t> hashes = PromptBlockHashes({1, 2, 3, 4, 5, 6, 7, 8}, 4);
+  ASSERT_TRUE(manager.AddSequenceShared(1, 8, hashes));
+  manager.FreeSequence(1);
+  ASSERT_TRUE(manager.AddSequence(2, 8));  // Takes the 2 free blocks.
+  ASSERT_EQ(manager.cached_blocks(), 2);
+  const int64_t hit_tokens = manager.prefix_hit_tokens_total();
+  EXPECT_FALSE(manager.CanAdmitShared(/*resident_tokens=*/12, /*reserve_tokens=*/0, hashes));
+  EXPECT_FALSE(manager.AddSequenceShared(3, 12, hashes));
+  EXPECT_FALSE(manager.HasSequence(3));
+  EXPECT_EQ(manager.used_blocks(), 2);
+  EXPECT_EQ(manager.cached_blocks(), 2);
+  EXPECT_EQ(manager.free_blocks(), 0);
+  EXPECT_EQ(manager.evictions_total(), 0);
+  EXPECT_EQ(manager.prefix_hit_tokens_total(), hit_tokens);
+  EXPECT_EQ(manager.PrefixHitTokens(hashes), 8);
+  EXPECT_EQ(manager.PrefixHitBlocksReferenced(hashes), 0);
+  EXPECT_TRUE(manager.RefcountsConsistent());
+  // Without the extra block it fits, on the retained blocks alone.
+  ASSERT_TRUE(manager.AddSequenceShared(3, 8, hashes));
+  EXPECT_EQ(manager.used_blocks(), 4);
+  EXPECT_EQ(manager.cached_blocks(), 0);
+  EXPECT_EQ(manager.evictions_total(), 0);
+  EXPECT_EQ(manager.prefix_hit_tokens_total(), hit_tokens + 8);
+  EXPECT_TRUE(manager.RefcountsConsistent());
+}
+
+TEST(KvCachePrefixTest, AppendsAfterASharedPromptStayPrivate) {
+  // Sharers of a full prompt diverge by appending: every generated token
+  // lands in a private block, so no shared block is ever written and none
+  // needs copying. Generated tokens never enter the prefix index.
+  KvBlockManager manager(PrefixConfig(/*blocks=*/16));
+  const std::vector<int64_t> prompt = {1, 2, 3, 4, 5, 6, 7, 8};
+  const std::vector<uint64_t> hashes = PromptBlockHashes(prompt, 4);
+  ASSERT_TRUE(manager.AddSequenceShared(1, 8, hashes));
+  ASSERT_TRUE(manager.AddSequenceShared(2, 8, hashes));
+  EXPECT_EQ(manager.allocations_total(), 2);
+  ASSERT_TRUE(manager.AppendToken(1));
+  ASSERT_TRUE(manager.AppendTokens(2, 3));
+  EXPECT_EQ(manager.used_blocks(), 4);  // 2 shared + 1 private tail each.
+  EXPECT_EQ(manager.shared_blocks(), 2);
+  EXPECT_EQ(manager.allocations_total(), 4);
+  EXPECT_EQ(manager.SequenceTokens(1), 9);
+  EXPECT_EQ(manager.SequenceTokens(2), 11);
+  std::vector<int64_t> longer = prompt;
+  longer.insert(longer.end(), {9, 10, 11, 12});
+  EXPECT_EQ(manager.PrefixHitTokens(PromptBlockHashes(longer, 4)), 8);
+  manager.FreeSequence(1);  // The sharer's prompt blocks stay referenced.
+  EXPECT_EQ(manager.used_blocks(), 3);
+  EXPECT_EQ(manager.shared_blocks(), 0);
+  EXPECT_EQ(manager.cached_blocks(), 0);
+  EXPECT_EQ(manager.PrefixHitBlocksReferenced(hashes), 2);
+  EXPECT_EQ(manager.SequenceTokens(2), 11);
+  EXPECT_TRUE(manager.RefcountsConsistent());
+}
+
+TEST(KvCachePrefixTest, PartialTailBlockIsNeverShared) {
+  // A 6-token prompt in 4-token blocks: only its full first block is
+  // hashed. Each sharer holds its own partial tail and fills it alone.
+  KvBlockManager manager(PrefixConfig(/*blocks=*/8));
+  const std::vector<uint64_t> hashes = PromptBlockHashes({1, 2, 3, 4, 5, 6}, 4);
+  ASSERT_EQ(hashes.size(), 1u);
+  ASSERT_TRUE(manager.AddSequenceShared(1, 6, hashes));
+  ASSERT_TRUE(manager.AddSequenceShared(2, 6, hashes));
+  EXPECT_EQ(manager.used_blocks(), 3);  // 1 shared + 2 private tails.
+  EXPECT_EQ(manager.shared_blocks(), 1);
+  EXPECT_EQ(manager.prefix_hit_tokens_total(), 4);
+  ASSERT_TRUE(manager.AppendTokens(1, 2));  // Fills seq 1's tail: no block.
+  EXPECT_EQ(manager.used_blocks(), 3);
+  EXPECT_EQ(manager.SequenceTokens(1), 8);
+  EXPECT_EQ(manager.SequenceTokens(2), 6);
+  manager.FreeSequences({1, 2});
+  EXPECT_EQ(manager.used_blocks(), 0);
+  EXPECT_EQ(manager.cached_blocks(), 1);  // Only the hashed block is kept.
+  EXPECT_EQ(manager.free_blocks(), 7);
+  EXPECT_TRUE(manager.RefcountsConsistent());
+}
+
+TEST(KvCachePrefixTest, ExtendIndexesBlocksAsTheyFill) {
+  // Chunked prefill: a prompt block becomes hittable the moment its
+  // sequence's residency fills it, not before.
+  KvBlockManager manager(PrefixConfig(/*blocks=*/8));
+  const std::vector<uint64_t> hashes =
+      PromptBlockHashes({1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, 4);
+  ASSERT_TRUE(manager.AddSequenceShared(1, 2, hashes));
+  EXPECT_EQ(manager.PrefixHitTokens(hashes), 0);
+  ASSERT_TRUE(manager.ExtendSequence(1, 4));
+  EXPECT_EQ(manager.PrefixHitTokens(hashes), 4);
+  ASSERT_TRUE(manager.ExtendSequence(1, 10));
+  EXPECT_EQ(manager.PrefixHitTokens(hashes), 8);
+  ASSERT_TRUE(manager.ExtendSequence(1, 12));
+  EXPECT_EQ(manager.PrefixHitTokens(hashes), 12);
+  EXPECT_EQ(manager.used_blocks(), 3);
+  // A later admission shares all three, and sharing being free, its
+  // residency covers every hit block even when it asks for less.
+  ASSERT_TRUE(manager.AddSequenceShared(2, 2, hashes));
+  EXPECT_EQ(manager.SequenceTokens(2), 12);
+  EXPECT_EQ(manager.used_blocks(), 3);
+  EXPECT_EQ(manager.shared_blocks(), 3);
+  EXPECT_EQ(manager.prefix_hit_tokens_total(), 12);
   EXPECT_TRUE(manager.RefcountsConsistent());
 }
 
