@@ -5,7 +5,11 @@
 // 256 prompts, continuous rollout, tensor.threads = 1) and records how
 // much kernel work it issued: per `op` label, the number of kernel calls
 // (the tensor.kernel_us histogram count) and the flop-equivalents
-// (tensor.flops_total), plus the simulated rollout step count.
+// (tensor.flops_total), plus the simulated rollout step count, the rows
+// of every per-rank input batch the transfer-protocol layer builds
+// (protocol.shard_rows) and the iteration's learning outputs as C99 hex
+// floats (%a), so a data-plane refactor that must leave numerics bitwise
+// unchanged is checked to the last bit.
 //
 // Wall time is deliberately absent: every number here depends only on
 // the program, never on the thread count, the SIMD tier or the host, so
@@ -13,9 +17,10 @@
 // change that alters the kernel work of an iteration shows up as an
 // exact diff of that file.
 //
-// Emits BENCH_dataplane_work.json: one row per op label, then one
-// summary row (op "iteration").
+// Emits BENCH_dataplane_work.json: one row per op label, then the
+// summary rows "iteration", "transfer" and "outputs".
 
+#include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <map>
@@ -38,6 +43,25 @@ struct OpWork {
 double NumberAfter(const std::string& line, const std::string& key) {
   const size_t at = line.find("\"" + key + "\":");
   return at == std::string::npos ? 0.0 : std::strtod(line.c_str() + at + key.size() + 3, nullptr);
+}
+
+// Sum over every label set of the counter `name` in the global registry.
+double CounterTotal(const std::string& name) {
+  std::istringstream lines(MetricsRegistry::Global().ToJsonLines());
+  double total = 0.0;
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.find("\"name\":\"" + name + "\"") != std::string::npos) {
+      total += NumberAfter(line, "value");
+    }
+  }
+  return total;
+}
+
+std::string HexFloat(double value) {
+  char text[64];
+  std::snprintf(text, sizeof(text), "%a", value);
+  return text;
 }
 
 // Per-op kernel calls and flops currently in the global registry.
@@ -88,7 +112,9 @@ int Main() {
     return 1;
   }
   const std::map<std::string, OpWork> before = SnapshotKernelWork();
-  system.RunIteration();
+  const double rows_before = CounterTotal("protocol.shard_rows");
+  const IterationMetrics metrics = system.RunIteration();
+  const double transfer_rows = CounterTotal("protocol.shard_rows") - rows_before;
   const int64_t sim_steps = system.actor->last_rollout_sim_stats().steps;
 
   BenchReport report("dataplane_work");
@@ -113,8 +139,16 @@ int Main() {
       .Number("kernel_calls", total.calls)
       .Number("flops", total.flops)
       .Number("sim_steps", static_cast<double>(sim_steps));
+  report.AddRow().Text("op", "transfer").Number("transfer_rows", transfer_rows);
+  report.AddRow()
+      .Text("op", "outputs")
+      .Text("actor_loss", HexFloat(metrics.actor_loss))
+      .Text("critic_loss", HexFloat(metrics.critic_loss))
+      .Text("mean_reward", HexFloat(metrics.mean_reward))
+      .Text("mean_kl", HexFloat(metrics.mean_kl));
   std::cout << "one PPO iteration: " << static_cast<int64_t>(total.calls) << " kernel calls, "
-            << static_cast<int64_t>(total.flops) << " flops, " << sim_steps << " sim steps\n";
+            << static_cast<int64_t>(total.flops) << " flops, " << sim_steps << " sim steps, "
+            << static_cast<int64_t>(transfer_rows) << " transfer rows\n";
   if (!report.WriteJson()) {
     std::cerr << "failed to write " << report.FilePath() << "\n";
     return 1;

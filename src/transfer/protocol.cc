@@ -95,6 +95,13 @@ std::vector<DataBatch> DistributeBatch(TransferProtocol protocol, const DataBatc
       break;
     }
   }
+  int64_t rows = 0;
+  for (const DataBatch& shard : per_rank) {
+    rows += shard.batch_size();
+  }
+  MetricsRegistry::Global()
+      .GetCounter("protocol.shard_rows", {{"protocol", TransferProtocolName(protocol)}})
+      .Increment(static_cast<double>(rows));
   return per_rank;
 }
 
