@@ -48,10 +48,10 @@ void BM_ProtocolRoundTrip(benchmark::State& state) {
   DataBatch batch;
   DataBatch::TokenColumn prompts(64, std::vector<int64_t>(16, 1));
   batch.SetTokens("prompts", prompts);
+  const ShardPlan plan = PlanShards(TransferProtocol::k3dProto, context);
   for (auto _ : state) {
-    std::vector<DataBatch> per_rank =
-        DistributeBatch(TransferProtocol::k3dProto, batch, context);
-    benchmark::DoNotOptimize(CollectBatch(TransferProtocol::k3dProto, per_rank, context));
+    benchmark::DoNotOptimize(RunShards(
+        plan, batch, [](const DataBatch& shard, int) { return shard; }, false, ""));
   }
 }
 BENCHMARK(BM_ProtocolRoundTrip);

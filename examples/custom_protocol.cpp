@@ -2,16 +2,17 @@
 // transfer protocols through implementing customized collect and
 // distribute functions."
 //
-// This example registers REDUNDANT_PROTO — a protocol that distributes
-// each data shard to TWO data-parallel groups (replication for fault
-// tolerance) and collects by taking the first live replica's output —
-// and pushes a batch through it next to the built-in 3D_PROTO.
+// A protocol is a ShardPlan: the ranks that compute, in collection order,
+// and the chunk of the input each one reads. This example builds
+// REDUNDANT_PROTO by hand, which sends each data shard to TWO
+// data-parallel groups (redundant execution, e.g. to catch silent data
+// corruption), and runs it through RunShards, the runner every worker
+// group's dispatch uses, next to the built-in 3D_PROTO.
 //
 // Run: ./custom_protocol
 
 #include <iostream>
 
-#include "src/common/strings.h"
 #include "src/transfer/protocol.h"
 
 int main() {
@@ -27,73 +28,59 @@ int main() {
   ProtocolContext context;
   context.groups = &groups;
 
-  // --- Register the custom protocol ----------------------------------------
-  CustomProtocol redundant;
+  // --- The custom plan -------------------------------------------------------
+  // Half as many shards as DP groups: groups 0 and 1 compute the two
+  // shards, groups 2 and 3 compute them again. As in 3D_PROTO, each group's
+  // output comes from its (p = last, t = 0) rank.
+  const int shards = train.dp / 2;
+  ShardPlan redundant;
   redundant.name = "REDUNDANT_PROTO";
-  redundant.distribute = [](const DataBatch& input, const ProtocolContext& ctx) {
-    const ParallelConfig& cfg = ctx.groups->train_config();
-    // Half as many shards as DP groups; each shard goes to a primary AND a
-    // backup group.
-    const int shards = cfg.dp / 2;
-    std::vector<DataBatch> chunks = input.SplitChunks(shards);
-    std::vector<DataBatch> per_rank(static_cast<size_t>(ctx.groups->world_size()));
-    for (int rank = 0; rank < ctx.groups->world_size(); ++rank) {
-      const TrainCoords coords = ctx.groups->TrainCoordsOf(rank);
-      per_rank[static_cast<size_t>(rank)] = chunks[static_cast<size_t>(coords.d % shards)];
-    }
-    return per_rank;
-  };
-  redundant.collect = [](const std::vector<DataBatch>& outputs, const ProtocolContext& ctx) {
-    const ParallelConfig& cfg = ctx.groups->train_config();
-    const int shards = cfg.dp / 2;
-    std::vector<DataBatch> parts;
-    for (int shard = 0; shard < shards; ++shard) {
-      // Prefer the primary group's output; fall back to the backup replica.
-      const int primary = ctx.groups->RankOf({cfg.pp - 1, 0, shard});
-      const int backup = ctx.groups->RankOf({cfg.pp - 1, 0, shard + shards});
-      parts.push_back(outputs[static_cast<size_t>(primary)].empty()
-                          ? outputs[static_cast<size_t>(backup)]
-                          : outputs[static_cast<size_t>(primary)]);
-    }
-    return DataBatch::ConcatBatches(parts);
-  };
-  const int id = ProtocolRegistry::Instance().Register(redundant);
-  std::cout << "registered custom protocol #" << id << " ("
-            << ProtocolRegistry::Instance().Get(id).name << ")\n\n";
+  redundant.chunks = shards;
+  for (int d = 0; d < train.dp; ++d) {
+    redundant.ranks.push_back(groups.RankOf({train.pp - 1, 0, d}));
+    redundant.chunk.push_back(d % shards);
+  }
 
-  // --- Push a batch through it ------------------------------------------------
+  // --- Push a batch through it -------------------------------------------------
+  const int64_t rows = 8;
   DataBatch input;
   DataBatch::TokenColumn prompts;
-  for (int64_t i = 0; i < 8; ++i) {
+  for (int64_t i = 0; i < rows; ++i) {
     prompts.push_back({i * 10, i * 10 + 1});
   }
   input.SetTokens("prompts", std::move(prompts));
 
-  const CustomProtocol& protocol = ProtocolRegistry::Instance().Get(id);
-  std::vector<DataBatch> per_rank = protocol.distribute(input, context);
-  std::cout << "distribute: shard row counts per rank:";
-  for (const DataBatch& shard : per_rank) {
-    std::cout << " " << shard.batch_size();
-  }
-  std::cout << "\n(DP groups 0 & 2 and 1 & 3 hold identical replicas)\n\n";
+  // A toy per-row computation: the sum of each prompt's tokens.
+  const auto score = [](const DataBatch& shard, int rank) {
+    DataBatch::FloatColumn scores;
+    for (const std::vector<int64_t>& prompt : shard.Tokens("prompts")) {
+      scores.push_back({static_cast<float>(prompt[0] + prompt[1])});
+    }
+    std::cout << "  rank " << rank << " computed rows " << shard.Tokens("prompts").front()[0] / 10
+              << "-" << shard.Tokens("prompts").back()[0] / 10 << "\n";
+    DataBatch out;
+    out.SetFloat("score", std::move(scores));
+    return out;
+  };
 
-  // Simulate the primary replica of shard 0 failing: drop its output.
-  std::vector<DataBatch> outputs = per_rank;
-  const int failed = groups.RankOf({0, 0, 0});
-  outputs[static_cast<size_t>(failed)] = DataBatch();
-  DataBatch collected = protocol.collect(outputs, context);
-  std::cout << "collect with rank " << failed << " failed: recovered "
-            << collected.batch_size() << "/" << input.batch_size() << " rows";
-  const bool intact = collected.Tokens("prompts") == input.Tokens("prompts");
-  std::cout << (intact ? " — batch intact via the backup replica\n" : " — DATA LOST\n");
+  std::cout << redundant.name << ":\n";
+  DataBatch collected = RunShards(redundant, input, score, /*parallel=*/false, "");
+  // Outputs concatenate in plan order: the two primaries, then the replicas.
+  const DataBatch primary = collected.Slice(0, rows);
+  const DataBatch replica = collected.Slice(rows, 2 * rows);
+  const bool agree = primary.Float("score") == replica.Float("score");
+  std::cout << "collected " << collected.batch_size() << " rows; the replicas "
+            << (agree ? "agree" : "DISAGREE") << "\n\n";
 
-  // --- The built-in protocol for comparison ------------------------------------
-  std::vector<DataBatch> builtin =
-      DistributeBatch(TransferProtocol::k3dProto, input, context);
-  std::cout << "\n3D_PROTO shards the same batch " << train.dp
-            << " ways with no redundancy (rank 0 got " << builtin[0].batch_size()
-            << " rows).\n";
-  std::cout << "\nNo worker or controller code changed — the protocol is the only\n"
+  // --- The built-in protocol for comparison --------------------------------------
+  std::cout << "3D_PROTO:\n";
+  DataBatch builtin =
+      RunShards(PlanShards(TransferProtocol::k3dProto, context), input, score, false, "");
+  const bool same = builtin.Float("score") == primary.Float("score");
+  std::cout << "collected " << builtin.batch_size() << " rows in " << train.dp
+            << " shards with no redundancy; " << (same ? "same" : "DIFFERENT")
+            << " scores\n";
+  std::cout << "\nNo worker or controller code changed: the plan is the only\n"
                "extension point, which is the §4.1 flexibility claim.\n";
-  return intact ? 0 : 1;
+  return agree && same ? 0 : 1;
 }

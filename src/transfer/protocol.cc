@@ -1,6 +1,9 @@
 #include "src/transfer/protocol.h"
 
+#include <optional>
+
 #include "src/common/check.h"
+#include "src/common/thread_pool.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
@@ -28,226 +31,109 @@ const char* TransferProtocolName(TransferProtocol protocol) {
   return "?";
 }
 
-namespace {
-
-const ProcessGroups& GroupsOf(const ProtocolContext& context) {
+ShardPlan PlanShards(TransferProtocol protocol, const ProtocolContext& context) {
   HF_CHECK(context.groups != nullptr);
-  return *context.groups;
-}
-
-bool NeedsGen(TransferProtocol protocol) {
-  return protocol == TransferProtocol::k3dAllMicroDp ||
-         protocol == TransferProtocol::kMicroDpProto;
-}
-
-}  // namespace
-
-std::vector<DataBatch> DistributeBatch(TransferProtocol protocol, const DataBatch& input,
-                                       const ProtocolContext& context) {
-  HF_TRACE_SCOPE("protocol.distribute", "transfer");
-  MetricsRegistry::Global()
-      .GetCounter("protocol.distribute_calls", {{"protocol", TransferProtocolName(protocol)}})
-      .Increment();
-  const ProcessGroups& groups = GroupsOf(context);
+  const ProcessGroups& groups = *context.groups;
   const ParallelConfig& cfg = groups.train_config();
-  const int world = groups.world_size();
-  if (NeedsGen(protocol)) {
-    HF_CHECK_MSG(context.has_gen, "protocol " << TransferProtocolName(protocol)
-                                              << " requires a generation config");
-  }
-  std::vector<DataBatch> per_rank(static_cast<size_t>(world));
+  ShardPlan plan;
+  plan.name = TransferProtocolName(protocol);
+  const auto add = [&plan](int rank, int chunk) {
+    plan.ranks.push_back(rank);
+    plan.chunk.push_back(chunk);
+  };
   switch (protocol) {
     case TransferProtocol::kOneToAll:
-    case TransferProtocol::k3dPpOnly:
-    case TransferProtocol::kAllGatherProto:
-    case TransferProtocol::kAllToAll: {
-      for (int rank = 0; rank < world; ++rank) {
-        per_rank[static_cast<size_t>(rank)] = input;
+    case TransferProtocol::kAllToAll:
+      for (int rank = 0; rank < groups.world_size(); ++rank) {
+        add(rank, 0);
       }
       break;
-    }
     case TransferProtocol::k3dProto:
-    case TransferProtocol::kDpProto: {
-      std::vector<DataBatch> chunks = input.SplitChunks(cfg.dp);
-      for (int rank = 0; rank < world; ++rank) {
-        const TrainCoords coords = groups.TrainCoordsOf(rank);
-        per_rank[static_cast<size_t>(rank)] = chunks[static_cast<size_t>(coords.d)];
-      }
-      break;
-    }
-    case TransferProtocol::k3dAllMicroDp: {
-      const int micro_dp = MicroDpSize(cfg, context.gen);
-      std::vector<DataBatch> chunks = input.SplitChunks(cfg.dp * micro_dp);
-      for (int rank = 0; rank < world; ++rank) {
-        const GenCoords coords = groups.GenCoordsOf(rank, context.gen, context.method);
-        const int replica = coords.d * micro_dp + coords.micro_dp;
-        per_rank[static_cast<size_t>(rank)] = chunks[static_cast<size_t>(replica)];
-      }
-      break;
-    }
-    case TransferProtocol::kMicroDpProto: {
-      const int micro_dp = MicroDpSize(cfg, context.gen);
-      std::vector<DataBatch> chunks = input.SplitChunks(micro_dp);
-      for (int rank = 0; rank < world; ++rank) {
-        const GenCoords coords = groups.GenCoordsOf(rank, context.gen, context.method);
-        per_rank[static_cast<size_t>(rank)] = chunks[static_cast<size_t>(coords.micro_dp)];
-      }
-      break;
-    }
-  }
-  int64_t rows = 0;
-  for (const DataBatch& shard : per_rank) {
-    rows += shard.batch_size();
-  }
-  MetricsRegistry::Global()
-      .GetCounter("protocol.shard_rows", {{"protocol", TransferProtocolName(protocol)}})
-      .Increment(static_cast<double>(rows));
-  return per_rank;
-}
-
-std::vector<int> CollectSourceRanks(TransferProtocol protocol, const ProtocolContext& context) {
-  const ProcessGroups& groups = GroupsOf(context);
-  const ParallelConfig& cfg = groups.train_config();
-  std::vector<int> sources;
-  switch (protocol) {
-    case TransferProtocol::kOneToAll:
-    case TransferProtocol::kAllToAll: {
-      for (int rank = 0; rank < groups.world_size(); ++rank) {
-        sources.push_back(rank);
-      }
-      break;
-    }
-    case TransferProtocol::k3dProto: {
-      // Output lives on the last pipeline stage, t = 0, duplicated across
-      // DP groups (Table 3).
+      // Each DP group computes its chunk; the output lives on the last
+      // pipeline stage, t = 0 (Table 3).
+      plan.chunks = cfg.dp;
       for (int d = 0; d < cfg.dp; ++d) {
-        sources.push_back(groups.RankOf({cfg.pp - 1, 0, d}));
+        add(groups.RankOf({cfg.pp - 1, 0, d}), d);
       }
       break;
-    }
-    case TransferProtocol::kDpProto: {
+    case TransferProtocol::kDpProto:
+      plan.chunks = cfg.dp;
       for (int d = 0; d < cfg.dp; ++d) {
-        sources.push_back(groups.RankOf({0, 0, d}));
+        add(groups.RankOf({0, 0, d}), d);
       }
       break;
-    }
     case TransferProtocol::k3dAllMicroDp:
     case TransferProtocol::kMicroDpProto: {
-      HF_CHECK(context.has_gen);
+      // One source per generation replica: its (tg = 0, pg = 0) leader. The
+      // input splits across every replica, or across the micro-DP replicas
+      // of one training replica (each DP group then computes a full copy).
+      HF_CHECK_MSG(context.has_gen, "protocol " << plan.name << " requires a generation config");
       const int micro_dp = MicroDpSize(cfg, context.gen);
+      const bool per_replica = protocol == TransferProtocol::k3dAllMicroDp;
+      plan.chunks = per_replica ? cfg.dp * micro_dp : micro_dp;
       for (int d = 0; d < cfg.dp; ++d) {
         for (int m = 0; m < micro_dp; ++m) {
-          GenCoords coords{0, 0, m, d};
-          sources.push_back(groups.RankOfGen(coords, context.gen, context.method));
+          add(groups.RankOfGen({0, 0, m, d}, context.gen, context.method),
+              per_replica ? d * micro_dp + m : m);
         }
       }
       break;
     }
-    case TransferProtocol::k3dPpOnly: {
-      for (int p = 0; p < cfg.pp; ++p) {
-        sources.push_back(groups.RankOf({p, 0, 0}));
-      }
-      break;
-    }
-    case TransferProtocol::kAllGatherProto: {
-      for (int d = 0; d < cfg.dp; ++d) {
-        sources.push_back(groups.RankOf({0, 0, d}));
-      }
-      break;
-    }
-  }
-  return sources;
-}
-
-DataBatch CollectBatch(TransferProtocol protocol, const std::vector<DataBatch>& outputs,
-                       const ProtocolContext& context) {
-  HF_TRACE_SCOPE("protocol.collect", "transfer");
-  MetricsRegistry::Global()
-      .GetCounter("protocol.collect_calls", {{"protocol", TransferProtocolName(protocol)}})
-      .Increment();
-  const ProcessGroups& groups = GroupsOf(context);
-  HF_CHECK_EQ(static_cast<int>(outputs.size()), groups.world_size());
-  std::vector<int> sources = CollectSourceRanks(protocol, context);
-  std::vector<DataBatch> parts;
-  parts.reserve(sources.size());
-  for (int rank : sources) {
-    parts.push_back(outputs[static_cast<size_t>(rank)]);
-  }
-  return DataBatch::ConcatBatches(parts);
-}
-
-std::vector<int> PrimaryRanks(TransferProtocol protocol, const ProtocolContext& context) {
-  const ProcessGroups& groups = GroupsOf(context);
-  const ParallelConfig& cfg = groups.train_config();
-  std::vector<int> primaries;
-  switch (protocol) {
-    case TransferProtocol::kOneToAll:
     case TransferProtocol::k3dPpOnly:
-    case TransferProtocol::kAllGatherProto: {
-      // Broadcast-style protocols: every rank runs the same computation
-      // (the multi-controller SPMD reality); the data plane computes on
-      // exactly the ranks collection reads from.
-      return CollectSourceRanks(protocol, context);
-    }
-    case TransferProtocol::kAllToAll: {
-      for (int rank = 0; rank < groups.world_size(); ++rank) {
-        primaries.push_back(rank);
+      for (int p = 0; p < cfg.pp; ++p) {
+        add(groups.RankOf({p, 0, 0}), 0);
       }
       break;
-    }
-    case TransferProtocol::k3dProto: {
+    case TransferProtocol::kAllGatherProto:
       for (int d = 0; d < cfg.dp; ++d) {
-        primaries.push_back(groups.RankOf({cfg.pp - 1, 0, d}));
+        add(groups.RankOf({0, 0, d}), 0);
       }
       break;
+  }
+  return plan;
+}
+
+DataBatch RunShards(const ShardPlan& plan, const DataBatch& input, const ShardFn& compute,
+                    bool parallel, std::string_view compute_span) {
+  HF_CHECK_EQ(plan.ranks.size(), plan.chunk.size());
+  const MetricLabels labels{{"protocol", plan.name}};
+  std::vector<DataBatch> chunks;
+  {
+    HF_TRACE_SCOPE("protocol.distribute", "transfer");
+    MetricsRegistry::Global().GetCounter("protocol.distribute_calls", labels).Increment();
+    for (int chunk : plan.chunk) {
+      HF_CHECK(chunk >= 0 && chunk < plan.chunks);
     }
-    case TransferProtocol::kDpProto: {
-      for (int d = 0; d < cfg.dp; ++d) {
-        primaries.push_back(groups.RankOf({0, 0, d}));
-      }
-      break;
-    }
-    case TransferProtocol::k3dAllMicroDp:
-    case TransferProtocol::kMicroDpProto: {
-      HF_CHECK(context.has_gen);
-      const int micro_dp = MicroDpSize(cfg, context.gen);
-      for (int d = 0; d < cfg.dp; ++d) {
-        for (int m = 0; m < micro_dp; ++m) {
-          GenCoords coords{0, 0, m, d};
-          primaries.push_back(groups.RankOfGen(coords, context.gen, context.method));
-        }
-      }
-      break;
+    if (plan.chunks > 1) {
+      chunks = input.SplitChunks(plan.chunks);
+      MetricsRegistry::Global()
+          .GetCounter("protocol.shard_rows", labels)
+          .Increment(static_cast<double>(input.batch_size()));
     }
   }
-  return primaries;
-}
-
-ProtocolRegistry& ProtocolRegistry::Instance() {
-  static ProtocolRegistry* registry = new ProtocolRegistry();  // hflint: allow(naked-new)
-  return *registry;
-}
-
-int ProtocolRegistry::Register(CustomProtocol protocol) {
-  HF_CHECK(protocol.distribute != nullptr);
-  HF_CHECK(protocol.collect != nullptr);
-  protocols_.push_back(std::move(protocol));
-  return static_cast<int>(protocols_.size()) - 1;
-}
-
-const CustomProtocol& ProtocolRegistry::Get(int id) const {
-  HF_CHECK_GE(id, 0);
-  HF_CHECK_LT(static_cast<size_t>(id), protocols_.size());
-  return protocols_[static_cast<size_t>(id)];
-}
-
-bool ProtocolRegistry::Has(const std::string& name) const {
-  for (const CustomProtocol& protocol : protocols_) {
-    if (protocol.name == name) {
-      return true;
+  const auto shard = [&](size_t i) -> const DataBatch& {
+    return plan.chunks > 1 ? chunks[static_cast<size_t>(plan.chunk[i])] : input;
+  };
+  std::vector<DataBatch> outputs(plan.ranks.size());
+  {
+    std::optional<TraceScope> span;
+    if (!compute_span.empty()) {
+      span.emplace(compute_span, "compute");
+    }
+    if (parallel && plan.ranks.size() > 1) {
+      ThreadPool::Shared().ParallelFor(static_cast<int>(plan.ranks.size()), [&](int index) {
+        const size_t i = static_cast<size_t>(index);
+        outputs[i] = compute(shard(i), plan.ranks[i]);
+      });
+    } else {
+      for (size_t i = 0; i < plan.ranks.size(); ++i) {
+        outputs[i] = compute(shard(i), plan.ranks[i]);
+      }
     }
   }
-  return false;
+  HF_TRACE_SCOPE("protocol.collect", "transfer");
+  MetricsRegistry::Global().GetCounter("protocol.collect_calls", labels).Increment();
+  return DataBatch::ConcatBatches(outputs);
 }
 
 }  // namespace hybridflow

@@ -1,12 +1,13 @@
 // Transfer protocols: the inter-node data resharding layer of the hybrid
 // programming model (§4.1, Appendix B / Table 3).
 //
-// Every worker-group method is registered with a protocol consisting of a
-// `distribute` function (how the controller-side input batch is scattered
-// to ranks) and a `collect` function (which ranks' outputs are gathered and
-// concatenated into the controller-side result). The single controller
-// moves only batch *futures*; actual payloads move GPU-to-GPU, which the
-// simulation layer accounts separately.
+// Every worker-group method is registered with a protocol: a distribute
+// half (which rows of the controller-side input each rank sees) and a
+// collect half (which ranks' outputs are concatenated into the
+// controller-side result). Here a protocol is a ShardPlan: the ranks that
+// compute, in collection order, and the row range each one reads. The
+// single controller moves only batch *futures*; actual payloads move
+// GPU-to-GPU, which the simulation layer accounts separately.
 //
 // Built-in protocols (Table 3):
 //   ONE_TO_ALL       broadcast input to all ranks / gather from all ranks
@@ -19,16 +20,18 @@
 //   3D_PP_ONLY       broadcast to all / collect from (t=0, d=0) of each PP
 //                    stage
 //   DP_PROTO         split across DP ranks / gather from all DP ranks
-//   ALL_TO_ALL       identity distribute (caller supplies per-rank inputs) /
-//                    gather from all ranks (debugging)
+//   ALL_TO_ALL       broadcast to all ranks / gather from all ranks
+//                    (debugging)
 // plus MICRO_DP_PROTO and ALL_GATHER_PROTO covering the remaining §4.1
-// resharding cases. Custom protocols can be registered with user-provided
-// collect/distribute functions.
+// resharding cases. A user protocol is a hand-built ShardPlan run through
+// RunShards, the same runner the worker groups use
+// (examples/custom_protocol.cpp).
 #ifndef SRC_TRANSFER_PROTOCOL_H_
 #define SRC_TRANSFER_PROTOCOL_H_
 
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/data/data_batch.h"
@@ -58,42 +61,43 @@ struct ProtocolContext {
   bool has_gen = false;
 };
 
-// Scatters `input` into one batch per rank.
-std::vector<DataBatch> DistributeBatch(TransferProtocol protocol, const DataBatch& input,
-                                       const ProtocolContext& context);
-
-// Gathers per-rank outputs into the controller-side batch.
-DataBatch CollectBatch(TransferProtocol protocol, const std::vector<DataBatch>& outputs,
-                       const ProtocolContext& context);
-
-// Ranks whose outputs participate in collection, in collection order. For
-// protocols that gather from every rank this is 0..world-1.
-std::vector<int> CollectSourceRanks(TransferProtocol protocol, const ProtocolContext& context);
-
-// Ranks that perform "primary" computation for the data plane (one per
-// distinct data shard): DP leaders for 3D protocols, replica leaders for
-// micro-DP protocols, every rank for DP_PROTO/ALL_TO_ALL.
-std::vector<int> PrimaryRanks(TransferProtocol protocol, const ProtocolContext& context);
-
-// --- Custom protocol registry (user extension point, §4.1) -----------------
-struct CustomProtocol {
+// Who computes which rows under one protocol call. In the paper every
+// rank of a model-parallel block receives the input because every rank
+// computes on it; the data plane computes once per collect source, a
+// stand-in for its whole block, so a plan names only those sources.
+struct ShardPlan {
+  // Counter label of the calls run under this plan (the protocol's name).
   std::string name;
-  std::function<std::vector<DataBatch>(const DataBatch&, const ProtocolContext&)> distribute;
-  std::function<DataBatch(const std::vector<DataBatch>&, const ProtocolContext&)> collect;
+  // Computing ranks, in collection order.
+  std::vector<int> ranks;
+  // chunk[i]: the index of ranks[i]'s chunk among `chunks` near-equal row
+  // ranges of the input (DataBatch::SplitChunks).
+  std::vector<int> chunk;
+  // 1: every source reads the whole input in place.
+  int chunks = 1;
 };
 
-class ProtocolRegistry {
- public:
-  static ProtocolRegistry& Instance();
+// The Table 3 plan of a built-in protocol. Micro-DP protocols require
+// `context.has_gen`.
+ShardPlan PlanShards(TransferProtocol protocol, const ProtocolContext& context);
 
-  // Returns an id usable with DistributeCustom/CollectCustom.
-  int Register(CustomProtocol protocol);
-  const CustomProtocol& Get(int id) const;
-  bool Has(const std::string& name) const;
+// One source's computation on its shard of the input.
+using ShardFn = std::function<DataBatch(const DataBatch& shard, int rank)>;
 
- private:
-  std::vector<CustomProtocol> protocols_;
-};
+// Runs one call under `plan`: splits `input` into the plan's chunks once,
+// runs `compute(shard, rank)` once per source and concatenates the outputs
+// in plan order. Distribute and collect are `transfer` spans; when
+// `compute_span` is non-empty, the sources run under a `compute` span of
+// that name.
+//
+// With `parallel` and more than one source, the sources run concurrently
+// on ThreadPool::Shared(). Each call then owns its output slot, reads its
+// shard (possibly shared with other sources) read-only, and must draw
+// randomness only from per-(call, rank) streams so that the result does
+// not depend on interleaving. Otherwise the sources run in plan order on
+// the calling thread.
+DataBatch RunShards(const ShardPlan& plan, const DataBatch& input, const ShardFn& compute,
+                    bool parallel, std::string_view compute_span);
 
 }  // namespace hybridflow
 

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "src/common/thread_pool.h"
 #include "src/obs/trace.h"
 #include "src/workers/token_context.h"
 
@@ -170,29 +169,22 @@ double ActorWorkerGroup::GenerationSeconds(const RlhfWorkloadSpec& workload,
 BatchFuture ActorWorkerGroup::GenerateSequences(const BatchFuture& prompts,
                                                 const RlhfWorkloadSpec& workload,
                                                 bool do_sample) {
-  const ProtocolContext context = MakeProtocolContext();
-  const TransferProtocol protocol = GenerationProtocol();
-
   // --- Data plane --------------------------------------------------------
-  // Replica generation is embarrassingly parallel: each primary rank works
-  // on its own prompt shard with a deterministic per-(call, rank) RNG
-  // stream, so results are reproducible regardless of thread scheduling.
+  // Replica generation is embarrassingly parallel: each source works on its
+  // own prompt shard with a deterministic per-(call, rank) RNG stream, so
+  // results are reproducible regardless of thread scheduling.
   DataBatch collected;
   if (real_.enabled && !prompts.data.empty()) {
     HF_TRACE_SCOPE(name() + ".generate", "generate");
     generation_calls_ += 1;
     const uint64_t call_id = generation_calls_;
-    std::vector<DataBatch> per_rank = DistributeBatch(protocol, prompts.data, context);
-    std::vector<DataBatch> outputs(per_rank.size());
-    const std::vector<int> primaries = PrimaryRanks(protocol, context);
-    ThreadPool::Shared().ParallelFor(
-        static_cast<int>(primaries.size()), [&](int index) {
-          const int rank = primaries[static_cast<size_t>(index)];
+    collected = RunShards(
+        PlanShards(GenerationProtocol(), MakeProtocolContext()), prompts.data,
+        [&](const DataBatch& shard, int rank) {
           Rng shard_rng = sample_rng_.Fork(call_id * 4096 + static_cast<uint64_t>(rank));
-          outputs[static_cast<size_t>(rank)] =
-              GenerateShard(per_rank[static_cast<size_t>(rank)], do_sample, shard_rng);
-        });
-    collected = CollectBatch(protocol, outputs, context);
+          return GenerateShard(shard, do_sample, shard_rng);
+        },
+        /*parallel=*/true, /*compute_span=*/"");
   }
 
   // --- Performance plane ---------------------------------------------------
@@ -291,7 +283,7 @@ BatchFuture ActorWorkerGroup::ComputeLogProb(const BatchFuture& batch,
                                              const RlhfWorkloadSpec& workload,
                                              const std::string& output_column) {
   const double duration = InferSeconds(workload.global_batch, workload.total_len());
-  ComputeFn compute = [this, &output_column](const DataBatch& shard, int) {
+  ShardFn compute = [this, &output_column](const DataBatch& shard, int) {
     DataBatch out = shard;
     std::vector<int64_t> lengths;
     std::vector<std::vector<int64_t>> contexts = AllResponseContextsRagged(
@@ -312,7 +304,7 @@ BatchFuture ActorWorkerGroup::ComputeLogProb(const BatchFuture& batch,
 BatchFuture ActorWorkerGroup::ComputeLoss(const BatchFuture& pretrain,
                                           const RlhfWorkloadSpec& workload) {
   const double duration = InferSeconds(workload.global_batch, workload.prompt_len);
-  ComputeFn compute = [this](const DataBatch& shard, int) {
+  ShardFn compute = [this](const DataBatch& shard, int) {
     DataBatch out;
     out.SetFloat("pretrain_loss", {{PretrainNll(*net_, shard.Tokens("prompts")).item()}});
     return out;
@@ -328,7 +320,7 @@ BatchFuture ActorWorkerGroup::UpdateActor(const BatchFuture& batch,
   const double duration = TrainStepSeconds(sequences, workload.total_len());
 
   const int64_t total_rows = std::max<int64_t>(batch.data.batch_size(), 1);
-  ComputeFn compute = [this, &config, total_rows](const DataBatch& shard, int) {
+  ShardFn compute = [this, &config, total_rows](const DataBatch& shard, int) {
     DataBatch out;
     if (shard.empty()) {
       return out;
@@ -421,7 +413,7 @@ std::vector<std::vector<float>> CriticWorkerGroup::ValuesForShard(const DataBatc
 BatchFuture CriticWorkerGroup::ComputeValues(const BatchFuture& batch,
                                              const RlhfWorkloadSpec& workload) {
   const double duration = InferSeconds(workload.global_batch, workload.total_len());
-  ComputeFn compute = [this](const DataBatch& shard, int) {
+  ShardFn compute = [this](const DataBatch& shard, int) {
     DataBatch out = shard;
     out.SetFloat(value_column_, ValuesForShard(shard, /*with_grad=*/false, nullptr));
     return out;
@@ -437,7 +429,7 @@ BatchFuture CriticWorkerGroup::UpdateCritic(const BatchFuture& batch,
   const double duration = TrainStepSeconds(sequences, workload.total_len());
 
   const int64_t total_rows = std::max<int64_t>(batch.data.batch_size(), 1);
-  ComputeFn compute = [this, &config, total_rows](const DataBatch& shard, int) {
+  ShardFn compute = [this, &config, total_rows](const DataBatch& shard, int) {
     DataBatch out;
     if (shard.empty()) {
       return out;
@@ -485,7 +477,7 @@ ReferenceWorkerGroup::ReferenceWorkerGroup(WorkerGroupOptions options,
 BatchFuture ReferenceWorkerGroup::ComputeRefLogProb(const BatchFuture& batch,
                                                     const RlhfWorkloadSpec& workload) {
   const double duration = InferSeconds(workload.global_batch, workload.total_len());
-  ComputeFn compute = [this](const DataBatch& shard, int) {
+  ShardFn compute = [this](const DataBatch& shard, int) {
     DataBatch out = shard;
     std::vector<int64_t> lengths;
     std::vector<std::vector<int64_t>> contexts = AllResponseContextsRagged(
@@ -530,7 +522,7 @@ PolicyNet& RewardWorkerGroup::net() {
 BatchFuture RewardWorkerGroup::ComputeReward(const BatchFuture& batch,
                                              const RlhfWorkloadSpec& workload) {
   const double duration = InferSeconds(workload.global_batch, workload.total_len());
-  ComputeFn compute = [this](const DataBatch& shard, int) {
+  ShardFn compute = [this](const DataBatch& shard, int) {
     DataBatch out = shard;
     const DataBatch::TokenColumn& prompts = shard.Tokens("prompts");
     const DataBatch::TokenColumn& responses = shard.Tokens("responses");

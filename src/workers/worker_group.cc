@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "src/common/logging.h"
-#include "src/common/thread_pool.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
@@ -126,47 +125,19 @@ int ModelWorkerGroup::NumMicrobatches(int64_t shard_sequences) const {
 
 BatchFuture ModelWorkerGroup::Dispatch(const std::string& op, const std::string& category,
                                        TransferProtocol protocol, const BatchFuture& input,
-                                       double duration, const ComputeFn& compute,
+                                       double duration, const ShardFn& compute,
                                        double nominal_output_bytes) {
   HF_TRACE_SCOPE(options_.name + "." + op, "dispatch");
   const double dispatch_start_us = WallclockTracer::NowMicros();
-  const ProtocolContext context = MakeProtocolContext();
 
-  // Data plane: distribute -> per-primary-rank compute -> collect.
-  // Forward-only computations are independent across shards and run on the
-  // worker thread pool (the multi-controller plane); updates stay
-  // sequential because backward passes accumulate into shared parameter
-  // gradients.
+  // Data plane: forward-only computations are independent across shards
+  // and run on the worker thread pool (the multi-controller plane);
+  // updates stay sequential because backward passes accumulate into shared
+  // parameter gradients.
   DataBatch collected;
   if (real_.enabled && !input.data.empty()) {
-    std::vector<DataBatch> per_rank;
-    {
-      HF_TRACE_SCOPE(options_.name + "." + op + ".distribute", "transfer");
-      per_rank = DistributeBatch(protocol, input.data, context);
-    }
-    std::vector<DataBatch> outputs(per_rank.size());
-    const std::vector<int> primaries = PrimaryRanks(protocol, context);
-    const bool parallel_safe = category != "train" && compute != nullptr;
-    {
-      HF_TRACE_SCOPE(options_.name + "." + op + ".compute", "compute");
-      if (parallel_safe && primaries.size() > 1) {
-        ThreadPool::Shared().ParallelFor(
-            static_cast<int>(primaries.size()), [&](int index) {
-              const int rank = primaries[static_cast<size_t>(index)];
-              outputs[static_cast<size_t>(rank)] =
-                  compute(per_rank[static_cast<size_t>(rank)], rank);
-            });
-      } else {
-        for (int rank : primaries) {
-          const DataBatch& shard = per_rank[static_cast<size_t>(rank)];
-          outputs[static_cast<size_t>(rank)] = compute ? compute(shard, rank) : shard;
-        }
-      }
-    }
-    {
-      HF_TRACE_SCOPE(options_.name + "." + op + ".collect", "transfer");
-      collected = CollectBatch(protocol, outputs, context);
-    }
+    collected = RunShards(PlanShards(protocol, MakeProtocolContext()), input.data, compute,
+                          /*parallel=*/category != "train", options_.name + "." + op + ".compute");
   }
 
   // Performance plane: one exclusive interval on all pool devices.

@@ -3,9 +3,10 @@
 //
 // A group encapsulates one model's distributed computation over a
 // ResourcePool: it builds the model's parallel groups, registers its memory
-// footprint on the simulated devices, and dispatches every method call as
-// (distribute -> per-rank compute -> collect) under the method's transfer
-// protocol, scheduling the op's duration on the pool's device timelines.
+// footprint on the simulated devices, and dispatches every method call
+// through its transfer protocol's shard plan (each computing rank runs on
+// its row range; outputs concatenate in collection order), scheduling the
+// op's duration on the pool's device timelines.
 // Worker methods never perform inter-model communication — that decoupling
 // is the flexibility claim of §4.
 //
@@ -88,23 +89,19 @@ class ModelWorkerGroup {
   double ResidentParamBytesPerGpu() const;
 
  protected:
-  using ComputeFn = std::function<DataBatch(const DataBatch& shard, int rank)>;
-
-  // Generic RPC: applies the protocol's distribute, runs `compute` on each
-  // primary rank (real plane), schedules `duration` seconds on the pool
-  // devices starting no earlier than the input's availability plus
-  // transfer latency, and returns the collected future.
+  // Generic RPC: runs `compute` on every source of the protocol's shard
+  // plan (RunShards), schedules `duration` seconds on the pool devices
+  // starting no earlier than the input's availability plus transfer
+  // latency, and returns the collected future.
   //
-  // Concurrency contract: forward-only `compute` closures run concurrently
-  // on ThreadPool::Shared(), one per primary rank. Each closure owns its
-  // rank's input shard and output slot exclusively (data-partitioned — no
-  // locking), must treat group state (net_, perf_, groups_) as read-only,
-  // and must draw randomness only from per-(call, rank) RNG streams so
-  // results are independent of interleaving. "train" dispatches stay
-  // sequential: backward passes accumulate into shared gradients.
+  // Concurrency contract: forward-only calls run their sources concurrently
+  // under RunShards' contract, and their closures must also treat group
+  // state (net_, perf_, groups_) as read-only. "train" calls run in plan
+  // order on the calling thread: backward passes accumulate into shared
+  // gradients.
   BatchFuture Dispatch(const std::string& op, const std::string& category,
                        TransferProtocol protocol, const BatchFuture& input, double duration,
-                       const ComputeFn& compute, double nominal_output_bytes);
+                       const ShardFn& compute, double nominal_output_bytes);
 
   // Inter-model transfer latency of the nominal payload.
   double TransferSeconds(double nominal_bytes) const;

@@ -1,10 +1,12 @@
 // Randomized property sweep over the transfer-protocol layer: for every
 // built-in protocol and many random (parallelism, batch) configurations,
-// the echo round-trip must reproduce the input batch, primaries must be a
-// subset of collect sources where the protocol defines them that way, and
-// distribution must be consistent within broadcast groups.
+// running an echo through the protocol's plan must reproduce the input
+// batch (once per source for broadcast protocols), 3D_PROTO must have one
+// source per DP group reading that group's chunk, and chunks must be
+// balanced.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "src/common/rng.h"
@@ -70,6 +72,8 @@ RandomConfig DrawConfig(Rng& rng) {
   return config;
 }
 
+DataBatch Echo(const DataBatch& shard, int) { return shard; }
+
 TEST(ProtocolPropertySweep, EchoRoundTripOnRandomConfigs) {
   Rng rng(777);
   const TransferProtocol protocols[] = {
@@ -91,58 +95,45 @@ TEST(ProtocolPropertySweep, EchoRoundTripOnRandomConfigs) {
       // Row count: something that stresses uneven splits.
       const int64_t rows = rng.UniformInt(1, 40);
       DataBatch input = RandomBatch(rows, rng);
-      std::vector<DataBatch> per_rank = DistributeBatch(protocol, input, context);
-      ASSERT_EQ(per_rank.size(), static_cast<size_t>(groups.world_size()));
-
-      std::vector<DataBatch> outputs(per_rank.size());
-      const std::vector<int> primaries = PrimaryRanks(protocol, context);
-      ASSERT_FALSE(primaries.empty());
-      for (int rank : primaries) {
-        outputs[static_cast<size_t>(rank)] = per_rank[static_cast<size_t>(rank)];
-      }
-      DataBatch collected = CollectBatch(protocol, outputs, context);
+      const ShardPlan plan = PlanShards(protocol, context);
+      ASSERT_FALSE(plan.ranks.empty());
+      ASSERT_EQ(plan.chunk.size(), plan.ranks.size());
+      DataBatch collected = RunShards(plan, input, Echo, trial % 2 == 0, "");
 
       // Splitting protocols reproduce the batch exactly; broadcast
-      // protocols reproduce `copies` concatenations of it.
-      const bool splitting = protocol == TransferProtocol::k3dProto ||
-                             protocol == TransferProtocol::kDpProto ||
-                             protocol == TransferProtocol::k3dAllMicroDp ||
-                             protocol == TransferProtocol::kMicroDpProto;
-      if (splitting && protocol != TransferProtocol::kMicroDpProto) {
+      // protocols reproduce one copy per source.
+      if (protocol == TransferProtocol::kMicroDpProto) {
+        // Splits across micro DP only; collect concatenates d copies.
+        EXPECT_EQ(collected.batch_size(), rows * config.train.dp);
+      } else if (plan.chunks > 1) {
         ASSERT_EQ(collected.batch_size(), rows)
             << TransferProtocolName(protocol) << " " << config.train.ToString();
         EXPECT_EQ(collected.Tokens("prompts"), input.Tokens("prompts"));
         EXPECT_EQ(collected.Float("scores"), input.Float("scores"));
-      } else if (protocol == TransferProtocol::kMicroDpProto) {
-        // Splits across micro DP only; collect concatenates d copies.
-        EXPECT_EQ(collected.batch_size(), rows * config.train.dp);
       } else {
-        const int64_t copies =
-            collected.batch_size() / rows;
-        EXPECT_EQ(collected.batch_size(), copies * rows);
-        EXPECT_GE(copies, 1);
+        EXPECT_EQ(collected.batch_size(), static_cast<int64_t>(plan.ranks.size()) * rows)
+            << TransferProtocolName(protocol) << " " << config.train.ToString();
       }
     }
   }
 }
 
-TEST(ProtocolPropertySweep, BroadcastGroupsReceiveIdenticalShards) {
-  // Within one model-parallel block, every rank of a DP group must see the
-  // same 3D_PROTO shard.
+TEST(ProtocolPropertySweep, OneSourcePerDpGroupReadsItsChunk) {
+  // Under 3D_PROTO every rank of a DP group would see the same shard, so
+  // one source computes for the whole model-parallel block: exactly one
+  // per DP group, reading that group's chunk.
   Rng rng(888);
   for (int trial = 0; trial < 30; ++trial) {
     const RandomConfig config = DrawConfig(rng);
     ProcessGroups groups(config.train, Devices(config.train.world_size()));
     ProtocolContext context;
     context.groups = &groups;
-    DataBatch input = RandomBatch(rng.UniformInt(2, 24), rng);
-    std::vector<DataBatch> per_rank =
-        DistributeBatch(TransferProtocol::k3dProto, input, context);
-    for (int rank = 0; rank < groups.world_size(); ++rank) {
-      for (int peer : groups.ModelParallelBlock(rank)) {
-        EXPECT_EQ(per_rank[static_cast<size_t>(rank)].Tokens("prompts"),
-                  per_rank[static_cast<size_t>(peer)].Tokens("prompts"));
-      }
+    const ShardPlan plan = PlanShards(TransferProtocol::k3dProto, context);
+    ASSERT_EQ(plan.chunks, config.train.dp);
+    ASSERT_EQ(plan.ranks.size(), static_cast<size_t>(config.train.dp));
+    for (size_t i = 0; i < plan.ranks.size(); ++i) {
+      EXPECT_EQ(groups.TrainCoordsOf(plan.ranks[i]).d, static_cast<int>(i));
+      EXPECT_EQ(plan.chunk[i], static_cast<int>(i));
     }
   }
 }
@@ -156,14 +147,15 @@ TEST(ProtocolPropertySweep, ShardSizesAreBalanced) {
     ProtocolContext context;
     context.groups = &groups;
     DataBatch input = RandomBatch(rng.UniformInt(1, 50), rng);
-    std::vector<DataBatch> per_rank =
-        DistributeBatch(TransferProtocol::k3dProto, input, context);
     int64_t min_rows = input.batch_size();
     int64_t max_rows = 0;
-    for (int rank = 0; rank < groups.world_size(); ++rank) {
-      min_rows = std::min(min_rows, per_rank[static_cast<size_t>(rank)].batch_size());
-      max_rows = std::max(max_rows, per_rank[static_cast<size_t>(rank)].batch_size());
-    }
+    RunShards(PlanShards(TransferProtocol::k3dProto, context), input,
+              [&](const DataBatch& shard, int) {
+                min_rows = std::min(min_rows, shard.batch_size());
+                max_rows = std::max(max_rows, shard.batch_size());
+                return shard;
+              },
+              /*parallel=*/false, "");
     EXPECT_LE(max_rows - min_rows, 1);
   }
 }

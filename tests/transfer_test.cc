@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <map>
 #include <numeric>
 
 #include "src/transfer/protocol.h"
@@ -38,16 +41,25 @@ ProtocolContext GenContext(const ProcessGroups& groups, GenParallelConfig gen,
   return context;
 }
 
-// The fundamental protocol invariant: if every primary rank echoes its
-// input shard, distribute followed by collect reproduces the original batch.
+DataBatch Echo(const DataBatch& shard, int) { return shard; }
+
+// The first prompt token of the shard each source read, by rank.
+std::map<int, int64_t> FirstRowByRank(const ShardPlan& plan, const DataBatch& input) {
+  std::map<int, int64_t> first;
+  RunShards(plan, input,
+            [&first](const DataBatch& shard, int rank) {
+              first[rank] = shard.Tokens("prompts")[0][0];
+              return shard;
+            },
+            /*parallel=*/false, "");
+  return first;
+}
+
+// The fundamental protocol invariant: if every source echoes its shard,
+// running the plan reproduces the original batch.
 void CheckRoundTrip(TransferProtocol protocol, const ProtocolContext& context, int64_t rows) {
   DataBatch input = MakeBatch(rows);
-  std::vector<DataBatch> per_rank = DistributeBatch(protocol, input, context);
-  std::vector<DataBatch> outputs(per_rank.size());
-  for (int rank : PrimaryRanks(protocol, context)) {
-    outputs[static_cast<size_t>(rank)] = per_rank[static_cast<size_t>(rank)];
-  }
-  DataBatch collected = CollectBatch(protocol, outputs, context);
+  DataBatch collected = RunShards(PlanShards(protocol, context), input, Echo, true, "");
   ASSERT_EQ(collected.batch_size(), rows);
   EXPECT_EQ(collected.Tokens("prompts"), input.Tokens("prompts"));
 }
@@ -72,23 +84,19 @@ TEST(ProtocolTest, MicroDpRoundTripBothMethods) {
 
 TEST(ProtocolTest, ThreeDProtoDistributesByDpGroup) {
   ProcessGroups groups({1, 2, 2}, Devices(4));
-  DataBatch input = MakeBatch(4);
-  std::vector<DataBatch> per_rank =
-      DistributeBatch(TransferProtocol::k3dProto, input, Context(groups));
-  // Ranks 0,1 (d=0) get rows 0-1; ranks 2,3 (d=1) get rows 2-3; identical
-  // within each model-parallel block (broadcast within the group).
-  EXPECT_EQ(per_rank[0].Tokens("prompts"), per_rank[1].Tokens("prompts"));
-  EXPECT_EQ(per_rank[2].Tokens("prompts"), per_rank[3].Tokens("prompts"));
-  EXPECT_EQ(per_rank[0].Tokens("prompts")[0][0], 0);
-  EXPECT_EQ(per_rank[2].Tokens("prompts")[0][0], 2);
+  // One source per DP group computes for its model-parallel block: rank 0
+  // (d=0) reads rows 0-1, rank 2 (d=1) reads rows 2-3.
+  const std::map<int, int64_t> first =
+      FirstRowByRank(PlanShards(TransferProtocol::k3dProto, Context(groups)), MakeBatch(4));
+  EXPECT_EQ(first, (std::map<int, int64_t>{{0, 0}, {2, 2}}));
 }
 
 TEST(ProtocolTest, ThreeDProtoCollectsFromLastStageTpZero) {
   // Table 3: output exists on the last pipeline stage, t = 0, per DP group.
   ProcessGroups groups({2, 2, 2}, Devices(8));
-  std::vector<int> sources = CollectSourceRanks(TransferProtocol::k3dProto, Context(groups));
-  ASSERT_EQ(sources.size(), 2u);
-  for (int rank : sources) {
+  const ShardPlan plan = PlanShards(TransferProtocol::k3dProto, Context(groups));
+  ASSERT_EQ(plan.ranks.size(), 2u);
+  for (int rank : plan.ranks) {
     TrainCoords coords = groups.TrainCoordsOf(rank);
     EXPECT_EQ(coords.p, 1);  // Last of 2 stages.
     EXPECT_EQ(coords.t, 0);
@@ -96,25 +104,22 @@ TEST(ProtocolTest, ThreeDProtoCollectsFromLastStageTpZero) {
 }
 
 TEST(ProtocolTest, OneToAllBroadcastsEverywhere) {
+  // Every rank runs the same computation under ONE_TO_ALL (SPMD): every
+  // rank is a source and reads the whole input.
   ProcessGroups groups({1, 2, 2}, Devices(4));
-  DataBatch input = MakeBatch(3);
-  std::vector<DataBatch> per_rank =
-      DistributeBatch(TransferProtocol::kOneToAll, input, Context(groups));
-  for (const DataBatch& shard : per_rank) {
-    EXPECT_EQ(shard.batch_size(), 3);
-  }
-  // Every rank runs the same computation under ONE_TO_ALL (SPMD), so the
-  // primaries equal the collect sources: all ranks.
-  EXPECT_EQ(PrimaryRanks(TransferProtocol::kOneToAll, Context(groups)).size(), 4u);
+  const ShardPlan plan = PlanShards(TransferProtocol::kOneToAll, Context(groups));
+  EXPECT_EQ(plan.ranks, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(plan.chunks, 1);
+  DataBatch collected = RunShards(plan, MakeBatch(3), Echo, true, "");
+  EXPECT_EQ(collected.batch_size(), 12);
 }
 
 TEST(ProtocolTest, PpOnlyCollectsOnePerStage) {
   ProcessGroups groups({4, 2, 1}, Devices(8));
-  std::vector<int> sources =
-      CollectSourceRanks(TransferProtocol::k3dPpOnly, Context(groups));
-  ASSERT_EQ(sources.size(), 4u);
-  for (size_t i = 0; i < sources.size(); ++i) {
-    TrainCoords coords = groups.TrainCoordsOf(sources[i]);
+  const ShardPlan plan = PlanShards(TransferProtocol::k3dPpOnly, Context(groups));
+  ASSERT_EQ(plan.ranks.size(), 4u);
+  for (size_t i = 0; i < plan.ranks.size(); ++i) {
+    TrainCoords coords = groups.TrainCoordsOf(plan.ranks[i]);
     EXPECT_EQ(coords.p, static_cast<int>(i));
     EXPECT_EQ(coords.t, 0);
     EXPECT_EQ(coords.d, 0);
@@ -123,31 +128,29 @@ TEST(ProtocolTest, PpOnlyCollectsOnePerStage) {
 
 TEST(ProtocolTest, AllToAllGathersEveryRank) {
   ProcessGroups groups({1, 1, 4}, Devices(4));
-  DataBatch input = MakeBatch(2);
-  std::vector<DataBatch> per_rank =
-      DistributeBatch(TransferProtocol::kAllToAll, input, Context(groups));
-  std::vector<DataBatch> outputs = per_rank;  // Echo.
-  DataBatch collected = CollectBatch(TransferProtocol::kAllToAll, outputs, Context(groups));
+  DataBatch collected = RunShards(PlanShards(TransferProtocol::kAllToAll, Context(groups)),
+                                  MakeBatch(2), Echo, true, "");
   EXPECT_EQ(collected.batch_size(), 8);  // 4 ranks x 2 rows each.
 }
 
-TEST(ProtocolTest, MicroDpPrimariesAreReplicaLeaders) {
+TEST(ProtocolTest, MicroDpSourcesAreReplicaLeaders) {
   ProcessGroups groups({1, 4, 2}, Devices(8));
   auto context = GenContext(groups, {1, 2}, GenGroupingMethod::kZeroRedundancy);
-  std::vector<int> primaries = PrimaryRanks(TransferProtocol::k3dAllMicroDp, context);
-  // d * micro_dp = 2 * 2 = 4 generation replicas.
-  ASSERT_EQ(primaries.size(), 4u);
-  for (int rank : primaries) {
-    GenCoords coords = groups.GenCoordsOf(rank, context.gen, context.method);
+  const ShardPlan plan = PlanShards(TransferProtocol::k3dAllMicroDp, context);
+  // d * micro_dp = 2 * 2 = 4 generation replicas, one chunk each.
+  ASSERT_EQ(plan.ranks.size(), 4u);
+  EXPECT_EQ(plan.chunks, 4);
+  for (size_t i = 0; i < plan.ranks.size(); ++i) {
+    GenCoords coords = groups.GenCoordsOf(plan.ranks[i], context.gen, context.method);
     EXPECT_EQ(coords.tg, 0);
     EXPECT_EQ(coords.pg, 0);
+    EXPECT_EQ(plan.chunk[i], coords.d * 2 + coords.micro_dp);
   }
 }
 
 TEST(ProtocolTest, MicroDpRequiresGenContext) {
   ProcessGroups groups({1, 4, 2}, Devices(8));
-  DataBatch input = MakeBatch(4);
-  EXPECT_DEATH(DistributeBatch(TransferProtocol::k3dAllMicroDp, input, Context(groups)),
+  EXPECT_DEATH(PlanShards(TransferProtocol::k3dAllMicroDp, Context(groups)),
                "requires a generation config");
 }
 
@@ -157,30 +160,38 @@ TEST(ProtocolTest, NamesAreStable) {
   EXPECT_STREQ(TransferProtocolName(TransferProtocol::kOneToAll), "ONE_TO_ALL");
 }
 
-TEST(ProtocolRegistryTest, RegisterAndInvokeCustomProtocol) {
-  CustomProtocol protocol;
-  protocol.name = "REVERSE_PROTO";
-  protocol.distribute = [](const DataBatch& input, const ProtocolContext& context) {
-    std::vector<DataBatch> out(
-        static_cast<size_t>(context.groups->world_size()));
-    for (size_t rank = 0; rank < out.size(); ++rank) {
-      out[out.size() - 1 - rank] = input;
+TEST(RunShardsTest, RunsUserBuiltPlan) {
+  // A user protocol is a plan: two sources read the halves of the input
+  // in reverse, and their outputs concatenate in plan order.
+  ShardPlan plan;
+  plan.name = "REVERSE_PROTO";
+  plan.ranks = {1, 0};
+  plan.chunk = {1, 0};
+  plan.chunks = 2;
+  DataBatch collected = RunShards(plan, MakeBatch(4), Echo, true, "");
+  EXPECT_EQ(collected.Tokens("prompts"),
+            (DataBatch::TokenColumn{{2}, {3}, {0}, {1}}));
+  EXPECT_EQ(FirstRowByRank(plan, MakeBatch(4)), (std::map<int, int64_t>{{0, 0}, {1, 2}}));
+}
+
+TEST(RunShardsTest, CallsComputeOncePerSourceWithItsRank) {
+  ProcessGroups groups({2, 2, 4}, Devices(16));
+  const ShardPlan plan = PlanShards(TransferProtocol::k3dProto, Context(groups));
+  for (bool parallel : {false, true}) {
+    std::vector<std::atomic<int>> calls(16);
+    RunShards(plan, MakeBatch(8),
+              [&calls](const DataBatch& shard, int rank) {
+                calls[static_cast<size_t>(rank)].fetch_add(1);
+                return shard;
+              },
+              parallel, "");
+    for (int rank = 0; rank < 16; ++rank) {
+      const bool source =
+          std::find(plan.ranks.begin(), plan.ranks.end(), rank) != plan.ranks.end();
+      EXPECT_EQ(calls[static_cast<size_t>(rank)].load(), source ? 1 : 0)
+          << "rank " << rank << (parallel ? " parallel" : " sequential");
     }
-    return out;
-  };
-  protocol.collect = [](const std::vector<DataBatch>& outputs, const ProtocolContext&) {
-    return outputs.front();
-  };
-  int id = ProtocolRegistry::Instance().Register(protocol);
-  EXPECT_TRUE(ProtocolRegistry::Instance().Has("REVERSE_PROTO"));
-  const CustomProtocol& fetched = ProtocolRegistry::Instance().Get(id);
-  ProcessGroups groups({1, 1, 2}, Devices(2));
-  ProtocolContext context = Context(groups);
-  DataBatch input = MakeBatch(2);
-  std::vector<DataBatch> distributed = fetched.distribute(input, context);
-  EXPECT_EQ(distributed.size(), 2u);
-  DataBatch collected = fetched.collect(distributed, context);
-  EXPECT_EQ(collected.batch_size(), 2);
+  }
 }
 
 }  // namespace
