@@ -88,32 +88,34 @@ std::vector<DataBatch> DataBatch::SplitChunks(int chunks) const {
   return out;
 }
 
-DataBatch DataBatch::ConcatBatches(const std::vector<DataBatch>& raw_parts) {
+DataBatch DataBatch::ConcatBatches(const std::vector<DataBatch>& parts) {
   DataBatch out;
   // Column-less empty batches are the neutral element: a rank whose shard
   // was empty (more DP ranks than rows) contributes nothing.
-  std::vector<DataBatch> parts;
-  for (const DataBatch& part : raw_parts) {
-    if (!part.floats_.empty() || !part.tokens_.empty()) {
-      parts.push_back(part);
-    }
-  }
-  if (parts.empty()) {
+  const auto has_columns = [](const DataBatch& part) {
+    return !part.floats_.empty() || !part.tokens_.empty();
+  };
+  const auto first = std::find_if(parts.begin(), parts.end(), has_columns);
+  if (first == parts.end()) {
     return out;
   }
-  for (const std::string& name : parts[0].FloatNames()) {
+  for (const std::string& name : first->FloatNames()) {
     FloatColumn column;
     for (const DataBatch& part : parts) {
-      const FloatColumn& src = part.Float(name);
-      column.insert(column.end(), src.begin(), src.end());
+      if (has_columns(part)) {
+        const FloatColumn& src = part.Float(name);
+        column.insert(column.end(), src.begin(), src.end());
+      }
     }
     out.SetFloat(name, std::move(column));
   }
-  for (const std::string& name : parts[0].TokenNames()) {
+  for (const std::string& name : first->TokenNames()) {
     TokenColumn column;
     for (const DataBatch& part : parts) {
-      const TokenColumn& src = part.Tokens(name);
-      column.insert(column.end(), src.begin(), src.end());
+      if (has_columns(part)) {
+        const TokenColumn& src = part.Tokens(name);
+        column.insert(column.end(), src.begin(), src.end());
+      }
     }
     out.SetTokens(name, std::move(column));
   }
