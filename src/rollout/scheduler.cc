@@ -208,14 +208,13 @@ void RolloutScheduler::ExpireOverdue() {
   }
 }
 
-std::vector<int64_t> RolloutScheduler::PrefillBlocksNeeded() const {
+void RolloutScheduler::FillPrefillBlocksNeeded() {
   // Mirrors BeginStep's plan-building loop: same running order, same
   // budget accounting, so the preemption pass reserves exactly the blocks
   // the plan will then take.
   int64_t budget = config_.prefill_chunk_tokens > 0 ? config_.prefill_chunk_tokens
                                                     : std::numeric_limits<int64_t>::max();
-  std::vector<int64_t> needed;
-  needed.reserve(prefilling_.size());
+  prefill_needed_.clear();
   for (int64_t id : prefilling_) {
     const RolloutSequence& sequence = (*sequences_)[static_cast<size_t>(id)];
     // Its next chunk must extend KV residency to cover the tokens it
@@ -225,11 +224,10 @@ std::vector<int64_t> RolloutScheduler::PrefillBlocksNeeded() const {
     budget -= std::max<int64_t>(grant, 0);
     const int64_t resident_target =
         std::max(sequence.kv_tokens, sequence.prefill_computed + grant);
-    needed.push_back(grant <= 0 ? 0
-                                : kv_->BlocksFor(resident_target) -
-                                      kv_->BlocksFor(sequence.kv_tokens));
+    prefill_needed_.push_back(grant <= 0 ? 0
+                                         : kv_->BlocksFor(resident_target) -
+                                               kv_->BlocksFor(sequence.kv_tokens));
   }
-  return needed;
 }
 
 std::vector<int64_t> RolloutScheduler::AdmissionOrder() const {
@@ -440,17 +438,17 @@ StepPlan RolloutScheduler::BeginStep() {
   // incumbents fit (free-and-requeue). The victim is always the last row
   // of the running order, so no other row's grant changes: the need is
   // computed once and each victim's own share subtracted.
-  std::vector<int64_t> prefill_needed = PrefillBlocksNeeded();
+  FillPrefillBlocksNeeded();
   int64_t needed = std::accumulate(
-      prefill_needed.begin(), prefill_needed.end(),
+      prefill_needed_.begin(), prefill_needed_.end(),
       static_cast<int64_t>(phase_rows_[static_cast<size_t>(CrossingPhase())].size()));
   while (!running_.empty() && needed > kv_->available_blocks()) {
     const int64_t victim = running_.back();
     if (seq(victim).state == SequenceState::kDecode) {
       needed -= Phase(victim) == CrossingPhase() ? 1 : 0;
     } else {
-      needed -= prefill_needed.back();
-      prefill_needed.pop_back();
+      needed -= prefill_needed_.back();
+      prefill_needed_.pop_back();
     }
     Preempt(victim);
   }

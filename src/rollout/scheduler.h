@@ -269,9 +269,10 @@ class RolloutScheduler {
   std::vector<int64_t> AdmissionOrder() const;
   // Weighted deficit round-robin admission over per-tenant FIFOs.
   void AdmitWeightedFair(StepPlan* plan, int64_t* budget);
-  // Blocks each mid-prefill row's residency extension needs this step
-  // under the prefill budget (incremental residency), in running order.
-  std::vector<int64_t> PrefillBlocksNeeded() const;
+  // Fills prefill_needed_ with the blocks each mid-prefill row's residency
+  // extension needs this step under the prefill budget (incremental
+  // residency), in running order.
+  void FillPrefillBlocksNeeded();
   // Retires or appends one row that emitted a token this step.
   void CommitEmittedToken(int64_t id, const std::vector<int64_t>& eos_finished);
   // No-op unless an event log is attached. `step` is the 0-based step
@@ -303,6 +304,9 @@ class RolloutScheduler {
   std::multimap<int64_t, int64_t> finish_at_;
   // The current commit's touched decode rows, sorted by ticket.
   std::vector<int64_t> touched_;
+  // BeginStep's per-step prefill block needs (FillPrefillBlocksNeeded),
+  // kept so a step reuses its capacity.
+  std::vector<int64_t> prefill_needed_;
   RolloutSchedulerStats stats_;
   SeqEventLog* event_log_ = nullptr;
   int64_t event_run_ = 0;
