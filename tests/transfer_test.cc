@@ -59,7 +59,7 @@ std::map<int, int64_t> FirstRowByRank(const ShardPlan& plan, const DataBatch& in
 // running the plan reproduces the original batch.
 void CheckRoundTrip(TransferProtocol protocol, const ProtocolContext& context, int64_t rows) {
   DataBatch input = MakeBatch(rows);
-  DataBatch collected = RunShards(PlanShards(protocol, context), input, Echo, true, "");
+  DataBatch collected = RunShards(PlanShards(protocol, context), input, Echo, false, "");
   ASSERT_EQ(collected.batch_size(), rows);
   EXPECT_EQ(collected.Tokens("prompts"), input.Tokens("prompts"));
 }
@@ -110,7 +110,7 @@ TEST(ProtocolTest, OneToAllBroadcastsEverywhere) {
   const ShardPlan plan = PlanShards(TransferProtocol::kOneToAll, Context(groups));
   EXPECT_EQ(plan.ranks, (std::vector<int>{0, 1, 2, 3}));
   EXPECT_EQ(plan.chunks, 1);
-  DataBatch collected = RunShards(plan, MakeBatch(3), Echo, true, "");
+  DataBatch collected = RunShards(plan, MakeBatch(3), Echo, false, "");
   EXPECT_EQ(collected.batch_size(), 12);
 }
 
@@ -129,7 +129,7 @@ TEST(ProtocolTest, PpOnlyCollectsOnePerStage) {
 TEST(ProtocolTest, AllToAllGathersEveryRank) {
   ProcessGroups groups({1, 1, 4}, Devices(4));
   DataBatch collected = RunShards(PlanShards(TransferProtocol::kAllToAll, Context(groups)),
-                                  MakeBatch(2), Echo, true, "");
+                                  MakeBatch(2), Echo, false, "");
   EXPECT_EQ(collected.batch_size(), 8);  // 4 ranks x 2 rows each.
 }
 
@@ -160,7 +160,7 @@ TEST(ProtocolTest, NamesAreStable) {
   EXPECT_STREQ(TransferProtocolName(TransferProtocol::kOneToAll), "ONE_TO_ALL");
 }
 
-TEST(RunShardsTest, RunsUserBuiltPlan) {
+TEST(ProtocolRunnerTest, RunsUserBuiltPlan) {
   // A user protocol is a plan: two sources read the halves of the input
   // in reverse, and their outputs concatenate in plan order.
   ShardPlan plan;
@@ -168,13 +168,13 @@ TEST(RunShardsTest, RunsUserBuiltPlan) {
   plan.ranks = {1, 0};
   plan.chunk = {1, 0};
   plan.chunks = 2;
-  DataBatch collected = RunShards(plan, MakeBatch(4), Echo, true, "");
+  DataBatch collected = RunShards(plan, MakeBatch(4), Echo, false, "");
   EXPECT_EQ(collected.Tokens("prompts"),
             (DataBatch::TokenColumn{{2}, {3}, {0}, {1}}));
   EXPECT_EQ(FirstRowByRank(plan, MakeBatch(4)), (std::map<int, int64_t>{{0, 0}, {1, 2}}));
 }
 
-TEST(RunShardsTest, CallsComputeOncePerSourceWithItsRank) {
+TEST(ProtocolRunnerTest, CallsComputeOncePerSourceWithItsRank) {
   ProcessGroups groups({2, 2, 4}, Devices(16));
   const ShardPlan plan = PlanShards(TransferProtocol::k3dProto, Context(groups));
   for (bool parallel : {false, true}) {

@@ -25,10 +25,10 @@ JOBS="$(nproc 2>/dev/null || echo 2)"
 
 # Tests exercising the concurrency surface; the default TSan phase runs
 # these (the full suite under TSan is --full-tsan).
-TSAN_TESTS='ThreadPool|ParallelDispatch|Determinism|Obs|Rollout|Async|Kernel|LockGraph|ScheduleFuzz|Quantile|Latency|Serving|KvCache'
+TSAN_TESTS='ThreadPool|ParallelDispatch|Determinism|Obs|Rollout|Async|Kernel|LockGraph|ScheduleFuzz|Quantile|Latency|Serving|KvCache|Protocol|ActorWorker'
 # Subset re-run under seeded schedule perturbation: the tests that
 # actually race threads (lock-graph/fuzz unit tests pin their own seeds).
-FUZZ_TESTS='ThreadPool|Rollout|Async|Kernel|Quantile|Latency|Serving|KvCache'
+FUZZ_TESTS='ThreadPool|ParallelDispatch|Rollout|Async|Kernel|Quantile|Latency|Serving|KvCache|Protocol|ActorWorker'
 # Fixed seeds, not $RANDOM: a gate failure must reproduce by exporting
 # the printed HF_SCHEDULE_FUZZ value.
 FUZZ_SEEDS="1 7 1337"
