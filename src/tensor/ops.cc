@@ -96,60 +96,18 @@ void TransposeInto(int64_t m, int64_t n, const float* x, float* yt,
                  [&](int64_t i0, int64_t i1) { TransposeRows(i0, i1, m, n, x, yt); });
 }
 
-// The GEMM forward loop over output rows [i0, i1): y[i,:] += x[i,:] * w
-// for x with k columns and w [k, n]. k-blocks advance in order and the
-// simd::GemmKBlock micro-kernel walks p ascending per output element, so
-// every y[i,j] accumulates over p in ascending fma order regardless of
-// the row range, the k block, the thread count, or the SIMD level.
-void GemmRows(int64_t i0, int64_t i1, int64_t k, int64_t n, const float* x,
-              const float* w, int64_t k_block, float* y) {
+// The GEMM forward over output rows [i0, i1): y[i,:] += x[i,:] * w for
+// x with k columns and w [k, n], one simd::GemmRows call per k-block.
+// k-blocks advance in order and the kernel walks p ascending per output
+// element, so every y[i,j] accumulates over p in ascending fma order
+// regardless of the row range, the k block, the thread count, or the
+// SIMD level.
+void GemmRowRange(int64_t i0, int64_t i1, int64_t k, int64_t n, const float* x,
+                  const float* w, int64_t k_block, float* y) {
   for (int64_t p0 = 0; p0 < k; p0 += k_block) {
     const int64_t p1 = std::min(k, p0 + k_block);
-    for (int64_t i = i0; i < i1; ++i) {
-      simd::GemmKBlock(p1 - p0, n, x + i * k + p0, w + p0 * n, n, y + i * n);
-    }
-  }
-}
-
-// MatMulNT's forward, y[m, n] (zeroed) = a[m, k] * b[n, k]^T: b^T is
-// packed once into bt[k, n] (a blocked transpose — pure data movement,
-// one pass over b, amortized across every row chunk), then GemmRows runs
-// on the packed panel: exactly the sequence MatMul runs on a materialized
-// Transpose(b). `work` (flops-equivalent) decides whether the pack and
-// the rows fan out over the pool; 0 runs both inline.
-void MatMulNTInto(int64_t m, int64_t k, int64_t n, const float* a, const float* b,
-                  int64_t work, float* bt, float* y) {
-  TransposeInto(n, k, b, bt, work / 8);
-  const KernelTuning tuning = GetKernelTuning();
-  ParallelChunks(m, tuning.gemm_row_grain, work, [&](int64_t i0, int64_t i1) {
-    GemmRows(i0, i1, k, n, a, bt, tuning.gemm_k_block, y);
-  });
-}
-
-// GEMM backward, input side, rows [i0, i1): da[i,p] += dot(g[i,:], w[p,:])
-// over the n columns (one lane-partial simd::Dot per element). With
-// w = B [k, n] this is MatMul's dA = dC * B^T; with w = a packed B^T it
-// is MatMulNT's dA = dC * B.
-void DotRows(int64_t i0, int64_t i1, int64_t k, int64_t n, const float* g,
-             const float* w, float* da) {
-  for (int64_t i = i0; i < i1; ++i) {
-    const float* g_row = g + i * n;
-    float* da_row = da + i * k;
-    for (int64_t p = 0; p < k; ++p) {
-      da_row[p] += simd::Dot(n, g_row, w + p * n);
-    }
-  }
-}
-
-// GEMM backward, weight side, rows [r0, r1) of y[·, n]:
-// y[r,:] += sum_i x[i * x_stride + r] * w[i * w_stride, ...] over i in
-// [0, m) ascending (strided-x micro-kernel: a column walk of x). MatMul's
-// dB = A^T * dC is x = A, w = dC; MatMulNT's dB = dC^T * A is x = dC,
-// w = A.
-void ColumnGemmRows(int64_t r0, int64_t r1, int64_t m, int64_t n, const float* x,
-                    int64_t x_stride, const float* w, int64_t w_stride, float* y) {
-  for (int64_t r = r0; r < r1; ++r) {
-    simd::GemmKBlockStridedX(m, n, x + r, x_stride, w, w_stride, y + r * n);
+    simd::GemmRows(i1 - i0, p1 - p0, n, x + i0 * k + p0, k, w + p0 * n, n,
+                   y + i0 * n, n);
   }
 }
 
@@ -261,7 +219,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
     KernelTimer timer(series, fwd_flops);
     // Row-partitioned, k-blocked: a chunk owns output rows [i0, i1).
     ParallelChunks(m, tuning.gemm_row_grain, fwd_flops, [&](int64_t i0, int64_t i1) {
-      GemmRows(i0, i1, k, n, x.data(), w.data(), tuning.gemm_k_block, y.data());
+      GemmRowRange(i0, i1, k, n, x.data(), w.data(), tuning.gemm_k_block, y.data());
     });
   }
   TensorNodePtr an = a.node();
@@ -275,13 +233,14 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
     KernelTimer timer(series_bwd, bwd_flops);
     // dA = dC * B^T: a chunk owns rows of A.
     ParallelChunks(m, tuning.gemm_row_grain, bwd_flops / 2, [&](int64_t i0, int64_t i1) {
-      DotRows(i0, i1, k, n, out.grad.data(), bn->data.data(), an->grad.data());
+      simd::DotRows(i1 - i0, k, n, out.grad.data() + i0 * n, bn->data.data(),
+                    an->grad.data() + i0 * k);
     });
     // dB = A^T * dC: a chunk owns rows of B (the k dimension); each
     // dB[p,j] accumulates over i ascending.
     ParallelChunks(k, tuning.gemm_row_grain, bwd_flops / 2, [&](int64_t p0, int64_t p1) {
-      ColumnGemmRows(p0, p1, m, n, an->data.data(), k, out.grad.data(), n,
-                     bn->grad.data());
+      simd::ColumnGemm(p0, p1, m, n, an->data.data(), k, out.grad.data(), n,
+                       bn->grad.data());
     });
   });
 }
@@ -302,10 +261,18 @@ Tensor MatMulNT(const Tensor& a, const Tensor& b) {
   std::unique_ptr<float[]> bt(new float[static_cast<size_t>(k * n)]);
   {
     KernelTimer timer(series, fwd_flops);
-    // Values are bitwise identical to MatMul(a, Transpose(b)); the fused
-    // form just skips the transpose autograd node and its extra buffer
-    // hand-off. (Uninitialized scratch: the pack overwrites every element.)
-    MatMulNTInto(m, k, n, x.data(), w.data(), fwd_flops, bt.get(), y.data());
+    // b^T is packed once into bt[k, n] (a blocked transpose — pure data
+    // movement, one pass over b, amortized across every row chunk), then
+    // the GEMM runs on the packed panel: exactly the sequence MatMul runs
+    // on a materialized Transpose(b), so values are bitwise identical to
+    // MatMul(a, Transpose(b)); the fused form just skips the transpose
+    // autograd node and its extra buffer hand-off. (Uninitialized
+    // scratch: the pack overwrites every element.)
+    TransposeInto(n, k, w.data(), bt.get(), fwd_flops / 8);
+    const KernelTuning tuning = GetKernelTuning();
+    ParallelChunks(m, tuning.gemm_row_grain, fwd_flops, [&](int64_t i0, int64_t i1) {
+      GemmRowRange(i0, i1, k, n, x.data(), bt.get(), tuning.gemm_k_block, y.data());
+    });
   }
   TensorNodePtr an = a.node();
   TensorNodePtr bn = b.node();
@@ -323,13 +290,14 @@ Tensor MatMulNT(const Tensor& a, const Tensor& b) {
     // B^T the forward packed, as the composed MatMul reads the Transpose
     // node's forward output.
     ParallelChunks(m, tuning.gemm_row_grain, bwd_flops / 2, [&](int64_t i0, int64_t i1) {
-      DotRows(i0, i1, k, n, out.grad.data(), packed.get(), an->grad.data());
+      simd::DotRows(i1 - i0, k, n, out.grad.data() + i0 * n, packed.get(),
+                    an->grad.data() + i0 * k);
     });
     // dB = dC^T * A: a chunk owns rows of B; each dB[j,p] accumulates
     // over i ascending (strided-x walk down dC's column j).
     ParallelChunks(n, tuning.gemm_row_grain, bwd_flops / 2, [&](int64_t j0, int64_t j1) {
-      ColumnGemmRows(j0, j1, m, k, out.grad.data(), n, an->data.data(), k,
-                     bn->grad.data());
+      simd::ColumnGemm(j0, j1, m, k, out.grad.data(), n, an->data.data(), k,
+                       bn->grad.data());
     });
   });
 }
@@ -351,16 +319,13 @@ Tensor MatMulTN(const Tensor& a, const Tensor& b) {
   {
     KernelTimer timer(series, fwd_flops);
     // A chunk owns output rows [i0, i1); p ascends per element (the
-    // strided-x micro-kernel walks column i of A downward) — the same
-    // per-element fma order as MatMul(Transpose(a), b), hence bitwise
-    // identical to it.
+    // column walk reads column i of A downward) — the same per-element
+    // fma order as MatMul(Transpose(a), b), hence bitwise identical to it.
     ParallelChunks(m, tuning.gemm_row_grain, fwd_flops, [&](int64_t i0, int64_t i1) {
       for (int64_t p0 = 0; p0 < k; p0 += tuning.gemm_k_block) {
         const int64_t p1 = std::min(k, p0 + tuning.gemm_k_block);
-        for (int64_t i = i0; i < i1; ++i) {
-          simd::GemmKBlockStridedX(p1 - p0, n, x.data() + p0 * m + i, m,
-                                   w.data() + p0 * n, n, y.data() + i * n);
-        }
+        simd::ColumnGemm(i0, i1, p1 - p0, n, x.data() + p0 * m, m, w.data() + p0 * n,
+                         n, y.data());
       }
     });
   }
@@ -375,20 +340,13 @@ Tensor MatMulTN(const Tensor& a, const Tensor& b) {
     KernelTimer timer(series_bwd, bwd_flops);
     // dA = B * dC^T (shape [k, m]): a chunk owns rows of A (the k
     // dimension); each dA[p,i] is one dot product with the j-sum
-    // ascending. dB = A * dC (shape [k, n]): the same chunk owns row p of
-    // B, accumulating over i ascending — one fused pass per p.
+    // ascending. dB = A * dC (shape [k, n]): the same chunk owns rows of
+    // B, each accumulating over i ascending.
     ParallelChunks(k, tuning.gemm_row_grain, bwd_flops, [&](int64_t p0, int64_t p1) {
-      for (int64_t p = p0; p < p1; ++p) {
-        const float* b_row = bn->data.data() + p * n;
-        float* da_row = an->grad.data() + p * m;
-        float* db_row = bn->grad.data() + p * n;
-        const float* a_row = an->data.data() + p * m;
-        for (int64_t i = 0; i < m; ++i) {
-          const float* g_row = out.grad.data() + i * n;
-          da_row[i] += simd::Dot(n, b_row, g_row);
-          simd::Axpy(n, a_row[i], g_row, db_row);
-        }
-      }
+      simd::DotRows(p1 - p0, m, n, bn->data.data() + p0 * n, out.grad.data(),
+                    an->grad.data() + p0 * m);
+      simd::GemmRows(p1 - p0, m, n, an->data.data() + p0 * m, m, out.grad.data(), n,
+                     bn->grad.data() + p0 * n, n);
     });
   });
 }
@@ -414,7 +372,6 @@ Tensor BlockAttention(const Tensor& q, const Tensor& k, const Tensor& v, int64_t
                 2 * kk * dv);
   // Whole blocks per chunk, about gemm_row_grain rows each.
   const int64_t block_grain = std::max<int64_t>(1, GetKernelTuning().gemm_row_grain / block);
-  const int64_t k_block = GetKernelTuning().gemm_k_block;
   std::vector<float> y(static_cast<size_t>(rows * dv), 0.0f);
   // Per-row log-softmax and softmax of the block's scores ([rows, block]):
   // block b's block x block matrix is the contiguous rows of block b.
@@ -425,23 +382,25 @@ Tensor BlockAttention(const Tensor& q, const Tensor& k, const Tensor& v, int64_t
   const float* vd = v.data().data();
   {
     KernelTimer timer(series, fwd_flops);
-    // Per block, the composed sequence verbatim: MatMulNT's forward into a
-    // zeroed buffer, Scale, LogSoftmax rows and Exp (= Softmax), then
-    // MatMul's k-block loop against the block's v rows.
+    // Per block, the composed sequence verbatim: MatMulNT's forward (pack
+    // the block's k rows, then the GEMM) into a zeroed buffer, Scale,
+    // LogSoftmax rows and Exp (= Softmax), then MatMul's GEMM against the
+    // block's v rows. The k-blocking the composed ops run does not change
+    // any element's fma chain, so each GEMM is one simd::GemmRows call.
     ParallelChunks(blocks, block_grain, fwd_flops, [&](int64_t b0, int64_t b1) {
       std::vector<float> kt(static_cast<size_t>(dk * block));
       for (int64_t b = b0; b < b1; ++b) {
         const int64_t r0 = b * block;
         float* scores = log_probs.data() + r0 * block;
-        MatMulNTInto(block, dk, block, qd + r0 * dk, kd + r0 * dk, /*work=*/0, kt.data(),
-                     scores);
+        TransposeRows(0, block, block, dk, kd + r0 * dk, kt.data());
+        simd::GemmRows(block, dk, block, qd + r0 * dk, dk, kt.data(), block, scores, block);
         simd::Scale(kk, scores, scale, scores);
         for (int64_t i = 0; i < block; ++i) {
           LogSoftmaxRow(block, scores + i * block, scores + i * block);
         }
         float* p = probs.data() + r0 * block;
         simd::Exp(kk, scores, p);
-        GemmRows(0, block, block, dv, p, vd + r0 * dv, k_block, y.data() + r0 * dv);
+        simd::GemmRows(block, block, dv, p, block, vd + r0 * dv, dv, y.data() + r0 * dv, dv);
       }
     });
   }
@@ -483,8 +442,8 @@ Tensor BlockAttention(const Tensor& q, const Tensor& k, const Tensor& v, int64_t
             const float* qb = qn->data.data() + r0 * dk;
             std::fill(scratch.begin(), scratch.end(), 0.0f);
             // MatMul(P, v) backward.
-            DotRows(0, block, block, dv, g, vn->data.data() + r0 * dv, d_probs);
-            ColumnGemmRows(0, block, block, dv, p, block, g, dv, dval);
+            simd::DotRows(block, block, dv, g, vn->data.data() + r0 * dv, d_probs);
+            simd::ColumnGemm(0, block, block, dv, p, block, g, dv, dval);
             // Exp, LogSoftmax and Scale backward.
             simd::MulAcc(kk, d_probs, p, d_log_probs);
             for (int64_t i = 0; i < block; ++i) {
@@ -494,8 +453,8 @@ Tensor BlockAttention(const Tensor& q, const Tensor& k, const Tensor& v, int64_t
             simd::ScaleAcc(kk, d_scaled, scale, d_scores);
             // MatMulNT(q, k) backward.
             TransposeRows(0, block, block, dk, kn->data.data() + r0 * dk, kt.data());
-            DotRows(0, block, dk, block, d_scores, kt.data(), dq);
-            ColumnGemmRows(0, block, block, dk, d_scores, block, qb, dk, dkey);
+            simd::DotRows(block, dk, block, d_scores, kt.data(), dq);
+            simd::ColumnGemm(0, block, block, dk, d_scores, block, qb, dk, dkey);
             simd::AddAcc(block * dk, dq, qn->grad.data() + r0 * dk);
             simd::AddAcc(block * dk, dkey, kn->grad.data() + r0 * dk);
             simd::AddAcc(block * dv, dval, vn->grad.data() + r0 * dv);
@@ -1074,12 +1033,12 @@ Tensor LayerNormMatMul(const Tensor& a, const Tensor& gamma, const Tensor& beta,
   const int64_t fwd_flops = m * k * kLayerNormFwdFlopsPerElem + 2 * m * k * n;
   {
     KernelTimer timer(series, fwd_flops);
-    // One pass per row: the LayerNorm row sequence is exactly LayerNorm's
-    // and the GEMM k-blocks are exactly MatMul's, so values are bitwise
-    // identical to MatMul(LayerNorm(a, gamma, beta, eps), w). The fusion
-    // only changes WHEN the normalized row feeds the GEMM — immediately,
-    // while it is still cache-hot — and skips the intermediate autograd
-    // node.
+    // One pass per row chunk: the LayerNorm row sequence is exactly
+    // LayerNorm's and the GEMM k-blocks are exactly MatMul's, so values
+    // are bitwise identical to MatMul(LayerNorm(a, gamma, beta, eps), w).
+    // The fusion only changes WHEN the normalized rows feed the GEMM —
+    // right after the chunk is normalized, while it is still cache-hot —
+    // and skips the intermediate autograd node.
     ParallelChunks(m, tuning.gemm_row_grain, fwd_flops, [&](int64_t i0, int64_t i1) {
       for (int64_t i = i0; i < i1; ++i) {
         const float* x_row = x.data() + i * k;
@@ -1091,9 +1050,8 @@ Tensor LayerNormMatMul(const Tensor& a, const Tensor& gamma, const Tensor& beta,
         float* ln_row = ln_out.data() + i * k;
         simd::LayerNormRow(k, x_row, mean, inv, g.data(), c.data(),
                            normalized.data() + i * k, ln_row);
-        GemmRows(i, i + 1, k, n, ln_out.data(), wd.data(), tuning.gemm_k_block,
-                 y.data());
       }
+      GemmRowRange(i0, i1, k, n, ln_out.data(), wd.data(), tuning.gemm_k_block, y.data());
     });
   }
   TensorNodePtr an = a.node();
@@ -1120,13 +1078,13 @@ Tensor LayerNormMatMul(const Tensor& a, const Tensor& gamma, const Tensor& beta,
         std::vector<float> d_ln(static_cast<size_t>(m * k), 0.0f);
         ParallelChunks(m, tuning.gemm_row_grain, 2 * m * k * n,
                        [&](int64_t i0, int64_t i1) {
-                         DotRows(i0, i1, k, n, out.grad.data(), wn->data.data(),
-                                 d_ln.data());
+                         simd::DotRows(i1 - i0, k, n, out.grad.data() + i0 * n,
+                                       wn->data.data(), d_ln.data() + i0 * k);
                        });
         ParallelChunks(k, tuning.gemm_row_grain, 2 * m * k * n,
                        [&](int64_t p0, int64_t p1) {
-                         ColumnGemmRows(p0, p1, m, n, ln_out.data(), k, out.grad.data(), n,
-                                        wn->grad.data());
+                         simd::ColumnGemm(p0, p1, m, n, ln_out.data(), k, out.grad.data(),
+                                          n, wn->grad.data());
                        });
         // Stage 2: LayerNorm's backward, fed by d_ln — identical to the
         // standalone op's backward with out.grad := d_ln.

@@ -11,6 +11,7 @@
 // scalar mul+add that the contract says must round twice.
 #include "src/tensor/simd.h"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cmath>
@@ -172,29 +173,12 @@ float HfExpf(float x) {
 namespace scalar_impl {
 namespace {
 
-void Axpy(int64_t n, float x, const float* w, float* y) {
-  for (int64_t j = 0; j < n; ++j) {
-    y[j] = std::fmaf(x, w[j], y[j]);
-  }
-}
-
-void GemmKBlock(int64_t kb, int64_t n, const float* x, const float* w,
-                int64_t w_stride, float* y) {
-  // p outer / j inner is the cache-friendly nest; per output element the
-  // accumulation order is still p-ascending, which is all the contract
-  // pins down.
-  for (int64_t p = 0; p < kb; ++p) {
-    const float xp = x[p];
-    const float* wp = w + p * w_stride;
-    for (int64_t j = 0; j < n; ++j) {
-      y[j] = std::fmaf(xp, wp[j], y[j]);
-    }
-  }
-}
-
-void GemmKBlockStridedX(int64_t kb, int64_t n, const float* x,
-                        int64_t x_stride, const float* w, int64_t w_stride,
-                        float* y) {
+// One output row of one k-block: y[j] = fma(x[p * x_stride], w[p *
+// w_stride + j], y[j]), p outer / j inner (the cache-friendly nest); per
+// output element the accumulation order is p-ascending, which is all the
+// contract pins down.
+void GemmKBlock(int64_t kb, int64_t n, const float* x, int64_t x_stride,
+                const float* w, int64_t w_stride, float* y) {
   for (int64_t p = 0; p < kb; ++p) {
     const float xp = x[p * x_stride];
     const float* wp = w + p * w_stride;
@@ -210,6 +194,30 @@ float Dot(int64_t n, const float* a, const float* b) {
     p8[j & 7] = std::fmaf(a[j], b[j], p8[j & 7]);
   }
   return Fold8Add(p8);
+}
+
+void GemmRows(int64_t rows, int64_t kb, int64_t n, const float* x,
+              int64_t x_stride, const float* w, int64_t w_stride, float* y,
+              int64_t y_stride) {
+  for (int64_t i = 0; i < rows; ++i) {
+    GemmKBlock(kb, n, x + i * x_stride, 1, w, w_stride, y + i * y_stride);
+  }
+}
+
+void DotRows(int64_t rows, int64_t k, int64_t n, const float* g,
+             const float* w, float* da) {
+  for (int64_t i = 0; i < rows; ++i) {
+    for (int64_t p = 0; p < k; ++p) {
+      da[i * k + p] += Dot(n, g + i * n, w + p * n);
+    }
+  }
+}
+
+void ColumnGemm(int64_t r0, int64_t r1, int64_t m, int64_t n, const float* x,
+                int64_t x_stride, const float* w, int64_t w_stride, float* y) {
+  for (int64_t r = r0; r < r1; ++r) {
+    GemmKBlock(m, n, x + r, x_stride, w, w_stride, y + r * n);
+  }
 }
 
 float Sum(int64_t n, const float* a) {
@@ -382,20 +390,22 @@ void AdamUpdate(int64_t n, float* w, const float* g, float* m, float* v,
 
 // ====================================================================
 // AVX2/FMA tier: the same op sequence, 8 lanes at a time. Tails run the
-// scalar lane-partial code so every element lands in lane j % 8 exactly
-// as the scalar tier's loop does.
+// scalar lane-partial code, or the vector ops on masked loads whose
+// results land in the tail's lanes only, so every element lands in lane
+// j % 8 exactly as the scalar tier's loop does.
 // ====================================================================
 #if HF_SIMD_X86
 namespace avx2_impl {
 namespace {
 
-void Axpy(int64_t n, float x, const float* w, float* y)
+void GemmRows(int64_t rows, int64_t kb, int64_t n, const float* x,
+              int64_t x_stride, const float* w, int64_t w_stride, float* y,
+              int64_t y_stride) HF_AVX2_TARGET;
+void DotRows(int64_t rows, int64_t k, int64_t n, const float* g,
+             const float* w, float* da) HF_AVX2_TARGET;
+void ColumnGemm(int64_t r0, int64_t r1, int64_t m, int64_t n, const float* x,
+                int64_t x_stride, const float* w, int64_t w_stride, float* y)
     HF_AVX2_TARGET;
-void GemmKBlock(int64_t kb, int64_t n, const float* x, const float* w,
-                int64_t w_stride, float* y) HF_AVX2_TARGET;
-void GemmKBlockStridedX(int64_t kb, int64_t n, const float* x,
-                        int64_t x_stride, const float* w, int64_t w_stride,
-                        float* y) HF_AVX2_TARGET;
 float Dot(int64_t n, const float* a, const float* b) HF_AVX2_TARGET;
 float Sum(int64_t n, const float* a) HF_AVX2_TARGET;
 float SumSqDiff(int64_t n, const float* a, float mu) HF_AVX2_TARGET;
@@ -430,110 +440,244 @@ void AdamUpdate(int64_t n, float* w, const float* g, float* m, float* v,
                 float lr, float beta1, float beta2, float eps, float clip,
                 float bias1, float bias2) HF_AVX2_TARGET;
 
-void Axpy(int64_t n, float x, const float* w, float* y) {
-  const __m256 xv = _mm256_set1_ps(x);
+// Lanes [0, count) of an n % 8 tail, count in [1, 7]. Masked loads
+// read only those elements, so a tail can run the vector op sequence
+// without touching memory past the row.
+HF_AVX2_TARGET inline __m256i TailMask(int64_t count) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(count)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+// The GEMM tiles read x through two strides, x(row, p) = x[row * rs +
+// p * ps]: GemmRows' row-major x is (x_stride, 1) and ColumnGemm's
+// column walk is (1, x_stride). Each tile holds R rows x (8 * T) columns
+// of y in registers across the whole k-block, loading each w row once
+// per tile; per output element the walk is still p-ascending.
+template <int R, int T>
+HF_AVX2_TARGET inline void GemmTile(int64_t kb, const float* x, int64_t rs,
+                                    int64_t ps, const float* w,
+                                    int64_t w_stride, float* y, int64_t ys) {
+  __m256 acc[R][T];
+  for (int r = 0; r < R; ++r) {
+    for (int t = 0; t < T; ++t) {
+      acc[r][t] = _mm256_loadu_ps(y + r * ys + 8 * t);
+    }
+  }
+  const float* xp = x;
+  const float* wp = w;
+  for (int64_t p = 0; p < kb; ++p, xp += ps, wp += w_stride) {
+    __m256 wv[T];
+    for (int t = 0; t < T; ++t) {
+      wv[t] = _mm256_loadu_ps(wp + 8 * t);
+    }
+    for (int r = 0; r < R; ++r) {
+      const __m256 xv = _mm256_set1_ps(xp[r * rs]);
+      for (int t = 0; t < T; ++t) {
+        acc[r][t] = _mm256_fmadd_ps(xv, wv[t], acc[r][t]);
+      }
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    for (int t = 0; t < T; ++t) {
+      _mm256_storeu_ps(y + r * ys + 8 * t, acc[r][t]);
+    }
+  }
+}
+
+// R rows x 4 columns in 128-bit registers (BlockAttention's K x K scores).
+template <int R>
+HF_AVX2_TARGET inline void GemmTile4(int64_t kb, const float* x, int64_t rs,
+                                     int64_t ps, const float* w,
+                                     int64_t w_stride, float* y, int64_t ys) {
+  __m128 acc[R];
+  for (int r = 0; r < R; ++r) {
+    acc[r] = _mm_loadu_ps(y + r * ys);
+  }
+  const float* xp = x;
+  const float* wp = w;
+  for (int64_t p = 0; p < kb; ++p, xp += ps, wp += w_stride) {
+    const __m128 wv = _mm_loadu_ps(wp);
+    for (int r = 0; r < R; ++r) {
+      acc[r] = _mm_fmadd_ps(_mm_set1_ps(xp[r * rs]), wv, acc[r]);
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    _mm_storeu_ps(y + r * ys, acc[r]);
+  }
+}
+
+// R rows of one column: the scalar fma chain.
+template <int R>
+HF_AVX2_TARGET inline void GemmColumn(int64_t kb, const float* x, int64_t rs,
+                                      int64_t ps, const float* w,
+                                      int64_t w_stride, float* y, int64_t ys) {
+  for (int r = 0; r < R; ++r) {
+    float acc = y[r * ys];
+    const float* xp = x + r * rs;
+    const float* wp = w;
+    for (int64_t p = 0; p < kb; ++p, xp += ps, wp += w_stride) {
+      acc = std::fmaf(*xp, *wp, acc);
+    }
+    y[r * ys] = acc;
+  }
+}
+
+// R rows across all n columns: the widest tiles that fit, then the
+// 4-wide tile, then single columns.
+template <int R>
+HF_AVX2_TARGET inline void GemmStrip(int64_t kb, int64_t n, const float* x,
+                                     int64_t rs, int64_t ps, const float* w,
+                                     int64_t w_stride, float* y, int64_t ys) {
+  int64_t j = 0;
+  if constexpr (R == 1) {
+    for (; j + 64 <= n; j += 64) {
+      GemmTile<1, 8>(kb, x, rs, ps, w + j, w_stride, y + j, ys);
+    }
+  }
+  if constexpr (R <= 2) {
+    for (; j + 32 <= n; j += 32) {
+      GemmTile<R, 4>(kb, x, rs, ps, w + j, w_stride, y + j, ys);
+    }
+  }
+  for (; j + 16 <= n; j += 16) {
+    GemmTile<R, 2>(kb, x, rs, ps, w + j, w_stride, y + j, ys);
+  }
+  for (; j + 8 <= n; j += 8) {
+    GemmTile<R, 1>(kb, x, rs, ps, w + j, w_stride, y + j, ys);
+  }
+  for (; j + 4 <= n; j += 4) {
+    GemmTile4<R>(kb, x, rs, ps, w + j, w_stride, y + j, ys);
+  }
+  for (; j < n; ++j) {
+    GemmColumn<R>(kb, x, rs, ps, w + j, w_stride, y + j, ys);
+  }
+}
+
+// Rows in 2-row strips when n >= 32 (2 x 32 tiles), else 4-row strips
+// (4 x 16, 4 x 8, 4 x 4); leftover rows run the one-row strip.
+HF_AVX2_TARGET void GemmPanel(int64_t rows, int64_t kb, int64_t n,
+                              const float* x, int64_t rs, int64_t ps,
+                              const float* w, int64_t w_stride, float* y,
+                              int64_t ys) {
+  int64_t i = 0;
+  if (n >= 32) {
+    for (; i + 2 <= rows; i += 2) {
+      GemmStrip<2>(kb, n, x + i * rs, rs, ps, w, w_stride, y + i * ys, ys);
+    }
+  } else {
+    for (; i + 4 <= rows; i += 4) {
+      GemmStrip<4>(kb, n, x + i * rs, rs, ps, w, w_stride, y + i * ys, ys);
+    }
+  }
+  for (; i < rows; ++i) {
+    GemmStrip<1>(kb, n, x + i * rs, rs, ps, w, w_stride, y + i * ys, ys);
+  }
+}
+
+void GemmRows(int64_t rows, int64_t kb, int64_t n, const float* x,
+              int64_t x_stride, const float* w, int64_t w_stride, float* y,
+              int64_t y_stride) {
+  GemmPanel(rows, kb, n, x, x_stride, 1, w, w_stride, y, y_stride);
+}
+
+void ColumnGemm(int64_t r0, int64_t r1, int64_t m, int64_t n, const float* x,
+                int64_t x_stride, const float* w, int64_t w_stride, float* y) {
+  GemmPanel(r1 - r0, m, n, x + r0, 1, x_stride, w, w_stride, y + r0 * n, n);
+}
+
+// In-place 8x8 transpose: afterwards v[l] lane q holds what v[q] lane l
+// held.
+HF_AVX2_TARGET inline void Transpose8(__m256 v[8]) {
+  const __m256 t0 = _mm256_unpacklo_ps(v[0], v[1]);
+  const __m256 t1 = _mm256_unpackhi_ps(v[0], v[1]);
+  const __m256 t2 = _mm256_unpacklo_ps(v[2], v[3]);
+  const __m256 t3 = _mm256_unpackhi_ps(v[2], v[3]);
+  const __m256 t4 = _mm256_unpacklo_ps(v[4], v[5]);
+  const __m256 t5 = _mm256_unpackhi_ps(v[4], v[5]);
+  const __m256 t6 = _mm256_unpacklo_ps(v[6], v[7]);
+  const __m256 t7 = _mm256_unpackhi_ps(v[6], v[7]);
+  const __m256 s0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
+  v[0] = _mm256_permute2f128_ps(s0, s4, 0x20);
+  v[1] = _mm256_permute2f128_ps(s1, s5, 0x20);
+  v[2] = _mm256_permute2f128_ps(s2, s6, 0x20);
+  v[3] = _mm256_permute2f128_ps(s3, s7, 0x20);
+  v[4] = _mm256_permute2f128_ps(s0, s4, 0x31);
+  v[5] = _mm256_permute2f128_ps(s1, s5, 0x31);
+  v[6] = _mm256_permute2f128_ps(s2, s6, 0x31);
+  v[7] = _mm256_permute2f128_ps(s3, s7, 0x31);
+}
+
+// Eight Dots at once. The rows * k dots are numbered f = i * k + p,
+// which is also da's index, and run in groups of 8 consecutive f (a
+// group may span rows when k is not a multiple of 8). Accumulator q
+// holds dot q's 8 lane partials; the n % 8 tail applies the same
+// lane-partial fmas to masked loads and blends them into the tail's
+// lanes only. One transpose turns lane partial l of every dot into
+// vector l, so 7 vertical adds fold all eight as Fold8Add does, lane for
+// lane. In a last group of fewer than 8 dots, the unused accumulators
+// rerun the group's first dot and their lanes are never stored.
+void DotRows(int64_t rows, int64_t k, int64_t n, const float* g,
+             const float* w, float* da) {
   const int64_t n8 = n & ~int64_t{7};
-  for (int64_t j = 0; j < n8; j += 8) {
-    _mm256_storeu_ps(
-        y + j, _mm256_fmadd_ps(xv, _mm256_loadu_ps(w + j),
-                               _mm256_loadu_ps(y + j)));
-  }
-  for (int64_t j = n8; j < n; ++j) {
-    y[j] = std::fmaf(x, w[j], y[j]);
-  }
-}
-
-// One j-tile of T accumulator registers (8*T outputs) held across the
-// whole k-block; per output element the walk is still p-ascending.
-template <int T>
-HF_AVX2_TARGET inline void GemmTileJ(int64_t kb, const float* x,
-                                     const float* w, int64_t w_stride,
-                                     float* y) {
-  __m256 acc[T];
-  for (int i = 0; i < T; ++i) {
-    acc[i] = _mm256_loadu_ps(y + 8 * i);
-  }
-  const float* wp = w;
-  for (int64_t p = 0; p < kb; ++p, wp += w_stride) {
-    const __m256 xv = _mm256_set1_ps(x[p]);
-    for (int i = 0; i < T; ++i) {
-      acc[i] = _mm256_fmadd_ps(xv, _mm256_loadu_ps(wp + 8 * i), acc[i]);
+  const int64_t dots = rows * k;
+  int64_t i = 0;  // Dot f0 is (i, p).
+  int64_t p = 0;
+  for (int64_t f0 = 0; f0 < dots; f0 += 8) {
+    const int64_t count = std::min<int64_t>(8, dots - f0);
+    const float* gq[8];
+    const float* wq[8];
+    __m256 acc[8];
+    for (int q = 0; q < 8; ++q) {
+      if (q < count) {
+        gq[q] = g + i * n;
+        wq[q] = w + p * n;
+        if (++p == k) {
+          p = 0;
+          ++i;
+        }
+      } else {
+        gq[q] = gq[0];
+        wq[q] = wq[0];
+      }
+      acc[q] = _mm256_setzero_ps();
     }
-  }
-  for (int i = 0; i < T; ++i) {
-    _mm256_storeu_ps(y + 8 * i, acc[i]);
-  }
-}
-
-template <int T>
-HF_AVX2_TARGET inline void GemmTileJStridedX(int64_t kb, const float* x,
-                                             int64_t x_stride,
-                                             const float* w,
-                                             int64_t w_stride, float* y) {
-  __m256 acc[T];
-  for (int i = 0; i < T; ++i) {
-    acc[i] = _mm256_loadu_ps(y + 8 * i);
-  }
-  const float* wp = w;
-  for (int64_t p = 0; p < kb; ++p, wp += w_stride) {
-    const __m256 xv = _mm256_set1_ps(x[p * x_stride]);
-    for (int i = 0; i < T; ++i) {
-      acc[i] = _mm256_fmadd_ps(xv, _mm256_loadu_ps(wp + 8 * i), acc[i]);
+    for (int64_t j = 0; j < n8; j += 8) {
+      for (int q = 0; q < 8; ++q) {
+        acc[q] = _mm256_fmadd_ps(_mm256_loadu_ps(gq[q] + j),
+                                 _mm256_loadu_ps(wq[q] + j), acc[q]);
+      }
     }
-  }
-  for (int i = 0; i < T; ++i) {
-    _mm256_storeu_ps(y + 8 * i, acc[i]);
-  }
-}
-
-void GemmKBlock(int64_t kb, int64_t n, const float* x, const float* w,
-                int64_t w_stride, float* y) {
-  int64_t j = 0;
-  for (; j + 64 <= n; j += 64) {
-    GemmTileJ<8>(kb, x, w + j, w_stride, y + j);
-  }
-  for (; j + 32 <= n; j += 32) {
-    GemmTileJ<4>(kb, x, w + j, w_stride, y + j);
-  }
-  for (; j + 16 <= n; j += 16) {
-    GemmTileJ<2>(kb, x, w + j, w_stride, y + j);
-  }
-  for (; j + 8 <= n; j += 8) {
-    GemmTileJ<1>(kb, x, w + j, w_stride, y + j);
-  }
-  for (; j < n; ++j) {
-    float acc = y[j];
-    const float* wp = w + j;
-    for (int64_t p = 0; p < kb; ++p, wp += w_stride) {
-      acc = std::fmaf(x[p], *wp, acc);
+    if (n8 < n) {
+      const __m256i tail_mask = TailMask(n - n8);
+      const __m256 lanes = _mm256_castsi256_ps(tail_mask);
+      for (int q = 0; q < 8; ++q) {
+        const __m256 fma = _mm256_fmadd_ps(
+            _mm256_maskload_ps(gq[q] + n8, tail_mask),
+            _mm256_maskload_ps(wq[q] + n8, tail_mask), acc[q]);
+        acc[q] = _mm256_blendv_ps(acc[q], fma, lanes);
+      }
     }
-    y[j] = acc;
-  }
-}
-
-void GemmKBlockStridedX(int64_t kb, int64_t n, const float* x,
-                        int64_t x_stride, const float* w, int64_t w_stride,
-                        float* y) {
-  int64_t j = 0;
-  for (; j + 64 <= n; j += 64) {
-    GemmTileJStridedX<8>(kb, x, x_stride, w + j, w_stride, y + j);
-  }
-  for (; j + 32 <= n; j += 32) {
-    GemmTileJStridedX<4>(kb, x, x_stride, w + j, w_stride, y + j);
-  }
-  for (; j + 16 <= n; j += 16) {
-    GemmTileJStridedX<2>(kb, x, x_stride, w + j, w_stride, y + j);
-  }
-  for (; j + 8 <= n; j += 8) {
-    GemmTileJStridedX<1>(kb, x, x_stride, w + j, w_stride, y + j);
-  }
-  for (; j < n; ++j) {
-    float acc = y[j];
-    const float* wp = w + j;
-    for (int64_t p = 0; p < kb; ++p, wp += w_stride) {
-      acc = std::fmaf(x[p * x_stride], *wp, acc);
+    Transpose8(acc);
+    __m256 sum = acc[0];
+    for (int l = 1; l < 8; ++l) {
+      sum = _mm256_add_ps(sum, acc[l]);
     }
-    y[j] = acc;
+    if (count == 8) {
+      _mm256_storeu_ps(da + f0, _mm256_add_ps(_mm256_loadu_ps(da + f0), sum));
+    } else {
+      alignas(32) float folded[8];
+      _mm256_store_ps(folded, sum);
+      for (int64_t q = 0; q < count; ++q) {
+        da[f0 + q] += folded[q];
+      }
+    }
   }
 }
 
@@ -643,11 +787,15 @@ float SumExpShifted(int64_t n, const float* x, float shift) {
     acc = _mm256_add_ps(
         acc, Exp8(_mm256_add_ps(_mm256_loadu_ps(x + j), shiftv)));
   }
+  if (n8 < n) {
+    // The tail's exponentials in one Exp8, added into its lanes only
+    // (K-wide attention rows are all tail).
+    const __m256i mask = TailMask(n - n8);
+    const __m256 e = Exp8(_mm256_add_ps(_mm256_maskload_ps(x + n8, mask), shiftv));
+    acc = _mm256_blendv_ps(acc, _mm256_add_ps(acc, e), _mm256_castsi256_ps(mask));
+  }
   alignas(32) float p8[8];
   _mm256_store_ps(p8, acc);
-  for (int64_t j = n8; j < n; ++j) {
-    p8[j & 7] += HfExpf(x[j] + shift);
-  }
   return Fold8Add(p8);
 }
 
@@ -767,8 +915,9 @@ void Exp(int64_t n, const float* x, float* y) {
   for (int64_t j = 0; j < n8; j += 8) {
     _mm256_storeu_ps(y + j, Exp8(_mm256_loadu_ps(x + j)));
   }
-  for (int64_t j = n8; j < n; ++j) {
-    y[j] = HfExpf(x[j]);
+  if (n8 < n) {
+    const __m256i mask = TailMask(n - n8);
+    _mm256_maskstore_ps(y + n8, mask, Exp8(_mm256_maskload_ps(x + n8, mask)));
   }
 }
 
@@ -823,9 +972,11 @@ void LogSoftmaxBackwardRow(int64_t n, const float* y, const float* g,
     const __m256 t = _mm256_fnmadd_ps(e, gsumv, _mm256_loadu_ps(g + j));
     _mm256_storeu_ps(dx + j, _mm256_add_ps(_mm256_loadu_ps(dx + j), t));
   }
-  for (int64_t j = n8; j < n; ++j) {
-    const float e = HfExpf(y[j]);
-    dx[j] += std::fmaf(-e, gsum, g[j]);
+  if (n8 < n) {
+    const __m256i mask = TailMask(n - n8);
+    const __m256 e = Exp8(_mm256_maskload_ps(y + n8, mask));
+    const __m256 t = _mm256_fnmadd_ps(e, gsumv, _mm256_maskload_ps(g + n8, mask));
+    _mm256_maskstore_ps(dx + n8, mask, _mm256_add_ps(_mm256_maskload_ps(dx + n8, mask), t));
   }
 }
 
@@ -920,37 +1071,38 @@ inline bool UseAvx2() {
 }
 }  // namespace
 
-void Axpy(int64_t n, float x, const float* w, float* y) {
+void GemmRows(int64_t rows, int64_t kb, int64_t n, const float* x,
+              int64_t x_stride, const float* w, int64_t w_stride, float* y,
+              int64_t y_stride) {
 #if HF_SIMD_X86
   if (UseAvx2()) {
-    avx2_impl::Axpy(n, x, w, y);
+    avx2_impl::GemmRows(rows, kb, n, x, x_stride, w, w_stride, y, y_stride);
     return;
   }
 #endif
-  scalar_impl::Axpy(n, x, w, y);
+  scalar_impl::GemmRows(rows, kb, n, x, x_stride, w, w_stride, y, y_stride);
 }
 
-void GemmKBlock(int64_t kb, int64_t n, const float* x, const float* w,
-                int64_t w_stride, float* y) {
+void DotRows(int64_t rows, int64_t k, int64_t n, const float* g,
+             const float* w, float* da) {
 #if HF_SIMD_X86
   if (UseAvx2()) {
-    avx2_impl::GemmKBlock(kb, n, x, w, w_stride, y);
+    avx2_impl::DotRows(rows, k, n, g, w, da);
     return;
   }
 #endif
-  scalar_impl::GemmKBlock(kb, n, x, w, w_stride, y);
+  scalar_impl::DotRows(rows, k, n, g, w, da);
 }
 
-void GemmKBlockStridedX(int64_t kb, int64_t n, const float* x,
-                        int64_t x_stride, const float* w, int64_t w_stride,
-                        float* y) {
+void ColumnGemm(int64_t r0, int64_t r1, int64_t m, int64_t n, const float* x,
+                int64_t x_stride, const float* w, int64_t w_stride, float* y) {
 #if HF_SIMD_X86
   if (UseAvx2()) {
-    avx2_impl::GemmKBlockStridedX(kb, n, x, x_stride, w, w_stride, y);
+    avx2_impl::ColumnGemm(r0, r1, m, n, x, x_stride, w, w_stride, y);
     return;
   }
 #endif
-  scalar_impl::GemmKBlockStridedX(kb, n, x, x_stride, w, w_stride, y);
+  scalar_impl::ColumnGemm(r0, r1, m, n, x, x_stride, w, w_stride, y);
 }
 
 float Dot(int64_t n, const float* a, const float* b) {

@@ -10,12 +10,18 @@
 //     ((p0+p1)+p2)+...; and
 //   * the AVX2/FMA tier implements exactly that sequence with
 //     _mm256_fmadd_ps and friends — one vector accumulator register IS
-//     the 8 lane partials.
+//     the 8 lane partials. Register tiles may group many output
+//     elements (rows x columns of a GEMM, 8 dots at once) but never
+//     reorder one element's ops.
 //
 // Because both tiers execute the same floating-point ops in the same
 // order, results are bitwise identical with SIMD on or off, which is
 // what lets the kernel determinism contract (values + grads invariant
 // to tensor.threads and tile sizes) extend to the SIMD level.
+//
+// Granularity: the GEMM kernels take a whole row range, so a chunk of a
+// GEMM is one call and one SIMD-level read; the row kernels take one
+// row; the elementwise maps take any span.
 //
 // Dispatch: the AVX2 tier is compiled unconditionally on x86-64 (the
 // kernels sit in a per-function target("avx2,fma") region so the TU
@@ -58,21 +64,26 @@ bool Avx2Available();
 
 namespace simd {
 
-// ---- fma-canonical axpy / GEMM inner kernels -------------------------
-// y[j] = fma(x, w[j], y[j]) for j in [0, n). Ascending j.
-void Axpy(int64_t n, float x, const float* w, float* y);
-
-// The GEMM register-blocked micro-kernel: for a k-block of `kb` inputs,
-//   y[j] = fma(x[p], w[p * w_stride + j], y[j])   p ascending, each j.
-// Equivalent to kb stacked Axpy calls but holds y tiles in registers
-// across the whole k-block. Accumulation order per output element is
-// p-ascending in both tiers, so tiling width never changes results.
-void GemmKBlock(int64_t kb, int64_t n, const float* x, const float* w,
-                int64_t w_stride, float* y);
-// Same, but x is strided: x[p * x_stride] (MatMulTN reads a column).
-void GemmKBlockStridedX(int64_t kb, int64_t n, const float* x,
-                        int64_t x_stride, const float* w, int64_t w_stride,
-                        float* y);
+// ---- row-range GEMM kernels ------------------------------------------
+// Each call covers a whole row range and reads the SIMD level once. Per
+// output element the op sequence is the scalar tier's, so register
+// tiling across rows and columns never changes a result.
+//
+// One k-block of a row-major GEMM over `rows` output rows:
+//   y[i * y_stride + j] = fma(x[i * x_stride + p], w[p * w_stride + j], ·)
+// for p in [0, kb) ascending, each i in [0, rows), j in [0, n).
+void GemmRows(int64_t rows, int64_t kb, int64_t n, const float* x,
+              int64_t x_stride, const float* w, int64_t w_stride, float* y,
+              int64_t y_stride);
+// Row-times-row dots: da[i * k + p] += Dot(n, g + i * n, w + p * n) for
+// i in [0, rows), p in [0, k) — each dot is the lane-partial Dot below.
+void DotRows(int64_t rows, int64_t k, int64_t n, const float* g,
+             const float* w, float* da);
+// A GEMM whose x is read down its columns (the dB walk):
+//   y[r * n + j] = fma(x[i * x_stride + r], w[i * w_stride + j], ·)
+// for i in [0, m) ascending, each r in [r0, r1), j in [0, n).
+void ColumnGemm(int64_t r0, int64_t r1, int64_t m, int64_t n, const float* x,
+                int64_t x_stride, const float* w, int64_t w_stride, float* y);
 
 // ---- lane-partial horizontal reductions ------------------------------
 // sum_j a[j] * b[j], fma into lane partial j % 8, L2R fold.

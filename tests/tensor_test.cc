@@ -4,7 +4,9 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
@@ -327,29 +329,182 @@ Tensor ComposedBlockAttention(const Tensor& q, const Tensor& k, const Tensor& v,
 // BlockAttention replays the composed per-block ops' exact sequences, so
 // values AND gradients are bitwise identical to the composed chain from
 // freshly zeroed gradients — for one-row blocks, odd blocks, the
-// transformer's block of 4, and a single block covering every row.
+// transformer's block of 4, a single block covering every row, and
+// every block in {1, 2, 3, 4, 5, 8} at head widths 4, 16 and 17.
 TEST(BlockAttentionTest, MatchesComposedBitwise) {
   struct Case {
     int64_t rows;
     int64_t block;
+    int64_t dk;
+    int64_t dv;
   };
-  for (const Case& c : {Case{12, 1}, Case{12, 3}, Case{12, 4}, Case{9, 9}}) {
+  std::vector<Case> cases = {Case{12, 1, 13, 9}, Case{12, 3, 13, 9}, Case{12, 4, 13, 9},
+                             Case{9, 9, 13, 9}};
+  for (int64_t block : {1, 2, 3, 4, 5, 8}) {
+    for (int64_t dk : {4, 16, 17}) {
+      cases.push_back(Case{3 * block, block, dk, dk});
+    }
+  }
+  for (const Case& c : cases) {
     Rng rng(31 + static_cast<uint64_t>(c.block));
-    Tensor q = Tensor::Randn({c.rows, 13}, rng, 1.0f);
-    Tensor k = Tensor::Randn({c.rows, 13}, rng, 1.0f);
-    Tensor v = Tensor::Randn({c.rows, 9}, rng, 1.0f);
+    Tensor q = Tensor::Randn({c.rows, c.dk}, rng, 1.0f);
+    Tensor k = Tensor::Randn({c.rows, c.dk}, rng, 1.0f);
+    Tensor v = Tensor::Randn({c.rows, c.dv}, rng, 1.0f);
     Tensor q2 = Tensor::FromData(q.shape(), q.data(), /*requires_grad=*/true);
     Tensor k2 = Tensor::FromData(k.shape(), k.data(), /*requires_grad=*/true);
     Tensor v2 = Tensor::FromData(v.shape(), v.data(), /*requires_grad=*/true);
     Tensor fused = BlockAttention(q, k, v, c.block, 0.37f);
     Tensor composed = ComposedBlockAttention(q2, k2, v2, c.block, 0.37f);
-    const std::string label = "block=" + std::to_string(c.block);
+    const std::string label =
+        "block=" + std::to_string(c.block) + " dk=" + std::to_string(c.dk);
     ExpectBitwiseEq(fused.data(), composed.data(), (label + " forward").c_str());
     Sum(Square(fused)).Backward();
     Sum(Square(composed)).Backward();
     ExpectBitwiseEq(q.grad(), q2.grad(), (label + " dq").c_str());
     ExpectBitwiseEq(k.grad(), k2.grad(), (label + " dk").c_str());
     ExpectBitwiseEq(v.grad(), v2.grad(), (label + " dv").c_str());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Row-range SIMD kernels
+// ---------------------------------------------------------------------------
+
+// Kernel inputs: N(0, 1) values with ~10% of entries replaced by ±0 or
+// denormals and two entries by ±inf or NaN, so most outputs stay finite
+// while every special value reaches some fma chain. The NaN is x86's
+// default NaN (sign bit set), the one an operation without NaN inputs
+// produces, so every NaN in a run has the same bits and outputs compare
+// bitwise whichever operand a NaN result propagates from.
+std::vector<float> KernelInputs(int64_t size, Rng& rng) {
+  const float kSmall[] = {0.0f, -0.0f, 1e-40f, -3e-39f, std::numeric_limits<float>::denorm_min()};
+  const float kInf = std::numeric_limits<float>::infinity();
+  const float kLarge[] = {kInf, -kInf, -std::numeric_limits<float>::quiet_NaN()};
+  std::vector<float> v(static_cast<size_t>(size));
+  for (float& x : v) {
+    x = static_cast<float>(rng.Normal(0.0, 1.0));
+    if (rng.Uniform(0.0, 1.0) < 0.1) {
+      x = kSmall[rng.UniformInt(0, 4)];
+    }
+  }
+  for (int i = 0; i < 2; ++i) {
+    v[static_cast<size_t>(rng.UniformInt(0, size - 1))] = kLarge[rng.UniformInt(0, 2)];
+  }
+  return v;
+}
+
+// Runs `kernel` on fresh copies of the same inputs under the scalar and
+// the AVX2 tier and compares the outputs bitwise. Without AVX2 the
+// override stays scalar and the comparison is trivially equal.
+void ExpectTiersBitwiseEqual(const std::function<std::vector<float>()>& kernel,
+                             const std::string& label) {
+  SetSimdOverride(SimdLevel::kScalar);
+  const std::vector<float> scalar = kernel();
+  SetSimdOverride(SimdLevel::kAvx2Fma);
+  const std::vector<float> vectorized = kernel();
+  ClearSimdOverride();
+  ExpectBitwiseEq(scalar, vectorized, label.c_str());
+}
+
+// Row counts 1-9 cover every leftover-row count of the 4- and 2-row
+// tiles; the widths cover every tile (32, 16, 8 and 4 wide) with every
+// tail; the inner sizes cover short chains and the k-block edge.
+constexpr int64_t kRowKernelWidths[] = {1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33};
+
+std::vector<int64_t> RowKernelInnerSizes() {
+  std::vector<int64_t> sizes;
+  for (int64_t k = 1; k <= 17; ++k) {
+    sizes.push_back(k);
+  }
+  for (int64_t k : {255, 256, 257}) {
+    sizes.push_back(k);
+  }
+  return sizes;
+}
+
+// simd::GemmRows on strided x, w and y: the padding columns of y must
+// stay untouched as well.
+TEST(SimdRowKernelTest, GemmRowsScalarAndAvx2Bitwise) {
+  for (int64_t rows = 1; rows <= 9; ++rows) {
+    for (int64_t n : kRowKernelWidths) {
+      for (int64_t kb : RowKernelInnerSizes()) {
+        Rng rng(static_cast<uint64_t>(rows * 100000 + n * 1000 + kb));
+        const int64_t x_stride = kb + 3;
+        const int64_t w_stride = n + 2;
+        const int64_t y_stride = n + 1;
+        const std::vector<float> x = KernelInputs(rows * x_stride, rng);
+        const std::vector<float> w = KernelInputs(kb * w_stride, rng);
+        const std::vector<float> y0 = KernelInputs(rows * y_stride, rng);
+        ExpectTiersBitwiseEqual(
+            [&] {
+              std::vector<float> y = y0;
+              simd::GemmRows(rows, kb, n, x.data(), x_stride, w.data(), w_stride, y.data(),
+                             y_stride);
+              return y;
+            },
+            "rows=" + std::to_string(rows) + " n=" + std::to_string(n) +
+                " kb=" + std::to_string(kb));
+        if (HasFailure()) {
+          return;
+        }
+      }
+    }
+  }
+}
+
+// simd::DotRows: k dots per row, so k in 1-17 covers every count of
+// leftover dots in the 8-dot group, and n covers every lane-partial tail.
+TEST(SimdRowKernelTest, DotRowsScalarAndAvx2Bitwise) {
+  for (int64_t rows = 1; rows <= 9; ++rows) {
+    for (int64_t n : kRowKernelWidths) {
+      for (int64_t k : RowKernelInnerSizes()) {
+        Rng rng(static_cast<uint64_t>(rows * 100000 + n * 1000 + k) + 7);
+        const std::vector<float> g = KernelInputs(rows * n, rng);
+        const std::vector<float> w = KernelInputs(k * n, rng);
+        const std::vector<float> da0 = KernelInputs(rows * k, rng);
+        ExpectTiersBitwiseEqual(
+            [&] {
+              std::vector<float> da = da0;
+              simd::DotRows(rows, k, n, g.data(), w.data(), da.data());
+              return da;
+            },
+            "rows=" + std::to_string(rows) + " n=" + std::to_string(n) +
+                " k=" + std::to_string(k));
+        if (HasFailure()) {
+          return;
+        }
+      }
+    }
+  }
+}
+
+// simd::ColumnGemm over output rows [1, 1 + rows) of a column walk of
+// length m: row 0 of y, outside the range, must stay untouched.
+TEST(SimdRowKernelTest, ColumnGemmScalarAndAvx2Bitwise) {
+  for (int64_t rows = 1; rows <= 9; ++rows) {
+    for (int64_t n : kRowKernelWidths) {
+      for (int64_t m : RowKernelInnerSizes()) {
+        Rng rng(static_cast<uint64_t>(rows * 100000 + n * 1000 + m) + 13);
+        const int64_t r0 = 1;
+        const int64_t r1 = r0 + rows;
+        const int64_t x_stride = r1 + 2;
+        const int64_t w_stride = n + 3;
+        const std::vector<float> x = KernelInputs(m * x_stride, rng);
+        const std::vector<float> w = KernelInputs(m * w_stride, rng);
+        const std::vector<float> y0 = KernelInputs(r1 * n, rng);
+        ExpectTiersBitwiseEqual(
+            [&] {
+              std::vector<float> y = y0;
+              simd::ColumnGemm(r0, r1, m, n, x.data(), x_stride, w.data(), w_stride, y.data());
+              return y;
+            },
+            "rows=" + std::to_string(rows) + " n=" + std::to_string(n) +
+                " m=" + std::to_string(m));
+        if (HasFailure()) {
+          return;
+        }
+      }
+    }
   }
 }
 
