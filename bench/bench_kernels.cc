@@ -356,6 +356,71 @@ int Main() {
       run.values.insert(run.values.end(), x.grad().begin(), x.grad().end());
       return run;
     };
+    // The data plane's shapes (docs/KERNELS.md §1a): E = 16, H = 32 and
+    // K = 4 over [batch * K] rows, where the row-range kernels' register
+    // tiles matter most.
+    constexpr int64_t kRows = 4096;
+    const auto dataplane_matmul_case = [](int64_t k, int64_t n) {
+      return [k, n] {
+        Rng rng(80);
+        Tensor a = Tensor::Randn({kRows, k}, rng, 0.5f);
+        Tensor b = Tensor::Randn({k, n}, rng, 0.5f);
+        SimdRun run;
+        const double start = NowMs();
+        for (int rep = 0; rep < kReps; ++rep) {
+          Tensor c = MatMul(a, b);
+          Sum(Square(c)).Backward();
+          if (rep == kReps - 1) {
+            run.values = c.data();
+          }
+        }
+        run.ms_per_iter = (NowMs() - start) / kReps;
+        run.values.insert(run.values.end(), a.grad().begin(), a.grad().end());
+        run.values.insert(run.values.end(), b.grad().begin(), b.grad().end());
+        return run;
+      };
+    };
+    const auto layernorm_matmul_case = [] {
+      Rng rng(81);
+      Tensor x = Tensor::Randn({kRows, 16}, rng, 0.5f);
+      Tensor gamma = Tensor::Randn({16}, rng, 0.5f);
+      Tensor beta = Tensor::Randn({16}, rng, 0.5f);
+      Tensor w = Tensor::Randn({16, 32}, rng, 0.5f);
+      SimdRun run;
+      const double start = NowMs();
+      for (int rep = 0; rep < kReps; ++rep) {
+        Tensor y = LayerNormMatMul(x, gamma, beta, w);
+        Sum(Square(y)).Backward();
+        if (rep == kReps - 1) {
+          run.values = y.data();
+        }
+      }
+      run.ms_per_iter = (NowMs() - start) / kReps;
+      for (const Tensor* t : {&x, &gamma, &beta, &w}) {
+        run.values.insert(run.values.end(), t->grad().begin(), t->grad().end());
+      }
+      return run;
+    };
+    const auto block_attention_case = [] {
+      Rng rng(82);
+      Tensor q = Tensor::Randn({kRows, 16}, rng, 0.5f);
+      Tensor k = Tensor::Randn({kRows, 16}, rng, 0.5f);
+      Tensor v = Tensor::Randn({kRows, 16}, rng, 0.5f);
+      SimdRun run;
+      const double start = NowMs();
+      for (int rep = 0; rep < kReps; ++rep) {
+        Tensor y = BlockAttention(q, k, v, 4, 0.25f);
+        Sum(Square(y)).Backward();
+        if (rep == kReps - 1) {
+          run.values = y.data();
+        }
+      }
+      run.ms_per_iter = (NowMs() - start) / kReps;
+      for (const Tensor* t : {&q, &k, &v}) {
+        run.values.insert(run.values.end(), t->grad().begin(), t->grad().end());
+      }
+      return run;
+    };
     const auto compare = [&](const char* op, const auto& fn) {
       ClearSimdOverride();
       const SimdRun active = fn();
@@ -382,6 +447,10 @@ int Main() {
     compare("matmul", matmul_case);
     compare("layernorm", layernorm_case);
     compare("log_softmax", softmax_case);
+    compare("matmul_4096x16x16", dataplane_matmul_case(16, 16));
+    compare("matmul_4096x32x16", dataplane_matmul_case(32, 16));
+    compare("layernorm_matmul_4096x16x32", layernorm_matmul_case);
+    compare("block_attention_b4_dk16", block_attention_case);
     SetTensorThreads(0);
   }
 
