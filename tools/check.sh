@@ -17,6 +17,10 @@
 # Build trees: build-check/ (normal), build-tsan/, build-asan/, build-ubsan/
 # — kept apart from the developer's build/ so the gate never clobbers
 # incremental state.
+#
+# A failed configure or build stops the script at once. Every lint and
+# test phase runs even when an earlier one failed; the failed phases are
+# listed at the end and the script then exits 1.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -52,22 +56,34 @@ done
 
 step() { echo; echo "==== $* ===="; }
 
+# run_phase NAME CMD...: runs one lint/test phase and records it in
+# FAILED_PHASES if it fails, without stopping the script.
+FAILED_PHASES=()
+run_phase() {
+  local name="$1"
+  shift
+  step "$name"
+  if ! "$@"; then
+    echo "---- phase failed: $name"
+    FAILED_PHASES+=("$name")
+  fi
+}
+
 step "configure + build (HF_WERROR=ON)"
 cmake -B build-check -S . -DHF_WERROR=ON >/dev/null
 cmake --build build-check -j "$JOBS"
 
-step "hflint"
-./build-check/tools/hflint "$ROOT"
+run_phase "hflint" ./build-check/tools/hflint "$ROOT"
 
-step "ctest (normal build)"
-ctest --test-dir build-check --output-on-failure -j "$JOBS"
+run_phase "ctest (normal build)" \
+  ctest --test-dir build-check --output-on-failure -j "$JOBS"
 
 # Scalar-fallback phase: HF_SIMD=off forces the scalar kernel tier, so
 # the SIMD<->scalar bitwise-equivalence suite re-runs on the exact path a
 # non-AVX2 host would take (the in-process SetSimdOverride sweeps cover
 # the same comparison, but only this catches an env-plumbing regression).
-step "ctest kernel suite with HF_SIMD=off (scalar fallback)"
-HF_SIMD=off \
+run_phase "ctest kernel suite with HF_SIMD=off (scalar fallback)" \
+  env HF_SIMD=off \
   ctest --test-dir build-check --output-on-failure -j "$JOBS" \
   -R 'Kernel|MatMul|LayerNorm|Tensor|Autograd|Adam|BlockAttention|Gelu|TransformerPolicy|bench_kernels_gate'
 
@@ -76,18 +92,19 @@ if [ "$SANITIZE" -eq 1 ]; then
   cmake -B build-tsan -S . -DHF_WERROR=ON -DHF_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "$JOBS"
 
-  step "ctest under ThreadSanitizer"
   export TSAN_OPTIONS="suppressions=$ROOT/tools/sanitizers/tsan.supp halt_on_error=1 second_deadlock_stack=1"
   if [ "$FULL_TSAN" -eq 1 ]; then
-    ctest --test-dir build-tsan --output-on-failure -j "$JOBS"
+    TSAN_FILTER=()
   else
-    ctest --test-dir build-tsan --output-on-failure -j "$JOBS" -R "$TSAN_TESTS"
+    TSAN_FILTER=(-R "$TSAN_TESTS")
   fi
+  run_phase "ctest under ThreadSanitizer" \
+    ctest --test-dir build-tsan --output-on-failure -j "$JOBS" "${TSAN_FILTER[@]}"
 
   if [ "$SCHEDULE_FUZZ" -eq 1 ]; then
     for seed in $FUZZ_SEEDS; do
-      step "ctest under TSan + schedule fuzz (HF_SCHEDULE_FUZZ=$seed)"
-      HF_SCHEDULE_FUZZ="$seed" \
+      run_phase "ctest under TSan + schedule fuzz (HF_SCHEDULE_FUZZ=$seed)" \
+        env HF_SCHEDULE_FUZZ="$seed" \
         ctest --test-dir build-tsan --output-on-failure -j "$JOBS" -R "$FUZZ_TESTS"
     done
   fi
@@ -99,10 +116,9 @@ if [ "$ASAN" -eq 1 ]; then
   cmake -B build-asan -S . -DHF_WERROR=ON -DHF_SANITIZE=address >/dev/null
   cmake --build build-asan -j "$JOBS"
 
-  step "ctest under ASan+UBSan"
   export LSAN_OPTIONS="suppressions=$ROOT/tools/sanitizers/lsan.supp"
   export UBSAN_OPTIONS="suppressions=$ROOT/tools/sanitizers/ubsan.supp print_stacktrace=1"
-  ctest --test-dir build-asan --output-on-failure -j "$JOBS"
+  run_phase "ctest under ASan+UBSan" ctest --test-dir build-asan --output-on-failure -j "$JOBS"
   unset LSAN_OPTIONS UBSAN_OPTIONS
 fi
 
@@ -111,10 +127,15 @@ if [ "$UBSAN" -eq 1 ]; then
   cmake -B build-ubsan -S . -DHF_WERROR=ON -DHF_SANITIZE=undefined >/dev/null
   cmake --build build-ubsan -j "$JOBS"
 
-  step "ctest under UBSan (-fno-sanitize-recover)"
   export UBSAN_OPTIONS="suppressions=$ROOT/tools/sanitizers/ubsan.supp print_stacktrace=1"
-  ctest --test-dir build-ubsan --output-on-failure -j "$JOBS"
+  run_phase "ctest under UBSan (-fno-sanitize-recover)" \
+    ctest --test-dir build-ubsan --output-on-failure -j "$JOBS"
   unset UBSAN_OPTIONS
 fi
 
+if [ "${#FAILED_PHASES[@]}" -gt 0 ]; then
+  step "${#FAILED_PHASES[@]} phase(s) failed"
+  printf '  %s\n' "${FAILED_PHASES[@]}"
+  exit 1
+fi
 step "all checks passed"
