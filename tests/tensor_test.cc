@@ -406,106 +406,94 @@ void ExpectTiersBitwiseEqual(const std::function<std::vector<float>()>& kernel,
   ExpectBitwiseEq(scalar, vectorized, label.c_str());
 }
 
-// Row counts 1-9 cover every leftover-row count of the 4- and 2-row
-// tiles; the widths cover every tile (32, 16, 8 and 4 wide) with every
-// tail; the inner sizes cover short chains and the k-block edge.
-constexpr int64_t kRowKernelWidths[] = {1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33};
-
-std::vector<int64_t> RowKernelInnerSizes() {
-  std::vector<int64_t> sizes;
+// Runs check(rows, n, inner) over every kernel shape, stopping at the
+// first failure: row counts 1-9 cover every leftover-row count of the
+// 4- and 2-row tiles; the widths cover every tile (32, 16, 8 and 4 wide)
+// with every tail; the inner sizes cover short chains, every count of
+// leftover dots in DotRows' 8-dot group, and the k-block edge.
+void ForEachRowKernelShape(const std::function<void(int64_t, int64_t, int64_t)>& check) {
+  std::vector<int64_t> inner_sizes;
   for (int64_t k = 1; k <= 17; ++k) {
-    sizes.push_back(k);
+    inner_sizes.push_back(k);
   }
   for (int64_t k : {255, 256, 257}) {
-    sizes.push_back(k);
+    inner_sizes.push_back(k);
   }
-  return sizes;
+  for (int64_t rows = 1; rows <= 9; ++rows) {
+    for (int64_t n : {1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33}) {
+      for (int64_t inner : inner_sizes) {
+        check(rows, n, inner);
+        if (::testing::Test::HasFailure()) {
+          return;
+        }
+      }
+    }
+  }
+}
+
+std::string ShapeLabel(int64_t rows, int64_t n, int64_t inner) {
+  return "rows=" + std::to_string(rows) + " n=" + std::to_string(n) +
+         " inner=" + std::to_string(inner);
 }
 
 // simd::GemmRows on strided x, w and y: the padding columns of y must
 // stay untouched as well.
 TEST(SimdRowKernelTest, GemmRowsScalarAndAvx2Bitwise) {
-  for (int64_t rows = 1; rows <= 9; ++rows) {
-    for (int64_t n : kRowKernelWidths) {
-      for (int64_t kb : RowKernelInnerSizes()) {
-        Rng rng(static_cast<uint64_t>(rows * 100000 + n * 1000 + kb));
-        const int64_t x_stride = kb + 3;
-        const int64_t w_stride = n + 2;
-        const int64_t y_stride = n + 1;
-        const std::vector<float> x = KernelInputs(rows * x_stride, rng);
-        const std::vector<float> w = KernelInputs(kb * w_stride, rng);
-        const std::vector<float> y0 = KernelInputs(rows * y_stride, rng);
-        ExpectTiersBitwiseEqual(
-            [&] {
-              std::vector<float> y = y0;
-              simd::GemmRows(rows, kb, n, x.data(), x_stride, w.data(), w_stride, y.data(),
-                             y_stride);
-              return y;
-            },
-            "rows=" + std::to_string(rows) + " n=" + std::to_string(n) +
-                " kb=" + std::to_string(kb));
-        if (HasFailure()) {
-          return;
-        }
-      }
-    }
-  }
+  ForEachRowKernelShape([](int64_t rows, int64_t n, int64_t kb) {
+    Rng rng(static_cast<uint64_t>(rows * 100000 + n * 1000 + kb));
+    const int64_t x_stride = kb + 3;
+    const int64_t w_stride = n + 2;
+    const int64_t y_stride = n + 1;
+    const std::vector<float> x = KernelInputs(rows * x_stride, rng);
+    const std::vector<float> w = KernelInputs(kb * w_stride, rng);
+    const std::vector<float> y0 = KernelInputs(rows * y_stride, rng);
+    ExpectTiersBitwiseEqual(
+        [&] {
+          std::vector<float> y = y0;
+          simd::GemmRows(rows, kb, n, x.data(), x_stride, w.data(), w_stride, y.data(),
+                         y_stride);
+          return y;
+        },
+        ShapeLabel(rows, n, kb));
+  });
 }
 
-// simd::DotRows: k dots per row, so k in 1-17 covers every count of
-// leftover dots in the 8-dot group, and n covers every lane-partial tail.
 TEST(SimdRowKernelTest, DotRowsScalarAndAvx2Bitwise) {
-  for (int64_t rows = 1; rows <= 9; ++rows) {
-    for (int64_t n : kRowKernelWidths) {
-      for (int64_t k : RowKernelInnerSizes()) {
-        Rng rng(static_cast<uint64_t>(rows * 100000 + n * 1000 + k) + 7);
-        const std::vector<float> g = KernelInputs(rows * n, rng);
-        const std::vector<float> w = KernelInputs(k * n, rng);
-        const std::vector<float> da0 = KernelInputs(rows * k, rng);
-        ExpectTiersBitwiseEqual(
-            [&] {
-              std::vector<float> da = da0;
-              simd::DotRows(rows, k, n, g.data(), w.data(), da.data());
-              return da;
-            },
-            "rows=" + std::to_string(rows) + " n=" + std::to_string(n) +
-                " k=" + std::to_string(k));
-        if (HasFailure()) {
-          return;
-        }
-      }
-    }
-  }
+  ForEachRowKernelShape([](int64_t rows, int64_t n, int64_t k) {
+    Rng rng(static_cast<uint64_t>(rows * 100000 + n * 1000 + k) + 7);
+    const std::vector<float> g = KernelInputs(rows * n, rng);
+    const std::vector<float> w = KernelInputs(k * n, rng);
+    const std::vector<float> da0 = KernelInputs(rows * k, rng);
+    ExpectTiersBitwiseEqual(
+        [&] {
+          std::vector<float> da = da0;
+          simd::DotRows(rows, k, n, g.data(), w.data(), da.data());
+          return da;
+        },
+        ShapeLabel(rows, n, k));
+  });
 }
 
 // simd::ColumnGemm over output rows [1, 1 + rows) of a column walk of
 // length m: row 0 of y, outside the range, must stay untouched.
 TEST(SimdRowKernelTest, ColumnGemmScalarAndAvx2Bitwise) {
-  for (int64_t rows = 1; rows <= 9; ++rows) {
-    for (int64_t n : kRowKernelWidths) {
-      for (int64_t m : RowKernelInnerSizes()) {
-        Rng rng(static_cast<uint64_t>(rows * 100000 + n * 1000 + m) + 13);
-        const int64_t r0 = 1;
-        const int64_t r1 = r0 + rows;
-        const int64_t x_stride = r1 + 2;
-        const int64_t w_stride = n + 3;
-        const std::vector<float> x = KernelInputs(m * x_stride, rng);
-        const std::vector<float> w = KernelInputs(m * w_stride, rng);
-        const std::vector<float> y0 = KernelInputs(r1 * n, rng);
-        ExpectTiersBitwiseEqual(
-            [&] {
-              std::vector<float> y = y0;
-              simd::ColumnGemm(r0, r1, m, n, x.data(), x_stride, w.data(), w_stride, y.data());
-              return y;
-            },
-            "rows=" + std::to_string(rows) + " n=" + std::to_string(n) +
-                " m=" + std::to_string(m));
-        if (HasFailure()) {
-          return;
-        }
-      }
-    }
-  }
+  ForEachRowKernelShape([](int64_t rows, int64_t n, int64_t m) {
+    Rng rng(static_cast<uint64_t>(rows * 100000 + n * 1000 + m) + 13);
+    const int64_t r0 = 1;
+    const int64_t r1 = r0 + rows;
+    const int64_t x_stride = r1 + 2;
+    const int64_t w_stride = n + 3;
+    const std::vector<float> x = KernelInputs(m * x_stride, rng);
+    const std::vector<float> w = KernelInputs(m * w_stride, rng);
+    const std::vector<float> y0 = KernelInputs(r1 * n, rng);
+    ExpectTiersBitwiseEqual(
+        [&] {
+          std::vector<float> y = y0;
+          simd::ColumnGemm(r0, r1, m, n, x.data(), x_stride, w.data(), w_stride, y.data());
+          return y;
+        },
+        ShapeLabel(rows, n, m));
+  });
 }
 
 TEST(BlockAttentionTest, GradientCheck) {
