@@ -157,9 +157,9 @@ TEST(AutogradKernelFuzzTest, RandomPipelinesBitwiseInvariantAcrossThreads) {
       const int64_t n = 16 + rng.UniformInt(0, 48);
       Tensor x = Tensor::Randn({m, k}, rng, 0.6f);
       Tensor w = Tensor::Randn({n, k}, rng, 0.6f);
-      Tensor scores = MatMulNT(x, w);                      // [m, n]
+      Tensor scores = MatMul(x, Transpose(w));             // [m, n]
       Tensor probs = Softmax(scores);
-      Tensor h = Gelu(MatMulTN(probs, x));                 // [n, k]
+      Tensor h = Gelu(MatMul(Transpose(probs), x));        // [n, k]
       // Attention blocks: the first of 8, 5, 4, 3, 2 that divides m, else 1.
       int64_t block = 1;
       for (int64_t b : {8, 5, 4, 3, 2}) {

@@ -320,7 +320,8 @@ Tensor ComposedBlockAttention(const Tensor& q, const Tensor& k, const Tensor& v,
   std::vector<Tensor> parts;
   for (int64_t r = 0; r < q.dim(0); r += block) {
     Tensor scores =
-        Scale(MatMulNT(SliceRows(q, r, r + block), SliceRows(k, r, r + block)), scale);
+        Scale(MatMul(SliceRows(q, r, r + block), Transpose(SliceRows(k, r, r + block))),
+              scale);
     parts.push_back(MatMul(Softmax(scores), SliceRows(v, r, r + block)));
   }
   return ConcatRows(parts);
@@ -637,7 +638,7 @@ struct KernelStackResult {
 };
 
 // One compound forward+backward pass that drives every parallel kernel
-// past the serial-work cutoff: plain/NT/TN GEMMs, the fused
+// past the serial-work cutoff: GEMMs on plain and transposed operands, the fused
 // LayerNorm+MatMul, BlockAttention, LayerNorm, Softmax, LogSoftmax, Gelu,
 // Transpose, GatherRows (with duplicate indices), PickPerRow, ConcatRows,
 // RowSum, Mean, and the elementwise kernels.
@@ -654,9 +655,9 @@ KernelStackResult RunKernelStack(int threads, const KernelTuning& tuning) {
   Tensor beta2 = Tensor::Randn({80}, rng, 0.2f);
 
   Tensor h = LayerNorm(MatMul(x, w), gamma, beta);        // [128, 48]
-  Tensor scores = MatMulNT(x, k);                         // [128, 128]
+  Tensor scores = MatMul(x, Transpose(k));                // [128, 128]
   Tensor mixed = MatMul(Softmax(scores), x);              // [128, 80]
-  Tensor gram = MatMulTN(x, Gelu(mixed));                 // [80, 80]
+  Tensor gram = MatMul(Transpose(x), Gelu(mixed));        // [80, 80]
   Tensor fused = LayerNormMatMul(mixed, gamma2, beta2, w);  // [128, 48]
   Tensor attended = BlockAttention(x, k, mixed, 4, 0.125f);  // [128, 80]
   Tensor cat = Add(ConcatRows({h, fused}), beta);         // [256, 48] + bias
@@ -780,8 +781,8 @@ TEST(KernelDeterminismTest, SimdScalarBitwisePerOpTailSweep) {
     Tensor w = Tensor::Randn({n, 5}, rng, 0.5f);
 
     Tensor t1 = Sum(Square(MatMul(a, w)));
-    Tensor t2 = Sum(Gelu(MatMulNT(a, b)));
-    Tensor t3 = Sum(Square(MatMulTN(a, b)));
+    Tensor t2 = Sum(Gelu(MatMul(a, Transpose(b))));
+    Tensor t3 = Sum(Square(MatMul(Transpose(a), b)));
     Tensor t4 = Sum(Mul(LayerNorm(a, gamma, beta), b));
     Tensor t5 = Sum(LayerNormMatMul(a, gamma, beta, w));
     Tensor t6 = Sum(Mul(LogSoftmax(a), Softmax(b)));

@@ -226,7 +226,7 @@ Tensor PerContextForward(const PolicyNet& net,
       Tensor q = MatMul(normed, p[0]);
       Tensor k = MatMul(normed, p[1]);
       Tensor v = MatMul(normed, p[2]);
-      Tensor attention = MatMul(Softmax(Scale(MatMulNT(q, k), scale)), v);
+      Tensor attention = MatMul(Softmax(Scale(MatMul(q, Transpose(k)), scale)), v);
       x = Add(x, MatMul(attention, p[3]));
       Tensor hidden = Gelu(Add(LayerNormMatMul(x, p[6], p[7], p[8]), p[9]));
       x = Add(x, Add(MatMul(hidden, p[10]), p[11]));
