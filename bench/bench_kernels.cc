@@ -1,14 +1,10 @@
 // Kernel-layer benchmark: times the deterministic parallel GEMM
 // forward+backward path across tensor.threads settings and verifies the
 // bitwise-determinism contract (docs/KERNELS.md) on every configuration.
-// Two reference rows keep the numbers honest:
-//
-//   * naive_serial      — a textbook triple-loop GEMM fwd+bwd, the shape of
-//                         the pre-refactor kernels, timed on one thread.
-//   * matmul_nt_composed — MatMul(a, Transpose(b)) with the transpose
-//                         materialized, against the fused MatMulNT. The
-//                         bench fails if the median of 9 interleaved
-//                         fused/composed pairs is below 1.0x.
+// A naive_serial reference row (a textbook triple-loop GEMM fwd+bwd, the
+// shape of the pre-refactor kernels, timed on one thread) keeps the
+// numbers honest, and per-op rows time the active SIMD tier against the
+// forced-scalar fallback.
 //
 // Target: >= 3x gemm_fwd_bwd speedup at 8 threads vs 1 on hardware with
 // >= 8 cores. Single-core containers will report ~1x (the runtime falls
@@ -16,7 +12,6 @@
 // everywhere, and the bench exits nonzero if it does not.
 //
 // Emits BENCH_kernels.json with one row per (op, threads) configuration.
-#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <iostream>
@@ -130,24 +125,6 @@ GemmRun RunNaiveSerial() {
   return run;
 }
 
-// Median of a non-empty sample (mean of the middle two when even).
-double Median(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  const size_t n = values.size();
-  return n % 2 == 1 ? values[n / 2] : 0.5 * (values[n / 2 - 1] + values[n / 2]);
-}
-
-// Times `reps` calls of `fn` (which must leave its result in `out`) and
-// returns ms/iter.
-template <typename Fn>
-double TimeReps(Fn&& fn, int reps = kReps) {
-  const double start = NowMs();
-  for (int rep = 0; rep < reps; ++rep) {
-    fn();
-  }
-  return (NowMs() - start) / reps;
-}
-
 // One op fwd+bwd timed under the currently active SIMD tier. A case
 // builds its own fresh inputs (untimed), times kReps fwd+bwd iterations,
 // and returns every value the determinism contract covers (outputs ++
@@ -161,7 +138,6 @@ int Main() {
   BenchReport report("kernels");
   const char* simd = SimdLevelName(ActiveSimdLevel());
   bool deterministic = true;
-  int gate_failures = 0;
 
   // --- GEMM fwd+bwd across thread counts ----------------------------------
   std::cout << StrFormat("gemm fwd+bwd, A[%d,%d] * B[%d,%d], %d reps\n",
@@ -202,98 +178,6 @@ int Main() {
       .Number("ms_per_iter", naive.ms_per_iter)
       .Number("tiled_1t_speedup_vs_naive",
               baseline.ms_per_iter > 0.0 ? naive.ms_per_iter / baseline.ms_per_iter : 0.0);
-
-  // --- Fused MatMulNT vs materialized transpose (fwd + bwd) ---------------
-  // Forward work is identical by construction (one B^T pack + the same
-  // GEMM); the fusion's win is the backward, where the composed form pays
-  // the Transpose node's zero-initialized grad buffer and a second
-  // transpose-accumulate pass. Values AND grads must stay bitwise equal.
-  {
-    SetTensorThreads(0);
-    // Each side gets its own identically-seeded inputs.
-    const auto make_inputs = [](Tensor& q, Tensor& k) {
-      Rng rng(321);
-      q = Tensor::Randn({kM, kK}, rng, 0.5f);
-      k = Tensor::Randn({kN, kK}, rng, 0.5f);
-    };
-    Tensor qf, kf, qc, kc;
-    make_inputs(qf, kf);
-    make_inputs(qc, kc);
-    // kGatePairs interleaved fused/composed timings, gated on the median
-    // of the per-pair ratios: a host stall or a loaded core shifts a few
-    // pairs, not the median.
-    // Every pair first checks values AND grads bitwise on one fwd+bwd
-    // from zeroed grads — the timed reps accumulate grads in different
-    // association orders by design (the composed form's dB detours
-    // through the transpose node's fresh zero buffer each iteration,
-    // then one add into k.grad, while the fused kernel accumulates in
-    // place: identical from zero, differently rounded once nonzero).
-    constexpr int kGatePairs = 9;
-    std::vector<double> fused_times;
-    std::vector<double> composed_times;
-    std::vector<double> ratios;
-    bool bitwise = true;
-    const auto fused_step = [&] {
-      Tensor c = MatMulNT(qf, kf);
-      Sum(c).Backward();
-      return c;
-    };
-    const auto composed_step = [&] {
-      Tensor c = MatMul(qc, Transpose(kc));
-      Sum(c).Backward();
-      return c;
-    };
-    for (int pair = 0; pair < kGatePairs; ++pair) {
-      qf.ZeroGrad();
-      kf.ZeroGrad();
-      qc.ZeroGrad();
-      kc.ZeroGrad();
-      const Tensor fused = fused_step();
-      const Tensor composed = composed_step();
-      bitwise = bitwise && BitwiseEq(fused.data(), composed.data()) &&
-                BitwiseEq(qf.grad(), qc.grad()) && BitwiseEq(kf.grad(), kc.grad());
-      // The sides alternate rep by rep (ABBA order), so a host speed
-      // change lands on both sides of the pair alike.
-      double f = 0.0;
-      double c = 0.0;
-      for (int rep = 0; rep < kReps; ++rep) {
-        if ((rep + pair) % 2 == 0) {
-          f += TimeReps(fused_step, 1);
-          c += TimeReps(composed_step, 1);
-        } else {
-          c += TimeReps(composed_step, 1);
-          f += TimeReps(fused_step, 1);
-        }
-      }
-      fused_times.push_back(f / kReps);
-      composed_times.push_back(c / kReps);
-      ratios.push_back(f > 0.0 ? c / f : 0.0);
-    }
-    deterministic = deterministic && bitwise;
-    const double fused_ms = Median(fused_times);
-    const double composed_ms = Median(composed_times);
-    const double speedup = Median(ratios);
-    std::cout << StrFormat(
-        "%-15s | %7s | %7.2f | %6.2fx | %s  (vs composed %.2f ms; median of %d pairs, "
-        "pair ratios %.2f-%.2fx)\n",
-        "matmul_nt_fused", "auto", fused_ms, speedup, bitwise ? "yes" : "NO", composed_ms,
-        kGatePairs, *std::min_element(ratios.begin(), ratios.end()),
-        *std::max_element(ratios.begin(), ratios.end()));
-    report.AddRow()
-        .Text("op", "matmul_nt_fused")
-        .Text("simd", simd)
-        .Number("ms_per_iter", fused_ms)
-        .Number("composed_transpose_ms_per_iter", composed_ms)
-        .Number("pairs", kGatePairs)
-        .Number("speedup_vs_composed", speedup)
-        .Number("bitwise_matches_composed", bitwise ? 1.0 : 0.0);
-    // Bench-enforced regression gate (same idiom as the rollout
-    // scheduler's uniform gate): the fused path exists to beat the
-    // composed MatMul∘Transpose it replaced, so < 1.0x is a regression.
-    if (speedup < 1.0) {
-      ++gate_failures;
-    }
-  }
 
   // --- SIMD tier vs forced-scalar fallback at 1 thread --------------------
   // The same op fwd+bwd under the active tier and under
@@ -463,13 +347,7 @@ int Main() {
     std::cerr << "bitwise determinism violated across thread counts / SIMD tiers\n";
     return 1;
   }
-  if (gate_failures > 0) {
-    std::cerr << gate_failures
-              << " gate failure(s): fused matmul_nt median speedup_vs_composed < 1.0\n";
-    return 1;
-  }
   std::cout << "determinism: all configurations bitwise-identical\n"
-               "gate: fused matmul_nt >= 1.0x composed (median of interleaved pairs)\n"
                "target: >= 3x gemm_fwd_bwd at 8 threads vs 1 (requires >= 8 cores)\n";
   return 0;
 }

@@ -159,17 +159,18 @@ int main(int argc, char** argv) {
   std::cout << StrFormat("\nKernel wall-time (data plane, %d kernel workers; final sim "
                          "throughput %.0f tokens/s):\n",
                          TensorThreads(), last_tokens_per_sec);
-  std::cout << "op             |    calls | total ms | mean us\n";
+  std::cout << "op                   |    calls | total ms | mean us\n";
   const std::vector<double> kernel_bounds = ExponentialBuckets(1.0, 4.0, 10);
-  for (const char* op : {"matmul", "matmul_nt", "matmul_bwd", "matmul_nt_bwd", "layernorm",
-                         "layernorm_bwd", "log_softmax", "log_softmax_bwd", "elementwise",
-                         "elementwise_bwd", "adam_step"}) {
+  for (const char* op :
+       {"matmul", "matmul_bwd", "block_attention", "block_attention_bwd", "layernorm",
+        "layernorm_bwd", "layernorm_matmul", "layernorm_matmul_bwd", "log_softmax",
+        "log_softmax_bwd", "elementwise", "elementwise_bwd", "adam_step"}) {
     const Histogram& h = MetricsRegistry::Global().GetHistogram("tensor.kernel_us",
                                                                 kernel_bounds, {{"op", op}});
     if (h.TotalCount() == 0) {
       continue;
     }
-    std::cout << StrFormat("%-14s | %8d | %8.1f | %7.2f\n", op,
+    std::cout << StrFormat("%-20s | %8d | %8.1f | %7.2f\n", op,
                            static_cast<int>(h.TotalCount()), h.Sum() / 1000.0,
                            h.Sum() / static_cast<double>(h.TotalCount()));
   }

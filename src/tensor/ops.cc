@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <memory>
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -89,13 +88,6 @@ void TransposeRows(int64_t i0, int64_t i1, int64_t m, int64_t n, const float* x,
   }
 }
 
-// TransposeRows over all m rows, parallel over row blocks.
-void TransposeInto(int64_t m, int64_t n, const float* x, float* yt,
-                   int64_t work) {
-  ParallelChunks(m, GetKernelTuning().row_grain, work,
-                 [&](int64_t i0, int64_t i1) { TransposeRows(i0, i1, m, n, x, yt); });
-}
-
 // The GEMM forward over output rows [i0, i1): y[i,:] += x[i,:] * w for
 // x with k columns and w [k, n], one simd::GemmRows call per k-block.
 // k-blocks advance in order and the kernel walks p ascending per output
@@ -108,6 +100,78 @@ void GemmRowRange(int64_t i0, int64_t i1, int64_t k, int64_t n, const float* x,
     const int64_t p1 = std::min(k, p0 + k_block);
     simd::GemmRows(i1 - i0, p1 - p0, n, x + i0 * k + p0, k, w + p0 * n, n,
                    y + i0 * n, n);
+  }
+}
+
+// MatMul's backward for y = x * w with x [m, k] and w [k, n], from the
+// output grad dy. dx = dy * w^T: a chunk owns rows of x. dw = x^T * dy: a
+// chunk owns rows of w (the k dimension) and each dw[p,j] accumulates
+// over i ascending.
+void MatMulBackward(int64_t m, int64_t k, int64_t n, const float* dy, const float* x,
+                    const float* w, float* dx, float* dw) {
+  const KernelTuning tuning = GetKernelTuning();
+  const int64_t work = 2 * m * k * n;
+  ParallelChunks(m, tuning.gemm_row_grain, work, [&](int64_t i0, int64_t i1) {
+    simd::DotRows(i1 - i0, k, n, dy + i0 * n, w, dx + i0 * k);
+  });
+  ParallelChunks(k, tuning.gemm_row_grain, work, [&](int64_t p0, int64_t p1) {
+    simd::ColumnGemm(p0, p1, m, n, x, k, dy, n, dw);
+  });
+}
+
+// LayerNorm's forward over rows [i0, i1) of x [·, n]: the canonical simd
+// row sequence (lane-partial mean and variance, then the fused
+// normalize+affine row kernel). Keeps each row's 1/std and normalized
+// row for the backward.
+void LayerNormRows(int64_t i0, int64_t i1, int64_t n, const float* x, const float* gamma,
+                   const float* beta, float eps, float* inv_std, float* normalized,
+                   float* y) {
+  for (int64_t i = i0; i < i1; ++i) {
+    const float* x_row = x + i * n;
+    const float mean = simd::Sum(n, x_row) / static_cast<float>(n);
+    const float var = simd::SumSqDiff(n, x_row, mean) / static_cast<float>(n);
+    const float inv = 1.0f / std::sqrt(var + eps);
+    inv_std[i] = inv;
+    simd::LayerNormRow(n, x_row, mean, inv, gamma, beta, normalized + i * n, y + i * n);
+  }
+}
+
+// LayerNorm's backward over all m rows from the output grad dy.
+// dgamma/dbeta reduce ACROSS rows, so they go through per-chunk partial
+// buffers keyed by the fixed kReduceRowGrain (not the tunable row grain)
+// and are folded serially in chunk order — no atomics, bitwise invariant
+// to threads and tuning. dx is row-exclusive and computed in the same
+// pass.
+void LayerNormBackward(int64_t m, int64_t n, const float* dy, const float* normalized,
+                       const float* inv_std, const float* gamma, float* dx, float* dgamma,
+                       float* dbeta) {
+  const int64_t chunks = tensor_internal::NumChunks(m, kReduceRowGrain);
+  std::vector<float> dgamma_partial(static_cast<size_t>(chunks * n), 0.0f);
+  std::vector<float> dbeta_partial(static_cast<size_t>(chunks * n), 0.0f);
+  const int64_t work = m * n * kLayerNormBwdFlopsPerElem;
+  ParallelChunks(m, kReduceRowGrain, work, [&](int64_t i0, int64_t i1) {
+    const int64_t chunk = i0 / kReduceRowGrain;
+    float* dgamma_chunk = dgamma_partial.data() + chunk * n;
+    float* dbeta_chunk = dbeta_partial.data() + chunk * n;
+    std::vector<float> dxhat(static_cast<size_t>(n));
+    for (int64_t i = i0; i < i1; ++i) {
+      const float* g_row = dy + i * n;
+      const float* norm_row = normalized + i * n;
+      simd::MulAcc(n, g_row, norm_row, dgamma_chunk);
+      simd::AddAcc(n, g_row, dbeta_chunk);
+      // dx = inv_std/n * (n*dxhat - sum(dxhat) - xhat * sum(dxhat*xhat))
+      // with dxhat = dy * gamma materialized once per row so the two row
+      // sums are plain lane-partial reductions.
+      simd::Mul(n, g_row, gamma, dxhat.data());
+      const float sum_dxhat = simd::Sum(n, dxhat.data());
+      const float sum_dxhat_xhat = simd::Dot(n, dxhat.data(), norm_row);
+      simd::LayerNormBackwardRow(n, norm_row, dxhat.data(), inv_std[i], sum_dxhat,
+                                 sum_dxhat_xhat, dx + i * n);
+    }
+  });
+  for (int64_t chunk = 0; chunk < chunks; ++chunk) {
+    simd::AddAcc(n, dgamma_partial.data() + chunk * n, dgamma);
+    simd::AddAcc(n, dbeta_partial.data() + chunk * n, dbeta);
   }
 }
 
@@ -199,6 +263,69 @@ Tensor Binary(const Tensor& a, const Tensor& b, Fwd fwd, DA da_fn, DB db_fn) {
   });
 }
 
+// Shared wiring for the vectorized unary ops: fwd fills y from x over
+// elem_grain chunks; bwd accumulates into the parent's grad.
+template <typename FwdKernel, typename BwdKernel>
+Tensor SimdUnary(const Tensor& a, FwdKernel fwd, BwdKernel bwd) {
+  static const KernelSeries series = MakeKernelSeries("elementwise");
+  const int64_t size = static_cast<int64_t>(a.data().size());
+  const int64_t flops = size * kUnaryFlopsPerElem;
+  std::vector<float> y(a.data().size());
+  {
+    KernelTimer timer(series, flops);
+    ParallelChunks(size, GetKernelTuning().elem_grain, flops,
+                   [&](int64_t begin, int64_t end) {
+                     fwd(end - begin, a.data().data() + begin,
+                         y.data() + begin);
+                   });
+  }
+  TensorNodePtr an = a.node();
+  return MakeResult(a.shape(), std::move(y), {an}, [an, bwd](TensorNode& out) {
+    static const KernelSeries series_bwd = MakeKernelSeries("elementwise_bwd");
+    an->EnsureGrad();
+    const int64_t size = static_cast<int64_t>(out.data.size());
+    const int64_t flops = size * kUnaryFlopsPerElem;
+    KernelTimer timer(series_bwd, flops);
+    ParallelChunks(size, GetKernelTuning().elem_grain, flops,
+                   [&](int64_t begin, int64_t end) {
+                     bwd(end - begin, begin, *an, out);
+                   });
+  });
+}
+
+// The same wiring for the vectorized equal-shape binary ops: fwd fills y
+// from a and b; bwd accumulates into both parents' grads.
+template <typename FwdKernel, typename BwdKernel>
+Tensor SimdBinary(const Tensor& a, const Tensor& b, FwdKernel fwd, BwdKernel bwd) {
+  static const KernelSeries series = MakeKernelSeries("elementwise");
+  HF_CHECK(a.shape() == b.shape());
+  const int64_t size = static_cast<int64_t>(a.data().size());
+  const int64_t flops = size * kBinaryFlopsPerElem;
+  std::vector<float> y(a.data().size());
+  {
+    KernelTimer timer(series, flops);
+    ParallelChunks(size, GetKernelTuning().elem_grain, flops,
+                   [&](int64_t begin, int64_t end) {
+                     fwd(end - begin, a.data().data() + begin, b.data().data() + begin,
+                         y.data() + begin);
+                   });
+  }
+  TensorNodePtr an = a.node();
+  TensorNodePtr bn = b.node();
+  return MakeResult(a.shape(), std::move(y), {an, bn}, [an, bn, bwd](TensorNode& out) {
+    static const KernelSeries series_bwd = MakeKernelSeries("elementwise_bwd");
+    an->EnsureGrad();
+    bn->EnsureGrad();
+    const int64_t size = static_cast<int64_t>(out.data.size());
+    const int64_t flops = size * kBinaryFlopsPerElem;
+    KernelTimer timer(series_bwd, flops);
+    ParallelChunks(size, GetKernelTuning().elem_grain, flops,
+                   [&](int64_t begin, int64_t end) {
+                     bwd(end - begin, begin, *an, *bn, out);
+                   });
+  });
+}
+
 }  // namespace
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
@@ -228,126 +355,9 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
     static const KernelSeries series_bwd = MakeKernelSeries("matmul_bwd");
     an->EnsureGrad();
     bn->EnsureGrad();
-    const KernelTuning tuning = GetKernelTuning();
-    const int64_t bwd_flops = 4 * m * k * n;
-    KernelTimer timer(series_bwd, bwd_flops);
-    // dA = dC * B^T: a chunk owns rows of A.
-    ParallelChunks(m, tuning.gemm_row_grain, bwd_flops / 2, [&](int64_t i0, int64_t i1) {
-      simd::DotRows(i1 - i0, k, n, out.grad.data() + i0 * n, bn->data.data(),
-                    an->grad.data() + i0 * k);
-    });
-    // dB = A^T * dC: a chunk owns rows of B (the k dimension); each
-    // dB[p,j] accumulates over i ascending.
-    ParallelChunks(k, tuning.gemm_row_grain, bwd_flops / 2, [&](int64_t p0, int64_t p1) {
-      simd::ColumnGemm(p0, p1, m, n, an->data.data(), k, out.grad.data(), n,
-                       bn->grad.data());
-    });
-  });
-}
-
-Tensor MatMulNT(const Tensor& a, const Tensor& b) {
-  HF_TRACE_SCOPE("tensor.matmul_nt", "tensor");
-  static const KernelSeries series = MakeKernelSeries("matmul_nt");
-  HF_CHECK_EQ(a.ndim(), 2);
-  HF_CHECK_EQ(b.ndim(), 2);
-  const int64_t m = a.dim(0);
-  const int64_t k = a.dim(1);
-  HF_CHECK_EQ(b.dim(1), k);
-  const int64_t n = b.dim(0);
-  std::vector<float> y(static_cast<size_t>(m * n));
-  const std::vector<float>& x = a.data();
-  const std::vector<float>& w = b.data();
-  const int64_t fwd_flops = 2 * m * k * n;
-  std::unique_ptr<float[]> bt(new float[static_cast<size_t>(k * n)]);
-  {
-    KernelTimer timer(series, fwd_flops);
-    // b^T is packed once into bt[k, n] (a blocked transpose — pure data
-    // movement, one pass over b, amortized across every row chunk), then
-    // the GEMM runs on the packed panel: exactly the sequence MatMul runs
-    // on a materialized Transpose(b), so values are bitwise identical to
-    // MatMul(a, Transpose(b)); the fused form just skips the transpose
-    // autograd node and its extra buffer hand-off. (Uninitialized
-    // scratch: the pack overwrites every element.)
-    TransposeInto(n, k, w.data(), bt.get(), fwd_flops / 8);
-    const KernelTuning tuning = GetKernelTuning();
-    ParallelChunks(m, tuning.gemm_row_grain, fwd_flops, [&](int64_t i0, int64_t i1) {
-      GemmRowRange(i0, i1, k, n, x.data(), bt.get(), tuning.gemm_k_block, y.data());
-    });
-  }
-  TensorNodePtr an = a.node();
-  TensorNodePtr bn = b.node();
-  std::shared_ptr<const float[]> packed = std::move(bt);
-  return MakeResult({m, n}, std::move(y), {an, bn}, [an, bn, m, k, n, packed](TensorNode& out) {
-    static const KernelSeries series_bwd = MakeKernelSeries("matmul_nt_bwd");
-    an->EnsureGrad();
-    bn->EnsureGrad();
-    const KernelTuning tuning = GetKernelTuning();
-    const int64_t bwd_flops = 4 * m * k * n;
-    KernelTimer timer(series_bwd, bwd_flops);
-    // dA = dC * B: each dA[i,p] is the same lane-partial dot over j that
-    // MatMul's backward computes on a materialized Transpose(b), so the
-    // grads stay bitwise identical to the composed form. It reads the
-    // B^T the forward packed, as the composed MatMul reads the Transpose
-    // node's forward output.
-    ParallelChunks(m, tuning.gemm_row_grain, bwd_flops / 2, [&](int64_t i0, int64_t i1) {
-      simd::DotRows(i1 - i0, k, n, out.grad.data() + i0 * n, packed.get(),
-                    an->grad.data() + i0 * k);
-    });
-    // dB = dC^T * A: a chunk owns rows of B; each dB[j,p] accumulates
-    // over i ascending (strided-x walk down dC's column j).
-    ParallelChunks(n, tuning.gemm_row_grain, bwd_flops / 2, [&](int64_t j0, int64_t j1) {
-      simd::ColumnGemm(j0, j1, m, k, out.grad.data(), n, an->data.data(), k,
-                       bn->grad.data());
-    });
-  });
-}
-
-Tensor MatMulTN(const Tensor& a, const Tensor& b) {
-  HF_TRACE_SCOPE("tensor.matmul_tn", "tensor");
-  static const KernelSeries series = MakeKernelSeries("matmul_tn");
-  HF_CHECK_EQ(a.ndim(), 2);
-  HF_CHECK_EQ(b.ndim(), 2);
-  const int64_t k = a.dim(0);
-  const int64_t m = a.dim(1);
-  HF_CHECK_EQ(b.dim(0), k);
-  const int64_t n = b.dim(1);
-  std::vector<float> y(static_cast<size_t>(m * n), 0.0f);
-  const std::vector<float>& x = a.data();
-  const std::vector<float>& w = b.data();
-  const KernelTuning tuning = GetKernelTuning();
-  const int64_t fwd_flops = 2 * m * k * n;
-  {
-    KernelTimer timer(series, fwd_flops);
-    // A chunk owns output rows [i0, i1); p ascends per element (the
-    // column walk reads column i of A downward) — the same per-element
-    // fma order as MatMul(Transpose(a), b), hence bitwise identical to it.
-    ParallelChunks(m, tuning.gemm_row_grain, fwd_flops, [&](int64_t i0, int64_t i1) {
-      for (int64_t p0 = 0; p0 < k; p0 += tuning.gemm_k_block) {
-        const int64_t p1 = std::min(k, p0 + tuning.gemm_k_block);
-        simd::ColumnGemm(i0, i1, p1 - p0, n, x.data() + p0 * m, m, w.data() + p0 * n,
-                         n, y.data());
-      }
-    });
-  }
-  TensorNodePtr an = a.node();
-  TensorNodePtr bn = b.node();
-  return MakeResult({m, n}, std::move(y), {an, bn}, [an, bn, m, k, n](TensorNode& out) {
-    static const KernelSeries series_bwd = MakeKernelSeries("matmul_tn_bwd");
-    an->EnsureGrad();
-    bn->EnsureGrad();
-    const KernelTuning tuning = GetKernelTuning();
-    const int64_t bwd_flops = 4 * m * k * n;
-    KernelTimer timer(series_bwd, bwd_flops);
-    // dA = B * dC^T (shape [k, m]): a chunk owns rows of A (the k
-    // dimension); each dA[p,i] is one dot product with the j-sum
-    // ascending. dB = A * dC (shape [k, n]): the same chunk owns rows of
-    // B, each accumulating over i ascending.
-    ParallelChunks(k, tuning.gemm_row_grain, bwd_flops, [&](int64_t p0, int64_t p1) {
-      simd::DotRows(p1 - p0, m, n, bn->data.data() + p0 * n, out.grad.data(),
-                    an->grad.data() + p0 * m);
-      simd::GemmRows(p1 - p0, m, n, an->data.data() + p0 * m, m, out.grad.data(), n,
-                     bn->grad.data() + p0 * n, n);
-    });
+    KernelTimer timer(series_bwd, 4 * m * k * n);
+    MatMulBackward(m, k, n, out.grad.data(), an->data.data(), bn->data.data(),
+                   an->grad.data(), bn->grad.data());
   });
 }
 
@@ -382,10 +392,10 @@ Tensor BlockAttention(const Tensor& q, const Tensor& k, const Tensor& v, int64_t
   const float* vd = v.data().data();
   {
     KernelTimer timer(series, fwd_flops);
-    // Per block, the composed sequence verbatim: MatMulNT's forward (pack
-    // the block's k rows, then the GEMM) into a zeroed buffer, Scale,
-    // LogSoftmax rows and Exp (= Softmax), then MatMul's GEMM against the
-    // block's v rows. The k-blocking the composed ops run does not change
+    // Per block, the composed sequence verbatim: MatMul(q_b, Transpose(k_b))
+    // (transpose the block's k rows, then the GEMM) into a zeroed buffer,
+    // Scale, LogSoftmax rows and Exp (= Softmax), then MatMul's GEMM
+    // against the block's v rows. The k-blocking the composed ops run does not change
     // any element's fma chain, so each GEMM is one simd::GemmRows call.
     ParallelChunks(blocks, block_grain, fwd_flops, [&](int64_t b0, int64_t b1) {
       std::vector<float> kt(static_cast<size_t>(dk * block));
@@ -451,7 +461,8 @@ Tensor BlockAttention(const Tensor& q, const Tensor& k, const Tensor& v, int64_t
                                  d_scaled + i * block);
             }
             simd::ScaleAcc(kk, d_scaled, scale, d_scores);
-            // MatMulNT(q, k) backward.
+            // MatMul(q, Transpose(k)) backward: dq from the transposed k
+            // rows; dk is MatMul's dB written straight in k's layout.
             TransposeRows(0, block, block, dk, kn->data.data() + r0 * dk, kt.data());
             simd::DotRows(block, dk, block, d_scores, kt.data(), dq);
             simd::ColumnGemm(0, block, block, dk, d_scores, block, qb, dk, dkey);
@@ -464,36 +475,14 @@ Tensor BlockAttention(const Tensor& q, const Tensor& k, const Tensor& v, int64_t
 }
 
 Tensor Add(const Tensor& a, const Tensor& b) {
-  static const KernelSeries series = MakeKernelSeries("elementwise");
   if (a.shape() == b.shape()) {
-    const int64_t size = static_cast<int64_t>(a.data().size());
-    const int64_t flops = size * kBinaryFlopsPerElem;
-    std::vector<float> y(a.data().size());
-    {
-      KernelTimer timer(series, flops);
-      ParallelChunks(size, GetKernelTuning().elem_grain, flops,
-                     [&](int64_t begin, int64_t end) {
-                       simd::Add(end - begin, a.data().data() + begin,
-                                 b.data().data() + begin, y.data() + begin);
-                     });
-    }
-    TensorNodePtr an = a.node();
-    TensorNodePtr bn = b.node();
-    return MakeResult(a.shape(), std::move(y), {an, bn}, [an, bn](TensorNode& out) {
-      static const KernelSeries series_bwd = MakeKernelSeries("elementwise_bwd");
-      an->EnsureGrad();
-      bn->EnsureGrad();
-      const int64_t size = static_cast<int64_t>(out.data.size());
-      const int64_t flops = size * kBinaryFlopsPerElem;
-      KernelTimer timer(series_bwd, flops);
-      ParallelChunks(size, GetKernelTuning().elem_grain, flops,
-                     [&](int64_t begin, int64_t end) {
-                       simd::AddAcc(end - begin, out.grad.data() + begin,
-                                    an->grad.data() + begin);
-                       simd::AddAcc(end - begin, out.grad.data() + begin,
-                                    bn->grad.data() + begin);
-                     });
-    });
+    return SimdBinary(
+        a, b,
+        [](int64_t c, const float* x, const float* z, float* y) { simd::Add(c, x, z, y); },
+        [](int64_t c, int64_t begin, TensorNode& an, TensorNode& bn, TensorNode& out) {
+          simd::AddAcc(c, out.grad.data() + begin, an.grad.data() + begin);
+          simd::AddAcc(c, out.grad.data() + begin, bn.grad.data() + begin);
+        });
   }
   // Bias broadcast: a[m,n] + b[n]. Rows are independent in the forward;
   // the bias gradient reduces ACROSS rows, so it goes through per-chunk
@@ -503,6 +492,7 @@ Tensor Add(const Tensor& a, const Tensor& b) {
   const int64_t m = a.dim(0);
   const int64_t n = a.dim(1);
   HF_CHECK_EQ(b.dim(0), n);
+  static const KernelSeries series = MakeKernelSeries("elementwise");
   const int64_t flops = m * n * kBinaryFlopsPerElem;
   std::vector<float> y(static_cast<size_t>(m * n));
   {
@@ -544,106 +534,26 @@ Tensor Add(const Tensor& a, const Tensor& b) {
 }
 
 Tensor Sub(const Tensor& a, const Tensor& b) {
-  static const KernelSeries series = MakeKernelSeries("elementwise");
-  HF_CHECK(a.shape() == b.shape());
-  const int64_t size = static_cast<int64_t>(a.data().size());
-  const int64_t flops = size * kBinaryFlopsPerElem;
-  std::vector<float> y(a.data().size());
-  {
-    KernelTimer timer(series, flops);
-    ParallelChunks(size, GetKernelTuning().elem_grain, flops,
-                   [&](int64_t begin, int64_t end) {
-                     simd::Sub(end - begin, a.data().data() + begin,
-                               b.data().data() + begin, y.data() + begin);
-                   });
-  }
-  TensorNodePtr an = a.node();
-  TensorNodePtr bn = b.node();
-  return MakeResult(a.shape(), std::move(y), {an, bn}, [an, bn](TensorNode& out) {
-    static const KernelSeries series_bwd = MakeKernelSeries("elementwise_bwd");
-    an->EnsureGrad();
-    bn->EnsureGrad();
-    const int64_t size = static_cast<int64_t>(out.data.size());
-    const int64_t flops = size * kBinaryFlopsPerElem;
-    KernelTimer timer(series_bwd, flops);
-    ParallelChunks(size, GetKernelTuning().elem_grain, flops,
-                   [&](int64_t begin, int64_t end) {
-                     simd::AddAcc(end - begin, out.grad.data() + begin,
-                                  an->grad.data() + begin);
-                     simd::ScaleAcc(end - begin, out.grad.data() + begin,
-                                    -1.0f, bn->grad.data() + begin);
-                   });
-  });
+  return SimdBinary(
+      a, b,
+      [](int64_t c, const float* x, const float* z, float* y) { simd::Sub(c, x, z, y); },
+      [](int64_t c, int64_t begin, TensorNode& an, TensorNode& bn, TensorNode& out) {
+        simd::AddAcc(c, out.grad.data() + begin, an.grad.data() + begin);
+        simd::ScaleAcc(c, out.grad.data() + begin, -1.0f, bn.grad.data() + begin);
+      });
 }
 
 Tensor Mul(const Tensor& a, const Tensor& b) {
-  static const KernelSeries series = MakeKernelSeries("elementwise");
-  HF_CHECK(a.shape() == b.shape());
-  const int64_t size = static_cast<int64_t>(a.data().size());
-  const int64_t flops = size * kBinaryFlopsPerElem;
-  std::vector<float> y(a.data().size());
-  {
-    KernelTimer timer(series, flops);
-    ParallelChunks(size, GetKernelTuning().elem_grain, flops,
-                   [&](int64_t begin, int64_t end) {
-                     simd::Mul(end - begin, a.data().data() + begin,
-                               b.data().data() + begin, y.data() + begin);
-                   });
-  }
-  TensorNodePtr an = a.node();
-  TensorNodePtr bn = b.node();
-  return MakeResult(a.shape(), std::move(y), {an, bn}, [an, bn](TensorNode& out) {
-    static const KernelSeries series_bwd = MakeKernelSeries("elementwise_bwd");
-    an->EnsureGrad();
-    bn->EnsureGrad();
-    const int64_t size = static_cast<int64_t>(out.data.size());
-    const int64_t flops = size * kBinaryFlopsPerElem;
-    KernelTimer timer(series_bwd, flops);
-    ParallelChunks(size, GetKernelTuning().elem_grain, flops,
-                   [&](int64_t begin, int64_t end) {
-                     simd::MulAcc(end - begin, out.grad.data() + begin,
-                                  bn->data.data() + begin,
-                                  an->grad.data() + begin);
-                     simd::MulAcc(end - begin, out.grad.data() + begin,
-                                  an->data.data() + begin,
-                                  bn->grad.data() + begin);
-                   });
-  });
+  return SimdBinary(
+      a, b,
+      [](int64_t c, const float* x, const float* z, float* y) { simd::Mul(c, x, z, y); },
+      [](int64_t c, int64_t begin, TensorNode& an, TensorNode& bn, TensorNode& out) {
+        simd::MulAcc(c, out.grad.data() + begin, bn.data.data() + begin,
+                     an.grad.data() + begin);
+        simd::MulAcc(c, out.grad.data() + begin, an.data.data() + begin,
+                     bn.grad.data() + begin);
+      });
 }
-
-namespace {
-
-// Shared wiring for the vectorized unary ops below: fwd fills y from x
-// over elem_grain chunks; bwd accumulates into the parent's grad.
-template <typename FwdKernel, typename BwdKernel>
-Tensor SimdUnary(const Tensor& a, FwdKernel fwd, BwdKernel bwd) {
-  static const KernelSeries series = MakeKernelSeries("elementwise");
-  const int64_t size = static_cast<int64_t>(a.data().size());
-  const int64_t flops = size * kUnaryFlopsPerElem;
-  std::vector<float> y(a.data().size());
-  {
-    KernelTimer timer(series, flops);
-    ParallelChunks(size, GetKernelTuning().elem_grain, flops,
-                   [&](int64_t begin, int64_t end) {
-                     fwd(end - begin, a.data().data() + begin,
-                         y.data() + begin);
-                   });
-  }
-  TensorNodePtr an = a.node();
-  return MakeResult(a.shape(), std::move(y), {an}, [an, bwd](TensorNode& out) {
-    static const KernelSeries series_bwd = MakeKernelSeries("elementwise_bwd");
-    an->EnsureGrad();
-    const int64_t size = static_cast<int64_t>(out.data.size());
-    const int64_t flops = size * kUnaryFlopsPerElem;
-    KernelTimer timer(series_bwd, flops);
-    ParallelChunks(size, GetKernelTuning().elem_grain, flops,
-                   [&](int64_t begin, int64_t end) {
-                     bwd(end - begin, begin, *an, out);
-                   });
-  });
-}
-
-}  // namespace
 
 Tensor Scale(const Tensor& a, float s) {
   return SimdUnary(
@@ -677,16 +587,6 @@ Tensor Exp(const Tensor& a) {
         simd::MulAcc(c, out.grad.data() + begin, out.data.data() + begin,
                      an.grad.data() + begin);
       });
-}
-
-Tensor Log(const Tensor& a) {
-  return Unary(
-      a,
-      [](float x) {
-        HF_CHECK_GT(x, 0.0f);
-        return std::log(x);
-      },
-      [](float x, float) { return 1.0f / x; });
 }
 
 Tensor Sigmoid(const Tensor& a) {
@@ -875,7 +775,9 @@ Tensor Transpose(const Tensor& a) {
   std::vector<float> y(static_cast<size_t>(m * n));
   {
     KernelTimer timer(series, m * n);
-    TransposeInto(m, n, a.data().data(), y.data(), m * n);
+    ParallelChunks(m, GetKernelTuning().row_grain, m * n, [&](int64_t i0, int64_t i1) {
+      TransposeRows(i0, i1, m, n, a.data().data(), y.data());
+    });
   }
   TensorNodePtr an = a.node();
   return MakeResult({n, m}, std::move(y), {an}, [an, m, n](TensorNode& out) {
@@ -883,7 +785,7 @@ Tensor Transpose(const Tensor& a) {
     an->EnsureGrad();
     KernelTimer timer(series_bwd, m * n);
     // Chunks own row blocks of dA (exclusive writes); the same square
-    // tiling as TransposeInto keeps the strided read stream resident.
+    // tiling as TransposeRows keeps the strided read stream resident.
     ParallelChunks(m, GetKernelTuning().row_grain, m * n,
                    [&](int64_t i0, int64_t i1) {
                      for (int64_t ib = i0; ib < i1; ib += kTransposeTile) {
@@ -934,28 +836,14 @@ Tensor LayerNorm(const Tensor& a, const Tensor& gamma, const Tensor& beta, float
   std::vector<float> y(static_cast<size_t>(m * n));
   std::vector<float> inv_std(static_cast<size_t>(m));
   std::vector<float> normalized(static_cast<size_t>(m * n));
-  const std::vector<float>& x = a.data();
-  const std::vector<float>& g = gamma.data();
-  const std::vector<float>& c = beta.data();
   {
     KernelTimer timer(series, m * n * kLayerNormFwdFlopsPerElem);
-    // Rows are independent: a chunk owns rows [i0, i1) and each row runs
-    // the canonical simd row sequence (lane-partial mean/variance, then
-    // the fused normalize+affine row kernel).
+    // Rows are independent: a chunk owns rows [i0, i1).
     ParallelChunks(m, GetKernelTuning().row_grain, m * n * kLayerNormFwdFlopsPerElem,
                    [&](int64_t i0, int64_t i1) {
-                     for (int64_t i = i0; i < i1; ++i) {
-                       const float* x_row = x.data() + i * n;
-                       const float mean =
-                           simd::Sum(n, x_row) / static_cast<float>(n);
-                       const float var = simd::SumSqDiff(n, x_row, mean) /
-                                         static_cast<float>(n);
-                       const float inv = 1.0f / std::sqrt(var + eps);
-                       inv_std[static_cast<size_t>(i)] = inv;
-                       simd::LayerNormRow(n, x_row, mean, inv, g.data(),
-                                          c.data(), normalized.data() + i * n,
-                                          y.data() + i * n);
-                     }
+                     LayerNormRows(i0, i1, n, a.data().data(), gamma.data().data(),
+                                   beta.data().data(), eps, inv_std.data(),
+                                   normalized.data(), y.data());
                    });
   }
   TensorNodePtr an = a.node();
@@ -968,43 +856,9 @@ Tensor LayerNorm(const Tensor& a, const Tensor& gamma, const Tensor& beta, float
         an->EnsureGrad();
         gn->EnsureGrad();
         bn->EnsureGrad();
-        const int64_t flops = m * n * kLayerNormBwdFlopsPerElem;
-        KernelTimer timer(series_bwd, flops);
-        // dgamma/dbeta reduce ACROSS rows, so they go through per-chunk
-        // partial buffers keyed by the fixed kReduceRowGrain (not the
-        // tunable row grain) and are folded serially in chunk order below
-        // — no atomics, bitwise invariant to threads and tuning. dx is
-        // row-exclusive and computed in the same pass.
-        const int64_t chunks = tensor_internal::NumChunks(m, kReduceRowGrain);
-        std::vector<float> dgamma_partial(static_cast<size_t>(chunks * n), 0.0f);
-        std::vector<float> dbeta_partial(static_cast<size_t>(chunks * n), 0.0f);
-        ParallelChunks(m, kReduceRowGrain, flops, [&](int64_t i0, int64_t i1) {
-          const int64_t chunk = i0 / kReduceRowGrain;
-          float* dgamma = dgamma_partial.data() + chunk * n;
-          float* dbeta = dbeta_partial.data() + chunk * n;
-          std::vector<float> dxhat(static_cast<size_t>(n));
-          for (int64_t i = i0; i < i1; ++i) {
-            const float* g_row = out.grad.data() + i * n;
-            const float* norm_row = normalized.data() + i * n;
-            simd::MulAcc(n, g_row, norm_row, dgamma);
-            simd::AddAcc(n, g_row, dbeta);
-            // dx via the standard layernorm backward:
-            // dx = inv_std/n * (n*dxhat - sum(dxhat) - xhat * sum(dxhat*xhat))
-            // with dxhat = dy * gamma materialized once per row so the two
-            // row sums are plain lane-partial reductions.
-            simd::Mul(n, g_row, gn->data.data(), dxhat.data());
-            const float sum_dxhat = simd::Sum(n, dxhat.data());
-            const float sum_dxhat_xhat = simd::Dot(n, dxhat.data(), norm_row);
-            simd::LayerNormBackwardRow(n, norm_row, dxhat.data(),
-                                       inv_std[static_cast<size_t>(i)],
-                                       sum_dxhat, sum_dxhat_xhat,
-                                       an->grad.data() + i * n);
-          }
-        });
-        for (int64_t chunk = 0; chunk < chunks; ++chunk) {
-          simd::AddAcc(n, dgamma_partial.data() + chunk * n, gn->grad.data());
-          simd::AddAcc(n, dbeta_partial.data() + chunk * n, bn->grad.data());
-        }
+        KernelTimer timer(series_bwd, m * n * kLayerNormBwdFlopsPerElem);
+        LayerNormBackward(m, n, out.grad.data(), normalized.data(), inv_std.data(),
+                          gn->data.data(), an->grad.data(), gn->grad.data(), bn->grad.data());
       });
 }
 
@@ -1025,33 +879,21 @@ Tensor LayerNormMatMul(const Tensor& a, const Tensor& gamma, const Tensor& beta,
   std::vector<float> inv_std(static_cast<size_t>(m));
   std::vector<float> normalized(static_cast<size_t>(m * k));
   std::vector<float> ln_out(static_cast<size_t>(m * k));
-  const std::vector<float>& x = a.data();
-  const std::vector<float>& g = gamma.data();
-  const std::vector<float>& c = beta.data();
-  const std::vector<float>& wd = w.data();
   const KernelTuning tuning = GetKernelTuning();
   const int64_t fwd_flops = m * k * kLayerNormFwdFlopsPerElem + 2 * m * k * n;
   {
     KernelTimer timer(series, fwd_flops);
-    // One pass per row chunk: the LayerNorm row sequence is exactly
-    // LayerNorm's and the GEMM k-blocks are exactly MatMul's, so values
-    // are bitwise identical to MatMul(LayerNorm(a, gamma, beta, eps), w).
-    // The fusion only changes WHEN the normalized rows feed the GEMM —
-    // right after the chunk is normalized, while it is still cache-hot —
-    // and skips the intermediate autograd node.
+    // One pass per row chunk: LayerNorm's row sequence, then MatMul's
+    // k-blocked GEMM over the same rows, so values are bitwise identical
+    // to MatMul(LayerNorm(a, gamma, beta, eps), w). The fusion only
+    // changes WHEN the normalized rows feed the GEMM — right after the
+    // chunk is normalized, while it is still cache-hot — and skips the
+    // intermediate autograd node.
     ParallelChunks(m, tuning.gemm_row_grain, fwd_flops, [&](int64_t i0, int64_t i1) {
-      for (int64_t i = i0; i < i1; ++i) {
-        const float* x_row = x.data() + i * k;
-        const float mean = simd::Sum(k, x_row) / static_cast<float>(k);
-        const float var =
-            simd::SumSqDiff(k, x_row, mean) / static_cast<float>(k);
-        const float inv = 1.0f / std::sqrt(var + eps);
-        inv_std[static_cast<size_t>(i)] = inv;
-        float* ln_row = ln_out.data() + i * k;
-        simd::LayerNormRow(k, x_row, mean, inv, g.data(), c.data(),
-                           normalized.data() + i * k, ln_row);
-      }
-      GemmRowRange(i0, i1, k, n, ln_out.data(), wd.data(), tuning.gemm_k_block, y.data());
+      LayerNormRows(i0, i1, k, a.data().data(), gamma.data().data(), beta.data().data(),
+                    eps, inv_std.data(), normalized.data(), ln_out.data());
+      GemmRowRange(i0, i1, k, n, ln_out.data(), w.data().data(), tuning.gemm_k_block,
+                   y.data());
     });
   }
   TensorNodePtr an = a.node();
@@ -1067,55 +909,16 @@ Tensor LayerNormMatMul(const Tensor& a, const Tensor& gamma, const Tensor& beta,
         gn->EnsureGrad();
         bn->EnsureGrad();
         wn->EnsureGrad();
-        const KernelTuning tuning = GetKernelTuning();
-        const int64_t flops = 4 * m * k * n + m * k * kLayerNormBwdFlopsPerElem;
-        KernelTimer timer(series_bwd, flops);
-        // Stage 1: MatMul's backward, with d(ln_out) landing in a
-        // zero-initialized scratch. The `+=` onto zero runs the exact
-        // sequence the composed form runs against the LN node's fresh
-        // grad buffer (including the 0 + x edge cases), keeping grads
-        // bitwise identical to the composed form.
+        KernelTimer timer(series_bwd, 4 * m * k * n + m * k * kLayerNormBwdFlopsPerElem);
+        // MatMul's backward, with d(ln_out) landing in a zero-initialized
+        // scratch: the `+=` onto zero runs the exact sequence the composed
+        // form runs against the LN node's fresh grad buffer (including the
+        // 0 + x edge cases). Then LayerNorm's backward, fed by d_ln.
         std::vector<float> d_ln(static_cast<size_t>(m * k), 0.0f);
-        ParallelChunks(m, tuning.gemm_row_grain, 2 * m * k * n,
-                       [&](int64_t i0, int64_t i1) {
-                         simd::DotRows(i1 - i0, k, n, out.grad.data() + i0 * n,
-                                       wn->data.data(), d_ln.data() + i0 * k);
-                       });
-        ParallelChunks(k, tuning.gemm_row_grain, 2 * m * k * n,
-                       [&](int64_t p0, int64_t p1) {
-                         simd::ColumnGemm(p0, p1, m, n, ln_out.data(), k, out.grad.data(),
-                                          n, wn->grad.data());
-                       });
-        // Stage 2: LayerNorm's backward, fed by d_ln — identical to the
-        // standalone op's backward with out.grad := d_ln.
-        const int64_t chunks = tensor_internal::NumChunks(m, kReduceRowGrain);
-        std::vector<float> dgamma_partial(static_cast<size_t>(chunks * k), 0.0f);
-        std::vector<float> dbeta_partial(static_cast<size_t>(chunks * k), 0.0f);
-        ParallelChunks(
-            m, kReduceRowGrain, m * k * kLayerNormBwdFlopsPerElem,
-            [&](int64_t i0, int64_t i1) {
-              const int64_t chunk = i0 / kReduceRowGrain;
-              float* dgamma = dgamma_partial.data() + chunk * k;
-              float* dbeta = dbeta_partial.data() + chunk * k;
-              std::vector<float> dxhat(static_cast<size_t>(k));
-              for (int64_t i = i0; i < i1; ++i) {
-                const float* g_row = d_ln.data() + i * k;
-                const float* norm_row = normalized.data() + i * k;
-                simd::MulAcc(k, g_row, norm_row, dgamma);
-                simd::AddAcc(k, g_row, dbeta);
-                simd::Mul(k, g_row, gn->data.data(), dxhat.data());
-                const float sum_dxhat = simd::Sum(k, dxhat.data());
-                const float sum_dxhat_xhat = simd::Dot(k, dxhat.data(), norm_row);
-                simd::LayerNormBackwardRow(k, norm_row, dxhat.data(),
-                                           inv_std[static_cast<size_t>(i)],
-                                           sum_dxhat, sum_dxhat_xhat,
-                                           an->grad.data() + i * k);
-              }
-            });
-        for (int64_t chunk = 0; chunk < chunks; ++chunk) {
-          simd::AddAcc(k, dgamma_partial.data() + chunk * k, gn->grad.data());
-          simd::AddAcc(k, dbeta_partial.data() + chunk * k, bn->grad.data());
-        }
+        MatMulBackward(m, k, n, out.grad.data(), ln_out.data(), wn->data.data(), d_ln.data(),
+                       wn->grad.data());
+        LayerNormBackward(m, k, d_ln.data(), normalized.data(), inv_std.data(),
+                          gn->data.data(), an->grad.data(), gn->grad.data(), bn->grad.data());
       });
 }
 

@@ -17,19 +17,10 @@ namespace hybridflow {
 // C[m,n] = A[m,k] * B[k,n].
 Tensor MatMul(const Tensor& a, const Tensor& b);
 
-// Fused transposed GEMMs (no transposed operand is materialized).
-// C[m,n] = A[m,k] * B[n,k]^T — forward values bitwise identical to
-// MatMul(a, Transpose(b)) (same per-element accumulation order).
-// BlockAttention runs this forward on every block's scores.
-Tensor MatMulNT(const Tensor& a, const Tensor& b);
-// C[m,n] = A[k,m]^T * B[k,n] — forward values bitwise identical to
-// MatMul(Transpose(a), b).
-Tensor MatMulTN(const Tensor& a, const Tensor& b);
-
 // Block-diagonal attention over stacked contexts. q, k [R, d] and v
 // [R, dv] hold R / block contexts of `block` rows each; block b's output
-// rows are Softmax(Scale(MatMulNT(q_b, k_b), scale)) * v_b, where x_b is
-// rows [b * block, (b + 1) * block) of x. One node for every block:
+// rows are Softmax(Scale(MatMul(q_b, Transpose(k_b)), scale)) * v_b, where
+// x_b is rows [b * block, (b + 1) * block) of x. One node for every block:
 // values, and gradients from zeroed grads, are bitwise identical to that
 // composed chain run per block through SliceRows and joined by
 // ConcatRows. PolicyNet's transformer runs all its contexts through this.
@@ -47,7 +38,6 @@ Tensor AddScalar(const Tensor& a, float s);
 Tensor Neg(const Tensor& a);
 
 Tensor Exp(const Tensor& a);
-Tensor Log(const Tensor& a);  // Inputs must be > 0.
 Tensor Sigmoid(const Tensor& a);
 // Numerically stable log(1 + exp(x)).
 Tensor Softplus(const Tensor& a);

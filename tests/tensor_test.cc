@@ -228,7 +228,7 @@ TEST(AutogradTest, DiamondGraphGradIsCorrect) {
 }
 
 // ---------------------------------------------------------------------------
-// Fused transposed GEMMs
+// Fused ops against their composed forms
 // ---------------------------------------------------------------------------
 
 // Bitwise comparison: float == treats -0.0 == 0.0 and NaN != NaN, so
@@ -237,56 +237,6 @@ void ExpectBitwiseEq(const std::vector<float>& a, const std::vector<float>& b,
                      const char* what) {
   ASSERT_EQ(a.size(), b.size()) << what;
   ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0) << what;
-}
-
-TEST(MatMulNTTest, MatchesComposedTransposeBitwise) {
-  Rng rng(5);
-  Tensor a = Tensor::Randn({7, 9}, rng, 1.0f);
-  Tensor b = Tensor::Randn({6, 9}, rng, 1.0f);
-  Tensor a2 = Tensor::FromData(a.shape(), a.data(), /*requires_grad=*/true);
-  Tensor b2 = Tensor::FromData(b.shape(), b.data(), /*requires_grad=*/true);
-  Tensor fused = MatMulNT(a, b);
-  Tensor composed = MatMul(a2, Transpose(b2));
-  ExpectBitwiseEq(fused.data(), composed.data(), "forward");
-  Sum(fused).Backward();
-  Sum(composed).Backward();
-  ExpectBitwiseEq(a.grad(), a2.grad(), "dA");
-  ExpectBitwiseEq(b.grad(), b2.grad(), "dB");
-}
-
-TEST(MatMulNTTest, GradientCheck) {
-  Rng rng(6);
-  Tensor b = Tensor::Randn({4, 5}, rng, 1.0f, /*requires_grad=*/false);
-  CheckGradient([&](const Tensor& a) { return Sum(MatMulNT(a, b)); },
-                Tensor::Randn({3, 5}, rng, 1.0f));
-  Tensor a = Tensor::Randn({3, 5}, rng, 1.0f, /*requires_grad=*/false);
-  CheckGradient([&](const Tensor& w) { return Sum(MatMulNT(a, w)); },
-                Tensor::Randn({4, 5}, rng, 1.0f));
-}
-
-TEST(MatMulTNTest, MatchesComposedTransposeBitwise) {
-  Rng rng(7);
-  Tensor a = Tensor::Randn({9, 6}, rng, 1.0f);
-  Tensor b = Tensor::Randn({9, 4}, rng, 1.0f);
-  Tensor a2 = Tensor::FromData(a.shape(), a.data(), /*requires_grad=*/true);
-  Tensor b2 = Tensor::FromData(b.shape(), b.data(), /*requires_grad=*/true);
-  Tensor fused = MatMulTN(a, b);
-  Tensor composed = MatMul(Transpose(a2), b2);
-  ExpectBitwiseEq(fused.data(), composed.data(), "forward");
-  Sum(fused).Backward();
-  Sum(composed).Backward();
-  ExpectBitwiseEq(a.grad(), a2.grad(), "dA");
-  ExpectBitwiseEq(b.grad(), b2.grad(), "dB");
-}
-
-TEST(MatMulTNTest, GradientCheck) {
-  Rng rng(8);
-  Tensor b = Tensor::Randn({5, 4}, rng, 1.0f, /*requires_grad=*/false);
-  CheckGradient([&](const Tensor& a) { return Sum(MatMulTN(a, b)); },
-                Tensor::Randn({5, 3}, rng, 1.0f));
-  Tensor a = Tensor::Randn({5, 3}, rng, 1.0f, /*requires_grad=*/false);
-  CheckGradient([&](const Tensor& w) { return Sum(MatMulTN(a, w)); },
-                Tensor::Randn({5, 4}, rng, 1.0f));
 }
 
 // The fused LayerNorm+MatMul replays the composed ops' exact canonical
