@@ -28,6 +28,35 @@ Tensor PretrainNll(const PolicyNet& net, const DataBatch::TokenColumn& corpus) {
   return PretrainLoss(net.LogProb(contexts, targets));
 }
 
+// One row per response token of a shard, in row-major order: the window
+// preceding the token and the token itself.
+struct ResponseTokens {
+  std::vector<std::vector<int64_t>> contexts;
+  std::vector<int64_t> chosen;
+  std::vector<int64_t> lengths;  // Response length of each sequence.
+};
+
+ResponseTokens ShardResponseTokens(const DataBatch& shard, int64_t context_window) {
+  ResponseTokens tokens;
+  tokens.contexts = AllResponseContextsRagged(shard.Tokens("prompts"), shard.Tokens("responses"),
+                                              context_window, &tokens.lengths);
+  for (const std::vector<int64_t>& response : shard.Tokens("responses")) {
+    tokens.chosen.insert(tokens.chosen.end(), response.begin(), response.end());
+  }
+  return tokens;
+}
+
+// The shard with `column` set to the log-prob of every response token
+// under `net`.
+DataBatch WithResponseLogProbs(const PolicyNet& net, int64_t context_window,
+                               const DataBatch& shard, const std::string& column) {
+  const ResponseTokens tokens = ShardResponseTokens(shard, context_window);
+  Tensor log_probs = net.LogProb(tokens.contexts, tokens.chosen);
+  DataBatch out = shard;
+  out.SetFloat(column, UnflattenRagged(log_probs.data(), tokens.lengths));
+  return out;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -284,18 +313,7 @@ BatchFuture ActorWorkerGroup::ComputeLogProb(const BatchFuture& batch,
                                              const std::string& output_column) {
   const double duration = InferSeconds(workload.global_batch, workload.total_len());
   ShardFn compute = [this, &output_column](const DataBatch& shard, int) {
-    DataBatch out = shard;
-    std::vector<int64_t> lengths;
-    std::vector<std::vector<int64_t>> contexts = AllResponseContextsRagged(
-        shard.Tokens("prompts"), shard.Tokens("responses"), real_.net.context_window,
-        &lengths);
-    std::vector<int64_t> chosen;
-    for (const std::vector<int64_t>& response : shard.Tokens("responses")) {
-      chosen.insert(chosen.end(), response.begin(), response.end());
-    }
-    Tensor log_probs = net_->LogProb(contexts, chosen);
-    out.SetFloat(output_column, UnflattenRagged(log_probs.data(), lengths));
-    return out;
+    return WithResponseLogProbs(*net_, real_.net.context_window, shard, output_column);
   };
   return Dispatch("compute_log_prob", "infer", TransferProtocol::k3dProto, batch, duration,
                   compute, workload.NominalTransferBytes());
@@ -325,16 +343,10 @@ BatchFuture ActorWorkerGroup::UpdateActor(const BatchFuture& batch,
     if (shard.empty()) {
       return out;
     }
-    std::vector<std::vector<int64_t>> contexts = AllResponseContextsRagged(
-        shard.Tokens("prompts"), shard.Tokens("responses"), real_.net.context_window,
-        nullptr);
-    std::vector<int64_t> chosen;
-    for (const std::vector<int64_t>& response : shard.Tokens("responses")) {
-      chosen.insert(chosen.end(), response.begin(), response.end());
-    }
-    const int64_t n = static_cast<int64_t>(chosen.size());
-    Tensor logits = net_->Forward(contexts);
-    Tensor log_probs = PickPerRow(LogSoftmax(logits), chosen);
+    const ResponseTokens tokens = ShardResponseTokens(shard, real_.net.context_window);
+    const int64_t n = static_cast<int64_t>(tokens.chosen.size());
+    Tensor logits = net_->Forward(tokens.contexts);
+    Tensor log_probs = PickPerRow(LogSoftmax(logits), tokens.chosen);
     Tensor old_log_probs = Tensor::FromData({n}, FlattenColumn(shard.Float("log_probs")));
     Tensor advantages = Tensor::FromData({n}, FlattenColumn(shard.Float("advantages")));
     Tensor loss = PolicyLoss(log_probs, old_log_probs, advantages, config.loss);
@@ -478,18 +490,7 @@ BatchFuture ReferenceWorkerGroup::ComputeRefLogProb(const BatchFuture& batch,
                                                     const RlhfWorkloadSpec& workload) {
   const double duration = InferSeconds(workload.global_batch, workload.total_len());
   ShardFn compute = [this](const DataBatch& shard, int) {
-    DataBatch out = shard;
-    std::vector<int64_t> lengths;
-    std::vector<std::vector<int64_t>> contexts = AllResponseContextsRagged(
-        shard.Tokens("prompts"), shard.Tokens("responses"), real_.net.context_window,
-        &lengths);
-    std::vector<int64_t> chosen;
-    for (const std::vector<int64_t>& response : shard.Tokens("responses")) {
-      chosen.insert(chosen.end(), response.begin(), response.end());
-    }
-    Tensor log_probs = net_->LogProb(contexts, chosen);
-    out.SetFloat("ref_log_probs", UnflattenRagged(log_probs.data(), lengths));
-    return out;
+    return WithResponseLogProbs(*net_, real_.net.context_window, shard, "ref_log_probs");
   };
   return Dispatch("compute_ref_log_prob", "infer", TransferProtocol::k3dProto, batch, duration,
                   compute, workload.NominalTransferBytes());
