@@ -1,7 +1,9 @@
 # Golden check for the deterministic benches (ctest bench_golden): the
-# sim-plane benches, the data-plane work counts, the Fig 16 mapping
-# search (its counts and chosen mapping; the wall-clock column is not in
-# the file) and the full-precision sim-plane step loop (bench_sim_steps).
+# sim-plane benches, the Fig 9/10/11 throughput panels (PPO, ReMax,
+# Safe-RLHF across systems, models and cluster sizes), the data-plane
+# work counts, the Fig 16 mapping search (its counts and chosen mapping;
+# the wall-clock column is not in the file) and the full-precision
+# sim-plane step loop (bench_sim_steps).
 #
 # Reruns each bench in WORK_DIR and requires exit 0 plus byte equality of
 # the BENCH_<name>.json it writes with the copy committed at SOURCE_DIR.
@@ -15,6 +17,9 @@ set(goldens
   "bench_rollout_scheduler:BENCH_rollout.json"
   "bench_serving:BENCH_serving.json"
   "bench_async_pipeline:BENCH_async.json"
+  "bench_fig9_ppo_throughput:BENCH_fig9_ppo_throughput.json"
+  "bench_fig10_remax_throughput:BENCH_fig10_remax_throughput.json"
+  "bench_fig11_safe_rlhf_throughput:BENCH_fig11_safe_rlhf_throughput.json"
   "bench_dataplane_work:BENCH_dataplane_work.json"
   "bench_fig16_mapping_runtime:BENCH_fig16_mapping_runtime.json"
   "bench_sim_steps:BENCH_sim_steps.json")

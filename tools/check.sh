@@ -82,10 +82,13 @@ run_phase "ctest (normal build)" \
 # the SIMD<->scalar bitwise-equivalence suite re-runs on the exact path a
 # non-AVX2 host would take (the in-process SetSimdOverride sweeps cover
 # the same comparison, but only this catches an env-plumbing regression).
+# bench_golden byte-checks the committed BENCH_*.json on that tier too,
+# including the data plane's hex losses, reward, KL and per-op kernel
+# counts.
 run_phase "ctest kernel suite with HF_SIMD=off (scalar fallback)" \
   env HF_SIMD=off \
   ctest --test-dir build-check --output-on-failure -j "$JOBS" \
-  -R 'Kernel|MatMul|LayerNorm|Tensor|Autograd|Adam|BlockAttention|Gelu|TransformerPolicy|bench_kernels_gate'
+  -R 'Kernel|MatMul|LayerNorm|Tensor|Autograd|Adam|BlockAttention|Gelu|TransformerPolicy|bench_kernels_gate|bench_golden'
 
 if [ "$SANITIZE" -eq 1 ]; then
   step "configure + build (HF_SANITIZE=thread)"
