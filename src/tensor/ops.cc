@@ -395,8 +395,9 @@ Tensor BlockAttention(const Tensor& q, const Tensor& k, const Tensor& v, int64_t
     // Per block, the composed sequence verbatim: MatMul(q_b, Transpose(k_b))
     // (transpose the block's k rows, then the GEMM) into a zeroed buffer,
     // Scale, LogSoftmax rows and Exp (= Softmax), then MatMul's GEMM
-    // against the block's v rows. The k-blocking the composed ops run does not change
-    // any element's fma chain, so each GEMM is one simd::GemmRows call.
+    // against the block's v rows. The k-blocking the composed ops run
+    // does not change any element's fma chain, so each GEMM is one
+    // simd::GemmRows call.
     ParallelChunks(blocks, block_grain, fwd_flops, [&](int64_t b0, int64_t b1) {
       std::vector<float> kt(static_cast<size_t>(dk * block));
       for (int64_t b = b0; b < b1; ++b) {
