@@ -86,6 +86,89 @@ TEST(MatMulTest, GradientCheck) {
                 Tensor::Randn({3, 2}, rng, 1.0f));
 }
 
+// MatMul on a transposed operand is how the references form a·bᵀ and
+// aᵀ·c; pin both products against a naive loop.
+TEST(MatMulTest, TransposedOperandsMatchNaiveProducts) {
+  Rng rng(5);
+  Tensor a = Tensor::Randn({4, 6}, rng, 1.0f, /*requires_grad=*/false);
+  Tensor b = Tensor::Randn({5, 6}, rng, 1.0f, /*requires_grad=*/false);
+  Tensor c = Tensor::Randn({4, 3}, rng, 1.0f, /*requires_grad=*/false);
+  Tensor nt = MatMul(a, Transpose(b));
+  Tensor tn = MatMul(Transpose(a), c);
+  ASSERT_EQ(nt.shape(), (std::vector<int64_t>{4, 5}));
+  ASSERT_EQ(tn.shape(), (std::vector<int64_t>{6, 3}));
+  for (int64_t i = 0; i < 4; ++i) {
+    for (int64_t j = 0; j < 5; ++j) {
+      double sum = 0.0;
+      for (int64_t p = 0; p < 6; ++p) {
+        sum += static_cast<double>(a.at(i, p)) * b.at(j, p);
+      }
+      EXPECT_NEAR(nt.at(i, j), sum, 1e-5) << "a*b^T at " << i << "," << j;
+    }
+  }
+  for (int64_t i = 0; i < 6; ++i) {
+    for (int64_t j = 0; j < 3; ++j) {
+      double sum = 0.0;
+      for (int64_t p = 0; p < 4; ++p) {
+        sum += static_cast<double>(a.at(p, i)) * c.at(p, j);
+      }
+      EXPECT_NEAR(tn.at(i, j), sum, 1e-5) << "a^T*c at " << i << "," << j;
+    }
+  }
+}
+
+TEST(TransposeTest, ForwardValuesAndGradient) {
+  Tensor small = Tensor::FromData({2, 3}, {1, 2, 3, 4, 5, 6});
+  Tensor t = Transpose(small);
+  ASSERT_EQ(t.shape(), (std::vector<int64_t>{3, 2}));
+  EXPECT_EQ(t.data(), (std::vector<float>{1, 4, 2, 5, 3, 6}));
+
+  // Large enough to be split across row chunks.
+  Rng rng(6);
+  Tensor big = Tensor::Randn({37, 53}, rng, 1.0f, /*requires_grad=*/false);
+  Tensor big_t = Transpose(big);
+  ASSERT_EQ(big_t.shape(), (std::vector<int64_t>{53, 37}));
+  for (int64_t i = 0; i < 37; ++i) {
+    for (int64_t j = 0; j < 53; ++j) {
+      ASSERT_EQ(big_t.at(j, i), big.at(i, j)) << i << "," << j;
+    }
+  }
+
+  Tensor weights = Tensor::Randn({3, 2}, rng, 1.0f, /*requires_grad=*/false);
+  CheckGradient([&](const Tensor& x) { return Sum(Mul(Transpose(x), weights)); },
+                Tensor::Randn({2, 3}, rng, 1.0f));
+}
+
+TEST(LayerNormTest, NormalizesRowsAndGradientCheck) {
+  Rng rng(8);
+  Tensor x = Tensor::Randn({3, 7}, rng, 2.0f, /*requires_grad=*/false);
+  Tensor y = LayerNorm(x, Tensor::Full({7}, 1.0f), Tensor::Zeros({7}));
+  for (int64_t i = 0; i < 3; ++i) {
+    double mean = 0.0;
+    double sq = 0.0;
+    for (int64_t j = 0; j < 7; ++j) {
+      mean += y.at(i, j);
+      sq += static_cast<double>(y.at(i, j)) * y.at(i, j);
+    }
+    mean /= 7.0;
+    EXPECT_NEAR(mean, 0.0, 1e-5) << "row " << i;
+    EXPECT_NEAR(sq / 7.0 - mean * mean, 1.0, 1e-3) << "row " << i;
+  }
+
+  Tensor gamma = Tensor::Randn({7}, rng, 0.3f, /*requires_grad=*/false);
+  Tensor beta = Tensor::Randn({7}, rng, 0.3f, /*requires_grad=*/false);
+  Tensor weights = Tensor::Randn({3, 7}, rng, 1.0f, /*requires_grad=*/false);
+  CheckGradient(
+      [&](const Tensor& a) { return Sum(Mul(LayerNorm(a, gamma, beta), weights)); },
+      Tensor::Randn({3, 7}, rng, 1.0f));
+  CheckGradient(
+      [&](const Tensor& g) { return Sum(Mul(LayerNorm(x, g, beta), weights)); },
+      Tensor::Randn({7}, rng, 0.3f));
+  CheckGradient(
+      [&](const Tensor& b) { return Sum(Mul(LayerNorm(x, gamma, b), weights)); },
+      Tensor::Randn({7}, rng, 0.3f));
+}
+
 TEST(AddTest, BiasBroadcastForwardAndGrad) {
   Tensor a = Tensor::FromData({2, 2}, {1, 2, 3, 4});
   Tensor bias = Tensor::FromData({2}, {10, 20}, /*requires_grad=*/true);
@@ -111,6 +194,33 @@ TEST(ElementwiseTest, GradientChecks) {
   CheckGradient([&](const Tensor& x) { return Sum(Gelu(x)); }, Tensor::Randn({6}, rng, 1.0f));
   CheckGradient([&](const Tensor& x) { return Mean(Scale(x, 3.0f)); },
                 Tensor::Randn({6}, rng, 1.0f));
+}
+
+// Add, Sub and Mul share one equal-shape wiring; each must route the
+// upstream gradient into both operands with its own sign and factor.
+// Every value here is exact in float.
+TEST(ElementwiseTest, EqualShapeBinaryOpsGradBothOperands) {
+  const std::vector<float> av = {1.5f, -2.0f, 0.25f, 3.0f};
+  const std::vector<float> bv = {-0.5f, 4.0f, 2.0f, -1.0f};
+  const std::vector<float> upstream = {1.0f, 2.0f, 3.0f, 4.0f};
+  for (const char* op : {"add", "sub", "mul"}) {
+    Tensor a = Tensor::FromData({2, 2}, av, /*requires_grad=*/true);
+    Tensor b = Tensor::FromData({2, 2}, bv, /*requires_grad=*/true);
+    const std::string name = op;
+    Tensor out = name == "add" ? Add(a, b) : name == "sub" ? Sub(a, b) : Mul(a, b);
+    Sum(Mul(out, Tensor::FromData({2, 2}, upstream))).Backward();
+    for (size_t i = 0; i < av.size(); ++i) {
+      const float g = upstream[i];
+      const float value = name == "add" ? av[i] + bv[i]
+                          : name == "sub" ? av[i] - bv[i]
+                                          : av[i] * bv[i];
+      const float da = name == "mul" ? g * bv[i] : g;
+      const float db = name == "add" ? g : name == "sub" ? -g : g * av[i];
+      EXPECT_FLOAT_EQ(out.data()[i], value) << op << " element " << i;
+      EXPECT_FLOAT_EQ(a.grad()[i], da) << op << " da element " << i;
+      EXPECT_FLOAT_EQ(b.grad()[i], db) << op << " db element " << i;
+    }
+  }
 }
 
 TEST(ElementwiseTest, MinimumMaximumPickCorrectBranch) {
