@@ -10,12 +10,13 @@
 //     last_gen_breakdown(), last_rollout_sim_stats() and
 //     last_rollout_sim_latency();
 //   * SimulateContinuousGeneration over bench_rollout_scheduler's grid
-//     (prefix cache and full-length reservations on), plus two cells under
-//     the default optimistic admission, which preempts: group sampling
+//     (prefix cache on, RolloutOptions' projected-peak admission), plus two
+//     cells under optimistic admission, which preempts: group sampling
 //     with the prefix cache and chunked prefill, and skewed lengths with
 //     neither.
-// Each case also carries the KV cache's work counters (kv_appends,
-// kv_allocations): the only lines a faster step loop may change.
+// Each case also carries the work counters: the KV cache's (kv_appends,
+// kv_allocations) and the steps the scheduler visited (visited_steps,
+// the only line a faster step loop may change).
 //
 // Emits BENCH_sim_steps.json, one key per line; byte-checked by the
 // bench_golden ctest.
@@ -78,6 +79,7 @@ class GoldenWriter {
     Int("shared_blocks_high_water", stats.shared_blocks_high_water);
     Int("kv_appends", stats.kv_appends);
     Int("kv_allocations", stats.kv_allocations);
+    Int("visited_steps", stats.visited_steps);
   }
   void Latency(const SeqLatencySummary& latency) {
     Int("latency_sequences", latency.sequences);
@@ -180,7 +182,6 @@ int Main() {
   RolloutOptions shipping;
   shipping.mode = RolloutMode::kContinuous;
   shipping.prefix_cache = true;
-  shipping.reserve_full_length = true;
   const std::vector<Workload> workloads = GridWorkloads(batch, prompt);
   for (const Workload& workload : workloads) {
     for (const double fraction : {1.0, 0.5, 0.25, 0.125}) {
@@ -194,10 +195,13 @@ int Main() {
   write_cell("group_n4_uncached_1", workloads[2], 1.0, uncached);
   RolloutOptions optimistic;
   optimistic.mode = RolloutMode::kContinuous;
+  optimistic.projected_peak_admission = false;
   optimistic.prefix_cache = true;
   optimistic.prefill_chunk_tokens = 256;
   write_cell("group_n4_optimistic_chunked_0.125", workloads[2], 0.125, optimistic);
-  write_cell("skewed_80_20_optimistic_0.125", workloads[1], 0.125, RolloutOptions{});
+  RolloutOptions plain_optimistic;
+  plain_optimistic.projected_peak_admission = false;
+  write_cell("skewed_80_20_optimistic_0.125", workloads[1], 0.125, plain_optimistic);
   std::fprintf(file, "\n]}\n");
   if (std::fclose(file) != 0) {
     std::cerr << "failed to write " << path << "\n";

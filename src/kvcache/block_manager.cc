@@ -122,14 +122,15 @@ void KvBlockManager::Unref(uint64_t hash) {
   }
 }
 
-void KvBlockManager::IndexFullBlocks(SequenceState& state) {
+void KvBlockManager::IndexFullBlocks(SequenceState& state, const std::vector<uint64_t>& hashes,
+                                     int64_t first) {
   if (!config_.enable_prefix_cache) {
     return;
   }
-  const int64_t full = std::min<int64_t>(static_cast<int64_t>(state.hashes.size()),
+  const int64_t full = std::min<int64_t>(first + static_cast<int64_t>(hashes.size()),
                                          state.tokens / config_.block_tokens);
   for (; state.offered < full; ++state.offered) {
-    const uint64_t hash = state.hashes[static_cast<size_t>(state.offered)];
+    const uint64_t hash = hashes[static_cast<size_t>(state.offered - first)];
     // A private block of this sequence becomes the indexed block serving
     // `hash` (refs 1, already counted as used).
     if (prefix_index_.emplace(hash, IndexedBlock{1, {}}).second) {
@@ -164,9 +165,6 @@ bool KvBlockManager::AddSequenceShared(int64_t sequence_id, int64_t resident_tok
   SequenceState& state = tables_[static_cast<size_t>(sequence_id)];
   state.live = true;
   state.tokens = tokens;
-  if (config_.enable_prefix_cache) {
-    state.hashes = block_hashes;
-  }
   // Reference the shared prefix first so eviction (inside TakeBlocks) can
   // never reclaim a block we are about to share.
   state.indexed.assign(block_hashes.begin(), block_hashes.begin() + hit_count);
@@ -177,7 +175,12 @@ bool KvBlockManager::AddSequenceShared(int64_t sequence_id, int64_t resident_tok
   TakeBlocks(needed);
   prefix_hit_tokens_total_ += hit_tokens;
   ++num_sequences_;
-  IndexFullBlocks(state);
+  IndexFullBlocks(state, block_hashes, 0);
+  if (config_.enable_prefix_cache && state.offered < static_cast<int64_t>(block_hashes.size())) {
+    // Only a partially resident prompt keeps hashes, and only the unoffered
+    // tail: a resume re-admits its whole context and copies nothing.
+    state.pending_hashes.assign(block_hashes.begin() + state.offered, block_hashes.end());
+  }
   NoteAllocation();
   return true;
 }
@@ -244,8 +247,11 @@ bool KvBlockManager::ExtendSequence(int64_t sequence_id, int64_t resident_tokens
     return false;
   }
   TakeBlocks(needed);
+  const int64_t first = state.offered;
   state.tokens = resident_tokens;
-  IndexFullBlocks(state);
+  IndexFullBlocks(state, state.pending_hashes, first);
+  state.pending_hashes.erase(state.pending_hashes.begin(),
+                             state.pending_hashes.begin() + (state.offered - first));
   NoteAllocation();
   return true;
 }
@@ -305,7 +311,7 @@ void KvBlockManager::FreeSequence(int64_t sequence_id) {
   free_blocks_ += private_blocks;
   state.live = false;
   state.tokens = 0;
-  state.hashes.clear();  // Keeps capacity for the id's next admission.
+  state.pending_hashes.clear();  // Keeps capacity for the id's next admission.
   state.offered = 0;
   state.indexed.clear();
   --num_sequences_;
@@ -319,6 +325,10 @@ void KvBlockManager::FreeSequences(const std::vector<int64_t>& sequence_ids) {
 
 int64_t KvBlockManager::SequenceTokens(int64_t sequence_id) const {
   return State(sequence_id).tokens;
+}
+
+const std::vector<uint64_t>& KvBlockManager::IndexedHashes(int64_t sequence_id) const {
+  return State(sequence_id).indexed;
 }
 
 int64_t KvBlockManager::CapacitySequences(int64_t tokens_per_sequence) const {

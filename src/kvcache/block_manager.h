@@ -133,6 +133,10 @@ class KvBlockManager {
            tables_[static_cast<size_t>(sequence_id)].live;
   }
   int64_t SequenceTokens(int64_t sequence_id) const;
+  // The indexed blocks a live sequence references, in block order: its
+  // prefix hits, then the hashed blocks it filled and indexed itself. The
+  // rest of its blocks are private.
+  const std::vector<uint64_t>& IndexedHashes(int64_t sequence_id) const;
 
   // Blocks in the free pool.
   int64_t free_blocks() const { return free_blocks_; }
@@ -183,10 +187,11 @@ class KvBlockManager {
   struct SequenceState {
     bool live = false;
     int64_t tokens = 0;
-    // Content hashes of this sequence's prompt blocks (AddSequenceShared
-    // keeps them so later ExtendSequence calls can index blocks once they
-    // fill). Empty on the private AddSequence path.
-    std::vector<uint64_t> hashes;
+    // The hashes of the prompt blocks admission left unoffered (partial
+    // residency, chunked prefill), from block `offered` on, kept so later
+    // ExtendSequence calls can index them once they fill. Empty once
+    // admission covers the whole prompt, and on the private path.
+    std::vector<uint64_t> pending_hashes;
     // Leading blocks already offered to the index: shared hits, and full
     // hashed blocks this sequence filled.
     int64_t offered = 0;
@@ -207,8 +212,8 @@ class KvBlockManager {
   void Unref(uint64_t hash);
   // Offers `state`'s newly filled hashed blocks to the index: each becomes
   // indexed unless another block already serves its hash (first writer
-  // wins; the loser stays private).
-  void IndexFullBlocks(SequenceState& state);
+  // wins; the loser stays private). `hashes[i]` is block `first + i`'s.
+  void IndexFullBlocks(SequenceState& state, const std::vector<uint64_t>& hashes, int64_t first);
   // How many of the first `hit_count` prefix hits are retained (refs == 0).
   // Those blocks are counted by available_blocks() but leave the pool the
   // moment admission re-refs them, so admission probes must discount them.

@@ -24,6 +24,7 @@ void RolloutStats::Merge(const RolloutStats& other) {
   cancelled += other.cancelled;
   expired += other.expired;
   prefix_skipped_tokens += other.prefix_skipped_tokens;
+  visited_steps += other.visited_steps;
   shared_blocks_high_water = std::max(shared_blocks_high_water, other.shared_blocks_high_water);
   kv_appends += other.kv_appends;
   kv_allocations += other.kv_allocations;

@@ -34,8 +34,11 @@ enum class RolloutMode {
 
 // Engine knobs, shared between ActorOptions and the timing simulator: the
 // scheduler's settings (inherited; they apply to both planes alike) plus
-// the timing model, the data-plane KV geometry and the event sinks.
+// the timing model, the data-plane KV geometry and the event sinks. An RLHF
+// rollout knows each response's cap, so it admits by projected peak.
 struct RolloutOptions : RolloutSchedulerConfig {
+  RolloutOptions() { projected_peak_admission = true; }
+
   RolloutMode mode = RolloutMode::kStatic;
   // Data-plane KV geometry (toy scale). num_blocks == 0 auto-sizes the
   // cache to fit the whole shard at full length (no preemption).

@@ -59,6 +59,7 @@ void RolloutScheduler::Enqueue(int64_t id) {
   sequence.enqueue_seconds = sim_now_;
   deadlines_enqueued_ = deadlines_enqueued_ || sequence.ttft_deadline > 0.0;
   waiting_.push_back(id);
+  admission_blocked_ = false;
   RecordEvent(SeqEventKind::kEnqueue, id, sequence.total_tokens(), stats_.steps);
 }
 
@@ -67,6 +68,12 @@ void RolloutScheduler::ReleaseRunning(int64_t id) {
   reserved_blocks_total_ -= sequence.reserved_blocks;
   HF_CHECK_GE(reserved_blocks_total_, 0);
   sequence.reserved_blocks = 0;
+  if (config_.projected_peak_admission) {
+    auto [begin, end] = projected_finish_.equal_range(rows_[static_cast<size_t>(id)].finish);
+    projected_finish_.erase(
+        std::find_if(begin, end, [id](const auto& entry) { return entry.second == id; }));
+  }
+  admission_blocked_ = false;
   kv_->FreeSequence(id);
   const auto erase = [id](std::vector<int64_t>& rows) {
     auto it = std::find(rows.rbegin(), rows.rend(), id);
@@ -175,6 +182,7 @@ void RolloutScheduler::Cancel(int64_t id, bool expired) {
     auto it = std::find(waiting_.begin(), waiting_.end(), id);
     HF_CHECK(it != waiting_.end());
     waiting_.erase(it);
+    admission_blocked_ = false;
   }
   sequence.kv_tokens = 0;
   sequence.prefill_computed = 0;
@@ -270,12 +278,15 @@ std::vector<int64_t> RolloutScheduler::AdmissionOrder() const {
 }
 
 bool RolloutScheduler::TryAdmit(int64_t id, StepPlan* plan, int64_t* budget) {
+  if (*budget <= 0) {
+    return false;  // No prefill compute left this step (chunked prefill).
+  }
+  // Under projected-peak admission every other rejection holds until the
+  // running or waiting set changes: nothing frees blocks before then.
+  admission_blocked_ = config_.projected_peak_admission;
   if (config_.max_running > 0 &&
       static_cast<int64_t>(running_.size()) >= config_.max_running) {
     return false;
-  }
-  if (*budget <= 0) {
-    return false;  // No prefill compute left this step (chunked prefill).
   }
   RolloutSequence& sequence = seq(id);
   const int64_t total = sequence.total_tokens();
@@ -288,19 +299,14 @@ bool RolloutScheduler::TryAdmit(int64_t id, StepPlan* plan, int64_t* budget) {
   const int64_t hit_tokens = std::min(kv_->PrefixHitTokens(sequence.block_hashes), total);
   const int64_t skip = std::min(hit_tokens, std::max<int64_t>(total - 1, 0));
   const int64_t grant = std::min(*budget, total - skip);
-  // Full-length reservation gate: never commit the running set to more
-  // blocks than the cache holds, counting every member at its final length.
-  // Prefix blocks already referenced by live sequences are shared for free
-  // and discounted; evictable hits are not (re-refing them drains the
-  // reclaimable pool). An empty running set admits unconditionally — the
-  // fit-alone-at-full-length contract guarantees progress.
-  int64_t reservation = 0;
-  if (config_.reserve_full_length) {
-    const int64_t full_tokens = total + sequence.remaining_tokens();
-    reservation = std::max<int64_t>(
-        kv_->BlocksFor(full_tokens) - kv_->PrefixHitBlocksReferenced(sequence.block_hashes), 0);
-    if (!running_.empty() &&
-        reserved_blocks_total_ + reservation > kv_->config().num_blocks) {
+  RowClock& row = rows_[static_cast<size_t>(id)];
+  if (config_.projected_peak_admission) {
+    // Budget is left, so every row ahead got its whole chunk this step: the
+    // prefill budget serves this row's rest from the next step on.
+    const int64_t chunk = config_.prefill_chunk_tokens;
+    row.ready = ticks_ + (chunk > 0 ? (total - skip - grant + chunk - 1) / chunk : 0);
+    row.finish = row.ready + sequence.remaining_tokens();
+    if (!running_.empty() && !ProjectedPeakFits(id)) {
       return false;
     }
   }
@@ -313,9 +319,16 @@ bool RolloutScheduler::TryAdmit(int64_t id, StepPlan* plan, int64_t* budget) {
   if (!kv_->CanAdmitShared(resident_target, reserve, sequence.block_hashes)) {
     return false;
   }
+  admission_blocked_ = false;
   HF_CHECK(kv_->AddSequenceShared(id, resident_target, sequence.block_hashes));
-  sequence.reserved_blocks = reservation;
-  reserved_blocks_total_ += reservation;
+  if (config_.projected_peak_admission) {
+    sequence.reserved_blocks =
+        kv_->BlocksFor(sequence.prompt_tokens + sequence.target_new_tokens);
+    reserved_blocks_total_ += sequence.reserved_blocks;
+    projected_finish_.emplace(row.finish, id);
+    row.covered = 0;
+    CoverIndexedBlocks(id);
+  }
   sequence.kv_tokens = kv_->SequenceTokens(id);
   sequence.prefill_computed = skip;
   sequence.prefix_skipped_tokens = skip;
@@ -339,13 +352,129 @@ bool RolloutScheduler::TryAdmit(int64_t id, StepPlan* plan, int64_t* budget) {
     RecordEvent(SeqEventKind::kResume, id, total - skip, stats_.steps - 1);
   }
   stats_.admissions += 1;
-  rows_[static_cast<size_t>(id)].ticket = next_ticket_++;
+  row.ticket = next_ticket_++;
   running_.push_back(id);
   prefilling_.push_back(id);
   *budget -= grant;
   plan->prefill.push_back({id, grant, skip + grant == total});
   waiting_.erase(std::find(waiting_.begin(), waiting_.end(), id));
   return true;
+}
+
+bool RolloutScheduler::ProjectedPeakFits(int64_t id) {
+  // Every running row r, admitted or decoding, needs BlocksFor(a_r + T)
+  // blocks during step T, a_r = prompt + target - finish + 1: one token
+  // per step up to its full length at its last step (finish - 1), the
+  // final token's append counted as the preemption pass counts it. A row
+  // whose prefill runs past step T holds at most its full context, plus
+  // the first token. Rows leave at their finish, so the most the set holds
+  // over an interval between two finishes is at the interval's last step:
+  // checking the step before each finish (or cover end) up to the
+  // candidate's finish covers every step. Indexed blocks count once, in
+  // their cover, and leave their holders' counts.
+  const RolloutSequence& candidate = (*sequences_)[static_cast<size_t>(id)];
+  const RowClock& clock = rows_[static_cast<size_t>(id)];
+  const int64_t capacity = kv_->config().num_blocks;
+  const int64_t block_tokens = kv_->config().block_tokens;
+  cover_ticks_.erase(cover_ticks_.begin(), cover_ticks_.upper_bound(ticks_));  // Covers ended.
+  if (cover_ticks_.empty() &&
+      reserved_blocks_total_ + kv_->BlocksFor(candidate.prompt_tokens +
+                                              candidate.target_new_tokens) <=
+          capacity) {
+    return true;  // Nothing shared, and every row at its peak at once fits.
+  }
+  // The candidate's prefix hits a cover already counts are credited to it
+  // until their covers end.
+  credit_ends_.clear();
+  const int64_t hits = kv_->PrefixHitTokens(candidate.block_hashes) / block_tokens;
+  for (int64_t i = 0; i < hits; ++i) {
+    const auto it = cover_.find(candidate.block_hashes[static_cast<size_t>(i)]);
+    if (it != cover_.end() && it->second > ticks_) {
+      credit_ends_.push_back(it->second);
+    }
+  }
+  std::sort(credit_ends_.begin(), credit_ends_.end());
+
+  // Rows whose prefill completes by now are summed by residue: with
+  // z = a + now + block_tokens - 1 (>= block_tokens, a decoding row holds a
+  // token), BlocksFor(a + now + d) = z / block_tokens + d / block_tokens +
+  // [z % block_tokens >= block_tokens - d % block_tokens].
+  int64_t rows = 0;
+  int64_t quotient = 0;
+  int64_t indexed = 0;
+  int64_t covered = 0;
+  residue_rows_.assign(static_cast<size_t>(block_tokens), 0);
+  floor_rows_.clear();
+  const auto add = [&](const RolloutSequence& sequence, const RowClock& row, int64_t shared) {
+    const int64_t a = sequence.prompt_tokens + sequence.target_new_tokens - row.finish + 1;
+    indexed += shared;
+    if (row.ready > ticks_) {
+      floor_rows_.emplace_back(a, sequence.total_tokens() + 1);
+      return;
+    }
+    const int64_t z = a + ticks_ + block_tokens - 1;
+    rows += 1;
+    quotient += z / block_tokens;
+    residue_rows_[static_cast<size_t>(z % block_tokens)] += 1;
+  };
+  const auto blocks_at = [&](int64_t step) {
+    const int64_t d = step - ticks_;
+    int64_t blocks = quotient + rows * (d / block_tokens) + covered - indexed;
+    for (int64_t r = block_tokens - d % block_tokens; r < block_tokens; ++r) {
+      blocks += residue_rows_[static_cast<size_t>(r)];
+    }
+    for (const auto& [a, floor] : floor_rows_) {
+      blocks += kv_->BlocksFor(std::max(a + step, floor));
+    }
+    return blocks;
+  };
+
+  add(candidate, clock, static_cast<int64_t>(credit_ends_.size()));
+  auto row = projected_finish_.rbegin();
+  auto cover = cover_ticks_.rbegin();
+  for (int64_t end = clock.finish; end > ticks_;) {
+    for (; row != projected_finish_.rend() && row->first >= end; ++row) {
+      add((*sequences_)[static_cast<size_t>(row->second)], rows_[static_cast<size_t>(row->second)],
+          static_cast<int64_t>(kv_->IndexedHashes(row->second).size()));
+    }
+    for (; cover != cover_ticks_.rend() && cover->first >= end; ++cover) {
+      covered += cover->second;
+    }
+    // Credited hits whose cover ended by step end - 1 count again.
+    const int64_t uncredited =
+        std::lower_bound(credit_ends_.begin(), credit_ends_.end(), end) - credit_ends_.begin();
+    if (blocks_at(end - 1) + uncredited > capacity) {
+      return false;
+    }
+    int64_t next = ticks_;
+    if (row != projected_finish_.rend()) {
+      next = std::max(next, row->first);
+    }
+    if (cover != cover_ticks_.rend()) {
+      next = std::max(next, cover->first);
+    }
+    end = next;
+  }
+  return true;
+}
+
+void RolloutScheduler::CoverIndexedBlocks(int64_t id) {
+  RowClock& row = rows_[static_cast<size_t>(id)];
+  const std::vector<uint64_t>& indexed = kv_->IndexedHashes(id);
+  for (; row.covered < indexed.size(); ++row.covered) {
+    const auto [it, inserted] = cover_.try_emplace(indexed[row.covered], row.finish);
+    if (!inserted) {
+      if (it->second >= row.finish) {
+        continue;  // A longer-lived holder already counts it.
+      }
+      const auto old = cover_ticks_.find(it->second);
+      if (old != cover_ticks_.end() && --old->second == 0) {
+        cover_ticks_.erase(old);
+      }
+      it->second = row.finish;
+    }
+    cover_ticks_[row.finish] += 1;
+  }
 }
 
 void RolloutScheduler::AdmitWeightedFair(StepPlan* plan, int64_t* budget) {
@@ -423,6 +552,7 @@ void RolloutScheduler::AdmitWeightedFair(StepPlan* plan, int64_t* budget) {
 StepPlan RolloutScheduler::BeginStep() {
   HF_CHECK_MSG(HasWork(), "BeginStep called with no waiting or running sequences");
   stats_.steps += 1;
+  stats_.visited_steps += 1;
 
   // 0. Deadline enforcement: reject overdue sequences instead of serving
   // them late (no KV or compute is spent on them this step).
@@ -479,6 +609,9 @@ StepPlan RolloutScheduler::BeginStep() {
       HF_CHECK_MSG(kv_->ExtendSequence(id, resident_target),
                    "residency extension failed after the preemption pass reserved it");
       sequence.kv_tokens = resident_target;
+      if (config_.projected_peak_admission) {
+        CoverIndexedBlocks(id);
+      }
     }
     plan.prefill.push_back({id, grant, grant == pending});
   }
@@ -489,16 +622,20 @@ StepPlan RolloutScheduler::BeginStep() {
   // discounting prefix-cache hits either way.
   // Strict priority: stop at the first candidate that does not fit, so the
   // head of the order is never starved by smaller requests behind it.
-  if (config_.admission == AdmissionPolicy::kWeightedFair) {
-    AdmitWeightedFair(&plan, &budget);
-  } else if (config_.policy == RolloutPolicy::kFcfs &&
-             config_.admission == AdmissionPolicy::kQueueOrder) {
-    while (!waiting_.empty() && TryAdmit(waiting_.front(), &plan, &budget)) {
-    }
-  } else {
-    for (int64_t id : AdmissionOrder()) {
-      if (!TryAdmit(id, &plan, &budget)) {
-        break;
+  // Projected-peak admission skips the attempt while its last rejection
+  // stands (weighted fair queueing may still admit another tenant).
+  if (!admission_blocked_ || config_.admission == AdmissionPolicy::kWeightedFair) {
+    if (config_.admission == AdmissionPolicy::kWeightedFair) {
+      AdmitWeightedFair(&plan, &budget);
+    } else if (config_.policy == RolloutPolicy::kFcfs &&
+               config_.admission == AdmissionPolicy::kQueueOrder) {
+      while (!waiting_.empty() && TryAdmit(waiting_.front(), &plan, &budget)) {
+      }
+    } else {
+      for (int64_t id : AdmissionOrder()) {
+        if (!TryAdmit(id, &plan, &budget)) {
+          break;
+        }
       }
     }
   }
@@ -632,6 +769,9 @@ void RolloutScheduler::CommitEmittedToken(int64_t id, const std::vector<int64_t>
     sequence.state = SequenceState::kDecode;
     prefilling_.erase(std::find(prefilling_.begin(), prefilling_.end(), id));
     AddDecodeRow(id, ticks_ + 1);
+    HF_CHECK_MSG(!config_.projected_peak_admission ||
+                     FinishTick(id) == rows_[static_cast<size_t>(id)].finish,
+                 "projected-peak admission mispredicted a prefill completion");
   } else {
     rows_[static_cast<size_t>(id)].anchor = ticks_ + 1;
   }

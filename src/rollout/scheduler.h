@@ -18,6 +18,8 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/kvcache/block_manager.h"
@@ -67,20 +69,20 @@ struct RolloutSchedulerConfig {
   // raising effective admission under tight budgets. The fit-alone-at-
   // full-length progress contract is unchanged.
   int64_t prefill_chunk_tokens = 0;
-  // Full-length admission reservations. When on, admission additionally
-  // charges each candidate its block demand at full length (prompt +
-  // target_new_tokens), discounted by prefix blocks already referenced by
-  // live sequences, against the cache's total block count; a candidate whose
-  // reservation does not fit next to the running set's reservations waits.
-  // Physical blocks are still acquired incrementally (chunked prefill), but
-  // the scheduler never over-commits beyond what the running set will need
-  // at completion, so decode-time preemption churn disappears whenever
-  // targets are accurate (RLHF rollouts with a known response cap, and the
-  // perf plane, where targets are the simulated lengths). Off by default:
-  // optimistic vLLM-style admission, which bets on early finishes and
-  // preempts when the bet loses — better when targets are loose caps.
+  // Projected-peak admission (docs/ROLLOUT.md). Off, admission is
+  // optimistic (vLLM-style): a candidate needs only its first chunk's
+  // blocks now, and decode growth that outruns the cache preempts the
+  // youngest row — right when targets are loose caps (serving). On, as
+  // RolloutOptions sets it for RLHF rollouts, targets are exact, so the
+  // scheduler knows the step at which each running row finishes; it admits
+  // a candidate only when the running set plus the candidate fit at every
+  // future step, each row growing one token per step up to prompt + target
+  // until its finish frees it. A row still prefilling counts at its full
+  // context; prefix blocks live rows already reference count once. Growth
+  // then never outruns the cache: no preemption, no recompute. A rejected
+  // candidate is rechecked only when the running or waiting set changes.
   // An empty running set always admits (the progress contract).
-  bool reserve_full_length = false;
+  bool projected_peak_admission = false;
   // kWeightedFair: context tokens of credit granted per tenant visit; a
   // tenant admits its queue head only while its accumulated deficit covers
   // the head's full context, so admitted tokens track weights over time.
@@ -172,6 +174,9 @@ struct RolloutSchedulerStats {
   // (docs/KVCACHE.md): the structural win of sharing — group sampling
   // skips n-1 prompt prefills, resumes skip their still-cached prompt.
   int64_t prefix_skipped_tokens = 0;
+  // The step loop's work per generation: the steps the scheduler planned
+  // one BeginStep at a time.
+  int64_t visited_steps = 0;
 };
 
 // Single-threaded by design: one scheduler drives one replica's engine
@@ -243,8 +248,8 @@ class RolloutScheduler {
   // Frees the victim's KV and requeues it at the front of the waiting
   // queue (its context is recomputed on resume).
   void Preempt(int64_t id);
-  // Returns a synced running row's KV blocks and full-length reservation
-  // and drops it from the running set (and the decode aggregates).
+  // Returns a synced running row's KV blocks and projected peak and drops
+  // it from the running set (and the decode aggregates).
   void ReleaseRunning(int64_t id);
   // A decode row joins the aggregates with counters exact at tick
   // `anchor`; Sync advances them to the tick the row has reached (during
@@ -265,6 +270,14 @@ class RolloutScheduler {
   // Admits one waiting candidate if the KV, prefill-budget, and max_running
   // gates allow; returns false when admission must stop for this step.
   bool TryAdmit(int64_t id, StepPlan* plan, int64_t* budget);
+  // Projected-peak admission: whether the running set plus candidate `id`,
+  // whose RowClock carries its projected ready and finish steps, fits the
+  // cache at every step from now until the candidate's finish.
+  bool ProjectedPeakFits(int64_t id);
+  // Stamps a running row's finish on the covers of the indexed blocks it
+  // references that it has not stamped yet (admission, then each residency
+  // extension that indexes more).
+  void CoverIndexedBlocks(int64_t id);
   // Waiting queue reordered per config_.admission (all but kWeightedFair).
   std::vector<int64_t> AdmissionOrder() const;
   // Weighted deficit round-robin admission over per-tenant FIFOs.
@@ -287,10 +300,17 @@ class RolloutScheduler {
   std::vector<int64_t> decoding_;    // running_'s kDecode rows, in order.
   std::vector<int64_t> prefilling_;  // running_'s kPrefill rows, in order.
   // Per id: admission ticket (running_ is sorted by it) and the tick at
-  // which a decode row's counters were last exact.
+  // which a decode row's counters were last exact. Under projected-peak
+  // admission also the step whose commit completes the row's prefill
+  // (`ready`), the tick its last token commits at (`finish`; it needs
+  // blocks for every step before), both fixed at admission, and how many
+  // of its indexed blocks carry its finish as their cover.
   struct RowClock {
     int64_t ticket = 0;
     int64_t anchor = 0;
+    int64_t ready = 0;
+    int64_t finish = 0;
+    size_t covered = 0;
   };
   std::vector<RowClock> rows_;
   int64_t next_ticket_ = 0;
@@ -314,8 +334,26 @@ class RolloutScheduler {
   // Whether any enqueued sequence carries a ttft_deadline; without one
   // nothing can expire, so ExpireOverdue skips its scan (the RLHF paths).
   bool deadlines_enqueued_ = false;
-  // Sum of running sequences' reserved_blocks (reserve_full_length only).
+  // Projected-peak admission state: the sum of running sequences'
+  // reserved_blocks (each row at its peak), the running rows by projected
+  // finish, and per indexed block hash its cover — the finish of the
+  // longest-lived row projected to hold it; the block counts once, for
+  // every step before its cover, also after a holder leaves early (EOS,
+  // cancel) — plus how many hashes each cover tick ends.
   int64_t reserved_blocks_total_ = 0;
+  std::multimap<int64_t, int64_t> projected_finish_;
+  std::unordered_map<uint64_t, int64_t> cover_;
+  std::map<int64_t, int64_t> cover_ticks_;
+  // Set when the rule rejects a candidate, cleared when the running or
+  // waiting set changes: until then the answer cannot change.
+  bool admission_blocked_ = false;
+  // ProjectedPeakFits scratch, reused across checks: rows by
+  // (a + now + block_tokens - 1) mod block_tokens, rows whose prefill runs
+  // past the current step as (a, full-context floor) pairs, and the
+  // candidate's credited prefix hits' cover ticks.
+  std::vector<int64_t> residue_rows_;
+  std::vector<std::pair<int64_t, int64_t>> floor_rows_;
+  std::vector<int64_t> credit_ends_;
   // kWeightedFair state: unspent per-tenant credit (context tokens) and the
   // tenant the next round-robin sweep starts from, both persisted across
   // steps so service converges on the weight ratios.

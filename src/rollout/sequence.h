@@ -76,11 +76,10 @@ struct RolloutSequence {
   // Prompt-prefix tokens whose prefill compute was skipped at the last
   // (re)admission because their blocks were served from the prefix cache.
   int64_t prefix_skipped_tokens = 0;
-  // Full-length block reservation held while running (scheduler-side
-  // accounting, RolloutSchedulerConfig::reserve_full_length): blocks this
-  // sequence will occupy at prompt + target length, minus prefix blocks
-  // already referenced by live sequences at admission. Zero while not
-  // running or when reservations are disabled.
+  // Projected-peak admission (RolloutSchedulerConfig::
+  // projected_peak_admission): the blocks this sequence holds at its
+  // projected peak, prompt + target tokens, while it runs. Zero while not
+  // running or when the rule is off.
   int64_t reserved_blocks = 0;
 
   // Serving metadata (src/serving/); inert on the plain RLHF rollout path.

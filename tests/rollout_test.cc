@@ -263,6 +263,7 @@ TEST(RolloutEngineTest, GreedyMatchesStaticReferenceUnderPreemption) {
       options.block_tokens = 2;
       options.num_blocks = 7;  // One full sequence (<= 12 tokens) barely fits.
       options.prefill_chunk_tokens = chunk;
+      options.projected_peak_admission = false;  // Optimistic: preempts.
 
       const RolloutEngine engine(net, limits, options);
       Rng engine_rng = rng.Fork(2);
@@ -349,7 +350,7 @@ TEST(RolloutEngineTest, GreedyMatchesStaticReferenceWithPrefixSharing) {
       options.num_blocks = 7;  // One full sequence (<= 12 tokens) barely fits.
       options.prefill_chunk_tokens = chunk;
       options.prefix_cache = true;
-      options.reserve_full_length = seed % 3 == 0;
+      options.projected_peak_admission = seed % 3 == 0;
 
       const RolloutEngine engine(net, limits, options);
       Rng engine_rng = rng.Fork(2);
@@ -454,7 +455,7 @@ TEST(RolloutSchedulerTest, ReserveFullLengthEliminatesDecodePreemption) {
   KvBlockManager kv(KvConfig(/*blocks=*/6, /*block_tokens=*/2));
   std::vector<RolloutSequence> sequences = MakeSequences({2, 2, 2, 2}, /*target_new=*/6);
   RolloutSchedulerConfig config;
-  config.reserve_full_length = true;
+  config.projected_peak_admission = true;
   RolloutScheduler scheduler(config, &kv, &sequences);
   for (int64_t id = 0; id < 4; ++id) {
     scheduler.Enqueue(id);
@@ -486,7 +487,7 @@ TEST(RolloutSchedulerTest, CancelReleasesReservationAndRetainsPrompt) {
     sequence.block_hashes = GroupBlockHashes(/*group=*/11, /*full_blocks=*/2);
   }
   RolloutSchedulerConfig config;
-  config.reserve_full_length = true;
+  config.projected_peak_admission = true;
   RolloutScheduler scheduler(config, &kv, &sequences);
   scheduler.Enqueue(0);
   scheduler.Enqueue(1);
@@ -514,6 +515,107 @@ TEST(RolloutSchedulerTest, CancelReleasesReservationAndRetainsPrompt) {
   EXPECT_EQ(kv.used_blocks(), 0);
   EXPECT_GT(kv.cached_blocks(), 0);  // Prompt retained for hits.
   EXPECT_TRUE(kv.RefcountsConsistent());
+}
+
+// Property: projected-peak admission never preempts. Seeded workloads of
+// three shapes — uniform lengths, skewed (80% short / 20% long) responses,
+// and prefix-shared groups (n copies of a prompt, prefix cache on) — run
+// chunked and unchunked, some with EOS finishing rows early, against KV
+// budgets barely above the largest sequence. Every run must drain with
+// zero preemptions, leak no block and keep the refcount audit after every
+// step; the same inputs under optimistic admission must preempt somewhere,
+// so the budgets are tight enough to matter.
+TEST(RolloutSchedulerTest, ProjectedPeakAdmissionNeverPreempts) {
+  struct Outcome {
+    int64_t preemptions = 0;
+    int64_t delayed = 0;  // Sequences admitted after the first step.
+  };
+  const auto run = [](uint64_t seed, bool projected) {
+    Rng rng(seed * 7919);
+    const int64_t shape = static_cast<int64_t>(seed % 3);
+    const int64_t block_tokens = rng.UniformInt(1, 4);
+    const int64_t count = rng.UniformInt(4, 14);
+    const int64_t group = rng.UniformInt(2, 4);
+    const int64_t uniform_prompt = rng.UniformInt(1, 9);
+    const int64_t uniform_target = rng.UniformInt(1, 9);
+    std::vector<RolloutSequence> sequences(static_cast<size_t>(count));
+    int64_t largest = 0;
+    for (int64_t i = 0; i < count; ++i) {
+      RolloutSequence& sequence = sequences[static_cast<size_t>(i)];
+      sequence.id = i;
+      if (shape == 0) {
+        sequence.prompt_tokens = uniform_prompt;
+        sequence.target_new_tokens = uniform_target;
+      } else if (shape == 1) {
+        sequence.prompt_tokens = rng.UniformInt(1, 9);
+        sequence.target_new_tokens =
+            rng.Uniform(0.0, 1.0) < 0.8 ? rng.UniformInt(1, 3) : rng.UniformInt(6, 14);
+      } else {
+        // Members of a group share their prompt (and its block hashes).
+        sequence.prompt_tokens =
+            i % group == 0 ? rng.UniformInt(2, 10) : sequences[static_cast<size_t>(i - 1)].prompt_tokens;
+        sequence.target_new_tokens = rng.UniformInt(1, 10);
+        sequence.block_hashes =
+            GroupBlockHashes(i / group, sequence.prompt_tokens / block_tokens);
+      }
+      largest = std::max(largest, (sequence.prompt_tokens + sequence.target_new_tokens +
+                                   block_tokens - 1) / block_tokens);
+    }
+    KvBlockConfig kv_config = KvConfig(largest + rng.UniformInt(0, 3), block_tokens);
+    kv_config.enable_prefix_cache = shape == 2;
+    KvBlockManager kv(kv_config);
+    RolloutSchedulerConfig config;
+    config.projected_peak_admission = projected;
+    config.prefix_cache = shape == 2;
+    config.prefill_chunk_tokens = seed % 2 == 0 ? 0 : rng.UniformInt(1, 6);
+    config.policy = seed % 5 == 0 ? RolloutPolicy::kLongestPrefixFirst : RolloutPolicy::kFcfs;
+    const bool eos = seed % 4 == 3;
+    RolloutScheduler scheduler(config, &kv, &sequences);
+    for (int64_t id = 0; id < count; ++id) {
+      scheduler.Enqueue(id);
+    }
+    Rng eos_rng(seed);
+    std::vector<int64_t> eos_finished;
+    int64_t guard = 0;
+    while (scheduler.HasWork()) {
+      EXPECT_LT(guard++, 10000) << "seed " << seed << ": scheduler failed to drain";
+      if (guard > 10000) {
+        break;
+      }
+      const StepPlan plan = scheduler.BeginStep();
+      EXPECT_FALSE(plan.empty()) << "seed " << seed;
+      eos_finished.clear();
+      if (eos) {
+        plan.ForEachEmitting([&](int64_t id) {
+          if (eos_rng.Uniform(0.0, 1.0) < 0.15) {
+            eos_finished.push_back(id);
+          }
+        });
+      }
+      scheduler.CommitStep(plan, eos_finished);
+      EXPECT_TRUE(kv.RefcountsConsistent()) << "seed " << seed << " step " << guard;
+    }
+    Outcome outcome;
+    for (const RolloutSequence& sequence : sequences) {
+      EXPECT_EQ(sequence.state, SequenceState::kFinished) << "seed " << seed;
+      EXPECT_EQ(sequence.reserved_blocks, 0) << "seed " << seed;
+      outcome.delayed += sequence.first_admit_step > 0 ? 1 : 0;
+    }
+    EXPECT_EQ(kv.used_blocks(), 0) << "seed " << seed;
+    EXPECT_TRUE(kv.RefcountsConsistent()) << "seed " << seed;
+    outcome.preemptions = scheduler.stats().preemptions;
+    return outcome;
+  };
+  int64_t optimistic_preemptions = 0;
+  int64_t delayed = 0;
+  for (uint64_t seed = 1; seed <= 90; ++seed) {
+    const Outcome projected = run(seed, /*projected=*/true);
+    EXPECT_EQ(projected.preemptions, 0) << "seed " << seed;
+    delayed += projected.delayed;
+    optimistic_preemptions += run(seed, /*projected=*/false).preemptions;
+  }
+  EXPECT_GT(optimistic_preemptions, 0);
+  EXPECT_GT(delayed, 0);  // The rule actually held candidates back.
 }
 
 TEST(RolloutSchedulerTest, ExpiryMidPrefillReleasesResidencyWithoutLeaks) {
@@ -723,6 +825,7 @@ TEST(RolloutEngineTest, MetricsCountersAdvance) {
   RolloutOptions options;
   options.block_tokens = 2;
   options.num_blocks = 5;
+  options.projected_peak_admission = false;  // Optimistic: preempts.
   const RolloutEngine engine(net, limits, options);
   Rng engine_rng(32);
   const std::vector<std::vector<int64_t>> prompts(5, std::vector<int64_t>{1, 2, 3, 4});
@@ -777,7 +880,8 @@ TEST(RolloutWorkersTest, ContinuousActorMatchesStaticActorGreedy) {
     if (variant == 1) {
       actor_options.rollout.mode = RolloutMode::kContinuous;
       actor_options.rollout.block_tokens = 2;
-      actor_options.rollout.num_blocks = 8;  // Tight enough to preempt.
+      actor_options.rollout.num_blocks = 8;  // Tight enough to preempt
+      actor_options.rollout.projected_peak_admission = false;  // optimistically.
     }
     ActorWorkerGroup actor(RolloutActorGroupOptions(), pool, &controller, SmallRolloutReal(),
                            actor_options);
@@ -834,6 +938,7 @@ TEST(RolloutTimingTest, ConstrainedBudgetPreemptsAndIsDeterministic) {
   const double budget = 40.0 * 16.0 * perf.KvBytesPerTokenPerGpu(gen);
   RolloutOptions options;
   options.mode = RolloutMode::kContinuous;
+  options.projected_peak_admission = false;  // Optimistic: preempts.
   const RolloutSimResult first =
       SimulateContinuousGeneration(perf, gen, devices, sequences, budget, options);
   const RolloutSimResult second =

@@ -333,6 +333,7 @@ TEST(SeqLatencyTest, RecordingDoesNotPerturbGreedyDecode) {
   RolloutOptions options;
   options.block_tokens = 2;
   options.num_blocks = 7;
+  options.projected_peak_admission = false;  // Optimistic: preempts.
 
   const RolloutEngine plain_engine(net, limits, options);
   Rng plain_rng = rng.Fork(2);
@@ -376,6 +377,7 @@ TEST(SeqLatencyTest, TimingSimIsDeterministicWithAndWithoutEventSink) {
   const double budget = 40.0 * 16.0 * perf.KvBytesPerTokenPerGpu(gen);
   RolloutOptions plain;
   plain.mode = RolloutMode::kContinuous;
+  plain.projected_peak_admission = false;  // Optimistic: preempts.
   const RolloutSimResult reference =
       SimulateContinuousGeneration(perf, gen, devices, sequences, budget, plain);
 
@@ -440,6 +442,7 @@ TEST(SeqLatencyTest, SequenceStampsSummarizeExactlyLikeTheEventStream) {
   options.mode = RolloutMode::kContinuous;
   options.prefill_chunk_tokens = 256;
   options.prefix_cache = true;
+  options.projected_peak_admission = false;  // Optimistic: preempts.
   SeqEventLog log;
   options.sim_event_log = &log;
   const double budget = 64.0 * 16.0 * perf.KvBytesPerTokenPerGpu(gen);
@@ -481,6 +484,7 @@ TEST(SeqLatencyTest, LazyDecodeRowsMatchTheEveryRowPathExactly) {
   lazy.mode = RolloutMode::kContinuous;
   lazy.prefill_chunk_tokens = 192;
   lazy.prefix_cache = true;
+  lazy.projected_peak_admission = false;  // Optimistic: preempts.
   SeqEventLog log;
   RolloutOptions visited = lazy;
   visited.sim_event_log = &log;

@@ -764,9 +764,9 @@ TEST(ServingSimTest, SloAwareAdmissionBeatsFcfsOnHighPriorityP99Ttft) {
 // executor, the same schedule.
 
 TEST(ServingSimTest, FullLengthReservationsRemovePreemption) {
-  // Serving takes the scheduler's one config, so reserve_full_length
+  // Serving takes the scheduler's one config, so projected_peak_admission
   // reaches it. The prefix cache stays off: every request's target is its
-  // exact length, so reserving it in full must never over-commit.
+  // exact length, so admitting by projected peak must never over-commit.
   const PerfModel perf(ModelSpec::Llama7B(), ClusterSpec::WithGpus(8));
   const GenParallelConfig gen{1, 2};
   const std::vector<DeviceId> devices{0, 1};
@@ -776,7 +776,7 @@ TEST(ServingSimTest, FullLengthReservationsRemovePreemption) {
   RolloutSchedulerConfig optimistic;
   optimistic.expire_overdue = false;  // Every request finishes either way.
   RolloutSchedulerConfig reserved = optimistic;
-  reserved.reserve_full_length = true;
+  reserved.projected_peak_admission = true;
 
   const ServingSimResult base = SimulateServing(perf, gen, devices, trace, kv_budget, optimistic);
   const ServingSimResult got = SimulateServing(perf, gen, devices, trace, kv_budget, reserved);
@@ -809,6 +809,7 @@ TEST(ServingEquivalenceTest, SimulateServingMatchesSimulateContinuousGeneration)
   RolloutOptions rollout;
   rollout.mode = RolloutMode::kContinuous;
   rollout.prefill_chunk_tokens = 256;
+  rollout.projected_peak_admission = false;  // Serving's optimistic default.
   RolloutSchedulerConfig serving;
   serving.prefill_chunk_tokens = 256;
 

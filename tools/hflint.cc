@@ -65,7 +65,7 @@
 //                        so Algorithm 1 stays as cheap as what it prices
 //   one-scheduler-config (src/ only) no struct or class other than
 //                        RolloutSchedulerConfig declares a member named
-//                        prefill_chunk_tokens, reserve_full_length,
+//                        prefill_chunk_tokens, projected_peak_admission,
 //                        max_running, fair_quantum_tokens, tenant_weights
 //                        or expire_overdue: every generation surface takes
 //                        the scheduler's one config, so a mirror struct and
@@ -770,7 +770,7 @@ void CheckOneSchedulerConfig(const FileText& file, std::vector<Finding>& finding
   if (file.path.rfind("src/", 0) != 0) {
     return;
   }
-  static const char* const kSettings[] = {"prefill_chunk_tokens", "reserve_full_length",
+  static const char* const kSettings[] = {"prefill_chunk_tokens", "projected_peak_admission",
                                           "max_running",          "fair_quantum_tokens",
                                           "tenant_weights",       "expire_overdue"};
   std::vector<std::string> scopes;  // Enclosing record name per brace; "" = other.
@@ -1477,7 +1477,7 @@ int RunRulesSelftest() {
            << "};\n"
            << "void Use(RolloutSchedulerConfig& c) {\n"
            << "  c.max_running = 3;\n"
-           << "  const bool reserve_full_length = c.max_running == 0;\n"
+           << "  const bool projected_peak_admission = c.max_running == 0;\n"
            << "}\n"
            << "}  // namespace hybridflow\n";
   }

@@ -25,8 +25,8 @@
 //                     data-plane generation always runs the step loop
 //   rollout.policy    fcfs | longest_prefix (fcfs); rollout.block_tokens,
 //   rollout.num_blocks, rollout.max_running,
-//   rollout.prefill_chunk_tokens (0 = off)
-//   rollout.reserve_full_length (false) admit at full-length KV demand
+//   rollout.prefill_chunk_tokens (0 = off); admission is by projected
+//   peak (docs/ROLLOUT.md), so decode growth never preempts
 //   kvcache.prefix_cache (false) prefix-sharing KV cache (docs/KVCACHE.md)
 //   async_pipeline    (false) one-step-off PPO; requires rollout.mode=continuous
 //   async_staleness   (1) staleness-queue depth; 0 degenerates to sync order
@@ -287,8 +287,6 @@ int Run(const ConfigMap& config) {
   build.rollout.prefill_chunk_tokens =
       config.GetInt("rollout.prefill_chunk_tokens", build.rollout.prefill_chunk_tokens);
   build.rollout.prefix_cache = config.GetBool("kvcache.prefix_cache", build.rollout.prefix_cache);
-  build.rollout.reserve_full_length =
-      config.GetBool("rollout.reserve_full_length", build.rollout.reserve_full_length);
   build.async_pipeline = config.GetBool("async_pipeline", false);
   build.async_staleness = config.GetInt("async_staleness", build.async_staleness);
   build.tensor_threads = static_cast<int>(config.GetInt("tensor.threads", 0));
