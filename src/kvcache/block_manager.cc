@@ -295,6 +295,17 @@ bool KvBlockManager::AppendTokens(int64_t sequence_id, int64_t tokens) {
   return true;
 }
 
+void KvBlockManager::AppendRun(int64_t sequence_id, int64_t tokens) {
+  HF_CHECK_GE(tokens, 0);
+  SequenceState& state = State(sequence_id);
+  const int64_t crossed = BlocksFor(state.tokens + tokens) - BlocksFor(state.tokens);
+  HF_CHECK_LE(crossed, free_blocks_);
+  TakeBlocks(crossed);
+  state.tokens += tokens;
+  appends_total_ += crossed;
+  NoteAllocation();
+}
+
 void KvBlockManager::NoteAllocation() {
   high_water_blocks_ = std::max(high_water_blocks_, used_blocks_);
 }

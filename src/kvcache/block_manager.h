@@ -114,6 +114,11 @@ class KvBlockManager {
   // unchanged.
   bool AppendTokens(int64_t sequence_id, int64_t tokens);
   bool AppendToken(int64_t sequence_id) { return AppendTokens(sequence_id, 1); }
+  // Settles a quiet run's decode growth (docs/ROLLOUT.md): `tokens` more
+  // tokens, one block per boundary crossed taken from the free pool and
+  // counted as one append — what the run's steps would have counted, one
+  // AppendTokens call at each crossing. The free pool must hold them.
+  void AppendRun(int64_t sequence_id, int64_t tokens);
   // Would AppendTokens succeed right now? Pure probe.
   bool CanAppendTokens(int64_t sequence_id, int64_t tokens) const;
   // Would ExtendSequence succeed right now? Pure probe.

@@ -1,6 +1,7 @@
 #include "src/rollout/scheduler.h"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <numeric>
 
@@ -69,9 +70,7 @@ void RolloutScheduler::ReleaseRunning(int64_t id) {
   HF_CHECK_GE(reserved_blocks_total_, 0);
   sequence.reserved_blocks = 0;
   if (config_.projected_peak_admission) {
-    auto [begin, end] = projected_finish_.equal_range(rows_[static_cast<size_t>(id)].finish);
-    projected_finish_.erase(
-        std::find_if(begin, end, [id](const auto& entry) { return entry.second == id; }));
+    RemoveProjection(id);
   }
   admission_blocked_ = false;
   kv_->FreeSequence(id);
@@ -114,9 +113,71 @@ int64_t RolloutScheduler::Phase(int64_t id) const {
   return (offset % block_tokens + block_tokens) % block_tokens;
 }
 
-int64_t RolloutScheduler::CrossingPhase() const {
+int64_t RolloutScheduler::CrossingPhase(int64_t offset) const {
   const int64_t block_tokens = static_cast<int64_t>(phase_rows_.size());
-  return (block_tokens - ticks_ % block_tokens) % block_tokens;
+  return (block_tokens - (ticks_ + offset) % block_tokens) % block_tokens;
+}
+
+int64_t RolloutScheduler::CrossingsAt(int64_t offset) const {
+  return static_cast<int64_t>(phase_rows_[static_cast<size_t>(CrossingPhase(offset))].size());
+}
+
+int64_t RolloutScheduler::QuietSteps() const {
+  if (event_log_ != nullptr || !prefilling_.empty() || decoding_.empty()) {
+    return 0;
+  }
+  // No admission can succeed: nothing waits, or a projected-peak rejection
+  // stands (it holds until the running or waiting set changes, which a
+  // quiet step never does) and no waiting sequence can expire meanwhile.
+  if (!waiting_.empty() &&
+      (!admission_blocked_ || config_.admission == AdmissionPolicy::kWeightedFair ||
+       (deadlines_enqueued_ && config_.expire_overdue))) {
+    return 0;
+  }
+  // No row finishes: the earliest finish commits at its FinishTick.
+  const int64_t steps = finish_at_.begin()->first - ticks_ - 1;
+  // Every crossing fits the free pool: each step's preemption pass passes
+  // and no append evicts a retained prefix block. Each row crosses once
+  // per block_tokens steps, so whole cycles take a row count each.
+  const int64_t block_tokens = static_cast<int64_t>(phase_rows_.size());
+  const int64_t rows = static_cast<int64_t>(decoding_.size());
+  int64_t free = kv_->free_blocks();
+  const int64_t cycles = std::min(steps / block_tokens, free / rows);
+  int64_t quiet = cycles * block_tokens;
+  free -= cycles * rows;
+  for (; quiet < steps && CrossingsAt(quiet) <= free; ++quiet) {
+    free -= CrossingsAt(quiet);
+  }
+  return quiet;
+}
+
+void RolloutScheduler::CommitQuietRun(int64_t steps, double end_seconds) {
+  HF_CHECK_GT(steps, 0);
+  HF_CHECK_LE(steps, QuietSteps());
+  stats_.steps += steps;
+  stats_.visited_steps += 1;
+  stats_.max_running_batch =
+      std::max(stats_.max_running_batch, static_cast<int64_t>(decoding_.size()));
+  // Each boundary bucket the run reaches crossed once per visit; its rows
+  // catch up to the run's end in one append each. The rest only gained
+  // tokens inside their tail block and stay lazy.
+  const int64_t end = ticks_ + steps;
+  const int64_t buckets = std::min<int64_t>(steps, static_cast<int64_t>(phase_rows_.size()));
+  for (int64_t offset = 0; offset < buckets; ++offset) {
+    for (int64_t id : phase_rows_[static_cast<size_t>(CrossingPhase(offset))]) {
+      RolloutSequence& sequence = seq(id);
+      RowClock& row = rows_[static_cast<size_t>(id)];
+      const int64_t lag = end - row.anchor;
+      sequence.generated += lag;
+      sequence.kv_tokens += lag;
+      sequence.last_token_seconds = end_seconds;
+      row.anchor = end;
+      kv_->AppendRun(id, sequence.kv_tokens - kv_->SequenceTokens(id));
+    }
+  }
+  ticks_ = end;
+  last_commit_seconds_ = end_seconds;
+  sim_now_ = end_seconds;
 }
 
 int64_t RolloutScheduler::FinishTick(int64_t id) const {
@@ -306,6 +367,7 @@ bool RolloutScheduler::TryAdmit(int64_t id, StepPlan* plan, int64_t* budget) {
     const int64_t chunk = config_.prefill_chunk_tokens;
     row.ready = ticks_ + (chunk > 0 ? (total - skip - grant + chunk - 1) / chunk : 0);
     row.finish = row.ready + sequence.remaining_tokens();
+    CollectCredits(sequence);
     if (!running_.empty() && !ProjectedPeakFits(id)) {
       return false;
     }
@@ -325,9 +387,6 @@ bool RolloutScheduler::TryAdmit(int64_t id, StepPlan* plan, int64_t* budget) {
     sequence.reserved_blocks =
         kv_->BlocksFor(sequence.prompt_tokens + sequence.target_new_tokens);
     reserved_blocks_total_ += sequence.reserved_blocks;
-    projected_finish_.emplace(row.finish, id);
-    row.covered = 0;
-    CoverIndexedBlocks(id);
   }
   sequence.kv_tokens = kv_->SequenceTokens(id);
   sequence.prefill_computed = skip;
@@ -355,38 +414,67 @@ bool RolloutScheduler::TryAdmit(int64_t id, StepPlan* plan, int64_t* budget) {
   row.ticket = next_ticket_++;
   running_.push_back(id);
   prefilling_.push_back(id);
+  if (config_.projected_peak_admission) {
+    AddProjection(id);
+  }
   *budget -= grant;
   plan->prefill.push_back({id, grant, skip + grant == total});
   waiting_.erase(std::find(waiting_.begin(), waiting_.end(), id));
   return true;
 }
 
-bool RolloutScheduler::ProjectedPeakFits(int64_t id) {
-  // Every running row r, admitted or decoding, needs BlocksFor(a_r + T)
-  // blocks during step T, a_r = prompt + target - finish + 1: one token
-  // per step up to its full length at its last step (finish - 1), the
-  // final token's append counted as the preemption pass counts it. A row
-  // whose prefill runs past step T holds at most its full context, plus
-  // the first token. Rows leave at their finish, so the most the set holds
-  // over an interval between two finishes is at the interval's last step:
-  // checking the step before each finish (or cover end) up to the
-  // candidate's finish covers every step. Indexed blocks count once, in
-  // their cover, and leave their holders' counts.
-  const RolloutSequence& candidate = (*sequences_)[static_cast<size_t>(id)];
-  const RowClock& clock = rows_[static_cast<size_t>(id)];
-  const int64_t capacity = kv_->config().num_blocks;
+RolloutScheduler::Projection RolloutScheduler::Project(int64_t id) const {
+  const RolloutSequence& sequence = (*sequences_)[static_cast<size_t>(id)];
+  const RowClock& row = rows_[static_cast<size_t>(id)];
   const int64_t block_tokens = kv_->config().block_tokens;
-  cover_ticks_.erase(cover_ticks_.begin(), cover_ticks_.upper_bound(ticks_));  // Covers ended.
-  if (cover_ticks_.empty() &&
-      reserved_blocks_total_ + kv_->BlocksFor(candidate.prompt_tokens +
-                                              candidate.target_new_tokens) <=
-          capacity) {
-    return true;  // Nothing shared, and every row at its peak at once fits.
+  Projection projection;
+  projection.finish = row.finish;
+  projection.ready = row.ready;
+  projection.floor_blocks = kv_->BlocksFor(sequence.total_tokens() + 1);
+  const int64_t base =
+      sequence.prompt_tokens + sequence.target_new_tokens - row.finish + block_tokens;
+  projection.residue = (base % block_tokens + block_tokens) % block_tokens;
+  projection.quotient = (base - projection.residue) / block_tokens;
+  return projection;
+}
+
+RolloutScheduler::PeakStep RolloutScheduler::StepBefore(int64_t finish) const {
+  const int64_t block_tokens = kv_->config().block_tokens;
+  PeakStep step;
+  step.finish = finish;
+  step.quotient = (finish - 1) / block_tokens;
+  step.residue = (finish - 1) % block_tokens;
+  return step;
+}
+
+int64_t RolloutScheduler::Need(const Projection& row, const PeakStep& step) const {
+  if (step.finish - 1 < row.ready) {
+    return row.floor_blocks;
   }
-  // The candidate's prefix hits a cover already counts are credited to it
-  // until their covers end.
+  return row.quotient + step.quotient +
+         (row.residue + step.residue >= kv_->config().block_tokens ? 1 : 0);
+}
+
+int64_t RolloutScheduler::BlocksBefore(int64_t finish) const {
+  const PeakStep step = StepBefore(finish);
+  int64_t blocks = 0;
+  for (int64_t id : running_) {
+    if (rows_[static_cast<size_t>(id)].finish >= finish) {
+      blocks += Need(Project(id), step);
+      if (kv_->config().enable_prefix_cache) {
+        blocks -= static_cast<int64_t>(kv_->IndexedHashes(id).size());
+      }
+    }
+  }
+  for (auto it = cover_ticks_.lower_bound(finish); it != cover_ticks_.end(); ++it) {
+    blocks += it->second;
+  }
+  return blocks;
+}
+
+void RolloutScheduler::CollectCredits(const RolloutSequence& candidate) {
   credit_ends_.clear();
-  const int64_t hits = kv_->PrefixHitTokens(candidate.block_hashes) / block_tokens;
+  const int64_t hits = kv_->PrefixHitTokens(candidate.block_hashes) / kv_->config().block_tokens;
   for (int64_t i = 0; i < hits; ++i) {
     const auto it = cover_.find(candidate.block_hashes[static_cast<size_t>(i)]);
     if (it != cover_.end() && it->second > ticks_) {
@@ -394,68 +482,85 @@ bool RolloutScheduler::ProjectedPeakFits(int64_t id) {
     }
   }
   std::sort(credit_ends_.begin(), credit_ends_.end());
+}
 
-  // Rows whose prefill completes by now are summed by residue: with
-  // z = a + now + block_tokens - 1 (>= block_tokens, a decoding row holds a
-  // token), BlocksFor(a + now + d) = z / block_tokens + d / block_tokens +
-  // [z % block_tokens >= block_tokens - d % block_tokens].
-  int64_t rows = 0;
-  int64_t quotient = 0;
-  int64_t indexed = 0;
-  int64_t covered = 0;
-  residue_rows_.assign(static_cast<size_t>(block_tokens), 0);
-  floor_rows_.clear();
-  const auto add = [&](const RolloutSequence& sequence, const RowClock& row, int64_t shared) {
-    const int64_t a = sequence.prompt_tokens + sequence.target_new_tokens - row.finish + 1;
-    indexed += shared;
-    if (row.ready > ticks_) {
-      floor_rows_.emplace_back(a, sequence.total_tokens() + 1);
-      return;
+bool RolloutScheduler::ProjectedPeakFits(int64_t id) {
+  const RolloutSequence& sequence = (*sequences_)[static_cast<size_t>(id)];
+  const int64_t capacity = kv_->config().num_blocks;
+  cover_ticks_.erase(cover_ticks_.begin(), cover_ticks_.upper_bound(ticks_));  // Covers ended.
+  if (cover_ticks_.empty() &&
+      reserved_blocks_total_ +
+              kv_->BlocksFor(sequence.prompt_tokens + sequence.target_new_tokens) <=
+          capacity) {
+    return true;  // Nothing shared, and every row at its peak at once fits.
+  }
+  // The candidate's need only grows, so the steps before its finish where
+  // the sum can peak are the running set's peak steps, and its own last.
+  const Projection candidate = Project(id);
+  const int64_t credits = static_cast<int64_t>(credit_ends_.size());
+  int64_t ended = 0;  // Credited hits whose cover ended by the step.
+  const auto fits = [&](const PeakStep& step) {
+    for (; ended < credits && credit_ends_[static_cast<size_t>(ended)] < step.finish; ++ended) {
     }
-    const int64_t z = a + ticks_ + block_tokens - 1;
-    rows += 1;
-    quotient += z / block_tokens;
-    residue_rows_[static_cast<size_t>(z % block_tokens)] += 1;
+    return step.blocks + Need(candidate, step) - credits + ended <= capacity;
   };
-  const auto blocks_at = [&](int64_t step) {
-    const int64_t d = step - ticks_;
-    int64_t blocks = quotient + rows * (d / block_tokens) + covered - indexed;
-    for (int64_t r = block_tokens - d % block_tokens; r < block_tokens; ++r) {
-      blocks += residue_rows_[static_cast<size_t>(r)];
+  bool last_checked = false;
+  for (const PeakStep& step : peak_steps_) {
+    if (step.finish > candidate.finish) {
+      break;
     }
-    for (const auto& [a, floor] : floor_rows_) {
-      blocks += kv_->BlocksFor(std::max(a + step, floor));
+    if (step.finish > ticks_) {
+      if (!fits(step)) {
+        return false;
+      }
+      last_checked = step.finish == candidate.finish;
     }
-    return blocks;
-  };
-
-  add(candidate, clock, static_cast<int64_t>(credit_ends_.size()));
-  auto row = projected_finish_.rbegin();
-  auto cover = cover_ticks_.rbegin();
-  for (int64_t end = clock.finish; end > ticks_;) {
-    for (; row != projected_finish_.rend() && row->first >= end; ++row) {
-      add((*sequences_)[static_cast<size_t>(row->second)], rows_[static_cast<size_t>(row->second)],
-          static_cast<int64_t>(kv_->IndexedHashes(row->second).size()));
-    }
-    for (; cover != cover_ticks_.rend() && cover->first >= end; ++cover) {
-      covered += cover->second;
-    }
-    // Credited hits whose cover ended by step end - 1 count again.
-    const int64_t uncredited =
-        std::lower_bound(credit_ends_.begin(), credit_ends_.end(), end) - credit_ends_.begin();
-    if (blocks_at(end - 1) + uncredited > capacity) {
-      return false;
-    }
-    int64_t next = ticks_;
-    if (row != projected_finish_.rend()) {
-      next = std::max(next, row->first);
-    }
-    if (cover != cover_ticks_.rend()) {
-      next = std::max(next, cover->first);
-    }
-    end = next;
+  }
+  if (!last_checked) {
+    PeakStep last = StepBefore(candidate.finish);
+    last.blocks = BlocksBefore(candidate.finish);
+    return fits(last);
   }
   return true;
+}
+
+void RolloutScheduler::AddProjection(int64_t id) {
+  const Projection row = Project(id);
+  peak_steps_.erase(peak_steps_.begin(),
+                    std::find_if(peak_steps_.begin(), peak_steps_.end(),
+                                 [this](const PeakStep& step) { return step.finish > ticks_; }));
+  // The steps until its finish gain its need; the prefix hits it shares
+  // count in their covers, which now last until its finish.
+  const int64_t credits = static_cast<int64_t>(credit_ends_.size());
+  int64_t ended = 0;
+  auto step = peak_steps_.begin();
+  for (; step != peak_steps_.end() && step->finish <= row.finish; ++step) {
+    for (; ended < credits && credit_ends_[static_cast<size_t>(ended)] < step->finish; ++ended) {
+    }
+    step->blocks += Need(row, *step) - credits + ended;
+  }
+  rows_[static_cast<size_t>(id)].covered = 0;
+  CoverIndexedBlocks(id);
+  if (step == peak_steps_.begin() || std::prev(step)->finish != row.finish) {
+    PeakStep last = StepBefore(row.finish);
+    last.blocks = BlocksBefore(row.finish);
+    peak_steps_.insert(step, last);
+  }
+}
+
+void RolloutScheduler::RemoveProjection(int64_t id) {
+  const Projection row = Project(id);
+  const int64_t indexed = kv_->config().enable_prefix_cache
+                              ? static_cast<int64_t>(kv_->IndexedHashes(id).size())
+                              : 0;
+  for (PeakStep& step : peak_steps_) {
+    if (step.finish > row.finish) {
+      break;
+    }
+    if (step.finish > ticks_) {
+      step.blocks -= Need(row, step) - indexed;
+    }
+  }
 }
 
 void RolloutScheduler::CoverIndexedBlocks(int64_t id) {
@@ -737,6 +842,14 @@ void RolloutScheduler::CommitEmittedToken(int64_t id, const std::vector<int64_t>
   }
   if (!resident) {
     return;  // Waits for re-admission; token kept, KV recomputed later.
+  }
+  if (event_log_ != nullptr && sequence.state == SequenceState::kDecode &&
+      kv_->BlocksFor(sequence.kv_tokens + 1) == kv_->BlocksFor(kv_->SequenceTokens(id))) {
+    // Visited only for the log, inside its tail block: its KV entry lags
+    // like an unvisited row's, so the log changes no KV work count.
+    sequence.kv_tokens += 1;
+    rows_[static_cast<size_t>(id)].anchor = ticks_ + 1;
+    return;
   }
   // Append the new token's KV entry, plus the tokens this row gained
   // without a visit (they never cross a block boundary), evicting

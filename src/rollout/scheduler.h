@@ -19,7 +19,6 @@
 #include <deque>
 #include <map>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "src/kvcache/block_manager.h"
@@ -174,8 +173,8 @@ struct RolloutSchedulerStats {
   // (docs/KVCACHE.md): the structural win of sharing — group sampling
   // skips n-1 prompt prefills, resumes skip their still-cached prompt.
   int64_t prefix_skipped_tokens = 0;
-  // The step loop's work per generation: the steps the scheduler planned
-  // one BeginStep at a time.
+  // The step loop's work per generation: steps planned one BeginStep at a
+  // time plus quiet runs settled whole (docs/ROLLOUT.md).
   int64_t visited_steps = 0;
 };
 
@@ -220,6 +219,27 @@ class RolloutScheduler {
   // token is an event and every row is visited.
   void CommitStep(const StepPlan& plan, const std::vector<int64_t>& eos_finished);
 
+  // Quiet runs (docs/ROLLOUT.md): the number of steps from now in which
+  // nothing happens but one token per decode row — no admission can
+  // succeed, no prefill chunk is pending, no row finishes, and every block
+  // crossing fits the free pool, so nothing is preempted or evicted. 0
+  // with an event log attached, where every token is an event.
+  int64_t QuietSteps() const;
+  // The blocks the decode rows' appends take in the step `offset` steps
+  // from now (the rows whose append crosses a block boundary then).
+  int64_t CrossingsAt(int64_t offset) const;
+  // The decode batch a quiet run steps: its rows and their kv_tokens sum
+  // in the next step (the sum grows by the row count per step).
+  int64_t decode_rows() const { return static_cast<int64_t>(decoding_.size()); }
+  int64_t decode_kv_tokens() const {
+    return decode_kv_base_ + ticks_ * static_cast<int64_t>(decoding_.size());
+  }
+  // Settles `steps` quiet steps (at most QuietSteps()) at once, the last
+  // committed at clock `end_seconds`: step counters, the rows' lazy clocks
+  // and their block crossings as counts, exactly as that many
+  // BeginStep/CommitStep pairs would leave them.
+  void CommitQuietRun(int64_t steps, double end_seconds);
+
   // Brings every decode row's lagging generated, kv_tokens and
   // last_token_seconds up to date. Call before reading those fields
   // between steps; finished, cancelled and expired rows are always exact.
@@ -257,9 +277,10 @@ class RolloutScheduler {
   void AddDecodeRow(int64_t id, int64_t anchor);
   void Sync(int64_t id);
   // (kv_tokens - anchor) mod block_tokens, constant while a row decodes:
-  // its next append crosses a block boundary when it equals CrossingPhase().
+  // its append in the step `offset` steps from now crosses a block
+  // boundary when it equals CrossingPhase(offset).
   int64_t Phase(int64_t id) const;
-  int64_t CrossingPhase() const;
+  int64_t CrossingPhase(int64_t offset = 0) const;
   // Tick at which a decode row would finish (reach target_new_tokens).
   int64_t FinishTick(int64_t id) const;
   // Orders ids by admission: the running order.
@@ -270,10 +291,48 @@ class RolloutScheduler {
   // Admits one waiting candidate if the KV, prefill-budget, and max_running
   // gates allow; returns false when admission must stop for this step.
   bool TryAdmit(int64_t id, StepPlan* plan, int64_t* budget);
-  // Projected-peak admission: whether the running set plus candidate `id`,
-  // whose RowClock carries its projected ready and finish steps, fits the
-  // cache at every step from now until the candidate's finish.
+  // Projected-peak admission. A row's growth is fixed at admission: during
+  // step T before its `finish` it needs BlocksFor(peak - finish + 1 + T)
+  // blocks (peak = prompt + target; one token per step up to its peak at
+  // its last step, the final append counted as the preemption pass counts
+  // it), and `floor_blocks`, its full context plus the first token, while
+  // its prefill runs (T < `ready`). With peak - finish + block_tokens =
+  // quotient * block_tokens + residue and T likewise split, the first is
+  // quotient + T's quotient + [residue + T's residue >= block_tokens].
+  struct Projection {
+    int64_t finish = 0;
+    int64_t ready = 0;
+    int64_t floor_blocks = 0;
+    int64_t quotient = 0;
+    int64_t residue = 0;
+  };
+  // A step at which the running set's need may peak: the last step before
+  // a running row's finish (a row's need only grows until it leaves). Its
+  // `blocks`: the running rows' needs then, net of indexed blocks, plus the
+  // indexed blocks whose cover is later.
+  struct PeakStep {
+    int64_t finish = 0;
+    int64_t quotient = 0;  // finish - 1 = quotient * block_tokens + residue.
+    int64_t residue = 0;
+    int64_t blocks = 0;
+  };
+  Projection Project(int64_t id) const;
+  PeakStep StepBefore(int64_t finish) const;
+  int64_t Need(const Projection& row, const PeakStep& step) const;
+  // The running set's need at the step before `finish`, summed afresh.
+  int64_t BlocksBefore(int64_t finish) const;
+  // Fills credit_ends_ with the cover ticks of the candidate's prefix hits
+  // a cover already counts, ascending: it shares them until their covers
+  // end.
+  void CollectCredits(const RolloutSequence& candidate);
+  // Whether the running set plus candidate `id`, whose RowClock carries its
+  // projected ready and finish, fits the cache at every step from now until
+  // its finish.
   bool ProjectedPeakFits(int64_t id);
+  // Adds an admitted row to the peak steps (and its blocks' covers), or
+  // takes a leaving one out (its covers stand until they end).
+  void AddProjection(int64_t id);
+  void RemoveProjection(int64_t id);
   // Stamps a running row's finish on the covers of the indexed blocks it
   // references that it has not stamped yet (admission, then each residency
   // extension that indexes more).
@@ -335,25 +394,19 @@ class RolloutScheduler {
   // nothing can expire, so ExpireOverdue skips its scan (the RLHF paths).
   bool deadlines_enqueued_ = false;
   // Projected-peak admission state: the sum of running sequences'
-  // reserved_blocks (each row at its peak), the running rows by projected
-  // finish, and per indexed block hash its cover — the finish of the
-  // longest-lived row projected to hold it; the block counts once, for
-  // every step before its cover, also after a holder leaves early (EOS,
-  // cancel) — plus how many hashes each cover tick ends.
+  // reserved_blocks (each row at its peak), the peak steps ahead, and per
+  // indexed block hash its cover — the finish of the longest-lived row
+  // projected to hold it; the block counts once, for every step before its
+  // cover, also after a holder leaves early (EOS, cancel) — plus how many
+  // hashes each cover tick ends.
   int64_t reserved_blocks_total_ = 0;
-  std::multimap<int64_t, int64_t> projected_finish_;
+  std::vector<PeakStep> peak_steps_;  // Ascending finish; past ones are stale.
   std::unordered_map<uint64_t, int64_t> cover_;
   std::map<int64_t, int64_t> cover_ticks_;
   // Set when the rule rejects a candidate, cleared when the running or
   // waiting set changes: until then the answer cannot change.
   bool admission_blocked_ = false;
-  // ProjectedPeakFits scratch, reused across checks: rows by
-  // (a + now + block_tokens - 1) mod block_tokens, rows whose prefill runs
-  // past the current step as (a, full-context floor) pairs, and the
-  // candidate's credited prefix hits' cover ticks.
-  std::vector<int64_t> residue_rows_;
-  std::vector<std::pair<int64_t, int64_t>> floor_rows_;
-  std::vector<int64_t> credit_ends_;
+  std::vector<int64_t> credit_ends_;  // CollectCredits' output.
   // kWeightedFair state: unspent per-tenant credit (context tokens) and the
   // tenant the next round-robin sweep starts from, both persisted across
   // steps so service converges on the weight ratios.

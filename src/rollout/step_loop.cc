@@ -119,6 +119,20 @@ double SimStepExecutor::Execute(const StepPlan& plan,
   return step_seconds;
 }
 
+bool SimStepExecutor::ExecuteDecodeRun(int64_t rows, int64_t kv_tokens, int64_t steps,
+                                       double* now) {
+  const double comm_seconds = perf_.DecodeCommStepTime(gen_, tp_group_, rows);
+  for (int64_t step = 0; step < steps; ++step, kv_tokens += rows) {
+    const double decode_seconds = perf_.DecodeStepTime(gen_, devices_, rows, kv_tokens);
+    time.decode_seconds += decode_seconds;
+    time.comm_seconds += comm_seconds;
+    const double step_seconds = decode_seconds + comm_seconds;
+    max_step_seconds = std::max(max_step_seconds, step_seconds);
+    *now += step_seconds;
+  }
+  return true;
+}
+
 StepLoopResult RunStepLoop(const StepLoopConfig& config, std::vector<RolloutSequence> sequences,
                            StepExecutor& executor, const BetweenStepsHook& between_steps) {
   StepLoopResult result;
@@ -182,6 +196,20 @@ StepLoopResult RunStepLoop(const StepLoopConfig& config, std::vector<RolloutSequ
     }
   };
 
+  const auto observe_step = [&](int64_t rows, int64_t used_blocks) {
+    const double utilization = kv_config.num_blocks > 0
+                                   ? static_cast<double>(used_blocks) /
+                                         static_cast<double>(kv_config.num_blocks)
+                                   : 0.0;
+    result.stats.kv_peak_utilization = std::max(result.stats.kv_peak_utilization, utilization);
+    if (config.running_batch != nullptr) {
+      config.running_batch->Observe(static_cast<double>(rows));
+    }
+    if (config.kv_utilization != nullptr) {
+      config.kv_utilization->Observe(utilization);
+    }
+  };
+
   step_boundary();
   std::vector<int64_t> eos_finished;
   while (scheduler.HasWork() || next < count) {
@@ -191,21 +219,28 @@ StepLoopResult RunStepLoop(const StepLoopConfig& config, std::vector<RolloutSequ
       step_boundary();
       continue;
     }
+    // A quiet run never spans an arrival or a between-steps hook.
+    const int64_t quiet =
+        between_steps == nullptr && next == count ? scheduler.QuietSteps() : 0;
+    const int64_t rows = scheduler.decode_rows();
+    if (quiet > 0 &&
+        executor.ExecuteDecodeRun(rows, scheduler.decode_kv_tokens(), quiet, &now)) {
+      // Each step's figures, as BeginStep would leave them: the same rows,
+      // and the blocks used so far, which grow by each step's crossings.
+      int64_t used_blocks = kv.used_blocks();
+      for (int64_t step = 0; step < quiet; ++step) {
+        observe_step(rows, used_blocks);
+        used_blocks += scheduler.CrossingsAt(step);
+      }
+      scheduler.CommitQuietRun(quiet, now);
+      step_boundary();
+      continue;
+    }
     // Admission, preemption and expiry carry the step-start clock (set at
     // the last boundary); the commit's tokens carry the step-end clock.
     const StepPlan plan = scheduler.BeginStep();
     // KV pressure right after admission is the step's peak residency.
-    const double utilization = kv_config.num_blocks > 0
-                                   ? static_cast<double>(kv.used_blocks()) /
-                                         static_cast<double>(kv_config.num_blocks)
-                                   : 0.0;
-    result.stats.kv_peak_utilization = std::max(result.stats.kv_peak_utilization, utilization);
-    if (config.running_batch != nullptr) {
-      config.running_batch->Observe(static_cast<double>(plan.rows()));
-    }
-    if (config.kv_utilization != nullptr) {
-      config.kv_utilization->Observe(utilization);
-    }
+    observe_step(plan.rows(), kv.used_blocks());
 
     eos_finished.clear();
     now += executor.Execute(plan, seqs, now, &eos_finished);

@@ -7,7 +7,9 @@
 // RolloutScheduler, replays arrivals (a batch rollout is a trace with every
 // arrival at t=0), calls the between-steps hook, and runs the cycle
 //   BeginStep -> execute -> advance clock (SetSimNow) -> CommitStep
-// until every sequence is terminal. The scheduler is the one producer of
+// until every sequence is terminal. Where the scheduler names a quiet run
+// — steps in which each decode row only gains a token — and the executor
+// can price it whole, the loop settles the run in one visit instead. The scheduler is the one producer of
 // rollout accounting: its counters become StepLoopResult::stats, and it
 // stamps each sequence's lifecycle clocks, which the callers read back from
 // StepLoopResult::sequences. What a step computes is the executor's
@@ -40,6 +42,15 @@ class StepExecutor {
   // counters in `sequences` may lag; the plan carries their kv_tokens sum.
   virtual double Execute(const StepPlan& plan, const std::vector<RolloutSequence>& sequences,
                          double start, std::vector<int64_t>* eos_finished) = 0;
+  // Prices a quiet run (RolloutScheduler::QuietSteps): `steps` decode-only
+  // steps of `rows` rows whose kv_tokens sum to `kv_tokens` in the first
+  // and grow by `rows` per step, advancing `*now` as that many Execute
+  // calls would. Returns false, pricing nothing, when every step must be
+  // executed (the data plane computes each token).
+  virtual bool ExecuteDecodeRun(int64_t /*rows*/, int64_t /*kv_tokens*/, int64_t /*steps*/,
+                                double* /*now*/) {
+    return false;
+  }
 };
 
 // Real numerics. Per-row compute is independent of batch composition and
@@ -90,6 +101,9 @@ class SimStepExecutor : public StepExecutor {
   KvBlockConfig KvGeometry(bool prefix_cache, double kv_budget_bytes) const;
   double Execute(const StepPlan& plan, const std::vector<RolloutSequence>& sequences,
                  double start, std::vector<int64_t>* eos_finished) override;
+  // The same per-step values Execute computes for decode-only plans, added
+  // to the same accumulators in the same order: bit-identical totals.
+  bool ExecuteDecodeRun(int64_t rows, int64_t kv_tokens, int64_t steps, double* now) override;
 
   GenTimeBreakdown time;          // Summed step costs.
   double max_step_seconds = 0.0;  // Largest single step.

@@ -10,9 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <string>
 #include <vector>
 
+#include "bench/rollout_workloads.h"
 #include "src/analysis/timeline_checker.h"
 #include "src/baselines/system_builder.h"
 #include "src/common/rng.h"
@@ -951,6 +953,192 @@ TEST(RolloutTimingTest, ConstrainedBudgetPreemptsAndIsDeterministic) {
   EXPECT_EQ(first.stats.steps, second.stats.steps);
   EXPECT_EQ(first.stats.preemptions, second.stats.preemptions);
   EXPECT_EQ(first.stats.kv_high_water_blocks, second.stats.kv_high_water_blocks);
+}
+
+std::string Hex(double value) {
+  char text[64];
+  std::snprintf(text, sizeof(text), "%a", value);
+  return text;
+}
+
+void ExpectSameDigest(const LatencyDigest& got, const LatencyDigest& want,
+                      const std::string& name) {
+  EXPECT_EQ(got.count, want.count) << name;
+  EXPECT_EQ(Hex(got.mean), Hex(want.mean)) << name;
+  EXPECT_EQ(Hex(got.p50), Hex(want.p50)) << name;
+  EXPECT_EQ(Hex(got.p90), Hex(want.p90)) << name;
+  EXPECT_EQ(Hex(got.p99), Hex(want.p99)) << name;
+  EXPECT_EQ(Hex(got.max), Hex(want.max)) << name;
+}
+
+// Every output of a sim-plane generation but the step loop's own work
+// count, doubles compared as hex floats.
+void ExpectSameSimResult(const RolloutSimResult& got, const RolloutSimResult& want,
+                         const std::string& name) {
+  EXPECT_EQ(Hex(got.time.prefill_seconds), Hex(want.time.prefill_seconds)) << name;
+  EXPECT_EQ(Hex(got.time.decode_seconds), Hex(want.time.decode_seconds)) << name;
+  EXPECT_EQ(Hex(got.time.comm_seconds), Hex(want.time.comm_seconds)) << name;
+  EXPECT_EQ(got.time.waves, want.time.waves) << name;
+  EXPECT_EQ(Hex(got.max_step_seconds), Hex(want.max_step_seconds)) << name;
+  const RolloutStats& a = got.stats;
+  const RolloutStats& b = want.stats;
+  EXPECT_EQ(a.sequences, b.sequences) << name;
+  EXPECT_EQ(a.steps, b.steps) << name;
+  EXPECT_EQ(a.admissions, b.admissions) << name;
+  EXPECT_EQ(a.preemptions, b.preemptions) << name;
+  EXPECT_EQ(a.max_running_batch, b.max_running_batch) << name;
+  EXPECT_EQ(a.prefill_chunks, b.prefill_chunks) << name;
+  EXPECT_EQ(a.max_prefill_tokens_step, b.max_prefill_tokens_step) << name;
+  EXPECT_EQ(a.resumes, b.resumes) << name;
+  EXPECT_EQ(a.recomputed_tokens, b.recomputed_tokens) << name;
+  EXPECT_EQ(a.cancelled, b.cancelled) << name;
+  EXPECT_EQ(a.expired, b.expired) << name;
+  EXPECT_EQ(a.prefix_skipped_tokens, b.prefix_skipped_tokens) << name;
+  EXPECT_EQ(a.queue_wait_steps_total, b.queue_wait_steps_total) << name;
+  EXPECT_EQ(a.queue_wait_steps_max, b.queue_wait_steps_max) << name;
+  EXPECT_EQ(a.kv_high_water_blocks, b.kv_high_water_blocks) << name;
+  EXPECT_EQ(Hex(a.kv_peak_utilization), Hex(b.kv_peak_utilization)) << name;
+  EXPECT_EQ(a.shared_blocks_high_water, b.shared_blocks_high_water) << name;
+  EXPECT_EQ(a.cow_splits, b.cow_splits) << name;
+  EXPECT_EQ(a.kv_appends, b.kv_appends) << name;
+  EXPECT_EQ(a.kv_allocations, b.kv_allocations) << name;
+  const SeqLatencySummary& x = got.latency;
+  const SeqLatencySummary& y = want.latency;
+  EXPECT_EQ(x.sequences, y.sequences) << name;
+  EXPECT_EQ(x.finished, y.finished) << name;
+  EXPECT_EQ(x.preemptions, y.preemptions) << name;
+  EXPECT_EQ(x.recomputed_tokens, y.recomputed_tokens) << name;
+  ExpectSameDigest(x.ttft, y.ttft, name + " ttft");
+  ExpectSameDigest(x.tpot, y.tpot, name + " tpot");
+  ExpectSameDigest(x.queue_delay, y.queue_delay, name + " queue_delay");
+  ExpectSameDigest(x.preemption_stall, y.preemption_stall, name + " preemption_stall");
+}
+
+// Quiet runs are invisible: an attached sim event log records every token,
+// which keeps the step loop stepping one step at a time, and that run must
+// equal the one that settles quiet runs whole, bit for bit. The cases are
+// bench_sim_steps': its grid (prefix cache on, projected-peak admission),
+// its uncached and optimistic cells, and configs/ppo_7b_async.cfg's
+// generation (1,024 rows on a 6,553-block cache).
+TEST(RolloutTimingTest, QuietRunsMatchPerStepStepping) {
+  struct Case {
+    std::string name;
+    PerfModel perf;
+    GenParallelConfig gen;
+    std::vector<DeviceId> devices;
+    std::vector<NominalSequence> sequences;
+    double kv_budget;
+    RolloutOptions options;
+  };
+  std::vector<Case> cases;
+  {
+    const PerfModel perf(ModelSpec::Llama7B(), ClusterSpec::WithGpus(16));
+    const GenParallelConfig gen{1, 2};
+    const double full_demand = 128.0 * (1024 + 512) * perf.KvBytesPerTokenPerGpu(gen);
+    RolloutOptions shipping;
+    shipping.mode = RolloutMode::kContinuous;
+    shipping.prefix_cache = true;
+    const std::vector<Workload> workloads = GridWorkloads(/*batch=*/128, /*prompt=*/1024);
+    for (const Workload& workload : workloads) {
+      for (const double fraction : {1.0, 0.5, 0.25, 0.125}) {
+        cases.push_back({std::string(workload.name) + " " + std::to_string(fraction), perf, gen,
+                         {0, 1}, workload.sequences, fraction * full_demand, shipping});
+      }
+    }
+    RolloutOptions uncached = shipping;
+    uncached.prefix_cache = false;
+    cases.push_back({"group_n4 uncached", perf, gen, {0, 1}, workloads[2].sequences, full_demand,
+                     uncached});
+    RolloutOptions optimistic = shipping;
+    optimistic.projected_peak_admission = false;
+    optimistic.prefill_chunk_tokens = 256;
+    cases.push_back({"group_n4 optimistic chunked", perf, gen, {0, 1}, workloads[2].sequences,
+                     0.125 * full_demand, optimistic});
+    RolloutOptions plain_optimistic;
+    plain_optimistic.projected_peak_admission = false;
+    cases.push_back({"skewed optimistic", perf, gen, {0, 1}, workloads[1].sequences,
+                     0.125 * full_demand, plain_optimistic});
+  }
+  {
+    SystemBuildConfig config;
+    config.system = RlhfSystem::kOpenRlhf;
+    config.algorithm = RlhfAlgorithm::kPpo;
+    config.num_gpus = 16;
+    config.actor_model = ModelSpec::Llama7B();
+    config.critic_model = ModelSpec::Llama7B();
+    config.rollout.mode = RolloutMode::kContinuous;
+    config.rollout.prefill_chunk_tokens = 512;
+    config.async_pipeline = true;
+    const RlhfSystemInstance instance = BuildSystem(config);
+    const HybridEngine& engine = instance.actor->engine();
+    const PerfModel perf(ModelSpec::Llama7B(), ClusterSpec::WithGpus(16));
+    const double block_bytes = 16.0 * perf.KvBytesPerTokenPerGpu(engine.gen_config());
+    cases.push_back({"ppo_7b_async", perf, engine.gen_config(), engine.GenReplicaDevices(0),
+                     std::vector<NominalSequence>(1024, NominalSequence{1024, 1024}),
+                     6553.5 * block_bytes, config.rollout});
+  }
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const RolloutSimResult quiet =
+        SimulateContinuousGeneration(c.perf, c.gen, c.devices, c.sequences, c.kv_budget, c.options);
+    SeqEventLog log;
+    RolloutOptions logged = c.options;
+    logged.sim_event_log = &log;
+    const RolloutSimResult stepped =
+        SimulateContinuousGeneration(c.perf, c.gen, c.devices, c.sequences, c.kv_budget, logged);
+    ExpectSameSimResult(quiet, stepped, c.name);
+    EXPECT_EQ(stepped.stats.visited_steps, stepped.stats.steps);
+    EXPECT_LT(quiet.stats.visited_steps, stepped.stats.visited_steps);
+    if (c.name == "ppo_7b_async") {
+      EXPECT_EQ(quiet.stats.preemptions, 0);
+      EXPECT_EQ(quiet.stats.admissions, 1024);
+      // The quiet runs cut the steps the scheduler visits at least 5x.
+      EXPECT_LE(5 * quiet.stats.visited_steps, quiet.stats.steps);
+    }
+  }
+}
+
+// The same over seeded small workloads: mixed lengths, prefix-shared
+// groups, chunked and unchunked prefill, ample to tight budgets, both
+// admission rules (optimistic admission preempts, so quiet runs there sit
+// between preemptions and must stop short of them).
+TEST(RolloutTimingTest, QuietRunsMatchPerStepSteppingOnSeededWorkloads) {
+  const PerfModel perf(ModelSpec::Llama7B(), ClusterSpec::WithGpus(8));
+  const GenParallelConfig gen{1, 2};
+  const std::vector<DeviceId> devices{0, 1};
+  int64_t preempting = 0;
+  int64_t quiet_visits = 0;
+  int64_t stepped_visits = 0;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed * 104729);
+    std::vector<NominalSequence> sequences(static_cast<size_t>(rng.UniformInt(8, 40)));
+    for (NominalSequence& sequence : sequences) {
+      sequence.prompt_tokens = rng.UniformInt(8, 300);
+      sequence.response_tokens = rng.UniformInt(0, 200);
+      sequence.prompt_group = rng.UniformInt(0, 2) == 0 ? rng.UniformInt(0, 3) : -1;
+    }
+    RolloutOptions options;
+    options.mode = RolloutMode::kContinuous;
+    options.projected_peak_admission = seed % 2 == 0;
+    options.prefix_cache = seed % 3 != 0;
+    options.prefill_chunk_tokens = seed % 4 == 0 ? 0 : rng.UniformInt(16, 256);
+    const double budget =
+        static_cast<double>(rng.UniformInt(24, 200)) * 16.0 * perf.KvBytesPerTokenPerGpu(gen);
+    const RolloutSimResult quiet =
+        SimulateContinuousGeneration(perf, gen, devices, sequences, budget, options);
+    SeqEventLog log;
+    RolloutOptions logged = options;
+    logged.sim_event_log = &log;
+    const RolloutSimResult stepped =
+        SimulateContinuousGeneration(perf, gen, devices, sequences, budget, logged);
+    ExpectSameSimResult(quiet, stepped, "seed " + std::to_string(seed));
+    EXPECT_LE(quiet.stats.visited_steps, stepped.stats.visited_steps) << "seed " << seed;
+    preempting += quiet.stats.preemptions > 0 ? 1 : 0;
+    quiet_visits += quiet.stats.visited_steps;
+    stepped_visits += stepped.stats.visited_steps;
+  }
+  EXPECT_GT(preempting, 0);
+  EXPECT_LT(2 * quiet_visits, stepped_visits);  // Quiet runs were taken.
 }
 
 TEST(RolloutTimingTest, SkewedResponseLengthsBeatStaticWaveModel) {
