@@ -363,10 +363,11 @@ bool RolloutScheduler::TryAdmit(int64_t id, StepPlan* plan, int64_t* budget) {
   RowClock& row = rows_[static_cast<size_t>(id)];
   if (config_.projected_peak_admission) {
     // Budget is left, so every row ahead got its whole chunk this step: the
-    // prefill budget serves this row's rest from the next step on.
+    // prefill budget serves this row's rest from the next step on, and its
+    // first token commits with its last chunk.
     const int64_t chunk = config_.prefill_chunk_tokens;
-    row.ready = ticks_ + (chunk > 0 ? (total - skip - grant + chunk - 1) / chunk : 0);
-    row.finish = row.ready + sequence.remaining_tokens();
+    const int64_t ready = ticks_ + (chunk > 0 ? (total - skip - grant + chunk - 1) / chunk : 0);
+    row.finish = ready + sequence.remaining_tokens();
     CollectCredits(sequence);
     if (!running_.empty() && !ProjectedPeakFits(id)) {
       return false;
@@ -429,8 +430,6 @@ RolloutScheduler::Projection RolloutScheduler::Project(int64_t id) const {
   const int64_t block_tokens = kv_->config().block_tokens;
   Projection projection;
   projection.finish = row.finish;
-  projection.ready = row.ready;
-  projection.floor_blocks = kv_->BlocksFor(sequence.total_tokens() + 1);
   const int64_t base =
       sequence.prompt_tokens + sequence.target_new_tokens - row.finish + block_tokens;
   projection.residue = (base % block_tokens + block_tokens) % block_tokens;
@@ -448,9 +447,6 @@ RolloutScheduler::PeakStep RolloutScheduler::StepBefore(int64_t finish) const {
 }
 
 int64_t RolloutScheduler::Need(const Projection& row, const PeakStep& step) const {
-  if (step.finish - 1 < row.ready) {
-    return row.floor_blocks;
-  }
   return row.quotient + step.quotient +
          (row.residue + step.residue >= kv_->config().block_tokens ? 1 : 0);
 }

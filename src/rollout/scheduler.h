@@ -76,8 +76,9 @@ struct RolloutSchedulerConfig {
   // scheduler knows the step at which each running row finishes; it admits
   // a candidate only when the running set plus the candidate fit at every
   // future step, each row growing one token per step up to prompt + target
-  // until its finish frees it. A row still prefilling counts at its full
-  // context; prefix blocks live rows already reference count once. Growth
+  // until its finish frees it (a row still prefilling holds less: its
+  // prefill computes at least a token per step); prefix blocks live rows
+  // already reference count once. Growth
   // then never outruns the cache: no preemption, no recompute. A rejected
   // candidate is rechecked only when the running or waiting set changes.
   // An empty running set always admits (the progress contract).
@@ -293,16 +294,16 @@ class RolloutScheduler {
   bool TryAdmit(int64_t id, StepPlan* plan, int64_t* budget);
   // Projected-peak admission. A row's growth is fixed at admission: during
   // step T before its `finish` it needs BlocksFor(peak - finish + 1 + T)
-  // blocks (peak = prompt + target; one token per step up to its peak at
+  // blocks (peak = prompt + target): one token per step up to its peak at
   // its last step, the final append counted as the preemption pass counts
-  // it), and `floor_blocks`, its full context plus the first token, while
-  // its prefill runs (T < `ready`). With peak - finish + block_tokens =
-  // quotient * block_tokens + residue and T likewise split, the first is
-  // quotient + T's quotient + [residue + T's residue >= block_tokens].
+  // it. That bounds a prefilling row too: at least one token of its
+  // context enters compute per step until its last chunk, so it holds at
+  // most its full context, plus the first token, minus one token per step
+  // left. With peak - finish + block_tokens = quotient * block_tokens +
+  // residue and T likewise split, the need is quotient + T's quotient +
+  // [residue + T's residue >= block_tokens].
   struct Projection {
     int64_t finish = 0;
-    int64_t ready = 0;
-    int64_t floor_blocks = 0;
     int64_t quotient = 0;
     int64_t residue = 0;
   };
@@ -326,8 +327,7 @@ class RolloutScheduler {
   // end.
   void CollectCredits(const RolloutSequence& candidate);
   // Whether the running set plus candidate `id`, whose RowClock carries its
-  // projected ready and finish, fits the cache at every step from now until
-  // its finish.
+  // projected finish, fits the cache at every step from now until then.
   bool ProjectedPeakFits(int64_t id);
   // Adds an admitted row to the peak steps (and its blocks' covers), or
   // takes a leaving one out (its covers stand until they end).
@@ -360,14 +360,12 @@ class RolloutScheduler {
   std::vector<int64_t> prefilling_;  // running_'s kPrefill rows, in order.
   // Per id: admission ticket (running_ is sorted by it) and the tick at
   // which a decode row's counters were last exact. Under projected-peak
-  // admission also the step whose commit completes the row's prefill
-  // (`ready`), the tick its last token commits at (`finish`; it needs
-  // blocks for every step before), both fixed at admission, and how many
-  // of its indexed blocks carry its finish as their cover.
+  // admission also the tick its last token commits at (`finish`, fixed at
+  // admission; it needs blocks for every step before), and how many of its
+  // indexed blocks carry its finish as their cover.
   struct RowClock {
     int64_t ticket = 0;
     int64_t anchor = 0;
-    int64_t ready = 0;
     int64_t finish = 0;
     size_t covered = 0;
   };
