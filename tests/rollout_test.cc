@@ -306,8 +306,8 @@ TEST(RolloutEngineTest, GreedyMatchesStaticReferenceUnderPreemption) {
 // output. Prompts drawn from a small pool force sharing between live
 // sequences and hits on retained blocks of finished/preempted ones; tight
 // KV budgets force preemption on top. Greedy responses and log-probs must
-// still match the static reference bitwise — with and without full-length
-// admission reservations.
+// still match the static reference bitwise — under optimistic and under
+// projected-peak admission.
 TEST(RolloutEngineTest, GreedyMatchesStaticReferenceWithPrefixSharing) {
   int64_t total_preemptions = 0;
   int64_t total_skipped = 0;
@@ -451,8 +451,8 @@ TEST(RolloutSchedulerTest, PrefixSharingSurvivesPreemptionWithoutLeaks) {
 
 TEST(RolloutSchedulerTest, ReserveFullLengthEliminatesDecodePreemption) {
   // Same tight-cache setup whose optimistic admission preempts (see
-  // PreemptsYoungestAndDrainsEverything): full-length reservations instead
-  // admit only what can finish, so the drain completes with zero
+  // PreemptsYoungestAndDrainsEverything): projected-peak admission instead
+  // admits only what can finish, so the drain completes with zero
   // preemptions and zero recompute.
   KvBlockManager kv(KvConfig(/*blocks=*/6, /*block_tokens=*/2));
   std::vector<RolloutSequence> sequences = MakeSequences({2, 2, 2, 2}, /*target_new=*/6);
@@ -493,12 +493,12 @@ TEST(RolloutSchedulerTest, CancelReleasesReservationAndRetainsPrompt) {
   RolloutScheduler scheduler(config, &kv, &sequences);
   scheduler.Enqueue(0);
   scheduler.Enqueue(1);
-  // Full length = 12 tokens = 6 blocks each: seq 1's reservation (6 - 2
-  // referenced prefix blocks = 4) fits next to seq 0's, both run.
+  // Full length = 12 tokens = 6 blocks each: seq 1 shares seq 0's 2
+  // prompt blocks, so both fit at their peak (6 + 4 blocks); both run.
   StepPlan plan = scheduler.BeginStep();
   scheduler.CommitStep(plan, /*eos_finished=*/{});
   ASSERT_EQ(sequences[0].state, SequenceState::kDecode);
-  // Mid-decode cancel: residency and the reservation must both return.
+  // Mid-decode cancel: residency and the projected peak must both return.
   scheduler.Cancel(0);
   EXPECT_EQ(sequences[0].state, SequenceState::kCancelled);
   EXPECT_EQ(sequences[0].reserved_blocks, 0);
