@@ -60,19 +60,14 @@ void RolloutScheduler::Enqueue(int64_t id) {
   sequence.enqueue_seconds = sim_now_;
   deadlines_enqueued_ = deadlines_enqueued_ || sequence.ttft_deadline > 0.0;
   waiting_.push_back(id);
-  admission_blocked_ = false;
   RecordEvent(SeqEventKind::kEnqueue, id, sequence.total_tokens(), stats_.steps);
 }
 
 void RolloutScheduler::ReleaseRunning(int64_t id) {
   RolloutSequence& sequence = seq(id);
-  reserved_blocks_total_ -= sequence.reserved_blocks;
-  HF_CHECK_GE(reserved_blocks_total_, 0);
-  sequence.reserved_blocks = 0;
   if (config_.projected_peak_admission) {
     RemoveProjection(id);
   }
-  admission_blocked_ = false;
   kv_->FreeSequence(id);
   const auto erase = [id](std::vector<int64_t>& rows) {
     auto it = std::find(rows.rbegin(), rows.rend(), id);
@@ -126,16 +121,33 @@ int64_t RolloutScheduler::QuietSteps() const {
   if (event_log_ != nullptr || !prefilling_.empty() || decoding_.empty()) {
     return 0;
   }
-  // No admission can succeed: nothing waits, or a projected-peak rejection
-  // stands (it holds until the running or waiting set changes, which a
-  // quiet step never does) and no waiting sequence can expire meanwhile.
-  if (!waiting_.empty() &&
-      (!admission_blocked_ || config_.admission == AdmissionPolicy::kWeightedFair ||
-       (deadlines_enqueued_ && config_.expire_overdue))) {
-    return 0;
-  }
   // No row finishes: the earliest finish commits at its FinishTick.
-  const int64_t steps = finish_at_.begin()->first - ticks_ - 1;
+  int64_t steps = finish_at_.begin()->first - ticks_ - 1;
+  // No admission can succeed: nothing waits, or projected-peak admission
+  // rejects the head candidate at every step of the run. The run keeps the
+  // running and waiting sets, the prefix index and the whole prefill budget
+  // (nothing prefills), so the rejection holds for ProjectedPeakDelay's
+  // ticks; no waiting sequence may expire meanwhile.
+  if (!waiting_.empty()) {
+    if (!config_.projected_peak_admission ||
+        config_.admission == AdmissionPolicy::kWeightedFair ||
+        (deadlines_enqueued_ && config_.expire_overdue)) {
+      return 0;
+    }
+    if (config_.max_running == 0 ||
+        static_cast<int64_t>(running_.size()) < config_.max_running) {
+      const int64_t head = config_.policy == RolloutPolicy::kFcfs &&
+                                   config_.admission == AdmissionPolicy::kQueueOrder
+                               ? waiting_.front()
+                               : AdmissionOrder().front();
+      const RolloutSequence& candidate = (*sequences_)[static_cast<size_t>(head)];
+      const int64_t budget = config_.prefill_chunk_tokens > 0
+                                 ? config_.prefill_chunk_tokens
+                                 : std::numeric_limits<int64_t>::max();
+      CollectCredits(candidate);
+      steps = std::min(steps, ProjectedPeakDelay(candidate, PlanAdmit(candidate, budget).finish));
+    }
+  }
   // Every crossing fits the free pool: each step's preemption pass passes
   // and no append evicts a retained prefix block. Each row crosses once
   // per block_tokens steps, so whole cycles take a row count each.
@@ -243,7 +255,6 @@ void RolloutScheduler::Cancel(int64_t id, bool expired) {
     auto it = std::find(waiting_.begin(), waiting_.end(), id);
     HF_CHECK(it != waiting_.end());
     waiting_.erase(it);
-    admission_blocked_ = false;
   }
   sequence.kv_tokens = 0;
   sequence.prefill_computed = 0;
@@ -342,9 +353,6 @@ bool RolloutScheduler::TryAdmit(int64_t id, StepPlan* plan, int64_t* budget) {
   if (*budget <= 0) {
     return false;  // No prefill compute left this step (chunked prefill).
   }
-  // Under projected-peak admission every other rejection holds until the
-  // running or waiting set changes: nothing frees blocks before then.
-  admission_blocked_ = config_.projected_peak_admission;
   if (config_.max_running > 0 &&
       static_cast<int64_t>(running_.size()) >= config_.max_running) {
     return false;
@@ -353,23 +361,12 @@ bool RolloutScheduler::TryAdmit(int64_t id, StepPlan* plan, int64_t* budget) {
   const int64_t total = sequence.total_tokens();
   const int64_t reserve =
       std::min(kAdmitReserveTokens, std::max<int64_t>(sequence.remaining_tokens() - 1, 0));
-  // Prefix-cache probe: leading prompt blocks already materialized are
-  // shared instead of allocated, and their prefill compute is skipped —
-  // capped at total-1 so the completing chunk always computes at least the
-  // last context token (its logits emit the first response token).
-  const int64_t hit_tokens = std::min(kv_->PrefixHitTokens(sequence.block_hashes), total);
-  const int64_t skip = std::min(hit_tokens, std::max<int64_t>(total - 1, 0));
-  const int64_t grant = std::min(*budget, total - skip);
+  const auto [hit_tokens, skip, grant, finish] = PlanAdmit(sequence, *budget);
   RowClock& row = rows_[static_cast<size_t>(id)];
   if (config_.projected_peak_admission) {
-    // Budget is left, so every row ahead got its whole chunk this step: the
-    // prefill budget serves this row's rest from the next step on, and its
-    // first token commits with its last chunk.
-    const int64_t chunk = config_.prefill_chunk_tokens;
-    const int64_t ready = ticks_ + (chunk > 0 ? (total - skip - grant + chunk - 1) / chunk : 0);
-    row.finish = ready + sequence.remaining_tokens();
+    row.finish = finish;
     CollectCredits(sequence);
-    if (!running_.empty() && !ProjectedPeakFits(id)) {
+    if (!running_.empty() && ProjectedPeakDelay(sequence, row.finish) > 0) {
       return false;
     }
   }
@@ -382,13 +379,7 @@ bool RolloutScheduler::TryAdmit(int64_t id, StepPlan* plan, int64_t* budget) {
   if (!kv_->CanAdmitShared(resident_target, reserve, sequence.block_hashes)) {
     return false;
   }
-  admission_blocked_ = false;
   HF_CHECK(kv_->AddSequenceShared(id, resident_target, sequence.block_hashes));
-  if (config_.projected_peak_admission) {
-    sequence.reserved_blocks =
-        kv_->BlocksFor(sequence.prompt_tokens + sequence.target_new_tokens);
-    reserved_blocks_total_ += sequence.reserved_blocks;
-  }
   sequence.kv_tokens = kv_->SequenceTokens(id);
   sequence.prefill_computed = skip;
   sequence.prefix_skipped_tokens = skip;
@@ -424,14 +415,33 @@ bool RolloutScheduler::TryAdmit(int64_t id, StepPlan* plan, int64_t* budget) {
   return true;
 }
 
-RolloutScheduler::Projection RolloutScheduler::Project(int64_t id) const {
-  const RolloutSequence& sequence = (*sequences_)[static_cast<size_t>(id)];
-  const RowClock& row = rows_[static_cast<size_t>(id)];
+RolloutScheduler::AdmitPlan RolloutScheduler::PlanAdmit(const RolloutSequence& sequence,
+                                                       int64_t budget) const {
+  AdmitPlan plan;
+  const int64_t total = sequence.total_tokens();
+  // Prefix-cache probe: leading prompt blocks already materialized are
+  // shared instead of allocated, and their prefill compute is skipped —
+  // capped at total-1 so the completing chunk always computes at least the
+  // last context token (its logits emit the first response token).
+  plan.hit_tokens = std::min(kv_->PrefixHitTokens(sequence.block_hashes), total);
+  plan.skip = std::min(plan.hit_tokens, std::max<int64_t>(total - 1, 0));
+  plan.grant = std::min(budget, total - plan.skip);
+  // Budget is left, so every row ahead got its whole chunk this step: the
+  // prefill budget serves this row's rest from the next step on, and its
+  // first token commits with its last chunk.
+  const int64_t chunk = config_.prefill_chunk_tokens;
+  const int64_t rest = total - plan.skip - plan.grant;
+  plan.finish = ticks_ + (chunk > 0 ? (rest + chunk - 1) / chunk : 0) + sequence.remaining_tokens();
+  return plan;
+}
+
+RolloutScheduler::Projection RolloutScheduler::Project(const RolloutSequence& sequence,
+                                                       int64_t finish) const {
   const int64_t block_tokens = kv_->config().block_tokens;
   Projection projection;
-  projection.finish = row.finish;
+  projection.finish = finish;
   const int64_t base =
-      sequence.prompt_tokens + sequence.target_new_tokens - row.finish + block_tokens;
+      sequence.prompt_tokens + sequence.target_new_tokens - finish + block_tokens;
   projection.residue = (base % block_tokens + block_tokens) % block_tokens;
   projection.quotient = (base - projection.residue) / block_tokens;
   return projection;
@@ -455,8 +465,9 @@ int64_t RolloutScheduler::BlocksBefore(int64_t finish) const {
   const PeakStep step = StepBefore(finish);
   int64_t blocks = 0;
   for (int64_t id : running_) {
-    if (rows_[static_cast<size_t>(id)].finish >= finish) {
-      blocks += Need(Project(id), step);
+    const int64_t row_finish = rows_[static_cast<size_t>(id)].finish;
+    if (row_finish >= finish) {
+      blocks += Need(Project((*sequences_)[static_cast<size_t>(id)], row_finish), step);
       if (kv_->config().enable_prefix_cache) {
         blocks -= static_cast<int64_t>(kv_->IndexedHashes(id).size());
       }
@@ -468,7 +479,7 @@ int64_t RolloutScheduler::BlocksBefore(int64_t finish) const {
   return blocks;
 }
 
-void RolloutScheduler::CollectCredits(const RolloutSequence& candidate) {
+void RolloutScheduler::CollectCredits(const RolloutSequence& candidate) const {
   credit_ends_.clear();
   const int64_t hits = kv_->PrefixHitTokens(candidate.block_hashes) / kv_->config().block_tokens;
   for (int64_t i = 0; i < hits; ++i) {
@@ -480,25 +491,30 @@ void RolloutScheduler::CollectCredits(const RolloutSequence& candidate) {
   std::sort(credit_ends_.begin(), credit_ends_.end());
 }
 
-bool RolloutScheduler::ProjectedPeakFits(int64_t id) {
-  const RolloutSequence& sequence = (*sequences_)[static_cast<size_t>(id)];
-  const int64_t capacity = kv_->config().num_blocks;
-  cover_ticks_.erase(cover_ticks_.begin(), cover_ticks_.upper_bound(ticks_));  // Covers ended.
-  if (cover_ticks_.empty() &&
-      reserved_blocks_total_ +
-              kv_->BlocksFor(sequence.prompt_tokens + sequence.target_new_tokens) <=
-          capacity) {
-    return true;  // Nothing shared, and every row at its peak at once fits.
-  }
+int64_t RolloutScheduler::ProjectedPeakDelay(const RolloutSequence& sequence,
+                                             int64_t finish) const {
   // The candidate's need only grows, so the steps before its finish where
   // the sum can peak are the running set's peak steps, and its own last.
-  const Projection candidate = Project(id);
+  const Projection candidate = Project(sequence, finish);
+  const int64_t capacity = kv_->config().num_blocks;
+  const int64_t block_tokens = kv_->config().block_tokens;
+  const int64_t peak = sequence.prompt_tokens + sequence.target_new_tokens;
   const int64_t credits = static_cast<int64_t>(credit_ends_.size());
   int64_t ended = 0;  // Credited hits whose cover ended by the step.
-  const auto fits = [&](const PeakStep& step) {
+  int64_t delay = 0;
+  const auto check = [&](const PeakStep& step) {
     for (; ended < credits && credit_ends_[static_cast<size_t>(ended)] < step.finish; ++ended) {
     }
-    return step.blocks + Need(candidate, step) - credits + ended <= capacity;
+    const int64_t need = Need(candidate, step);
+    const int64_t excess = step.blocks + need - credits + ended - capacity;
+    if (excess > 0) {
+      // The candidate holds `tokens` then, BlocksFor(tokens) = need; each
+      // tick it waits takes one token off, and the step stops counting
+      // once it has passed.
+      const int64_t tokens = peak - finish + step.finish;
+      const int64_t shrink = tokens - (need - excess) * block_tokens;
+      delay = std::max(delay, std::min(shrink, step.finish - ticks_));
+    }
   };
   bool last_checked = false;
   for (const PeakStep& step : peak_steps_) {
@@ -506,22 +522,21 @@ bool RolloutScheduler::ProjectedPeakFits(int64_t id) {
       break;
     }
     if (step.finish > ticks_) {
-      if (!fits(step)) {
-        return false;
-      }
+      check(step);
       last_checked = step.finish == candidate.finish;
     }
   }
   if (!last_checked) {
     PeakStep last = StepBefore(candidate.finish);
     last.blocks = BlocksBefore(candidate.finish);
-    return fits(last);
+    check(last);
   }
-  return true;
+  return delay;
 }
 
 void RolloutScheduler::AddProjection(int64_t id) {
-  const Projection row = Project(id);
+  const Projection row = Project(seq(id), rows_[static_cast<size_t>(id)].finish);
+  cover_ticks_.erase(cover_ticks_.begin(), cover_ticks_.upper_bound(ticks_));  // Covers ended.
   peak_steps_.erase(peak_steps_.begin(),
                     std::find_if(peak_steps_.begin(), peak_steps_.end(),
                                  [this](const PeakStep& step) { return step.finish > ticks_; }));
@@ -545,7 +560,7 @@ void RolloutScheduler::AddProjection(int64_t id) {
 }
 
 void RolloutScheduler::RemoveProjection(int64_t id) {
-  const Projection row = Project(id);
+  const Projection row = Project(seq(id), rows_[static_cast<size_t>(id)].finish);
   const int64_t indexed = kv_->config().enable_prefix_cache
                               ? static_cast<int64_t>(kv_->IndexedHashes(id).size())
                               : 0;
@@ -723,20 +738,16 @@ StepPlan RolloutScheduler::BeginStep() {
   // discounting prefix-cache hits either way.
   // Strict priority: stop at the first candidate that does not fit, so the
   // head of the order is never starved by smaller requests behind it.
-  // Projected-peak admission skips the attempt while its last rejection
-  // stands (weighted fair queueing may still admit another tenant).
-  if (!admission_blocked_ || config_.admission == AdmissionPolicy::kWeightedFair) {
-    if (config_.admission == AdmissionPolicy::kWeightedFair) {
-      AdmitWeightedFair(&plan, &budget);
-    } else if (config_.policy == RolloutPolicy::kFcfs &&
-               config_.admission == AdmissionPolicy::kQueueOrder) {
-      while (!waiting_.empty() && TryAdmit(waiting_.front(), &plan, &budget)) {
-      }
-    } else {
-      for (int64_t id : AdmissionOrder()) {
-        if (!TryAdmit(id, &plan, &budget)) {
-          break;
-        }
+  if (config_.admission == AdmissionPolicy::kWeightedFair) {
+    AdmitWeightedFair(&plan, &budget);
+  } else if (config_.policy == RolloutPolicy::kFcfs &&
+             config_.admission == AdmissionPolicy::kQueueOrder) {
+    while (!waiting_.empty() && TryAdmit(waiting_.front(), &plan, &budget)) {
+    }
+  } else {
+    for (int64_t id : AdmissionOrder()) {
+      if (!TryAdmit(id, &plan, &budget)) {
+        break;
       }
     }
   }

@@ -80,8 +80,9 @@ struct RolloutSchedulerConfig {
   // prefill computes at least a token per step); prefix blocks live rows
   // already reference count once. Growth
   // then never outruns the cache: no preemption, no recompute. A rejected
-  // candidate is rechecked only when the running or waiting set changes.
-  // An empty running set always admits (the progress contract).
+  // candidate is rechecked every step: waiting moves its finish later, so
+  // its need at each step ahead shrinks. An empty running set always
+  // admits (the progress contract).
   bool projected_peak_admission = false;
   // kWeightedFair: context tokens of credit granted per tenant visit; a
   // tenant admits its queue head only while its accumulated deficit covers
@@ -222,9 +223,11 @@ class RolloutScheduler {
 
   // Quiet runs (docs/ROLLOUT.md): the number of steps from now in which
   // nothing happens but one token per decode row — no admission can
-  // succeed, no prefill chunk is pending, no row finishes, and every block
-  // crossing fits the free pool, so nothing is preempted or evicted. 0
-  // with an event log attached, where every token is an event.
+  // succeed (nothing waits, or projected-peak admission rejects the head
+  // candidate at each of those steps), no prefill chunk is pending, no row
+  // finishes, and every block crossing fits the free pool, so nothing is
+  // preempted or evicted. 0 with an event log attached, where every token
+  // is an event.
   int64_t QuietSteps() const;
   // The blocks the decode rows' appends take in the step `offset` steps
   // from now (the rows whose append crosses a block boundary then).
@@ -292,6 +295,19 @@ class RolloutScheduler {
   // Admits one waiting candidate if the KV, prefill-budget, and max_running
   // gates allow; returns false when admission must stop for this step.
   bool TryAdmit(int64_t id, StepPlan* plan, int64_t* budget);
+  // What admitting `sequence` in the step under way, with `budget` prefill
+  // tokens left, takes: its prefix-cache hit, the prefill compute it skips
+  // and its first chunk; and, under projected-peak admission, the tick its
+  // last token would commit at (the FIFO budget serves the rest of its
+  // prefill from the next step on, and its first token commits with its
+  // last chunk).
+  struct AdmitPlan {
+    int64_t hit_tokens = 0;
+    int64_t skip = 0;
+    int64_t grant = 0;
+    int64_t finish = 0;
+  };
+  AdmitPlan PlanAdmit(const RolloutSequence& sequence, int64_t budget) const;
   // Projected-peak admission. A row's growth is fixed at admission: during
   // step T before its `finish` it needs BlocksFor(peak - finish + 1 + T)
   // blocks (peak = prompt + target): one token per step up to its peak at
@@ -317,7 +333,7 @@ class RolloutScheduler {
     int64_t residue = 0;
     int64_t blocks = 0;
   };
-  Projection Project(int64_t id) const;
+  Projection Project(const RolloutSequence& sequence, int64_t finish) const;
   PeakStep StepBefore(int64_t finish) const;
   int64_t Need(const Projection& row, const PeakStep& step) const;
   // The running set's need at the step before `finish`, summed afresh.
@@ -325,10 +341,16 @@ class RolloutScheduler {
   // Fills credit_ends_ with the cover ticks of the candidate's prefix hits
   // a cover already counts, ascending: it shares them until their covers
   // end.
-  void CollectCredits(const RolloutSequence& candidate);
-  // Whether the running set plus candidate `id`, whose RowClock carries its
-  // projected finish, fits the cache at every step from now until then.
-  bool ProjectedPeakFits(int64_t id);
+  void CollectCredits(const RolloutSequence& candidate) const;
+  // How many ticks from now the running set plus the candidate, projected
+  // to finish at `finish`, cannot fit the cache at some step until then: 0
+  // when it fits now. While the running and waiting sets, the prefix index
+  // and the candidate's first chunk stay as they are, waiting d ticks only
+  // moves its finish d later; each step that overflows now keeps
+  // overflowing until the candidate's need there has shrunk by the excess
+  // or the step has passed. The result is the latest of those ticks over
+  // the overflowing steps, so the candidate cannot be admitted earlier.
+  int64_t ProjectedPeakDelay(const RolloutSequence& sequence, int64_t finish) const;
   // Adds an admitted row to the peak steps (and its blocks' covers), or
   // takes a leaving one out (its covers stand until they end).
   void AddProjection(int64_t id);
@@ -391,20 +413,15 @@ class RolloutScheduler {
   // Whether any enqueued sequence carries a ttft_deadline; without one
   // nothing can expire, so ExpireOverdue skips its scan (the RLHF paths).
   bool deadlines_enqueued_ = false;
-  // Projected-peak admission state: the sum of running sequences'
-  // reserved_blocks (each row at its peak), the peak steps ahead, and per
-  // indexed block hash its cover — the finish of the longest-lived row
-  // projected to hold it; the block counts once, for every step before its
-  // cover, also after a holder leaves early (EOS, cancel) — plus how many
-  // hashes each cover tick ends.
-  int64_t reserved_blocks_total_ = 0;
+  // Projected-peak admission state: the peak steps ahead, and per indexed
+  // block hash its cover — the finish of the longest-lived row projected
+  // to hold it; the block counts once, for every step before its cover,
+  // also after a holder leaves early (EOS, cancel) — plus how many hashes
+  // each cover tick ends.
   std::vector<PeakStep> peak_steps_;  // Ascending finish; past ones are stale.
   std::unordered_map<uint64_t, int64_t> cover_;
   std::map<int64_t, int64_t> cover_ticks_;
-  // Set when the rule rejects a candidate, cleared when the running or
-  // waiting set changes: until then the answer cannot change.
-  bool admission_blocked_ = false;
-  std::vector<int64_t> credit_ends_;  // CollectCredits' output.
+  mutable std::vector<int64_t> credit_ends_;  // CollectCredits' output.
   // kWeightedFair state: unspent per-tenant credit (context tokens) and the
   // tenant the next round-robin sweep starts from, both persisted across
   // steps so service converges on the weight ratios.

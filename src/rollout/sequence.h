@@ -76,11 +76,6 @@ struct RolloutSequence {
   // Prompt-prefix tokens whose prefill compute was skipped at the last
   // (re)admission because their blocks were served from the prefix cache.
   int64_t prefix_skipped_tokens = 0;
-  // Projected-peak admission (RolloutSchedulerConfig::
-  // projected_peak_admission): the blocks this sequence holds at its
-  // projected peak, prompt + target tokens, while it runs. Zero while not
-  // running or when the rule is off.
-  int64_t reserved_blocks = 0;
 
   // Serving metadata (src/serving/); inert on the plain RLHF rollout path.
   // `tenant` keys weighted fair queueing, `priority` orders admission under

@@ -119,7 +119,7 @@ double SimStepExecutor::Execute(const StepPlan& plan,
   return step_seconds;
 }
 
-bool SimStepExecutor::ExecuteDecodeRun(int64_t rows, int64_t kv_tokens, int64_t steps,
+void SimStepExecutor::ExecuteDecodeRun(int64_t rows, int64_t kv_tokens, int64_t steps,
                                        double* now) {
   const double comm_seconds = perf_.DecodeCommStepTime(gen_, tp_group_, rows);
   for (int64_t step = 0; step < steps; ++step, kv_tokens += rows) {
@@ -130,7 +130,6 @@ bool SimStepExecutor::ExecuteDecodeRun(int64_t rows, int64_t kv_tokens, int64_t 
     max_step_seconds = std::max(max_step_seconds, step_seconds);
     *now += step_seconds;
   }
-  return true;
 }
 
 StepLoopResult RunStepLoop(const StepLoopConfig& config, std::vector<RolloutSequence> sequences,
@@ -211,6 +210,8 @@ StepLoopResult RunStepLoop(const StepLoopConfig& config, std::vector<RolloutSequ
   };
 
   step_boundary();
+  // A quiet run never spans a between-steps hook, or an arrival (below).
+  const bool quiet_runs = executor.PricesDecodeRuns() && between_steps == nullptr;
   std::vector<int64_t> eos_finished;
   while (scheduler.HasWork() || next < count) {
     if (!scheduler.HasWork()) {
@@ -219,12 +220,10 @@ StepLoopResult RunStepLoop(const StepLoopConfig& config, std::vector<RolloutSequ
       step_boundary();
       continue;
     }
-    // A quiet run never spans an arrival or a between-steps hook.
-    const int64_t quiet =
-        between_steps == nullptr && next == count ? scheduler.QuietSteps() : 0;
-    const int64_t rows = scheduler.decode_rows();
-    if (quiet > 0 &&
-        executor.ExecuteDecodeRun(rows, scheduler.decode_kv_tokens(), quiet, &now)) {
+    const int64_t quiet = quiet_runs && next == count ? scheduler.QuietSteps() : 0;
+    if (quiet > 0) {
+      const int64_t rows = scheduler.decode_rows();
+      executor.ExecuteDecodeRun(rows, scheduler.decode_kv_tokens(), quiet, &now);
       // Each step's figures, as BeginStep would leave them: the same rows,
       // and the blocks used so far, which grow by each step's crossings.
       int64_t used_blocks = kv.used_blocks();

@@ -42,15 +42,16 @@ class StepExecutor {
   // counters in `sequences` may lag; the plan carries their kv_tokens sum.
   virtual double Execute(const StepPlan& plan, const std::vector<RolloutSequence>& sequences,
                          double start, std::vector<int64_t>* eos_finished) = 0;
-  // Prices a quiet run (RolloutScheduler::QuietSteps): `steps` decode-only
-  // steps of `rows` rows whose kv_tokens sum to `kv_tokens` in the first
-  // and grow by `rows` per step, advancing `*now` as that many Execute
-  // calls would. Returns false, pricing nothing, when every step must be
-  // executed (the data plane computes each token).
-  virtual bool ExecuteDecodeRun(int64_t /*rows*/, int64_t /*kv_tokens*/, int64_t /*steps*/,
-                                double* /*now*/) {
-    return false;
-  }
+  // Whether the executor prices quiet runs (RolloutScheduler::QuietSteps)
+  // whole; without it every step is executed (the data plane computes each
+  // token), and the step loop asks the scheduler for no runs.
+  virtual bool PricesDecodeRuns() const { return false; }
+  // Prices a quiet run: `steps` decode-only steps of `rows` rows whose
+  // kv_tokens sum to `kv_tokens` in the first and grow by `rows` per step,
+  // advancing `*now` as that many Execute calls would. Called only when
+  // PricesDecodeRuns().
+  virtual void ExecuteDecodeRun(int64_t /*rows*/, int64_t /*kv_tokens*/, int64_t /*steps*/,
+                                double* /*now*/) {}
 };
 
 // Real numerics. Per-row compute is independent of batch composition and
@@ -103,7 +104,8 @@ class SimStepExecutor : public StepExecutor {
                  double start, std::vector<int64_t>* eos_finished) override;
   // The same per-step values Execute computes for decode-only plans, added
   // to the same accumulators in the same order: bit-identical totals.
-  bool ExecuteDecodeRun(int64_t rows, int64_t kv_tokens, int64_t steps, double* now) override;
+  bool PricesDecodeRuns() const override { return true; }
+  void ExecuteDecodeRun(int64_t rows, int64_t kv_tokens, int64_t steps, double* now) override;
 
   GenTimeBreakdown time;          // Summed step costs.
   double max_step_seconds = 0.0;  // Largest single step.
