@@ -95,7 +95,7 @@ int main() {
       const ModelMapping& mapping = it->second;
       row.Text(desc.name + ".backend", BackendName(mapping.backend))
           .Text(desc.name + ".train", mapping.train.ToString());
-      if (desc.is_actor) {
+      if (desc.is_actor()) {
         row.Text(desc.name + ".gen", mapping.gen.ToString());
       }
     }

@@ -25,18 +25,13 @@ const char* RlhfSystemName(RlhfSystem system) {
 std::vector<MappedModelDesc> DataflowModels(RlhfAlgorithm algorithm,
                                             const ModelSpec& actor_model,
                                             const ModelSpec& critic_model) {
+  const RlhfDataflow& dataflow = DataflowOf(algorithm);
   std::vector<MappedModelDesc> models;
-  models.push_back({"actor", actor_model, /*trainable=*/true, /*scalar_head=*/false,
-                    /*is_actor=*/true});
-  const bool has_critic =
-      algorithm == RlhfAlgorithm::kPpo || algorithm == RlhfAlgorithm::kSafeRlhf;
-  if (has_critic) {
-    models.push_back({"critic", critic_model, true, true, false});
-  }
-  models.push_back({"reference", actor_model, false, false, false});
-  models.push_back({"reward", critic_model, false, true, false});
-  if (algorithm == RlhfAlgorithm::kSafeRlhf) {
-    models.push_back({"cost", critic_model, false, true, false});
+  for (RlhfRole role : dataflow.roles) {
+    const bool scalar_head = RoleScalarHead(role);
+    models.push_back({RlhfRoleName(role), scalar_head ? critic_model : actor_model,
+                      RoleTrainable(role), scalar_head,
+                      role == RlhfRole::kActor ? dataflow.generation_passes : 0, role});
   }
   return models;
 }
@@ -71,9 +66,7 @@ RealComputeOptions MakeReal(const SystemBuildConfig& config) {
 // memory (TP first up to a node, then PP), data parallelism for the rest.
 ParallelConfig Heuristic3d(const MappedModelDesc& model, int gpus, int gpus_per_node,
                            double memory_budget) {
-  const double params =
-      model.scalar_head ? model.spec.NumParamsScalarHead() : model.spec.NumParams();
-  const double state = (model.trainable ? ModelSpec::kTrainBytesPerParam : 2.0) * params;
+  const double state = model.StateBytes();
   for (int tp = 1; tp <= std::min(gpus, gpus_per_node); tp *= 2) {
     for (int pp = 1; tp * pp <= gpus; pp *= 2) {
       if (gpus % (tp * pp) != 0) {
@@ -93,23 +86,8 @@ struct BuildContext {
   std::vector<MappedModelDesc> models;
   RealComputeOptions real;
 
-  const MappedModelDesc& Model(const std::string& name) const {
-    for (const MappedModelDesc& model : models) {
-      if (model.name == name) {
-        return model;
-      }
-    }
-    HF_CHECK_MSG(false, "model " << name << " not in dataflow");
-    return models[0];
-  }
-  bool Has(const std::string& name) const {
-    for (const MappedModelDesc& model : models) {
-      if (model.name == name) {
-        return true;
-      }
-    }
-    return false;
-  }
+  // DataflowModels lists the actor first.
+  const MappedModelDesc& Actor() const { return models.front(); }
 };
 
 WorkerGroupOptions MakeOptions(const MappedModelDesc& model, const ParallelConfig& cfg,
@@ -125,29 +103,41 @@ WorkerGroupOptions MakeOptions(const MappedModelDesc& model, const ParallelConfi
   return options;
 }
 
-void MakeNonActorGroups(BuildContext& ctx, const std::string& name,
-                        std::shared_ptr<ResourcePool> pool, const ParallelConfig& cfg,
-                        WorkerBackend backend) {
+// Builds `model`'s worker group, chosen by its role; `actor_options` is
+// read for the actor only. Build the actor first: the reference copies its
+// weights.
+void MakeWorkerGroup(BuildContext& ctx, const MappedModelDesc& model,
+                     std::shared_ptr<ResourcePool> pool, const ParallelConfig& cfg,
+                     WorkerBackend backend, const ActorOptions& actor_options = ActorOptions()) {
   RlhfSystemInstance& instance = ctx.instance;
-  const MappedModelDesc& model = ctx.Model(name);
   WorkerGroupOptions options = MakeOptions(model, cfg, backend, ctx.config.perf);
-  if (name == "critic") {
-    instance.critic = std::make_unique<CriticWorkerGroup>(
-        std::move(options), std::move(pool), instance.controller.get(), ctx.real);
-  } else if (name == "reference") {
-    instance.reference = std::make_unique<ReferenceWorkerGroup>(
-        std::move(options), std::move(pool), instance.controller.get(), ctx.real,
-        ctx.real.enabled ? &instance.actor->net() : nullptr);
-  } else if (name == "reward") {
-    instance.reward = std::make_unique<RewardWorkerGroup>(
-        std::move(options), std::move(pool), instance.controller.get(), ctx.real,
-        RewardSource::kRuleReward, "rewards");
-  } else if (name == "cost") {
-    instance.cost = std::make_unique<RewardWorkerGroup>(
-        std::move(options), std::move(pool), instance.controller.get(), ctx.real,
-        RewardSource::kRuleCost, "costs");
-  } else {
-    HF_CHECK_MSG(false, "unexpected model " << name);
+  switch (model.role) {
+    case RlhfRole::kActor: {
+      ActorOptions actor = actor_options;
+      actor.rollout = ctx.config.rollout;
+      instance.actor = std::make_unique<ActorWorkerGroup>(
+          std::move(options), std::move(pool), instance.controller.get(), ctx.real, actor);
+      return;
+    }
+    case RlhfRole::kCritic:
+      instance.critic = std::make_unique<CriticWorkerGroup>(
+          std::move(options), std::move(pool), instance.controller.get(), ctx.real);
+      return;
+    case RlhfRole::kReference:
+      instance.reference = std::make_unique<ReferenceWorkerGroup>(
+          std::move(options), std::move(pool), instance.controller.get(), ctx.real,
+          ctx.real.enabled ? &instance.actor->net() : nullptr);
+      return;
+    case RlhfRole::kReward:
+      instance.reward = std::make_unique<RewardWorkerGroup>(
+          std::move(options), std::move(pool), instance.controller.get(), ctx.real,
+          RewardSource::kRuleReward, "rewards");
+      return;
+    case RlhfRole::kCost:
+      instance.cost = std::make_unique<RewardWorkerGroup>(
+          std::move(options), std::move(pool), instance.controller.get(), ctx.real,
+          RewardSource::kRuleCost, "costs");
+      return;
   }
 }
 
@@ -157,7 +147,6 @@ bool BuildHybridFlow(BuildContext& ctx) {
 
   MapperOptions mapper_options;
   mapper_options.perf = config.perf;
-  mapper_options.extra_generation_pass = config.algorithm == RlhfAlgorithm::kRemax;
   DeviceMapper mapper(ctx.models, config.workload,
                       ClusterSpec::WithGpus(config.num_gpus, config.gpus_per_node),
                       mapper_options);
@@ -174,30 +163,20 @@ bool BuildHybridFlow(BuildContext& ctx) {
         "set" + std::to_string(s), set.first_device, set.gpus));
   }
 
-  // Actor first (the reference copies its weights). Algorithm 2 may have
-  // selected the ZeRO backend, in which case the engine reshards ZeRO->TP
-  // (DS-Chat-style); the 3D backend uses the zero-redundancy engine.
-  const int actor_set = instance.mapping.SetOf("actor");
-  const ModelMapping& actor_mapping = instance.mapping.models.at("actor");
+  // Algorithm 2 may have selected the ZeRO backend for the actor, in which
+  // case the engine reshards ZeRO->TP (DS-Chat-style); the 3D backend uses
+  // the zero-redundancy engine.
+  const ModelMapping& actor_mapping = instance.mapping.models.at(ctx.Actor().name);
   ActorOptions actor_options;
   actor_options.gen = actor_mapping.gen;
   actor_options.engine_mode = actor_mapping.backend == WorkerBackend::k3dParallel
                                   ? ActorEngineMode::kHybridFlow
                                   : ActorEngineMode::kDsChat;
-  actor_options.rollout = config.rollout;
-  instance.actor = std::make_unique<ActorWorkerGroup>(
-      MakeOptions(ctx.Model("actor"), actor_mapping.train, actor_mapping.backend, config.perf),
-      set_pools[static_cast<size_t>(actor_set)], instance.controller.get(), ctx.real,
-      actor_options);
-
   for (const MappedModelDesc& model : ctx.models) {
-    if (model.name == "actor") {
-      continue;
-    }
     const int set = instance.mapping.SetOf(model.name);
     const ModelMapping& mapping = instance.mapping.models.at(model.name);
-    MakeNonActorGroups(ctx, model.name, set_pools[static_cast<size_t>(set)], mapping.train,
-                       mapping.backend);
+    MakeWorkerGroup(ctx, model, set_pools[static_cast<size_t>(set)], mapping.train,
+                    mapping.backend, actor_options);
   }
   return true;
 }
@@ -214,17 +193,14 @@ bool BuildDeepSpeedChat(BuildContext& ctx) {
   // Memory feasibility: sum of ZeRO-3 states across colocated models.
   double total_state = 0.0;
   for (const MappedModelDesc& model : ctx.models) {
-    const double params =
-        model.scalar_head ? model.spec.NumParamsScalarHead() : model.spec.NumParams();
-    total_state +=
-        (model.trainable ? ModelSpec::kTrainBytesPerParam : 2.0) * params / config.num_gpus;
+    total_state += model.StateBytes() / config.num_gpus;
   }
   if (total_state > 0.85 * capacity) {
     return false;
   }
 
   // Generation TP: smallest power of two leaving KVCache headroom.
-  const int tg = MinTpForBytes(ctx.Model("actor").spec.ParamBytes(), 0.25 * capacity,
+  const int tg = MinTpForBytes(ctx.Actor().spec.ParamBytes(), 0.25 * capacity,
                                std::min(config.num_gpus, config.gpus_per_node));
   if (tg == 0) {
     return false;
@@ -233,17 +209,8 @@ bool BuildDeepSpeedChat(BuildContext& ctx) {
   ActorOptions actor_options;
   actor_options.gen = GenParallelConfig{1, tg};
   actor_options.engine_mode = ActorEngineMode::kDsChat;
-  actor_options.rollout = config.rollout;
-  WorkerGroupOptions options =
-      MakeOptions(ctx.Model("actor"), dp_cfg, WorkerBackend::kZero, config.perf);
-  instance.actor = std::make_unique<ActorWorkerGroup>(
-      std::move(options), pool, instance.controller.get(), ctx.real, actor_options);
-
   for (const MappedModelDesc& model : ctx.models) {
-    if (model.name == "actor") {
-      continue;
-    }
-    MakeNonActorGroups(ctx, model.name, pool, dp_cfg, WorkerBackend::kZero);
+    MakeWorkerGroup(ctx, model, pool, dp_cfg, WorkerBackend::kZero, actor_options);
   }
   return true;
 }
@@ -253,34 +220,29 @@ bool BuildOpenRlhf(BuildContext& ctx) {
   RlhfSystemInstance& instance = ctx.instance;
   const double capacity = instance.controller->spec().gpu.memory_bytes;
   const int n = config.num_gpus;
-  if (n < 4) {
-    return false;
-  }
 
   // Standalone placement: actor training, vLLM generation, and each other
   // model on disjoint device sets, sized proportionally to their memory
   // footprint (largest-remainder rounding, each at least one GPU).
-  std::vector<std::string> others;
-  std::vector<double> weights;
-  const double actor_params = ctx.Model("actor").spec.NumParams();
-  weights.push_back(ModelSpec::kTrainBytesPerParam * actor_params);  // Actor training.
-  weights.push_back(4.0 * actor_params);                             // vLLM copy + KVCache.
+  // Weights: actor training, the vLLM copy + KVCache, then each non-actor
+  // model in dataflow order.
+  const MappedModelDesc& actor = ctx.Actor();
+  std::vector<double> weights = {actor.StateBytes(), 4.0 * actor.spec.NumParams()};
   for (const MappedModelDesc& model : ctx.models) {
-    if (model.name == "actor") {
-      continue;
+    if (!model.is_actor()) {
+      weights.push_back(model.StateBytes());
     }
-    others.push_back(model.name);
-    const double params =
-        model.scalar_head ? model.spec.NumParamsScalarHead() : model.spec.NumParams();
-    weights.push_back((model.trainable ? ModelSpec::kTrainBytesPerParam : 2.0) * params);
   }
   double weight_sum = 0.0;
   for (double weight : weights) {
     weight_sum += weight;
   }
-  std::vector<int> shares(weights.size(), 1);
+  // Every pool needs at least one GPU.
   int assigned = static_cast<int>(weights.size());
-  HF_CHECK_LE(assigned, n);
+  if (assigned > n) {
+    return false;
+  }
+  std::vector<int> shares(weights.size(), 1);
   // Greedily hand out remaining GPUs to the most under-allocated pool.
   while (assigned < n) {
     size_t argmax = 0;
@@ -297,13 +259,11 @@ bool BuildOpenRlhf(BuildContext& ctx) {
   }
   int actor_gpus = shares[0];
   int gen_gpus = shares[1];
-  std::vector<int> other_gpus(shares.begin() + 2, shares.end());
 
   // The vLLM pool must tile into TP-sized replicas: shrink it to the
   // nearest multiple of the needed TP degree, returning the remainder to
   // actor training.
-  const double capacity_probe = instance.controller->spec().gpu.memory_bytes;
-  int gen_tp = MinTpForBytes(ctx.Model("actor").spec.ParamBytes(), 0.5 * capacity_probe,
+  int gen_tp = MinTpForBytes(actor.spec.ParamBytes(), 0.5 * capacity,
                              std::min(gen_gpus, config.gpus_per_node));
   if (gen_tp == 0) {
     return false;
@@ -321,9 +281,7 @@ bool BuildOpenRlhf(BuildContext& ctx) {
   cursor += gen_gpus;
 
   // Actor trains with ZeRO-3 across its pool.
-  const double actor_state =
-      ModelSpec::kTrainBytesPerParam * ctx.Model("actor").spec.NumParams() / actor_gpus;
-  if (actor_state > 0.85 * capacity) {
+  if (actor.StateBytes() / actor_gpus > 0.85 * capacity) {
     return false;
   }
   const int tg = gen_tp;
@@ -333,25 +291,21 @@ bool BuildOpenRlhf(BuildContext& ctx) {
   actor_options.gen = GenParallelConfig{1, tg};
   actor_options.engine_mode = ActorEngineMode::kTwoCopies;
   actor_options.gen_pool = gen_pool;
-  actor_options.rollout = config.rollout;
-  instance.actor = std::make_unique<ActorWorkerGroup>(
-      MakeOptions(ctx.Model("actor"), ParallelConfig{1, 1, actor_gpus}, WorkerBackend::kZero,
-                  config.perf),
-      actor_pool, instance.controller.get(), ctx.real, actor_options);
+  MakeWorkerGroup(ctx, actor, actor_pool, ParallelConfig{1, 1, actor_gpus}, WorkerBackend::kZero,
+                  actor_options);
 
-  for (size_t i = 0; i < others.size(); ++i) {
-    const MappedModelDesc& model = ctx.Model(others[i]);
-    const double params =
-        model.scalar_head ? model.spec.NumParamsScalarHead() : model.spec.NumParams();
-    const double state =
-        (model.trainable ? ModelSpec::kTrainBytesPerParam : 2.0) * params / other_gpus[i];
-    if (state > 0.85 * capacity) {
+  size_t share = 2;
+  for (const MappedModelDesc& model : ctx.models) {
+    if (model.is_actor()) {
+      continue;
+    }
+    const int gpus = shares[share++];
+    if (model.StateBytes() / gpus > 0.85 * capacity) {
       return false;
     }
-    auto pool = instance.controller->CreatePoolRange(others[i] + "_pool", cursor, other_gpus[i]);
-    cursor += other_gpus[i];
-    MakeNonActorGroups(ctx, others[i], pool, ParallelConfig{1, 1, other_gpus[i]},
-                       WorkerBackend::kZero);
+    auto pool = instance.controller->CreatePoolRange(model.name + "_pool", cursor, gpus);
+    cursor += gpus;
+    MakeWorkerGroup(ctx, model, pool, ParallelConfig{1, 1, gpus}, WorkerBackend::kZero);
   }
   return true;
 }
@@ -369,34 +323,19 @@ bool BuildNemoAligner(BuildContext& ctx) {
   auto actor_pool = instance.controller->CreatePoolRange("actor_ref", 0, half);
   auto critic_pool = instance.controller->CreatePoolRange("critic_rm", half, n - half);
 
-  const ParallelConfig actor_cfg =
-      Heuristic3d(ctx.Model("actor"), half, config.gpus_per_node, 0.55 * capacity);
-  if (!actor_cfg.Valid() || actor_cfg.pp == 0) {
-    return false;
-  }
-
   // Identical parallelism in training and generation; no KVCache (§8.2).
   ActorOptions actor_options;
   actor_options.engine_mode = ActorEngineMode::kShared;
   actor_options.use_kv_cache = false;
-  actor_options.rollout = config.rollout;
-  instance.actor = std::make_unique<ActorWorkerGroup>(
-      MakeOptions(ctx.Model("actor"), actor_cfg, WorkerBackend::k3dParallel, config.perf),
-      actor_pool, instance.controller.get(), ctx.real, actor_options);
-
   for (const MappedModelDesc& model : ctx.models) {
-    if (model.name == "actor") {
-      continue;
-    }
-    const bool with_actor = model.name == "reference";
+    const bool with_actor = model.role == RlhfRole::kActor || model.role == RlhfRole::kReference;
     auto pool = with_actor ? actor_pool : critic_pool;
-    const int gpus = pool->size();
     const double budget = (model.trainable ? 0.55 : 0.25) * capacity;
-    const ParallelConfig cfg = Heuristic3d(model, gpus, config.gpus_per_node, budget);
+    const ParallelConfig cfg = Heuristic3d(model, pool->size(), config.gpus_per_node, budget);
     if (!cfg.Valid() || cfg.pp == 0) {
       return false;
     }
-    MakeNonActorGroups(ctx, model.name, pool, cfg, WorkerBackend::k3dParallel);
+    MakeWorkerGroup(ctx, model, pool, cfg, WorkerBackend::k3dParallel, actor_options);
   }
   return true;
 }

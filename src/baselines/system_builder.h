@@ -38,7 +38,7 @@ const char* RlhfSystemName(RlhfSystem system);
 
 struct SystemBuildConfig {
   RlhfSystem system = RlhfSystem::kHybridFlow;
-  RlhfAlgorithm algorithm = RlhfAlgorithm::kPpo;
+  RlhfAlgorithm algorithm = RlhfAlgorithm::kPpo;  // hflint: allow(one-algorithm-switch)
   int num_gpus = 16;
   int gpus_per_node = 8;
   // Actor & reference share one architecture; critic/reward/cost another
@@ -97,8 +97,9 @@ RlhfSystemInstance BuildSystem(const SystemBuildConfig& config);
 // validate first and report the message.
 std::string ValidateSystemConfig(const SystemBuildConfig& config);
 
-// The model descriptor list of an algorithm's dataflow (used by the
-// mapper and by tests).
+// The model descriptor list of an algorithm's dataflow: one per
+// RlhfDataflow role, in the table's order, the actor first and carrying
+// the generation-pass count (used by the mapper, the builders and tests).
 std::vector<MappedModelDesc> DataflowModels(RlhfAlgorithm algorithm,
                                             const ModelSpec& actor_model,
                                             const ModelSpec& critic_model);

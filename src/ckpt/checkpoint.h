@@ -1,14 +1,18 @@
 // Checkpointing and fault tolerance (§9 "Discussions").
 //
-// The single controller coordinates checkpoint operations via RPC: each
-// worker group serializes its model parameters; the controller adds the
-// dataloader position and RNG state "to ensure system-wide consistency".
-// Snapshots are in-memory by default (Gemini-style redundancy-based
-// recovery) and can be persisted to disk.
+// The single controller coordinates checkpoint operations via RPC: the
+// trainable worker groups serialize their parameters, and the controller
+// adds the iteration counter and a dataloader position (RlhfTrainer
+// records the iteration count there). Snapshots are in-memory by default
+// (Gemini-style redundancy-based recovery) and can be persisted to disk.
 //
-// The simulated cluster can inject device failures (NCCL-error detection
-// in the paper); recovery restores the latest consistent snapshot and
-// replays the dataloader to the recorded position.
+// A checkpoint holds only that: parameters, iteration and position. It
+// has no RNG streams, no Adam moments or step count, no adaptive-KL
+// coefficient and no staged async experience, and restoring it does not
+// rewind the dataloader (RlhfTrainer ignores the restored position). So a
+// recovered run differs from the failure-free one; the paper's "dataloader
+// position and RNG state" consistency is ROADMAP's open item "Exact fault
+// recovery".
 #ifndef SRC_CKPT_CHECKPOINT_H_
 #define SRC_CKPT_CHECKPOINT_H_
 
@@ -33,8 +37,9 @@ struct ModelSnapshot {
   bool Verify() const;
 };
 
-// A consistent system-wide checkpoint: every model's parameters plus the
-// dataloader cursor and iteration counter.
+// One checkpoint: the captured models' parameters plus the recorded
+// dataloader position and iteration counter (see the file comment for
+// what it does not hold).
 struct SystemCheckpoint {
   int64_t iteration = 0;
   int64_t dataloader_position = 0;

@@ -1,7 +1,11 @@
 // Fault-tolerant training driver: runs an RLHF program for many
 // iterations, checkpointing every k iterations through the single
 // controller, detecting injected failures, and recovering by restoring the
-// latest consistent snapshot (§9 "Fault Tolerance").
+// latest snapshot's actor and critic parameters (§9 "Fault Tolerance").
+// Recovery resets the iteration counter only: the dataloader, sampling
+// RNGs, optimizer state and KL coefficient keep their post-failure values,
+// so the re-run iterations see different data than the lost ones (see
+// src/ckpt/checkpoint.h and ROADMAP's "Exact fault recovery").
 #ifndef SRC_CKPT_TRAINER_H_
 #define SRC_CKPT_TRAINER_H_
 

@@ -61,24 +61,14 @@ DeviceMapper::DeviceMapper(std::vector<MappedModelDesc> models, RlhfWorkloadSpec
   HF_CHECK(!models_.empty());
 }
 
-double DeviceMapper::MappedStateBytesPerGpu(const MappedModelDesc& model,
-                                            const ModelMapping& mapping) const {
-  const double params =
-      model.scalar_head ? model.spec.NumParamsScalarHead() : model.spec.NumParams();
-  if (mapping.backend != WorkerBackend::k3dParallel) {
-    ZeroConfig zero{ZeroStage::kStage3, mapping.train.dp};
-    return model.trainable ? ZeroTrainStateBytesPerGpu(params, zero)
-                           : ZeroParamBytesPerGpu(params, zero);
+double DeviceMapper::StateBytesPerGpu(const MappedModelDesc& model, WorkerBackend backend,
+                                      const ParallelConfig& cfg) {
+  if (backend != WorkerBackend::k3dParallel) {
+    ZeroConfig zero{ZeroStage::kStage3, cfg.dp};
+    return model.trainable ? ZeroTrainStateBytesPerGpu(model.Params(), zero)
+                           : ZeroParamBytesPerGpu(model.Params(), zero);
   }
-  return StateBytesPerGpu(model, mapping.train);
-}
-
-double DeviceMapper::StateBytesPerGpu(const MappedModelDesc& model,
-                                      const ParallelConfig& cfg) const {
-  const double params =
-      model.scalar_head ? model.spec.NumParamsScalarHead() : model.spec.NumParams();
-  const double mp = static_cast<double>(cfg.model_parallel_size());
-  return (model.trainable ? ModelSpec::kTrainBytesPerParam : 2.0) * params / mp;
+  return model.StateBytes() / static_cast<double>(cfg.model_parallel_size());
 }
 
 bool DeviceMapper::SetFits(const std::vector<int>& model_indices, int gpus) const {
@@ -86,14 +76,11 @@ bool DeviceMapper::SetFits(const std::vector<int>& model_indices, int gpus) cons
   double total = 0.0;
   for (int index : model_indices) {
     const MappedModelDesc& model = models_[static_cast<size_t>(index)];
-    const double params =
-        model.scalar_head ? model.spec.NumParamsScalarHead() : model.spec.NumParams();
-    const double state = (model.trainable ? ModelSpec::kTrainBytesPerParam : 2.0) * params;
     // Best-case sharding: TP up to a node, PP up to the layer count.
     const double max_shards = std::min<double>(
         gpus, static_cast<double>(node_template_.gpus_per_node) *
                   static_cast<double>(model.spec.num_layers));
-    total += state / std::min<double>(max_shards, gpus);
+    total += model.StateBytes() / std::min<double>(max_shards, gpus);
   }
   return total <= budget;
 }
@@ -157,7 +144,7 @@ double DeviceMapper::GenerationCost(const PerfModel& perf, const MappedModelDesc
       perf.GenerateTime(gen, engine.replica_devices, per_replica, workload_.prompt_len,
                         workload_.response_len, kv_budget, /*use_kv_cache=*/true);
   double total = breakdown.total() + engine.transition_seconds;
-  if (options_.extra_generation_pass) {
+  for (int pass = 1; pass < model.generation_passes; ++pass) {
     total += breakdown.total();
   }
   return total;
@@ -181,153 +168,115 @@ ModelMapping DeviceMapper::AutoParallel(const MappedModelDesc& model, int gpus,
   const double memory_budget =
       cluster.gpu.memory_bytes * options_.memory_fraction - reserved_bytes;
 
+  // Prices one training strategy stage by stage (the actor with its
+  // cheapest generation strategy) and keeps it when it beats `best`.
+  // `state` is the strategy's per-GPU model state.
   ModelMapping best;
   double best_cost = std::numeric_limits<double>::infinity();
+  const auto consider = [&](WorkerBackend backend, const ParallelConfig& cfg, double state) {
+    const bool zero = backend == WorkerBackend::kZero;
+    const ZeroConfig zero_cfg{ZeroStage::kStage3, cfg.dp};
+    ModelMapping candidate;
+    candidate.feasible = true;
+    candidate.train = cfg;
+    candidate.backend = backend;
+
+    // Training stage: the per-iteration update schedule.
+    if (model.trainable) {
+      const int64_t minibatch = workload_.minibatch();
+      const int microbatches = static_cast<int>(std::min<int64_t>(
+          std::max<int64_t>(CeilDiv(minibatch, cfg.dp), 1), 4 * cfg.pp));
+      simulations_ += 1;
+      const double step =
+          zero ? perf.ZeroTrainStepTime(zero_cfg, devices, minibatch, workload_.total_len())
+               : perf.TrainStepTime(cfg, devices, minibatch, workload_.total_len(),
+                                    microbatches);
+      candidate.stage_seconds[static_cast<int>(RlhfStage::kTraining)] =
+          step * workload_.ppo_epochs * workload_.updates_per_iteration;
+    }
+
+    if (!model.is_actor()) {
+      // Preparation stage: one forward pass.
+      simulations_ += 1;
+      candidate.stage_seconds[static_cast<int>(RlhfStage::kPreparation)] =
+          zero ? perf.ZeroInferTime(zero_cfg, devices, workload_.global_batch,
+                                    workload_.total_len())
+               : perf.InferTime(cfg, devices, workload_.global_batch, workload_.total_len());
+    } else {
+      // Generation stage: sweep generation strategies that leave KVCache
+      // room. The 3D backend reshards to a (pg, tg) dividing its (pp, tp)
+      // with the zero-redundancy engine, which reuses the training shard;
+      // ZeRO regroups into TP replicas (DS-Chat-style engine) and holds a
+      // whole generation shard besides its own state.
+      const int max_tg = zero ? std::min(gpus, cluster.gpus_per_node) : cfg.tp;
+      const int tg_base = zero ? gpus : cfg.tp;
+      double best_gen = std::numeric_limits<double>::infinity();
+      GenParallelConfig best_gen_cfg;
+      for (int tg = 1; tg <= max_tg; tg *= 2) {
+        if (tg_base % tg != 0) {
+          continue;
+        }
+        for (int pg = 1; pg <= cfg.pp; pg *= 2) {
+          if (cfg.pp % pg != 0) {
+            continue;
+          }
+          const GenParallelConfig gen{pg, tg};
+          const double gen_params = perf.GenParamBytesPerGpu(gen);
+          const double extra =
+              zero ? gen_params
+                   : std::max(0.0, gen_params - 2.0 * perf.num_params() /
+                                                    static_cast<double>(cfg.model_parallel_size()));
+          // Colocated models are already out of memory_budget.
+          const double kv_budget = memory_budget - state - extra;
+          if (kv_budget <= 0.0) {
+            continue;
+          }
+          const double total = GenerationCost(
+              perf, model, cluster, devices, cfg, gen,
+              zero ? ActorEngineMode::kDsChat : ActorEngineMode::kHybridFlow, kv_budget);
+          if (total < best_gen) {
+            best_gen = total;
+            best_gen_cfg = gen;
+          }
+        }
+      }
+      if (!std::isfinite(best_gen)) {
+        return;  // No generation strategy fits.
+      }
+      candidate.gen = best_gen_cfg;
+      candidate.stage_seconds[static_cast<int>(RlhfStage::kGeneration)] = best_gen;
+    }
+
+    double cost = 0.0;
+    for (double stage : candidate.stage_seconds) {
+      cost += stage;
+    }
+    if (cost < best_cost) {
+      best_cost = cost;
+      best = candidate;
+    }
+  };
+
   const int max_tp = std::min(gpus, cluster.gpus_per_node);
   for (int tp = 1; tp <= max_tp; tp *= 2) {
     for (int pp = 1; tp * pp <= gpus && pp <= model.spec.num_layers; ++pp) {
       if (gpus % (tp * pp) != 0) {
         continue;
       }
-      ParallelConfig cfg{pp, tp, gpus / (tp * pp)};
-      if (StateBytesPerGpu(model, cfg) > memory_budget) {
-        continue;
-      }
-      ModelMapping candidate;
-      candidate.feasible = true;
-      candidate.train = cfg;
-
-      // Training stage: the per-iteration update schedule.
-      if (model.trainable) {
-        const int64_t minibatch = workload_.minibatch();
-        const int microbatches = static_cast<int>(std::min<int64_t>(
-            std::max<int64_t>(CeilDiv(minibatch, cfg.dp), 1), 4 * cfg.pp));
-        simulations_ += 1;
-        const double step = perf.TrainStepTime(cfg, devices, minibatch, workload_.total_len(),
-                                               std::max(microbatches, 1));
-        candidate.stage_seconds[static_cast<int>(RlhfStage::kTraining)] =
-            step * workload_.ppo_epochs * workload_.updates_per_iteration;
-      }
-
-      // Preparation stage: one forward pass for non-actor models.
-      if (!model.is_actor) {
-        simulations_ += 1;
-        candidate.stage_seconds[static_cast<int>(RlhfStage::kPreparation)] =
-            perf.InferTime(cfg, devices, workload_.global_batch, workload_.total_len());
-      }
-
-      // Generation stage (actor only): sweep generation strategies.
-      if (model.is_actor) {
-        double best_gen = std::numeric_limits<double>::infinity();
-        GenParallelConfig best_gen_cfg{cfg.pp, cfg.tp};
-        for (int tg = 1; tg <= cfg.tp; tg *= 2) {
-          if (cfg.tp % tg != 0) {
-            continue;
-          }
-          for (int pg = 1; pg <= cfg.pp; pg *= 2) {
-            if (cfg.pp % pg != 0) {
-              continue;
-            }
-            GenParallelConfig gen{pg, tg};
-            // Generation must hold params + some KVCache.
-            const double gen_params = perf.GenParamBytesPerGpu(gen);
-            const double resident = StateBytesPerGpu(model, cfg);
-            const double extra = std::max(0.0, gen_params - 2.0 * perf.num_params() /
-                                                   static_cast<double>(cfg.model_parallel_size()));
-            const double kv_budget = memory_budget - resident - extra;  // Colocated models already subtracted.
-            if (kv_budget <= 0.0) {
-              continue;
-            }
-            const double total = GenerationCost(perf, model, cluster, devices, cfg, gen,
-                                                ActorEngineMode::kHybridFlow, kv_budget);
-            if (total < best_gen) {
-              best_gen = total;
-              best_gen_cfg = gen;
-            }
-          }
-        }
-        if (!std::isfinite(best_gen)) {
-          continue;  // No generation strategy fits.
-        }
-        candidate.gen = best_gen_cfg;
-        candidate.stage_seconds[static_cast<int>(RlhfStage::kGeneration)] = best_gen;
-      }
-
-      double cost = 0.0;
-      for (double stage : candidate.stage_seconds) {
-        cost += stage;
-      }
-      if (cost < best_cost) {
-        best_cost = cost;
-        best = candidate;
+      const ParallelConfig cfg{pp, tp, gpus / (tp * pp)};
+      const double state = StateBytesPerGpu(model, WorkerBackend::k3dParallel, cfg);
+      if (state <= memory_budget) {
+        consider(WorkerBackend::k3dParallel, cfg, state);
       }
     }
   }
   // ZeRO-3 data-parallel candidate (Table 1: HybridFlow also supports
   // ZeRO/FSDP training backends): often the best choice on small,
   // single-node allocations where full DP keeps kernels saturated.
-  {
-    ZeroConfig zero{ZeroStage::kStage3, gpus};
-    const double params =
-        model.scalar_head ? model.spec.NumParamsScalarHead() : model.spec.NumParams();
-    const double state = model.trainable ? ZeroTrainStateBytesPerGpu(params, zero)
-                                         : ZeroParamBytesPerGpu(params, zero);
-    if (state <= memory_budget) {
-      ModelMapping candidate;
-      candidate.feasible = true;
-      candidate.backend = WorkerBackend::kZero;
-      candidate.train = ParallelConfig{1, 1, gpus};
-      if (model.trainable) {
-        simulations_ += 1;
-        const double step =
-            perf.ZeroTrainStepTime(zero, devices, workload_.minibatch(), workload_.total_len());
-        candidate.stage_seconds[static_cast<int>(RlhfStage::kTraining)] =
-            step * workload_.ppo_epochs * workload_.updates_per_iteration;
-      }
-      if (!model.is_actor) {
-        simulations_ += 1;
-        candidate.stage_seconds[static_cast<int>(RlhfStage::kPreparation)] =
-            perf.ZeroInferTime(zero, devices, workload_.global_batch, workload_.total_len());
-      }
-      if (model.is_actor) {
-        // ZeRO -> TP regrouping (DS-Chat-style engine) for generation.
-        double best_gen = std::numeric_limits<double>::infinity();
-        GenParallelConfig best_gen_cfg{1, 1};
-        for (int tg = 1; tg <= std::min(gpus, cluster.gpus_per_node); tg *= 2) {
-          if (gpus % tg != 0) {
-            continue;
-          }
-          GenParallelConfig gen{1, tg};
-          const double gen_params = perf.GenParamBytesPerGpu(gen);
-          const double kv_budget = memory_budget - state - gen_params;
-          if (kv_budget <= 0.0) {
-            continue;
-          }
-          const double total = GenerationCost(perf, model, cluster, devices, candidate.train,
-                                              gen, ActorEngineMode::kDsChat, kv_budget);
-          if (total < best_gen) {
-            best_gen = total;
-            best_gen_cfg = gen;
-          }
-        }
-        if (std::isfinite(best_gen)) {
-          candidate.gen = best_gen_cfg;
-          candidate.stage_seconds[static_cast<int>(RlhfStage::kGeneration)] = best_gen;
-        } else {
-          candidate.feasible = false;
-        }
-      }
-      if (candidate.feasible) {
-        double cost = 0.0;
-        for (double stage : candidate.stage_seconds) {
-          cost += stage;
-        }
-        if (cost < best_cost) {
-          best_cost = cost;
-          best = candidate;
-        }
-      }
-    }
+  const ParallelConfig zero_cfg{1, 1, gpus};
+  const double zero_state = StateBytesPerGpu(model, WorkerBackend::kZero, zero_cfg);
+  if (zero_state <= memory_budget) {
+    consider(WorkerBackend::kZero, zero_cfg, zero_state);
   }
 
   // An infeasible (model, gpus) pair is cached too, so repeated placements
@@ -362,7 +311,7 @@ std::vector<std::vector<std::vector<int>>> DeviceMapper::AllPartitions(
     std::vector<int> second;
     for (int i = 0; i < k; ++i) {
       const MappedModelDesc& model = models_[static_cast<size_t>(i)];
-      if (model.is_actor || model.name.rfind("ref", 0) == 0) {
+      if (model.role == RlhfRole::kActor || model.role == RlhfRole::kReference) {
         first.push_back(i);
       } else {
         second.push_back(i);
@@ -459,33 +408,26 @@ MappingResult DeviceMapper::Map(int num_gpus, PlacementKind kind) {
         // colocation-aware minimal parallel sizes).
         double set_total_state = 0.0;
         for (int index : partition[s]) {
-          const MappedModelDesc& model = models_[static_cast<size_t>(index)];
-          const double params =
-              model.scalar_head ? model.spec.NumParamsScalarHead() : model.spec.NumParams();
-          set_total_state +=
-              (model.trainable ? ModelSpec::kTrainBytesPerParam : 2.0) * params;
+          set_total_state += models_[static_cast<size_t>(index)].StateBytes();
         }
         const double budget = node_template_.gpu.memory_bytes * options_.memory_fraction;
         int actor_slot = -1;
         for (int index : partition[s]) {
           const MappedModelDesc& model = models_[static_cast<size_t>(index)];
-          if (model.is_actor) {
+          if (model.is_actor()) {
             actor_slot = static_cast<int>(mapped[s].size());
             mapped[s].push_back(ModelMapping{});
             continue;
           }
-          const double params =
-              model.scalar_head ? model.spec.NumParamsScalarHead() : model.spec.NumParams();
-          const double state =
-              (model.trainable ? ModelSpec::kTrainBytesPerParam : 2.0) * params;
-          const double share = partition[s].size() == 1 ? 1.0 : state / set_total_state;
+          const double share =
+              partition[s].size() == 1 ? 1.0 : model.StateBytes() / set_total_state;
           const ModelMapping mapping =
               AutoParallel(model, allocation[s], budget * (1.0 - share));
           if (!mapping.feasible) {
             allocation_ok = false;
             break;
           }
-          set_state_bytes += MappedStateBytesPerGpu(model, mapping);
+          set_state_bytes += StateBytesPerGpu(model, mapping.backend, mapping.train);
           mapped[s].push_back(mapping);
         }
         // Pass 2: the actor sees the colocated models' memory, which
@@ -498,7 +440,7 @@ MappingResult DeviceMapper::Map(int num_gpus, PlacementKind kind) {
           if (!mapping.feasible) {
             allocation_ok = false;
           } else {
-            set_state_bytes += MappedStateBytesPerGpu(model, mapping);
+            set_state_bytes += StateBytesPerGpu(model, mapping.backend, mapping.train);
             mapped[s][static_cast<size_t>(actor_slot)] = mapping;
           }
         }

@@ -27,6 +27,7 @@
 #include "src/model/model_spec.h"
 #include "src/parallel/parallel_config.h"
 #include "src/perf/perf_model.h"
+#include "src/rlhf/dataflow.h"
 #include "src/sim/topology.h"
 #include "src/workers/worker_group.h"
 #include "src/workers/workload.h"
@@ -39,7 +40,18 @@ struct MappedModelDesc {
   ModelSpec spec;
   bool trainable = false;
   bool scalar_head = false;
-  bool is_actor = false;  // Runs generation; needs a generation strategy.
+  // Generation passes per iteration (ReMax: 2). Nonzero marks the actor,
+  // which runs generation and needs a generation strategy.
+  int generation_passes = 0;
+  RlhfRole role = RlhfRole::kActor;  // Set from the dataflow by DataflowModels.
+
+  bool is_actor() const { return generation_passes > 0; }
+  double Params() const { return scalar_head ? spec.NumParamsScalarHead() : spec.NumParams(); }
+  // Resident model state: mixed-precision weights, gradients and Adam
+  // moments when trainable, 16-bit weights otherwise.
+  double StateBytes() const {
+    return (trainable ? ModelSpec::kTrainBytesPerParam : 2.0) * Params();
+  }
 };
 
 // The three dataflow stages of §2.1.
@@ -98,8 +110,6 @@ struct MapperOptions {
   // Fraction of device memory usable by model state (rest: activations,
   // KVCache headroom).
   double memory_fraction = 0.85;
-  // Extra generation pass (ReMax).
-  bool extra_generation_pass = false;
 };
 
 class DeviceMapper {
@@ -123,8 +133,9 @@ class DeviceMapper {
   int MinAlloc(const std::vector<int>& model_indices, int num_gpus) const;
 
  private:
-  double StateBytesPerGpu(const MappedModelDesc& model, const ParallelConfig& cfg) const;
-  double MappedStateBytesPerGpu(const MappedModelDesc& model, const ModelMapping& mapping) const;
+  // Per-GPU state of `model` trained by `backend` with layout `cfg`.
+  static double StateBytesPerGpu(const MappedModelDesc& model, WorkerBackend backend,
+                                 const ParallelConfig& cfg);
   bool SetFits(const std::vector<int>& model_indices, int gpus) const;
   std::vector<int> CandidateSizes(int num_gpus) const;
   std::vector<std::vector<std::vector<int>>> AllPartitions(PlacementKind kind) const;

@@ -49,23 +49,10 @@ double IntersectionSeconds(const std::vector<std::pair<double, double>>& a,
 
 }  // namespace
 
-const char* RlhfAlgorithmName(RlhfAlgorithm algorithm) {
-  switch (algorithm) {
-    case RlhfAlgorithm::kPpo:
-      return "PPO";
-    case RlhfAlgorithm::kRemax:
-      return "ReMax";
-    case RlhfAlgorithm::kSafeRlhf:
-      return "Safe-RLHF";
-    case RlhfAlgorithm::kGrpo:
-      return "GRPO";
-  }
-  return "?";
-}
-
 RlhfProgram::RlhfProgram(RlhfProgramConfig config, RlhfModels models, Controller* controller,
                          PromptDataset* dataset)
     : config_(std::move(config)),
+      dataflow_(DataflowOf(config_.algorithm)),
       models_(models),
       controller_(controller),
       dataset_(dataset),
@@ -76,46 +63,28 @@ RlhfProgram::RlhfProgram(RlhfProgramConfig config, RlhfModels models, Controller
   if (config_.use_adaptive_kl) {
     config_.advantage.kl_coef = static_cast<float>(kl_controller_.coef());
   }
-  // Wire the advantage estimator to the algorithm.
-  switch (config_.algorithm) {
-    case RlhfAlgorithm::kPpo:
-      config_.advantage.estimator = AdvantageEstimator::kGae;
-      config_.advantage.cost_lambda = 0.0f;
-      break;
-    case RlhfAlgorithm::kSafeRlhf:
-      config_.advantage.estimator = AdvantageEstimator::kGae;
-      if (config_.advantage.cost_lambda <= 0.0f) {
-        config_.advantage.cost_lambda = 0.5f;
-      }
-      if (config_.ptx_coef <= 0.0f) {
-        config_.ptx_coef = 0.1f;
-      }
-      break;
-    case RlhfAlgorithm::kRemax:
-      config_.advantage.estimator = AdvantageEstimator::kRemax;
-      config_.policy_loss.kind = PolicyLossKind::kReinforce;
-      break;
-    case RlhfAlgorithm::kGrpo:
-      config_.advantage.estimator = AdvantageEstimator::kGrpo;
-      break;
+  // The dataflow fixes the estimator and the policy loss, and fills in
+  // Safe-RLHF's Lagrange multiplier and pretraining mix-in when unset.
+  config_.advantage.estimator = dataflow_.estimator;
+  config_.policy_loss.kind = dataflow_.policy_loss;
+  if (models_.cost == nullptr || config_.advantage.cost_lambda <= 0.0f) {
+    config_.advantage.cost_lambda = dataflow_.default_cost_lambda;
+  }
+  if (config_.ptx_coef <= 0.0f) {
+    config_.ptx_coef = dataflow_.default_ptx_coef;
   }
 }
 
 void RlhfProgram::ValidateModels() const {
-  HF_CHECK(models_.actor != nullptr);
-  HF_CHECK(models_.reference != nullptr);
-  HF_CHECK(models_.reward != nullptr);
-  switch (config_.algorithm) {
-    case RlhfAlgorithm::kPpo:
-      HF_CHECK_MSG(models_.critic != nullptr, "PPO requires a critic");
-      break;
-    case RlhfAlgorithm::kSafeRlhf:
-      HF_CHECK_MSG(models_.critic != nullptr, "Safe-RLHF requires a critic");
-      HF_CHECK_MSG(models_.cost != nullptr, "Safe-RLHF requires a cost model");
-      break;
-    case RlhfAlgorithm::kRemax:
-    case RlhfAlgorithm::kGrpo:
-      break;  // No critic in the dataflow.
+  const std::pair<RlhfRole, const void*> given[] = {
+      {RlhfRole::kActor, models_.actor},         {RlhfRole::kCritic, models_.critic},
+      {RlhfRole::kReference, models_.reference}, {RlhfRole::kReward, models_.reward},
+      {RlhfRole::kCost, models_.cost},
+  };
+  for (const auto& [role, group] : given) {
+    HF_CHECK_MSG(dataflow_.Has(role) == (group != nullptr),
+                 dataflow_.name << (group == nullptr ? " requires a " : " has no ")
+                                << RlhfRoleName(role) << " model");
   }
 }
 
@@ -128,7 +97,7 @@ RlhfProgram::StagedExperience RlhfProgram::GenerateExperience() {
   DataBatch prompts_data;
   if (real && dataset_ != nullptr) {
     int64_t rows = config_.real_batch;
-    if (config_.algorithm == RlhfAlgorithm::kGrpo) {
+    if (dataflow_.estimator == AdvantageEstimator::kGrpo) {
       // GRPO samples group_size responses per prompt: replicate prompts.
       const int group = config_.advantage.group_size;
       DataBatch unique = dataset_->NextBatch(std::max<int64_t>(1, rows / group));
@@ -152,9 +121,9 @@ RlhfProgram::StagedExperience RlhfProgram::GenerateExperience() {
     HF_TRACE_SCOPE("rlhf.stage.generation", "rlhf");
     experience.batch = actor.GenerateSequences(prompts, w, /*do_sample=*/true);
 
-    // ReMax: one extra greedy generation pass for the variance-reduction
-    // baseline (Figure 6: do_sample=false).
-    if (config_.algorithm == RlhfAlgorithm::kRemax) {
+    // A second pass is greedy (Figure 6: do_sample=false), and its reward
+    // is ReMax's variance-reduction baseline.
+    if (dataflow_.generation_passes > 1) {
       BatchFuture greedy = actor.GenerateSequences(prompts, w, /*do_sample=*/false);
       experience.greedy_rewards = models_.reward->ComputeReward(greedy, w);
     }
@@ -234,7 +203,7 @@ IterationMetrics RlhfProgram::TrainOnExperience(StagedExperience experience, siz
   }
   prepared.push_back(models_.reference->ComputeRefLogProb(generated, w));
   prepared.push_back(models_.reward->ComputeReward(generated, w));
-  if (config_.algorithm == RlhfAlgorithm::kSafeRlhf) {
+  if (models_.cost != nullptr) {
     prepared.push_back(models_.cost->ComputeReward(generated, w));
   }
   for (const BatchFuture& part : prepared) {
@@ -246,12 +215,12 @@ IterationMetrics RlhfProgram::TrainOnExperience(StagedExperience experience, siz
   // compute_advantage: controller-side numerics (Table 4).
   if (real && !batch.data.empty()) {
     DataBatch data = batch.data;
-    if (config_.algorithm == RlhfAlgorithm::kRemax) {
+    if (dataflow_.generation_passes > 1) {
       DataBatch::FloatColumn baselines = experience.greedy_rewards.data.Float("rewards");
       data.SetFloat("baseline_rewards", std::move(baselines));
       batch.ready_time = std::max(batch.ready_time, experience.greedy_rewards.ready_time);
     }
-    if (config_.algorithm == RlhfAlgorithm::kSafeRlhf) {
+    if (models_.cost != nullptr) {
       // Cost value baseline: zeros (cost critic folded into the advantage).
       const DataBatch::FloatColumn& log_probs = data.Float("log_probs");
       DataBatch::FloatColumn zeros(log_probs.size());
@@ -278,7 +247,6 @@ IterationMetrics RlhfProgram::TrainOnExperience(StagedExperience experience, siz
     pretrain_data = dataset_->NextBatch(std::max<int64_t>(4, config_.real_batch / 4));
   }
 
-  const int total_updates = w.ppo_epochs * w.updates_per_iteration;
   for (int epoch = 0; epoch < w.ppo_epochs; ++epoch) {
     std::vector<DataBatch> minibatches;
     if (real && !batch.data.empty()) {
@@ -313,7 +281,6 @@ IterationMetrics RlhfProgram::TrainOnExperience(StagedExperience experience, siz
       loss_count += 1;
     }
   }
-  (void)total_updates;
   }
   updates_applied_ += 1;
 
@@ -394,7 +361,7 @@ IterationMetrics RlhfProgram::TrainOnExperience(StagedExperience experience, siz
   if (telemetry_ != nullptr) {
     TelemetryFields record;
     record.Number("iteration", static_cast<double>(iterations_run_))
-        .Text("algorithm", RlhfAlgorithmName(config_.algorithm))
+        .Text("algorithm", dataflow_.name)
         .Number("actor_loss", metrics.actor_loss)
         .Number("critic_loss", metrics.critic_loss)
         .Number("mean_kl", metrics.mean_kl)
@@ -430,7 +397,7 @@ IterationMetrics RlhfProgram::TrainOnExperience(StagedExperience experience, siz
     }
     telemetry_->Append(record);
   }
-  HF_LOG(kInfo) << RlhfAlgorithmName(config_.algorithm) << " iteration: "
+  HF_LOG(kInfo) << dataflow_.name << " iteration: "
                 << metrics.iteration_seconds << "s, throughput "
                 << metrics.throughput_tokens_per_sec << " tok/s, reward "
                 << metrics.mean_reward;

@@ -2,9 +2,9 @@
 //
 // Each algorithm is a short controller-side script over the model classes'
 // primitive APIs — this is the paper's flexibility claim made concrete:
-// PPO, ReMax, Safe-RLHF and GRPO differ only in which models exist, one
-// extra generation pass, and the numerical configuration of
-// compute_advantage / the losses.
+// PPO, ReMax, Safe-RLHF and GRPO differ only in their RlhfDataflow entry
+// (src/rlhf/dataflow.h): which models exist, how many generation passes
+// run, and the numerical configuration of compute_advantage / the losses.
 #ifndef SRC_RLHF_RLHF_PROGRAM_H_
 #define SRC_RLHF_RLHF_PROGRAM_H_
 
@@ -15,6 +15,7 @@
 
 #include "src/controller/controller.h"
 #include "src/rlhf/advantage.h"
+#include "src/rlhf/dataflow.h"
 #include "src/rlhf/kl_controller.h"
 #include "src/workers/model_workers.h"
 
@@ -22,17 +23,8 @@ namespace hybridflow {
 
 class TelemetrySink;
 
-enum class RlhfAlgorithm {
-  kPpo,
-  kRemax,
-  kSafeRlhf,
-  kGrpo,
-};
-
-const char* RlhfAlgorithmName(RlhfAlgorithm algorithm);
-
 struct RlhfProgramConfig {
-  RlhfAlgorithm algorithm = RlhfAlgorithm::kPpo;
+  RlhfAlgorithm algorithm = RlhfAlgorithm::kPpo;  // hflint: allow(one-algorithm-switch)
   RlhfWorkloadSpec workload;
   AdvantageConfig advantage;
   PolicyLossConfig policy_loss;
@@ -62,8 +54,9 @@ struct RlhfProgramConfig {
   int64_t async_staleness = 1;
 };
 
-// Non-owning view of the worker groups participating in a dataflow. Models
-// not used by the selected algorithm may be null (e.g. critic for ReMax).
+// Non-owning view of the worker groups participating in a dataflow. Exactly
+// the algorithm's RlhfDataflow roles are set; the others are null (e.g. the
+// critic for ReMax).
 struct RlhfModels {
   ActorWorkerGroup* actor = nullptr;
   CriticWorkerGroup* critic = nullptr;
@@ -154,6 +147,7 @@ class RlhfProgram {
                                      double wall_start_us);
 
   RlhfProgramConfig config_;
+  const RlhfDataflow& dataflow_;
   RlhfModels models_;
   Controller* controller_;
   PromptDataset* dataset_;

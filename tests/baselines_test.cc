@@ -189,6 +189,14 @@ TEST(BaselineStructureTest, InfeasibleConfigsAreReportedNotFatal) {
   EXPECT_EQ(system.program, nullptr);
 }
 
+TEST(BaselineStructureTest, OpenRlhfWithFewerGpusThanPoolsIsInfeasible) {
+  // PPO on OpenRLHF needs five pools (actor training, vLLM generation,
+  // critic, reference, reward), so four GPUs are reported, not fatal.
+  RlhfSystemInstance system = BuildSystem(Config(RlhfSystem::kOpenRlhf, "7B", 4));
+  EXPECT_FALSE(system.feasible);
+  EXPECT_EQ(system.program, nullptr);
+}
+
 TEST(BaselineStructureTest, OpenRlhfAllocationsCoverClusterExactly) {
   RlhfSystemInstance system = BuildSystem(Config(RlhfSystem::kOpenRlhf, "7B", 32));
   ASSERT_TRUE(system.feasible);

@@ -155,5 +155,38 @@ TEST(DeviceMapperTest, SetsCoverDisjointDeviceRanges) {
   EXPECT_EQ(expected_first, 8);
 }
 
+TEST(DeviceMapperTest, MapperAndBuilderAgreeOnRemax) {
+  // The actor descriptor carries ReMax's two generation passes, so a mapper
+  // built from the dataflow with default options prices what BuildSystem
+  // maps and runs.
+  SystemBuildConfig config;
+  config.algorithm = RlhfAlgorithm::kRemax;
+  config.num_gpus = 16;
+  const RlhfSystemInstance system = BuildSystem(config);
+  ASSERT_TRUE(system.feasible);
+  DeviceMapper mapper(DataflowModels(config.algorithm, config.actor_model, config.critic_model),
+                      config.workload,
+                      ClusterSpec::WithGpus(config.num_gpus, config.gpus_per_node));
+  const MappingResult result = mapper.Map(config.num_gpus);
+  ASSERT_TRUE(result.feasible);
+  EXPECT_EQ(result.est_iteration_seconds, system.mapping.est_iteration_seconds);
+  ASSERT_EQ(result.sets.size(), system.mapping.sets.size());
+  for (size_t s = 0; s < result.sets.size(); ++s) {
+    EXPECT_EQ(result.sets[s].model_names, system.mapping.sets[s].model_names);
+    EXPECT_EQ(result.sets[s].gpus, system.mapping.sets[s].gpus);
+    EXPECT_EQ(result.sets[s].first_device, system.mapping.sets[s].first_device);
+  }
+  ASSERT_EQ(result.models.size(), system.mapping.models.size());
+  for (const auto& [name, mapping] : result.models) {
+    const ModelMapping& built = system.mapping.models.at(name);
+    EXPECT_EQ(mapping.backend, built.backend) << name;
+    EXPECT_EQ(mapping.train, built.train) << name;
+    EXPECT_EQ(mapping.gen, built.gen) << name;
+    for (int stage = 0; stage < kNumStages; ++stage) {
+      EXPECT_EQ(mapping.stage_seconds[stage], built.stage_seconds[stage]) << name;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace hybridflow

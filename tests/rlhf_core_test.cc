@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "src/rlhf/advantage.h"
+#include "src/rlhf/dataflow.h"
 #include "src/rlhf/losses.h"
 
 namespace hybridflow {
@@ -199,6 +200,25 @@ TEST(ValueLossTest, ClippingBoundsTheUpdate) {
   // max(unclipped, clipped) keeps the larger penalty: unclipped (5-10)^2=25,
   // clipped (0.2-10)^2=96.04 -> 0.5*96.04.
   EXPECT_NEAR(clipped_loss.item(), 0.5f * 96.04f, 1e-3);
+}
+
+TEST(DataflowTableTest, KeysParseBackAndActorsComeFirst) {
+  for (RlhfAlgorithm algorithm : {RlhfAlgorithm::kPpo, RlhfAlgorithm::kRemax,
+                                  RlhfAlgorithm::kSafeRlhf, RlhfAlgorithm::kGrpo}) {
+    const RlhfDataflow& dataflow = DataflowOf(algorithm);
+    RlhfAlgorithm parsed = RlhfAlgorithm::kPpo;
+    ASSERT_TRUE(ParseRlhfAlgorithm(dataflow.key, &parsed)) << dataflow.key;
+    EXPECT_EQ(parsed, algorithm);
+    EXPECT_STREQ(RlhfAlgorithmName(algorithm), dataflow.name);
+    ASSERT_FALSE(dataflow.roles.empty());
+    EXPECT_EQ(dataflow.roles.front(), RlhfRole::kActor) << dataflow.name;
+    EXPECT_TRUE(dataflow.Has(RlhfRole::kReference) && dataflow.Has(RlhfRole::kReward));
+    EXPECT_EQ(dataflow.Has(RlhfRole::kCritic), dataflow.estimator == AdvantageEstimator::kGae);
+  }
+  RlhfAlgorithm untouched = RlhfAlgorithm::kGrpo;
+  EXPECT_FALSE(ParseRlhfAlgorithm("PPO", &untouched));
+  EXPECT_EQ(untouched, RlhfAlgorithm::kGrpo);
+  EXPECT_EQ(DataflowOf(RlhfAlgorithm::kRemax).generation_passes, 2);
 }
 
 TEST(PretrainLossTest, IsNegativeMeanLogProb) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <set>
+#include <string>
+
 #include "src/baselines/system_builder.h"
 
 namespace hybridflow {
@@ -211,6 +215,24 @@ TEST(RlhfProgramTest, RecomputeLogProbsAddsAnActorInferenceOp) {
   EXPECT_EQ(log_prob_ops, 1);
 }
 
+TEST(RlhfProgramTest, ModelsMustMatchTheDataflowRoles) {
+  RlhfSystemInstance system = BuildSystem(SmallSystem(RlhfAlgorithm::kPpo));
+  ASSERT_TRUE(system.feasible);
+  RlhfProgramConfig program_config;
+  program_config.workload = system.program->config().workload;
+  RlhfModels models;
+  models.actor = system.actor.get();
+  models.critic = system.critic.get();
+  models.reference = system.reference.get();
+  models.reward = system.reward.get();
+  program_config.algorithm = RlhfAlgorithm::kGrpo;
+  EXPECT_DEATH(RlhfProgram(program_config, models, system.controller.get(), nullptr),
+               "GRPO has no critic model");
+  program_config.algorithm = RlhfAlgorithm::kSafeRlhf;
+  EXPECT_DEATH(RlhfProgram(program_config, models, system.controller.get(), nullptr),
+               "Safe-RLHF requires a cost model");
+}
+
 TEST(RlhfProgramTest, TimingOnlyModeRunsWithoutData) {
   SystemBuildConfig config = SmallSystem(RlhfAlgorithm::kPpo);
   config.real_compute = false;
@@ -220,6 +242,78 @@ TEST(RlhfProgramTest, TimingOnlyModeRunsWithoutData) {
   EXPECT_GT(metrics.iteration_seconds, 0.0);
   EXPECT_DOUBLE_EQ(metrics.mean_reward, 0.0);
 }
+
+// The ops one synchronous iteration must schedule, read off the dataflow
+// table: every generation pass (a greedy pass is scored by the reward
+// model for the baseline), each scoring role's preparation op, and one
+// update per minibatch for each trainable role.
+std::multiset<std::string> TableOps(const RlhfDataflow& dataflow, const RlhfWorkloadSpec& w) {
+  std::multiset<std::string> ops;
+  for (int pass = 0; pass < dataflow.generation_passes; ++pass) {
+    ops.insert("actor.generate");
+    if (pass > 0) {
+      ops.insert("reward.compute_rewards");
+    }
+  }
+  const int updates = w.ppo_epochs * w.updates_per_iteration;
+  for (RlhfRole role : dataflow.roles) {
+    const std::string name = RlhfRoleName(role);
+    switch (role) {
+      case RlhfRole::kActor:
+        break;
+      case RlhfRole::kCritic:
+        ops.insert(name + ".compute_values");
+        break;
+      case RlhfRole::kReference:
+        ops.insert(name + ".compute_ref_log_prob");
+        break;
+      case RlhfRole::kReward:
+        ops.insert(name + ".compute_rewards");
+        break;
+      case RlhfRole::kCost:
+        ops.insert(name + ".compute_costs");
+        break;
+    }
+    if (RoleTrainable(role)) {
+      for (int i = 0; i < updates; ++i) {
+        ops.insert(name + (role == RlhfRole::kActor ? ".update_actor" : ".update_critic"));
+      }
+    }
+  }
+  return ops;
+}
+
+class DataflowContract : public ::testing::TestWithParam<RlhfAlgorithm> {};
+
+TEST_P(DataflowContract, IterationSchedulesExactlyTheTablesOps) {
+  SystemBuildConfig config = SmallSystem(GetParam());
+  config.workload.updates_per_iteration = 3;
+  RlhfSystemInstance system = BuildSystem(config);
+  ASSERT_TRUE(system.feasible);
+  system.RunIteration();
+  // The train->generate weight reshard is the engine's transition, not a
+  // dataflow op.
+  std::multiset<std::string> scheduled;
+  for (const TraceSpan& span : system.controller->cluster().trace()) {
+    if (span.category != "reshard") {
+      scheduled.insert(span.name);
+    }
+  }
+  EXPECT_EQ(scheduled, TableOps(DataflowOf(GetParam()), config.workload));
+}
+
+INSTANTIATE_TEST_SUITE_P(Algorithms, DataflowContract,
+                         ::testing::Values(RlhfAlgorithm::kPpo, RlhfAlgorithm::kRemax,
+                                           RlhfAlgorithm::kSafeRlhf, RlhfAlgorithm::kGrpo),
+                         [](const ::testing::TestParamInfo<RlhfAlgorithm>& info) {
+                           std::string name;
+                           for (const char* c = RlhfAlgorithmName(info.param); *c; ++c) {
+                             if (std::isalnum(static_cast<unsigned char>(*c)) != 0) {
+                               name += *c;
+                             }
+                           }
+                           return name;
+                         });
 
 }  // namespace
 }  // namespace hybridflow

@@ -70,6 +70,13 @@
 //                        or expire_overdue: every generation surface takes
 //                        the scheduler's one config, so a mirror struct and
 //                        a converter that drops fields cannot come back
+//   one-algorithm-switch (src/ only) an RlhfAlgorithm enumerator
+//                        (`RlhfAlgorithm::k...`) is spelled only in the
+//                        dataflow table, src/rlhf/dataflow.{h,cc}: which
+//                        models an algorithm runs, its generation passes
+//                        and its estimator are read from its RlhfDataflow,
+//                        so a second per-algorithm `if` or `switch` cannot
+//                        drift away from the table
 //   raw-diagnostics      library code under src/ never writes diagnostics
 //                        with std::cerr / printf / fprintf; route them
 //                        through src/common/logging.h (HF_LOG) or the
@@ -87,7 +94,8 @@
 // `--rules-selftest` is the same style of negative gate for the
 // concurrency and confinement rules (condvar-wait, unreferenced-guard,
 // simd-intrinsics, one-step-loop, borrowed-event-log,
-// closed-form-pricing, one-scheduler-config): a synthetic tree
+// closed-form-pricing, one-scheduler-config, one-algorithm-switch): a
+// synthetic tree
 // with known-bad shapes must produce exactly the expected findings, and
 // the allow() hatches must suppress them.
 //
@@ -735,6 +743,30 @@ void CheckOneStepLoop(const FileText& file, std::vector<Finding>& findings) {
                     findings);
 }
 
+// One algorithm switch: in src/, only the dataflow table spells an
+// RlhfAlgorithm enumerator; everything else reads the algorithm's
+// RlhfDataflow.
+void CheckOneAlgorithmSwitch(const FileText& file, std::vector<Finding>& findings) {
+  if (file.path.rfind("src/", 0) != 0 || file.path == "src/rlhf/dataflow.h" ||
+      file.path == "src/rlhf/dataflow.cc") {
+    return;
+  }
+  const std::string type = "RlhfAlgorithm";
+  for (size_t i = 0; i < file.code.size(); ++i) {
+    const std::string& line = file.code[i];
+    for (size_t pos = FindToken(line, type); pos != std::string::npos;
+         pos = FindToken(line, type, pos + 1)) {
+      if (line.compare(pos + type.size(), 3, "::k") == 0 &&
+          !Allowed(file, i, "one-algorithm-switch")) {
+        findings.push_back({file.path, static_cast<int>(i) + 1, "one-algorithm-switch",
+                            "RlhfAlgorithm enumerator outside src/rlhf/dataflow.{h,cc}; "
+                            "read the algorithm's RlhfDataflow (DataflowOf) instead"});
+        break;  // One finding per line is enough.
+      }
+    }
+  }
+}
+
 // Borrowed event log: outside src/obs/, src/ code records into a
 // SeqEventLog only when a caller hands one in, so "null log = one pointer
 // compare" holds on every path.
@@ -1199,6 +1231,7 @@ std::vector<Finding> LintTree(const fs::path& root, int* files_checked, int* doc
       CheckBorrowedEventLog(file, findings);
       CheckClosedFormPricing(file, findings);
       CheckOneSchedulerConfig(file, findings);
+      CheckOneAlgorithmSwitch(file, findings);
       for (const std::string& line : file.code) {
         corpus += line;
         corpus += '\n';
@@ -1298,12 +1331,13 @@ int RunDocsSelftest() {
 // known-bad shape (if-guarded wait, naked wait, comment-only guard,
 // intrinsics outside src/tensor/simd.*, a RolloutScheduler outside the
 // step loop, a SeqEventLog constructed outside src/obs/, a paged KV cache
-// built in pricing code, a scheduler setting mirrored in another struct)
-// and accept the good ones (while-looped wait, HF_GUARDED_BY-referenced
-// mutex, intrinsics inside simd.h, the step loop's own scheduler,
-// src/obs/'s own log, the static capacity call, the scheduler config's
-// own settings, borrowed references, the allow() hatches) in a synthetic
-// tree — a regression gate on the rules.
+// built in pricing code, a scheduler setting mirrored in another struct,
+// an algorithm `if` outside the dataflow table) and accept the good ones
+// (while-looped wait, HF_GUARDED_BY-referenced mutex, intrinsics inside
+// simd.h, the step loop's own scheduler, src/obs/'s own log, the static
+// capacity call, the scheduler config's own settings, the table's own
+// switch, tests naming algorithms, borrowed references, the allow()
+// hatches) in a synthetic tree — a regression gate on the rules.
 int RunRulesSelftest() {
   const fs::path tree = fs::path("hflint_rules_selftest_tree");
   fs::remove_all(tree);
@@ -1482,6 +1516,36 @@ int RunRulesSelftest() {
            << "}  // namespace hybridflow\n";
   }
   {
+    // Only the dataflow table spells RlhfAlgorithm enumerators in src/: a
+    // per-algorithm `if` elsewhere is flagged unless hatched, while the
+    // type itself, table lookups and tests naming an algorithm are not.
+    fs::create_directories(tree / "src/rlhf");
+    std::ofstream table(tree / "src/rlhf/dataflow.cc");
+    table << "namespace hybridflow {\n"
+          << "int Passes(RlhfAlgorithm algorithm) {\n"
+          << "  return algorithm == RlhfAlgorithm::kRemax ? 2 : 1;\n"
+          << "}\n"
+          << "}  // namespace hybridflow\n";
+    std::ofstream program(tree / "src/gadget/program.cc");
+    program << "namespace hybridflow {\n"
+            << "struct ProgramConfig {\n"
+            << "  RlhfAlgorithm algorithm = RlhfAlgorithm::kPpo;"
+            << "  // hflint: allow(one-algorithm-switch)\n"
+            << "};\n"
+            << "int Passes(const ProgramConfig& config) {\n"
+            << "  if (config.algorithm == RlhfAlgorithm::kRemax) {\n"
+            << "    return 2;\n"
+            << "  }\n"
+            << "  return DataflowOf(config.algorithm).generation_passes;\n"
+            << "}\n"
+            << "}  // namespace hybridflow\n";
+    fs::create_directories(tree / "tests");
+    std::ofstream test(tree / "tests/program_test.cc");
+    test << "namespace hybridflow {\n"
+         << "ProgramConfig Grpo() { return {RlhfAlgorithm::kGrpo}; }\n"
+         << "}  // namespace hybridflow\n";
+  }
+  {
     // A doc's `Type::member` must name a member of that type or its bases:
     // a word that only another type declares is stale.
     std::ofstream options(tree / "src/gadget/options.cc");
@@ -1517,6 +1581,7 @@ int RunRulesSelftest() {
       {"closed-form-pricing", "KvBlockManager constructed in pricing code"},
       {"closed-form-pricing", "KvBlockManager constructed in pricing code"},
       {"one-scheduler-config", "max_running declared in MirrorOptions"},
+      {"one-algorithm-switch", "RlhfAlgorithm enumerator outside src/rlhf/dataflow"},
       {"doc-drift", "member 'enable_prefix_cache' is not declared in 'RolloutOptions'"},
   };
   for (const Finding& finding : findings) {
@@ -1544,11 +1609,11 @@ int RunRulesSelftest() {
     std::cerr << "hflint --rules-selftest: " << failures << " failure(s)\n";
     return 1;
   }
-  std::cout << "hflint --rules-selftest: ok (11 bad shapes flagged, allow() hatches, "
+  std::cout << "hflint --rules-selftest: ok (12 bad shapes flagged, allow() hatches, "
                "loop-shaped waits, confined intrinsics, the step loop's own "
                "scheduler, src/obs/'s own event log, the closed-form capacity "
-               "call, the scheduler config's own settings and inherited doc "
-               "members accepted)\n";
+               "call, the scheduler config's own settings, the dataflow table's "
+               "own switch and inherited doc members accepted)\n";
   return 0;
 }
 

@@ -84,20 +84,12 @@ RlhfSystem ParseSystem(const std::string& name) {
 }
 
 RlhfAlgorithm ParseAlgorithm(const std::string& name) {
-  if (name == "ppo") {
-    return RlhfAlgorithm::kPpo;
+  RlhfAlgorithm algorithm{};
+  if (!ParseRlhfAlgorithm(name, &algorithm)) {
+    std::cerr << "unknown algorithm: " << name << "\n";
+    std::exit(2);
   }
-  if (name == "remax") {
-    return RlhfAlgorithm::kRemax;
-  }
-  if (name == "safe-rlhf") {
-    return RlhfAlgorithm::kSafeRlhf;
-  }
-  if (name == "grpo") {
-    return RlhfAlgorithm::kGrpo;
-  }
-  std::cerr << "unknown algorithm: " << name << "\n";
-  std::exit(2);
+  return algorithm;
 }
 
 PlacementKind ParsePlacement(const std::string& name) {
