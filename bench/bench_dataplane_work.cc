@@ -5,11 +5,14 @@
 // 256 prompts, continuous rollout, tensor.threads = 1) and records how
 // much kernel work it issued: per `op` label, the number of kernel calls
 // (the tensor.kernel_us histogram count) and the flop-equivalents
-// (tensor.flops_total), plus the simulated rollout step count, the rows
-// of every per-rank input batch the transfer-protocol layer builds
-// (protocol.shard_rows) and the iteration's learning outputs as C99 hex
-// floats (%a), so a data-plane refactor that must leave numerics bitwise
-// unchanged is checked to the last bit.
+// (tensor.flops_total), plus the simulated rollout step count, the
+// autograd nodes the iteration wired (tensor.autograd_nodes_total: the
+// training ops' graphs only, since every inference op runs under a
+// NoGradScope), the rows of every per-rank input batch the
+// transfer-protocol layer builds (protocol.shard_rows) and the
+// iteration's learning outputs as C99 hex floats (%a), so a data-plane
+// refactor that must leave numerics bitwise unchanged is checked to the
+// last bit.
 //
 // Wall time is deliberately absent: every number here depends only on
 // the program, never on the thread count, the SIMD tier or the host, so
@@ -113,8 +116,10 @@ int Main() {
   }
   const std::map<std::string, OpWork> before = SnapshotKernelWork();
   const double rows_before = CounterTotal("protocol.shard_rows");
+  const double nodes_before = CounterTotal("tensor.autograd_nodes_total");
   const IterationMetrics metrics = system.RunIteration();
   const double transfer_rows = CounterTotal("protocol.shard_rows") - rows_before;
+  const double autograd_nodes = CounterTotal("tensor.autograd_nodes_total") - nodes_before;
   const int64_t sim_steps = system.actor->last_rollout_sim_stats().steps;
 
   BenchReport report("dataplane_work");
@@ -138,7 +143,8 @@ int Main() {
       .Text("op", "iteration")
       .Number("kernel_calls", total.calls)
       .Number("flops", total.flops)
-      .Number("sim_steps", static_cast<double>(sim_steps));
+      .Number("sim_steps", static_cast<double>(sim_steps))
+      .Number("autograd_nodes", autograd_nodes);
   report.AddRow().Text("op", "transfer").Number("transfer_rows", transfer_rows);
   report.AddRow()
       .Text("op", "outputs")

@@ -359,6 +359,7 @@ IterationMetrics RlhfSystemInstance::RunAveraged(int warmup, int measured) {
     total.actor_loss += metrics.actor_loss;
     total.critic_loss += metrics.critic_loss;
     total.mean_kl += metrics.mean_kl;
+    total.kl_coef += metrics.kl_coef;
     total.grad_norm += metrics.grad_norm;
     total.clip_fraction += metrics.clip_fraction;
     total.wall_clock_seconds += metrics.wall_clock_seconds;
@@ -380,6 +381,7 @@ IterationMetrics RlhfSystemInstance::RunAveraged(int warmup, int measured) {
   total.actor_loss *= inv;
   total.critic_loss *= inv;
   total.mean_kl *= inv;
+  total.kl_coef *= inv;
   total.grad_norm *= inv;
   total.clip_fraction *= inv;
   total.wall_clock_seconds *= inv;

@@ -59,7 +59,7 @@ void RolloutScheduler::Enqueue(int64_t id) {
   sequence.enqueue_step = stats_.steps;
   sequence.enqueue_seconds = sim_now_;
   deadlines_enqueued_ = deadlines_enqueued_ || sequence.ttft_deadline > 0.0;
-  waiting_.push_back(id);
+  PushWaiting(id, next_back_number_++);
   RecordEvent(SeqEventKind::kEnqueue, id, sequence.total_tokens(), stats_.steps);
 }
 
@@ -136,11 +136,8 @@ int64_t RolloutScheduler::QuietSteps() const {
     }
     if (config_.max_running == 0 ||
         static_cast<int64_t>(running_.size()) < config_.max_running) {
-      const int64_t head = config_.policy == RolloutPolicy::kFcfs &&
-                                   config_.admission == AdmissionPolicy::kQueueOrder
-                               ? waiting_.front()
-                               : AdmissionOrder().front();
-      const RolloutSequence& candidate = (*sequences_)[static_cast<size_t>(head)];
+      const RolloutSequence& candidate =
+          (*sequences_)[static_cast<size_t>(waiting_.front().id)];
       const int64_t budget = config_.prefill_chunk_tokens > 0
                                  ? config_.prefill_chunk_tokens
                                  : std::numeric_limits<int64_t>::max();
@@ -234,8 +231,60 @@ void RolloutScheduler::Preempt(int64_t id) {
   stats_.preemptions += 1;
   // Recompute-on-resume: the victim goes to the *front* of the waiting
   // queue (vLLM semantics) so preemption reorders, never starves.
-  waiting_.push_front(id);
   sequence.state = SequenceState::kWaiting;
+  PushWaiting(id, next_front_number_--);
+}
+
+WaitingEntry RolloutScheduler::WaitingKey(int64_t id, int64_t number) const {
+  const RolloutSequence& sequence = (*sequences_)[static_cast<size_t>(id)];
+  WaitingEntry entry;
+  entry.id = id;
+  entry.number = number;
+  switch (config_.admission) {
+    case AdmissionPolicy::kQueueOrder:
+      break;
+    case AdmissionPolicy::kWeightedFair:
+      return entry;  // Per-tenant queue order (AdmitWeightedFair).
+    case AdmissionPolicy::kPriority:
+      entry.admission = -static_cast<double>(sequence.priority);
+      break;
+    case AdmissionPolicy::kDeadline:
+      entry.admission = sequence.ttft_deadline > 0.0 ? sequence.ttft_deadline
+                                                     : std::numeric_limits<double>::infinity();
+      break;
+  }
+  if (config_.policy == RolloutPolicy::kLongestPrefixFirst) {
+    entry.length = -sequence.total_tokens();
+  }
+  return entry;
+}
+
+void RolloutScheduler::PushWaiting(int64_t id, int64_t number) {
+  const WaitingEntry entry = WaitingKey(id, number);
+  if (waiting_.empty() || !(entry < waiting_.back())) {
+    waiting_.push_back(entry);
+  } else if (entry < waiting_.front()) {
+    waiting_.push_front(entry);
+  } else {
+    waiting_.insert(std::upper_bound(waiting_.begin(), waiting_.end(), entry), entry);
+  }
+}
+
+int64_t RolloutScheduler::EraseWaiting(int64_t id) {
+  HF_CHECK(!waiting_.empty());
+  auto it = waiting_.begin();
+  if (it->id != id) {
+    // Its entry sits among those sharing its policy key, in queue order.
+    it = std::lower_bound(waiting_.begin(), waiting_.end(),
+                          WaitingKey(id, std::numeric_limits<int64_t>::min()));
+    it = std::find_if(it, waiting_.end(), [id](const WaitingEntry& entry) {
+      return entry.id == id;
+    });
+    HF_CHECK(it != waiting_.end());
+  }
+  const int64_t number = it->number;
+  waiting_.erase(it);
+  return number;
 }
 
 void RolloutScheduler::Cancel(int64_t id, bool expired) {
@@ -252,9 +301,7 @@ void RolloutScheduler::Cancel(int64_t id, bool expired) {
   if (resident) {
     ReleaseRunning(id);
   } else {
-    auto it = std::find(waiting_.begin(), waiting_.end(), id);
-    HF_CHECK(it != waiting_.end());
-    waiting_.erase(it);
+    EraseWaiting(id);
   }
   sequence.kv_tokens = 0;
   sequence.prefill_computed = 0;
@@ -281,7 +328,9 @@ void RolloutScheduler::ExpireOverdue() {
       overdue.push_back(id);
     }
   };
-  std::for_each(waiting_.begin(), waiting_.end(), collect);
+  for (const WaitingEntry& entry : waiting_) {
+    collect(entry.id);
+  }
   std::for_each(running_.begin(), running_.end(), collect);
   for (int64_t id : overdue) {
     Cancel(id, /*expired=*/true);
@@ -308,45 +357,6 @@ void RolloutScheduler::FillPrefillBlocksNeeded() {
                                          : kv_->BlocksFor(resident_target) -
                                                kv_->BlocksFor(sequence.kv_tokens));
   }
-}
-
-std::vector<int64_t> RolloutScheduler::AdmissionOrder() const {
-  std::vector<int64_t> candidates(waiting_.begin(), waiting_.end());
-  const auto total = [this](int64_t id) {
-    return (*sequences_)[static_cast<size_t>(id)].total_tokens();
-  };
-  if (config_.policy == RolloutPolicy::kLongestPrefixFirst) {
-    // Stable: equal-length pending sequences keep their waiting-queue
-    // (arrival) order — the determinism contract the tie-break test pins.
-    std::stable_sort(candidates.begin(), candidates.end(),
-                     [&total](int64_t a, int64_t b) { return total(a) > total(b); });
-  }
-  switch (config_.admission) {
-    case AdmissionPolicy::kQueueOrder:
-    case AdmissionPolicy::kWeightedFair:  // Handled by AdmitWeightedFair.
-      break;
-    case AdmissionPolicy::kPriority: {
-      std::stable_sort(candidates.begin(), candidates.end(), [this](int64_t a, int64_t b) {
-        return (*sequences_)[static_cast<size_t>(a)].priority >
-               (*sequences_)[static_cast<size_t>(b)].priority;
-      });
-      break;
-    }
-    case AdmissionPolicy::kDeadline: {
-      // EDF over TTFT deadlines; deadline-free sequences sort last in
-      // queue order.
-      std::stable_sort(candidates.begin(), candidates.end(), [this](int64_t a, int64_t b) {
-        const double da = (*sequences_)[static_cast<size_t>(a)].ttft_deadline;
-        const double db = (*sequences_)[static_cast<size_t>(b)].ttft_deadline;
-        if ((da > 0.0) != (db > 0.0)) {
-          return da > 0.0;
-        }
-        return da > 0.0 && da < db;
-      });
-      break;
-    }
-  }
-  return candidates;
 }
 
 bool RolloutScheduler::TryAdmit(int64_t id, StepPlan* plan, int64_t* budget) {
@@ -411,7 +421,7 @@ bool RolloutScheduler::TryAdmit(int64_t id, StepPlan* plan, int64_t* budget) {
   }
   *budget -= grant;
   plan->prefill.push_back({id, grant, skip + grant == total});
-  waiting_.erase(std::find(waiting_.begin(), waiting_.end(), id));
+  EraseWaiting(id);
   return true;
 }
 
@@ -597,8 +607,8 @@ void RolloutScheduler::AdmitWeightedFair(StepPlan* plan, int64_t* budget) {
   // Per-tenant FIFOs in waiting-queue order (preempted resumes stay at
   // their tenant's head).
   std::map<int64_t, std::deque<int64_t>> queues;
-  for (int64_t id : waiting_) {
-    queues[(*sequences_)[static_cast<size_t>(id)].tenant].push_back(id);
+  for (const WaitingEntry& entry : waiting_) {
+    queues[(*sequences_)[static_cast<size_t>(entry.id)].tenant].push_back(entry.id);
   }
   if (queues.empty()) {
     return;
@@ -740,15 +750,8 @@ StepPlan RolloutScheduler::BeginStep() {
   // head of the order is never starved by smaller requests behind it.
   if (config_.admission == AdmissionPolicy::kWeightedFair) {
     AdmitWeightedFair(&plan, &budget);
-  } else if (config_.policy == RolloutPolicy::kFcfs &&
-             config_.admission == AdmissionPolicy::kQueueOrder) {
-    while (!waiting_.empty() && TryAdmit(waiting_.front(), &plan, &budget)) {
-    }
   } else {
-    for (int64_t id : AdmissionOrder()) {
-      if (!TryAdmit(id, &plan, &budget)) {
-        break;
-      }
+    while (!waiting_.empty() && TryAdmit(waiting_.front().id, &plan, &budget)) {
     }
   }
 
@@ -828,6 +831,12 @@ void RolloutScheduler::CommitEmittedToken(int64_t id, const std::vector<int64_t>
   if (finished && resident) {
     ReleaseRunning(id);
   }
+  int64_t queue_number = 0;
+  if (!resident) {
+    // It waits keyed by its context before this token, which the token
+    // lengthens: take it out, and re-file it below unless it finished.
+    queue_number = EraseWaiting(id);
+  }
   sequence.generated += 1;
   if (sequence.generated == 1) {
     sequence.first_token_seconds = sim_now_;
@@ -836,11 +845,6 @@ void RolloutScheduler::CommitEmittedToken(int64_t id, const std::vector<int64_t>
   RecordEvent(sequence.generated == 1 ? SeqEventKind::kFirstToken : SeqEventKind::kDecodeStep, id,
               sequence.generated, stats_.steps - 1);
   if (finished) {
-    if (!resident) {
-      // Preempted mid-commit but its freshly emitted token ends it:
-      // drop it from the waiting queue it was just pushed onto.
-      waiting_.erase(std::find(waiting_.begin(), waiting_.end(), id));
-    }
     sequence.kv_tokens = 0;
     sequence.prefill_computed = 0;
     sequence.state = SequenceState::kFinished;
@@ -848,7 +852,10 @@ void RolloutScheduler::CommitEmittedToken(int64_t id, const std::vector<int64_t>
     return;
   }
   if (!resident) {
-    return;  // Waits for re-admission; token kept, KV recomputed later.
+    // Waits for re-admission at its queue position; token kept, KV
+    // recomputed later.
+    PushWaiting(id, queue_number);
+    return;
   }
   if (event_log_ != nullptr && sequence.state == SequenceState::kDecode &&
       kv_->BlocksFor(sequence.kv_tokens + 1) == kv_->BlocksFor(kv_->SequenceTokens(id))) {

@@ -151,6 +151,33 @@ struct StepPlan {
   }
 };
 
+// One waiting sequence at its place in admission order. The waiting set is
+// kept sorted by (admission, length, number), which is the order the
+// scheduler admits in: the policy's own key first, then longest context
+// under kLongestPrefixFirst, then queue position.
+struct WaitingEntry {
+  // kPriority: -priority. kDeadline: the TTFT deadline, +inf without one
+  // (EDF, deadline-free sequences last). Otherwise 0.
+  double admission = 0.0;
+  // kLongestPrefixFirst: -total_tokens() (kWeightedFair keeps per-tenant
+  // queue order and ignores it). Otherwise 0.
+  int64_t length = 0;
+  // Queue position: enqueues count up from 0; a preempted victim goes to
+  // the front, counting down from -1 (vLLM's requeue-at-head).
+  int64_t number = 0;
+  int64_t id = 0;
+
+  bool operator<(const WaitingEntry& other) const {
+    if (admission != other.admission) {
+      return admission < other.admission;
+    }
+    if (length != other.length) {
+      return length < other.length;
+    }
+    return number < other.number;
+  }
+};
+
 // The scheduler's counters of one run; RolloutStats (src/rollout/engine.h)
 // extends them with the step loop's KV and queueing figures.
 struct RolloutSchedulerStats {
@@ -250,7 +277,8 @@ class RolloutScheduler {
   void SyncSequences();
 
   bool HasWork() const { return !waiting_.empty() || !running_.empty(); }
-  const std::deque<int64_t>& waiting() const { return waiting_; }
+  // The waiting set in admission order; the head is admitted next.
+  const std::deque<WaitingEntry>& waiting() const { return waiting_; }
   const RolloutSchedulerStats& stats() const { return stats_; }
   int64_t current_step() const { return stats_.steps; }
 
@@ -272,6 +300,14 @@ class RolloutScheduler {
   // Frees the victim's KV and requeues it at the front of the waiting
   // queue (its context is recomputed on resume).
   void Preempt(int64_t id);
+  // Files `id` in the waiting set at queue position `number`, or takes it
+  // out and returns its position. The head and the tail cost O(1);
+  // elsewhere a binary search to the entries sharing its policy key, a
+  // scan among them, and a shift of the shorter side.
+  void PushWaiting(int64_t id, int64_t number);
+  int64_t EraseWaiting(int64_t id);
+  // `id`'s waiting-set key at queue position `number`.
+  WaitingEntry WaitingKey(int64_t id, int64_t number) const;
   // Returns a synced running row's KV blocks and projected peak and drops
   // it from the running set (and the decode aggregates).
   void ReleaseRunning(int64_t id);
@@ -359,8 +395,6 @@ class RolloutScheduler {
   // references that it has not stamped yet (admission, then each residency
   // extension that indexes more).
   void CoverIndexedBlocks(int64_t id);
-  // Waiting queue reordered per config_.admission (all but kWeightedFair).
-  std::vector<int64_t> AdmissionOrder() const;
   // Weighted deficit round-robin admission over per-tenant FIFOs.
   void AdmitWeightedFair(StepPlan* plan, int64_t* budget);
   // Fills prefill_needed_ with the blocks each mid-prefill row's residency
@@ -376,7 +410,9 @@ class RolloutScheduler {
   RolloutSchedulerConfig config_;
   KvBlockManager* kv_;
   std::vector<RolloutSequence>* sequences_;
-  std::deque<int64_t> waiting_;
+  std::deque<WaitingEntry> waiting_;  // Sorted: admission order.
+  int64_t next_back_number_ = 0;      // Queue positions of the next enqueue
+  int64_t next_front_number_ = -1;    // and of the next preempted victim.
   std::vector<int64_t> running_;     // Admission order: oldest first.
   std::vector<int64_t> decoding_;    // running_'s kDecode rows, in order.
   std::vector<int64_t> prefilling_;  // running_'s kPrefill rows, in order.

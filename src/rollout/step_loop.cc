@@ -1,6 +1,7 @@
 #include "src/rollout/step_loop.h"
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
 #include <utility>
 
@@ -20,7 +21,7 @@ DataStepExecutor::DataStepExecutor(const PolicyNet& net, bool do_sample, double 
       on_token_(std::move(on_token)) {}
 
 void DataStepExecutor::AddSequence(const std::vector<int64_t>& prompt, int64_t max_new_tokens) {
-  rngs_.push_back(rng_.Fork(contexts_.size()));
+  rngs_.emplace_back();
   contexts_.emplace_back(prompt, net_.config().context_window);
   responses.emplace_back().reserve(static_cast<size_t>(max_new_tokens));
   log_probs.emplace_back().reserve(static_cast<size_t>(max_new_tokens));
@@ -37,6 +38,8 @@ double DataStepExecutor::Execute(const StepPlan& plan,
   if (rows.empty()) {
     return seconds_per_step_;
   }
+  // Generation only reads the logits: no autograd graph.
+  NoGradScope no_grad;
   std::vector<std::vector<int64_t>> step_contexts;
   step_contexts.reserve(rows.size());
   for (int64_t id : rows) {
@@ -45,9 +48,15 @@ double DataStepExecutor::Execute(const StepPlan& plan,
   const Tensor logits = net_.Forward(step_contexts);
   for (size_t a = 0; a < rows.size(); ++a) {
     const size_t id = static_cast<size_t>(rows[a]);
+    // A sequence's stream is forked at its first sampled draw; greedy
+    // decoding never draws, so it passes the parent stream untouched.
+    std::unique_ptr<Rng>& stream = rngs_[id];
+    if (do_sample_ && stream == nullptr) {
+      stream = std::make_unique<Rng>(rng_.Fork(id));
+    }
     float log_prob = 0.0f;
     const int64_t token = SampleLogitsRow(logits, static_cast<int64_t>(a), temperature_,
-                                          do_sample_, rngs_[id], &log_prob);
+                                          do_sample_, do_sample_ ? *stream : rng_, &log_prob);
     responses[id].push_back(token);
     log_probs[id].push_back(log_prob);
     contexts_[id].Push(token);
@@ -186,7 +195,6 @@ StepLoopResult RunStepLoop(const StepLoopConfig& config, std::vector<RolloutSequ
       }
     }
     if (between_steps != nullptr) {
-      scheduler.SyncSequences();
       to_cancel.clear();
       between_steps(now, seqs, &to_cancel);
       for (int64_t id : to_cancel) {

@@ -14,14 +14,16 @@
 // stamps each sequence's lifecycle clocks, which the callers read back from
 // StepLoopResult::sequences. What a step computes is the executor's
 // only job (the engine/worker split of vLLM-style engines):
-//   * DataStepExecutor: PolicyNet::Forward over the emitting rows, then
-//     SampleLogitsRow on each sequence's forked RNG stream;
+//   * DataStepExecutor: PolicyNet::Forward over the emitting rows under a
+//     NoGradScope (no autograd graph), then SampleLogitsRow on each
+//     sequence's forked RNG stream;
 //   * SimStepExecutor: PerfModel prefill, decode and comm step costs.
 #ifndef SRC_ROLLOUT_STEP_LOOP_H_
 #define SRC_ROLLOUT_STEP_LOOP_H_
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -64,7 +66,8 @@ class DataStepExecutor : public StepExecutor {
 
   // Each step advances the clock by `seconds_per_step` (0 for RLHF
   // rollout). `eos_token` < 0 disables EOS. Sequence id samples from
-  // rng.Fork(id); greedy decoding never draws.
+  // rng.Fork(id), forked at its first draw; greedy decoding never draws or
+  // forks.
   DataStepExecutor(const PolicyNet& net, bool do_sample, double temperature, const Rng& rng,
                    double seconds_per_step = 0.0, int64_t eos_token = -1,
                    TokenSink on_token = nullptr);
@@ -87,7 +90,8 @@ class DataStepExecutor : public StepExecutor {
   int64_t eos_token_;
   TokenSink on_token_;
   std::vector<IncrementalContext> contexts_;
-  std::vector<Rng> rngs_;
+  // Per id: its sampling stream, rng.Fork(id), forked at its first draw.
+  std::vector<std::unique_ptr<Rng>> rngs_;
 };
 
 // Performance plane: prices each step on one replica. Preempted sequences
@@ -134,7 +138,10 @@ struct StepLoopConfig {
 };
 
 // Called after every arrival injection; appends the ids of arrived, live
-// sequences to cancel, in ascending id order.
+// sequences to cancel, in ascending id order. States in `sequences` are
+// exact; a decode row's generated, kv_tokens and last_token_seconds may lag
+// (RolloutScheduler::SyncSequences), so a hook that counts tokens counts
+// them itself (ServingFrontend's does, from the executor's token sink).
 using BetweenStepsHook = std::function<void(
     double now, const std::vector<RolloutSequence>& sequences, std::vector<int64_t>* cancel)>;
 

@@ -1,5 +1,6 @@
 #include "src/serving/frontend.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -45,23 +46,26 @@ ServingResult ServingFrontend::Serve(const std::vector<ServingRequest>& requests
   loop.kv.num_blocks = config_.num_blocks;
   loop.kv.enable_prefix_cache = config_.prefix_cache;
   loop.event_log = config_.event_log;
-  // Client cancellation signals, applied at step boundaries. Only requests
-  // that carry a cancel schedule are watched, or all of them under a stream
-  // callback (which may refuse any token); terminal ones drop out.
-  std::vector<int64_t> watched;
-  std::vector<bool> refused(count, false);
-  DataStepExecutor::TokenSink sink;
-  if (on_token != nullptr) {
-    sink = [&](int64_t id, int64_t token, float log_prob, double time) {
-      const int64_t index = result.records[static_cast<size_t>(id)].tokens++;
-      if (!on_token(StreamDelta{id, token, log_prob, index, time})) {
-        refused[static_cast<size_t>(id)] = true;
-      }
-    };
-  }
+  // Client cancellations, applied at step boundaries at O(events) cost:
+  // hang-ups and cancel_after_tokens hits are signalled as tokens stream
+  // (the sink runs for every token, with or without a client callback),
+  // and cancel_at instants are taken from a cursor over their ascending
+  // times.
+  std::vector<int64_t> signalled;
+  const DataStepExecutor::TokenSink sink = [&](int64_t id, int64_t token, float log_prob,
+                                               double time) {
+    const size_t i = static_cast<size_t>(id);
+    const int64_t index = result.records[i].tokens++;
+    const bool hung_up =
+        on_token != nullptr && !on_token(StreamDelta{id, token, log_prob, index, time});
+    if (hung_up || requests[i].cancel_after_tokens == index + 1) {
+      signalled.push_back(id);
+    }
+  };
   DataStepExecutor executor(net_, do_sample, temperature, rng, config_.seconds_per_step,
                             /*eos_token=*/-1, sink);
   std::vector<RolloutSequence> sequences(count);
+  std::vector<int64_t> by_cancel_at;  // Requests cancelled at an instant after arrival.
   for (size_t i = 0; i < count; ++i) {
     const ServingRequest& request = requests[i];
     HF_CHECK_EQ(request.id, static_cast<int64_t>(i));
@@ -82,32 +86,34 @@ ServingResult ServingFrontend::Serve(const std::vector<ServingRequest>& requests
     // scheduler: the client hung up before the request was accepted.
     if (request.cancel_at > 0.0 && request.cancel_at <= request.arrival) {
       sequence.state = SequenceState::kCancelled;
-    } else if (on_token != nullptr || request.cancel_at > 0.0 ||
-               request.cancel_after_tokens > 0) {
-      watched.push_back(request.id);
+    } else if (request.cancel_at > 0.0) {
+      by_cancel_at.push_back(request.id);
     }
     executor.AddSequence(request.prompt, request.max_new_tokens);
     result.records[i].tpot_slo = request.tpot_slo;
   }
+  std::stable_sort(by_cancel_at.begin(), by_cancel_at.end(), [&requests](int64_t a, int64_t b) {
+    return requests[static_cast<size_t>(a)].cancel_at < requests[static_cast<size_t>(b)].cancel_at;
+  });
+  size_t next_cancel_at = 0;
+  // Each signal cancels its request at the first boundary after it, in
+  // ascending id order, unless the request is terminal by then (it
+  // finished in the step that signalled, or was cancelled or expired).
   const auto cancellations = [&](double now, const std::vector<RolloutSequence>& states,
                                  std::vector<int64_t>* cancel) {
-    size_t kept = 0;
-    for (int64_t id : watched) {
-      const RolloutSequence& sequence = states[static_cast<size_t>(id)];
-      if (IsTerminal(sequence.state)) {
-        continue;
-      }
-      watched[kept++] = id;
-      const ServingRequest& request = requests[static_cast<size_t>(id)];
-      const bool timed_out = request.cancel_at > 0.0 && request.cancel_at <= now;
-      const bool streamed_enough = request.cancel_after_tokens > 0 &&
-                                   sequence.generated >= request.cancel_after_tokens;
-      const bool hung_up = refused[static_cast<size_t>(id)];
-      if (request.arrival <= now && (timed_out || streamed_enough || hung_up)) {
+    for (; next_cancel_at < by_cancel_at.size() &&
+           requests[static_cast<size_t>(by_cancel_at[next_cancel_at])].cancel_at <= now;
+         ++next_cancel_at) {
+      signalled.push_back(by_cancel_at[next_cancel_at]);
+    }
+    std::sort(signalled.begin(), signalled.end());
+    signalled.erase(std::unique(signalled.begin(), signalled.end()), signalled.end());
+    for (int64_t id : signalled) {
+      if (!IsTerminal(states[static_cast<size_t>(id)].state)) {
         cancel->push_back(id);
       }
     }
-    watched.resize(kept);
+    signalled.clear();
   };
   const StepLoopResult run =
       RunStepLoop(loop, std::move(sequences), executor, cancellations);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "src/obs/metrics.h"
+
 #ifdef __GLIBC__
 #include <malloc.h>
 #endif
@@ -169,21 +171,57 @@ void Tensor::ZeroGrad() {
   std::fill(node_->grad.begin(), node_->grad.end(), 0.0f);
 }
 
-Tensor MakeResult(std::vector<int64_t> shape, std::vector<float> data,
-                  std::vector<TensorNodePtr> parents,
-                  std::function<void(TensorNode&)> backward) {
+namespace {
+
+thread_local bool grad_enabled = true;
+
+}  // namespace
+
+bool GradEnabled() { return grad_enabled; }
+
+NoGradScope::NoGradScope() : previous_(grad_enabled) { grad_enabled = false; }
+
+NoGradScope::~NoGradScope() { grad_enabled = previous_; }
+
+namespace tensor_internal {
+
+TensorNodePtr NewResultNode(std::vector<int64_t> shape, std::vector<float> data) {
   auto node = std::make_shared<TensorNode>();
   node->shape = std::move(shape);
   node->data = std::move(data);
   HF_CHECK_EQ(static_cast<int64_t>(node->data.size()), node->size());
-  bool any_grad = false;
-  for (const TensorNodePtr& parent : parents) {
-    any_grad = any_grad || (parent != nullptr && parent->requires_grad);
+  return node;
+}
+
+bool JoinsGraph(const TensorNodePtr* parents, size_t count) {
+  if (!grad_enabled) {
+    return false;
   }
-  node->requires_grad = any_grad;
-  if (any_grad) {
-    node->parents = std::move(parents);
-    node->backward = std::move(backward);
+  for (size_t i = 0; i < count; ++i) {
+    if (parents[i] != nullptr && parents[i]->requires_grad) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void Wire(TensorNode& node, std::vector<TensorNodePtr> parents,
+          std::function<void(TensorNode&)> backward) {
+  static Counter& nodes = MetricsRegistry::Global().GetCounter("tensor.autograd_nodes_total");
+  node.requires_grad = true;
+  node.parents = std::move(parents);
+  node.backward = std::move(backward);
+  nodes.Increment();
+}
+
+}  // namespace tensor_internal
+
+Tensor MakeResult(std::vector<int64_t> shape, std::vector<float> data,
+                  std::vector<TensorNodePtr> parents,
+                  std::function<void(TensorNode&)> backward) {
+  TensorNodePtr node = tensor_internal::NewResultNode(std::move(shape), std::move(data));
+  if (tensor_internal::JoinsGraph(parents.data(), parents.size())) {
+    tensor_internal::Wire(*node, std::move(parents), std::move(backward));
   }
   return Tensor(std::move(node));
 }

@@ -14,8 +14,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/check.h"
@@ -93,7 +95,56 @@ class Tensor {
   TensorNodePtr node_;
 };
 
-// Builds a non-leaf result node wired to its parents.
+// --- Grad mode ---------------------------------------------------------------
+// Whether ops on the calling thread build an autograd graph. On by default;
+// a NoGradScope turns it off for its lifetime. The mode is thread-local: a
+// task a pool thread runs starts in grad mode whatever its submitter had, so
+// a scope meant for pool work must be opened inside the task.
+bool GradEnabled();
+
+// RAII: ops built while the scope is open on this thread wire no graph
+// (their results have no parents, no backward and requires_grad = false)
+// and compute the same values, bit for bit. Scopes nest; closing one
+// restores the mode it found.
+class NoGradScope {
+ public:
+  NoGradScope();
+  ~NoGradScope();
+  NoGradScope(const NoGradScope&) = delete;
+  NoGradScope& operator=(const NoGradScope&) = delete;
+
+ private:
+  bool previous_;
+};
+
+namespace tensor_internal {
+
+// A result node holding `data` under `shape`, not wired to any parent.
+TensorNodePtr NewResultNode(std::vector<int64_t> shape, std::vector<float> data);
+// Whether a result of `parents` joins the graph: grad mode is on and some
+// parent requires grad.
+bool JoinsGraph(const TensorNodePtr* parents, size_t count);
+// Wires `node` to its parents (tensor.autograd_nodes_total counts it).
+void Wire(TensorNode& node, std::vector<TensorNodePtr> parents,
+          std::function<void(TensorNode&)> backward);
+
+}  // namespace tensor_internal
+
+// Builds a non-leaf result node. It joins the graph, wired to `parents`
+// with `backward`, only when tensor_internal::JoinsGraph holds; otherwise
+// neither the parent list nor the std::function is built.
+template <typename Backward>
+Tensor MakeResult(std::vector<int64_t> shape, std::vector<float> data,
+                  std::initializer_list<TensorNodePtr> parents, Backward&& backward) {
+  TensorNodePtr node = tensor_internal::NewResultNode(std::move(shape), std::move(data));
+  if (tensor_internal::JoinsGraph(parents.begin(), parents.size())) {
+    tensor_internal::Wire(*node, std::vector<TensorNodePtr>(parents),
+                          std::forward<Backward>(backward));
+  }
+  return Tensor(std::move(node));
+}
+
+// The same for a parent count known only at run time (ConcatRows).
 Tensor MakeResult(std::vector<int64_t> shape, std::vector<float> data,
                   std::vector<TensorNodePtr> parents,
                   std::function<void(TensorNode&)> backward);

@@ -50,6 +50,7 @@ ResponseTokens ShardResponseTokens(const DataBatch& shard, int64_t context_windo
 // under `net`.
 DataBatch WithResponseLogProbs(const PolicyNet& net, int64_t context_window,
                                const DataBatch& shard, const std::string& column) {
+  NoGradScope no_grad;  // Runs inside a shard closure, on the thread that runs it.
   const ResponseTokens tokens = ShardResponseTokens(shard, context_window);
   Tensor log_probs = net.LogProb(tokens.contexts, tokens.chosen);
   DataBatch out = shard;
@@ -323,6 +324,7 @@ BatchFuture ActorWorkerGroup::ComputeLoss(const BatchFuture& pretrain,
                                           const RlhfWorkloadSpec& workload) {
   const double duration = InferSeconds(workload.global_batch, workload.prompt_len);
   ShardFn compute = [this](const DataBatch& shard, int) {
+    NoGradScope no_grad;  // The loss is only read.
     DataBatch out;
     out.SetFloat("pretrain_loss", {{PretrainNll(*net_, shard.Tokens("prompts")).item()}});
     return out;
@@ -426,6 +428,7 @@ BatchFuture CriticWorkerGroup::ComputeValues(const BatchFuture& batch,
                                              const RlhfWorkloadSpec& workload) {
   const double duration = InferSeconds(workload.global_batch, workload.total_len());
   ShardFn compute = [this](const DataBatch& shard, int) {
+    NoGradScope no_grad;  // The values are only read.
     DataBatch out = shard;
     out.SetFloat(value_column_, ValuesForShard(shard, /*with_grad=*/false, nullptr));
     return out;
@@ -548,6 +551,7 @@ BatchFuture RewardWorkerGroup::ComputeReward(const BatchFuture& batch,
         std::vector<int64_t> lengths;
         std::vector<std::vector<int64_t>> contexts = AllResponseContextsRagged(
             prompts, responses, real_.net.context_window, &lengths);
+        NoGradScope no_grad;  // The score only reads the head.
         Tensor values = net_->Forward(contexts);
         size_t offset = 0;
         for (size_t i = 0; i < prompts.size(); ++i) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "src/baselines/system_builder.h"
 #include "src/rlhf/kl_controller.h"
 
@@ -101,6 +103,54 @@ TEST(AdaptiveKlTest, IntegratesWithPpoProgram) {
     moved = moved || coefs[i] != coefs[0];
   }
   EXPECT_TRUE(moved);
+}
+
+// An adaptive-KL PPO system whose program is rebuilt with the controller
+// on (the system config has no adaptive-KL switch).
+RlhfSystemInstance AdaptiveKlSystem() {
+  SystemBuildConfig config;
+  config.system = RlhfSystem::kHybridFlow;
+  config.algorithm = RlhfAlgorithm::kPpo;
+  config.num_gpus = 8;
+  config.real_compute = true;
+  config.real_batch = 32;
+  config.seed = 51;
+  config.workload.global_batch = 64;
+  RlhfSystemInstance system = BuildSystem(config);
+  HF_CHECK(system.feasible);
+  RlhfProgramConfig program_config;
+  program_config.algorithm = RlhfAlgorithm::kPpo;
+  program_config.workload = config.workload;
+  program_config.real_batch = 32;
+  program_config.use_adaptive_kl = true;
+  program_config.adaptive_kl.target_kl = 0.02;
+  RlhfModels models;
+  models.actor = system.actor.get();
+  models.critic = system.critic.get();
+  models.reference = system.reference.get();
+  models.reward = system.reward.get();
+  system.program = std::make_unique<RlhfProgram>(program_config, models,
+                                                 system.controller.get(), system.dataset.get());
+  return system;
+}
+
+TEST(AdaptiveKlTest, RunAveragedReportsTheProgramsCoefficient) {
+  constexpr int kWarmup = 1;
+  constexpr int kMeasured = 3;
+  RlhfSystemInstance averaged_system = AdaptiveKlSystem();
+  const IterationMetrics averaged = averaged_system.RunAveraged(kWarmup, kMeasured);
+  // The same seeded run iteration by iteration: the average of the
+  // coefficients the measured iterations reported.
+  RlhfSystemInstance stepped_system = AdaptiveKlSystem();
+  for (int i = 0; i < kWarmup; ++i) {
+    stepped_system.RunIteration();
+  }
+  double total = 0.0;
+  for (int i = 0; i < kMeasured; ++i) {
+    total += stepped_system.RunIteration().kl_coef;
+  }
+  EXPECT_GT(averaged.kl_coef, 0.0);
+  EXPECT_DOUBLE_EQ(averaged.kl_coef, total * (1.0 / kMeasured));
 }
 
 }  // namespace

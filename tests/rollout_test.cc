@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "src/common/rng.h"
 #include "src/nn/policy_net.h"
 #include "src/obs/metrics.h"
+#include "src/obs/seq_events.h"
 #include "src/rollout/engine.h"
 #include "src/rollout/scheduler.h"
 #include "src/rollout/sequence.h"
@@ -101,6 +103,169 @@ TEST(RolloutSchedulerTest, LongestPrefixFirstBreaksTiesInArrivalOrder) {
   }
   const StepPlan plan = scheduler.BeginStep();
   EXPECT_EQ(PrefillIds(plan), (std::vector<int64_t>{3, 0, 4, 1, 2}));
+}
+
+// The admission order from before the waiting set was kept sorted: the
+// waiting queue (arrivals at the back, preempted victims at the front)
+// copied and stable-sorted per policy on every step; kWeightedFair reads
+// the queue as it stands.
+std::vector<int64_t> CopyAndStableSortOrder(const std::deque<int64_t>& queue,
+                                            const std::vector<RolloutSequence>& sequences,
+                                            const RolloutSchedulerConfig& config) {
+  std::vector<int64_t> order(queue.begin(), queue.end());
+  const auto at = [&sequences](int64_t id) -> const RolloutSequence& {
+    return sequences[static_cast<size_t>(id)];
+  };
+  if (config.admission == AdmissionPolicy::kWeightedFair) {
+    return order;
+  }
+  if (config.policy == RolloutPolicy::kLongestPrefixFirst) {
+    std::stable_sort(order.begin(), order.end(), [&at](int64_t a, int64_t b) {
+      return at(a).total_tokens() > at(b).total_tokens();
+    });
+  }
+  if (config.admission == AdmissionPolicy::kPriority) {
+    std::stable_sort(order.begin(), order.end(), [&at](int64_t a, int64_t b) {
+      return at(a).priority > at(b).priority;
+    });
+  } else if (config.admission == AdmissionPolicy::kDeadline) {
+    std::stable_sort(order.begin(), order.end(), [&at](int64_t a, int64_t b) {
+      const double da = at(a).ttft_deadline;
+      const double db = at(b).ttft_deadline;
+      if ((da > 0.0) != (db > 0.0)) {
+        return da > 0.0;
+      }
+      return da > 0.0 && da < db;
+    });
+  }
+  return order;
+}
+
+std::vector<int64_t> WaitingIds(const RolloutScheduler& scheduler) {
+  std::vector<int64_t> ids;
+  for (const WaitingEntry& entry : scheduler.waiting()) {
+    ids.push_back(entry.id);
+  }
+  return ids;
+}
+
+TEST(RolloutSchedulerTest, WaitingSetOrderEqualsCopyAndStableSort) {
+  // Seeded churn under a tight cache: arrivals, preemptions (victims to the
+  // front, some finishing or growing mid-commit), TTFT expiry and cancels
+  // from the middle of the queue. The queue the old order sorted is rebuilt
+  // from the scheduler's lifecycle events; at every step boundary the
+  // waiting set must list it in the old order, and each admission must take
+  // the old order's head.
+  int64_t preemptions = 0;
+  int64_t mid_queue_cancels = 0;
+  int64_t expiries = 0;
+  for (const RolloutPolicy policy : {RolloutPolicy::kFcfs, RolloutPolicy::kLongestPrefixFirst}) {
+    for (const AdmissionPolicy admission :
+         {AdmissionPolicy::kQueueOrder, AdmissionPolicy::kPriority, AdmissionPolicy::kDeadline,
+          AdmissionPolicy::kWeightedFair}) {
+      for (uint64_t seed = 1; seed <= 10; ++seed) {
+        SCOPED_TRACE(testing::Message() << "policy " << static_cast<int>(policy) << " admission "
+                                        << static_cast<int>(admission) << " seed " << seed);
+        Rng rng(seed * 131 + static_cast<uint64_t>(admission) * 7 +
+                static_cast<uint64_t>(policy));
+        // Short lengths, so equal contexts (LPF ties) are common.
+        std::vector<RolloutSequence> sequences(60);
+        for (size_t i = 0; i < sequences.size(); ++i) {
+          RolloutSequence& sequence = sequences[i];
+          sequence.id = static_cast<int64_t>(i);
+          sequence.prompt_tokens = rng.UniformInt(1, 8);
+          sequence.target_new_tokens = rng.UniformInt(1, 8);
+          sequence.priority = rng.UniformInt(0, 3);
+          sequence.tenant = rng.UniformInt(0, 2);
+          // Few distinct deadlines, so ties are common; half have none.
+          sequence.ttft_deadline =
+              rng.Uniform(0.0, 1.0) < 0.5 ? 0.0 : 0.5 * static_cast<double>(rng.UniformInt(1, 8));
+        }
+        KvBlockManager kv(KvConfig(/*blocks=*/9, /*block_tokens=*/2));
+        RolloutSchedulerConfig config;
+        config.policy = policy;
+        config.admission = admission;
+        config.fair_quantum_tokens = 8;
+        RolloutScheduler scheduler(config, &kv, &sequences);
+        SeqEventLog log;
+        const int64_t run = log.BeginRun();
+        scheduler.SetEventLog(&log, run);
+
+        std::deque<int64_t> queue;  // The old waiting queue.
+        size_t replayed = 0;
+        const auto replay_events = [&] {
+          const std::vector<SeqEvent> events = log.SnapshotRun(run);
+          for (; replayed < events.size(); ++replayed) {
+            const SeqEvent& event = events[replayed];
+            const auto it = std::find(queue.begin(), queue.end(), event.seq);
+            switch (event.kind) {
+              case SeqEventKind::kEnqueue:
+                queue.push_back(event.seq);
+                break;
+              case SeqEventKind::kPreempt:
+                queue.push_front(event.seq);
+                preemptions += 1;
+                break;
+              case SeqEventKind::kAdmit:
+              case SeqEventKind::kResume:
+                ASSERT_TRUE(it != queue.end());
+                if (admission != AdmissionPolicy::kWeightedFair) {
+                  EXPECT_EQ(event.seq, CopyAndStableSortOrder(queue, sequences, config).front());
+                }
+                queue.erase(it);
+                break;
+              case SeqEventKind::kExpire:
+                expiries += it != queue.end() ? 1 : 0;
+                [[fallthrough]];
+              case SeqEventKind::kCancel:
+              case SeqEventKind::kFinish:
+                if (it != queue.end()) {
+                  queue.erase(it);
+                }
+                break;
+              default:
+                break;
+            }
+          }
+        };
+        const auto expect_order = [&] {
+          replay_events();
+          EXPECT_EQ(WaitingIds(scheduler), CopyAndStableSortOrder(queue, sequences, config));
+        };
+
+        int64_t next = 0;
+        double now = 0.0;
+        const int64_t count = static_cast<int64_t>(sequences.size());
+        for (int guard = 0; scheduler.HasWork() || next < count; ++guard) {
+          ASSERT_LT(guard, 2000);
+          scheduler.SetSimNow(now);
+          for (int64_t arrivals = rng.UniformInt(0, 3); arrivals > 0 && next < count; --arrivals) {
+            scheduler.Enqueue(next++);
+          }
+          if (!scheduler.HasWork()) {
+            scheduler.Enqueue(next++);
+          }
+          if (scheduler.waiting().size() > 2 && rng.Uniform(0.0, 1.0) < 0.15) {
+            const int64_t last = static_cast<int64_t>(scheduler.waiting().size()) - 1;
+            const size_t pick = static_cast<size_t>(rng.UniformInt(1, last - 1));
+            scheduler.Cancel(scheduler.waiting()[pick].id);
+            mid_queue_cancels += 1;
+          }
+          expect_order();
+          const StepPlan plan = scheduler.BeginStep();
+          expect_order();
+          now += 0.1;
+          scheduler.SetSimNow(now);
+          scheduler.CommitStep(plan, {});
+          expect_order();
+        }
+        EXPECT_EQ(kv.used_blocks(), 0);
+      }
+    }
+  }
+  EXPECT_GT(preemptions, 0);
+  EXPECT_GT(mid_queue_cancels, 0);
+  EXPECT_GT(expiries, 0);
 }
 
 TEST(RolloutSchedulerTest, AdmissionGatedByKvCapacityWithoutBypass) {

@@ -28,6 +28,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/seq_events.h"
 #include "src/rollout/engine.h"
+#include "src/rollout/step_loop.h"
 #include "src/rollout/timing.h"
 #include "src/serving/frontend.h"
 #include "src/serving/request.h"
@@ -327,9 +328,9 @@ TEST(ServingSchedulerTest, CancelWhilePreemptedRemovesFromRequeue) {
     ASSERT_LT(guard++, 1000);
     const StepPlan plan = scheduler.BeginStep();
     scheduler.CommitStep(plan, {});
-    for (int64_t id : scheduler.waiting()) {
-      if (sequences[static_cast<size_t>(id)].generated > 0) {
-        preempted = id;
+    for (const WaitingEntry& entry : scheduler.waiting()) {
+      if (sequences[static_cast<size_t>(entry.id)].generated > 0) {
+        preempted = entry.id;
         break;
       }
     }
@@ -339,8 +340,9 @@ TEST(ServingSchedulerTest, CancelWhilePreemptedRemovesFromRequeue) {
   scheduler.Cancel(preempted);
   EXPECT_EQ(sequences[static_cast<size_t>(preempted)].state, SequenceState::kCancelled);
   EXPECT_EQ(sequences[static_cast<size_t>(preempted)].generated, tokens_kept);
-  EXPECT_TRUE(std::find(scheduler.waiting().begin(), scheduler.waiting().end(), preempted) ==
-              scheduler.waiting().end());
+  EXPECT_TRUE(std::none_of(
+      scheduler.waiting().begin(), scheduler.waiting().end(),
+      [preempted](const WaitingEntry& entry) { return entry.id == preempted; }));
   Drain(scheduler);
   for (const RolloutSequence& sequence : sequences) {
     if (sequence.id != preempted) {
@@ -643,6 +645,163 @@ TEST(ServingFrontendTest, StreamingCallbackDeliversTokensInOrderAndCanCancel) {
     EXPECT_EQ(streamed[record.id], record.response);  // Stream == record.
   }
   EXPECT_EQ(got.kv_leaked_blocks, 0);
+}
+
+// What a full scan of every live request at every step boundary cancels,
+// run through the same step loop as Serve: its events and responses. With
+// the event log attached every decode row is committed each step, so the
+// scan reads exact generated counts.
+struct FullScanRun {
+  std::vector<SeqEvent> events;
+  std::vector<std::vector<int64_t>> responses;
+};
+
+FullScanRun ServeWithFullScanCancellation(const PolicyNet& net,
+                                          const std::vector<ServingRequest>& requests,
+                                          const ServingFrontendConfig& config,
+                                          const StreamCallback& on_token) {
+  SeqEventLog log;
+  StepLoopConfig loop;
+  loop.scheduler = config.scheduler;
+  loop.kv.block_tokens = config.block_tokens;
+  loop.kv.num_blocks = config.num_blocks;
+  loop.kv.enable_prefix_cache = config.prefix_cache;
+  loop.event_log = &log;
+  std::vector<bool> refused(requests.size(), false);
+  std::vector<int64_t> streamed(requests.size(), 0);
+  Rng rng(999);
+  DataStepExecutor executor(
+      net, /*do_sample=*/false, /*temperature=*/1.0, rng, config.seconds_per_step,
+      /*eos_token=*/-1, [&](int64_t id, int64_t token, float log_prob, double time) {
+        const size_t i = static_cast<size_t>(id);
+        if (!on_token(StreamDelta{id, token, log_prob, streamed[i]++, time})) {
+          refused[i] = true;
+        }
+      });
+  std::vector<RolloutSequence> sequences(requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const ServingRequest& request = requests[i];
+    RolloutSequence& sequence = sequences[i];
+    sequence.id = request.id;
+    sequence.prompt_tokens = static_cast<int64_t>(request.prompt.size());
+    sequence.target_new_tokens = request.max_new_tokens;
+    sequence.tenant = request.tenant;
+    sequence.priority = request.priority;
+    sequence.ttft_deadline = request.ttft_deadline;
+    sequence.arrival = request.arrival;
+    if (config.prefix_cache) {
+      sequence.block_hashes = PromptBlockHashes(request.prompt, config.block_tokens);
+    }
+    if (request.cancel_at > 0.0 && request.cancel_at <= request.arrival) {
+      sequence.state = SequenceState::kCancelled;
+    }
+    executor.AddSequence(request.prompt, request.max_new_tokens);
+  }
+  const auto scan = [&](double now, const std::vector<RolloutSequence>& states,
+                        std::vector<int64_t>* cancel) {
+    for (const ServingRequest& request : requests) {
+      const RolloutSequence& sequence = states[static_cast<size_t>(request.id)];
+      if (IsTerminal(sequence.state) || request.arrival > now) {
+        continue;
+      }
+      const bool timed_out = request.cancel_at > 0.0 && request.cancel_at <= now;
+      const bool streamed_enough = request.cancel_after_tokens > 0 &&
+                                   sequence.generated >= request.cancel_after_tokens;
+      if (timed_out || streamed_enough || refused[static_cast<size_t>(request.id)]) {
+        cancel->push_back(request.id);
+      }
+    }
+  };
+  RunStepLoop(loop, std::move(sequences), executor, scan);
+  return FullScanRun{log.Snapshot(), executor.responses};
+}
+
+TEST(ServingFrontendTest, EventDrivenCancellationEqualsAFullScanAtEveryBoundary) {
+  // Seeded traces mixing cancel_at (some at or before arrival),
+  // cancel_after_tokens (some past the response cap), a refusing stream
+  // callback, preemption under a tight cache and TTFT expiry. Equal event
+  // streams mean every boundary cancelled the same requests in the same
+  // order; the unlogged run (rows committed lazily) must agree too.
+  const PolicyNet net = TestNet();
+  int64_t cancelled = 0;
+  int64_t expired = 0;
+  int64_t preemptions = 0;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    Rng rng(seed);
+    std::vector<ServingRequest> requests(40);
+    for (size_t i = 0; i < requests.size(); ++i) {
+      ServingRequest& request = requests[i];
+      request.id = static_cast<int64_t>(i);
+      request.tenant = rng.UniformInt(0, 1);
+      request.priority = rng.UniformInt(0, 2);
+      // Arrivals on a 0.25 s grid over 8 s: bursts and idle gaps, whose
+      // boundaries fall exactly on grid instants.
+      request.arrival = 0.25 * static_cast<double>(rng.UniformInt(0, 32));
+      request.max_new_tokens = rng.UniformInt(2, 8);
+      request.prompt.resize(static_cast<size_t>(rng.UniformInt(2, 8)));
+      for (int64_t& token : request.prompt) {
+        token = rng.UniformInt(0, 15);
+      }
+      const double draw = rng.Uniform(0.0, 1.0);
+      if (draw < 0.1) {
+        request.cancel_at = request.arrival + rng.Uniform(-0.2, 2.0);
+      } else if (draw < 0.2) {
+        // On the grid: some land exactly on a boundary after an idle gap.
+        request.cancel_at = 0.25 * static_cast<double>(rng.UniformInt(0, 36));
+      } else if (draw < 0.4) {
+        request.cancel_after_tokens = rng.UniformInt(1, request.max_new_tokens + 1);
+      }
+      if (rng.Uniform(0.0, 1.0) < 0.3) {
+        request.ttft_deadline = request.arrival + rng.Uniform(0.1, 1.5);
+      }
+    }
+    const StreamCallback on_token = [](const StreamDelta& delta) {
+      return (delta.request * 7 + delta.index) % 13 != 0;
+    };
+    ServingFrontendConfig config;
+    config.scheduler.admission =
+        seed % 2 == 0 ? AdmissionPolicy::kDeadline : AdmissionPolicy::kQueueOrder;
+    config.scheduler.prefix_cache = seed % 3 == 0;
+    config.prefix_cache = config.scheduler.prefix_cache;
+    config.block_tokens = 2;
+    config.num_blocks = 10;  // Tight: bursts preempt.
+    // A 0.25 s step keeps every boundary on the grid, so grid cancel_at
+    // instants meet a boundary exactly.
+    config.seconds_per_step = seed % 2 == 1 ? 0.25 : 0.1;
+
+    const FullScanRun want = ServeWithFullScanCancellation(net, requests, config, on_token);
+    SeqEventLog log;
+    ServingFrontendConfig logged = config;
+    logged.event_log = &log;
+    const ServingResult got = ServeWith(net, requests, logged, on_token);
+    const ServingResult lazy = ServeWith(net, requests, config, on_token);
+
+    const std::vector<SeqEvent> events = log.Snapshot();
+    ASSERT_EQ(events.size(), want.events.size());
+    for (size_t e = 0; e < events.size(); ++e) {
+      EXPECT_EQ(events[e].seq, want.events[e].seq) << "event " << e;
+      EXPECT_EQ(events[e].kind, want.events[e].kind) << "event " << e;
+      EXPECT_EQ(events[e].step, want.events[e].step) << "event " << e;
+      EXPECT_EQ(events[e].tokens, want.events[e].tokens) << "event " << e;
+      EXPECT_EQ(events[e].sim_seconds, want.events[e].sim_seconds) << "event " << e;
+    }
+    for (size_t i = 0; i < requests.size(); ++i) {
+      EXPECT_EQ(got.records[i].response, want.responses[i]) << "request " << i;
+      EXPECT_EQ(lazy.records[i].response, want.responses[i]) << "request " << i;
+      EXPECT_EQ(lazy.records[i].outcome, got.records[i].outcome) << "request " << i;
+      EXPECT_EQ(lazy.records[i].end_time, got.records[i].end_time) << "request " << i;
+    }
+    EXPECT_EQ(lazy.scheduler_stats.cancelled, got.scheduler_stats.cancelled);
+    EXPECT_EQ(got.kv_leaked_blocks, 0);
+    EXPECT_EQ(lazy.kv_leaked_blocks, 0);
+    cancelled += got.scheduler_stats.cancelled;
+    expired += got.scheduler_stats.expired;
+    preemptions += got.scheduler_stats.preemptions;
+  }
+  EXPECT_GT(cancelled, 0);
+  EXPECT_GT(expired, 0);
+  EXPECT_GT(preemptions, 0);
 }
 
 TEST(ServingFrontendTest, ReportAggregatesPerTenantAndJsonlValidates) {

@@ -10,6 +10,7 @@
 
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
+#include "src/obs/metrics.h"
 #include "src/tensor/ops.h"
 #include "src/tensor/parallel.h"
 #include "src/tensor/simd.h"
@@ -904,6 +905,138 @@ TEST(KernelDeterminismTest, CallerRunsOnPoolThreadsMatchesMainThread) {
   for (const std::vector<float>& result : results) {
     ExpectBitwiseEq(expected, result, "pool-thread matmul");
   }
+}
+
+// ---------------------------------------------------------------------------
+// Grad mode (NoGradScope).
+// ---------------------------------------------------------------------------
+
+// Every op's forward over one set of grad-requiring inputs, each result
+// kept so its node can be inspected.
+std::vector<Tensor> EveryOpForward(const Tensor& x, const Tensor& w, const Tensor& k,
+                                   const Tensor& gamma, const Tensor& beta) {
+  std::vector<Tensor> out;
+  const auto keep = [&out](Tensor t) {
+    out.push_back(t);
+    return t;
+  };
+  const Tensor h = keep(MatMul(x, w));                               // [16, 8]
+  keep(LayerNorm(h, gamma, beta));
+  keep(LayerNormMatMul(x, Tensor::Full({12}, 1.0f), Tensor::Zeros({12}), w));
+  keep(BlockAttention(x, k, x, 4, 0.5f));
+  keep(Add(h, h));
+  keep(Add(h, beta));
+  keep(Sub(h, h));
+  keep(Mul(h, h));
+  keep(Scale(h, 0.5f));
+  keep(AddScalar(h, 0.5f));
+  keep(Neg(h));
+  keep(Exp(h));
+  keep(Sigmoid(h));
+  keep(Softplus(h));
+  keep(Square(h));
+  keep(Tanh(h));
+  keep(Gelu(h));
+  keep(Minimum(h, Scale(h, 0.5f)));
+  keep(Maximum(h, Scale(h, 0.5f)));
+  keep(Clamp(h, -0.1f, 0.1f));
+  keep(Sum(h));
+  keep(Mean(h));
+  keep(RowSum(h));
+  keep(Transpose(h));
+  keep(SliceRows(h, 2, 9));
+  keep(LogSoftmax(h));
+  keep(Softmax(h));
+  keep(GatherRows(w, {0, 3, 3, 11}));
+  keep(PickPerRow(h, std::vector<int64_t>(16, 5)));
+  keep(Reshape(h, {128}));
+  keep(ConcatRows({h, h}));
+  return out;
+}
+
+TEST(NoGradScopeTest, ResultsWireNoGraphAndMatchGradModeBitwise) {
+  Rng rng(5);
+  const Tensor x = Tensor::Randn({16, 12}, rng, 0.5f);
+  const Tensor w = Tensor::Randn({12, 8}, rng, 0.5f);
+  const Tensor k = Tensor::Randn({16, 12}, rng, 0.5f);
+  const Tensor gamma = Tensor::Randn({8}, rng, 0.2f);
+  const Tensor beta = Tensor::Randn({8}, rng, 0.2f);
+  Counter& nodes = MetricsRegistry::Global().GetCounter("tensor.autograd_nodes_total");
+
+  const double before_grad = nodes.Value();
+  const std::vector<Tensor> with_grad = EveryOpForward(x, w, k, gamma, beta);
+  // Every op wires its result (the intermediate Scale nodes included).
+  EXPECT_GE(nodes.Value() - before_grad, static_cast<double>(with_grad.size()));
+  for (const Tensor& t : with_grad) {
+    EXPECT_TRUE(t.requires_grad());
+    EXPECT_FALSE(t.node()->parents.empty());
+    EXPECT_TRUE(static_cast<bool>(t.node()->backward));
+  }
+
+  std::vector<Tensor> without_grad;
+  const double before_no_grad = nodes.Value();
+  {
+    NoGradScope no_grad;
+    EXPECT_FALSE(GradEnabled());
+    without_grad = EveryOpForward(x, w, k, gamma, beta);
+  }
+  EXPECT_TRUE(GradEnabled());
+  EXPECT_EQ(nodes.Value(), before_no_grad);
+  ASSERT_EQ(without_grad.size(), with_grad.size());
+  for (size_t i = 0; i < with_grad.size(); ++i) {
+    const Tensor& t = without_grad[i];
+    EXPECT_FALSE(t.requires_grad()) << "op " << i;
+    EXPECT_TRUE(t.node()->parents.empty()) << "op " << i;
+    EXPECT_FALSE(static_cast<bool>(t.node()->backward)) << "op " << i;
+    EXPECT_EQ(t.shape(), with_grad[i].shape()) << "op " << i;
+    ExpectBitwiseEq(with_grad[i].data(), t.data(), ("op " + std::to_string(i)).c_str());
+  }
+  // The inputs themselves are untouched: a later grad-mode pass still
+  // trains them.
+  Tensor loss = Sum(MatMul(x, w));
+  loss.Backward();
+  EXPECT_EQ(w.grad().size(), w.data().size());
+}
+
+TEST(NoGradScopeTest, NestedScopesRestoreThePreviousMode) {
+  EXPECT_TRUE(GradEnabled());
+  {
+    NoGradScope outer;
+    EXPECT_FALSE(GradEnabled());
+    {
+      NoGradScope inner;
+      EXPECT_FALSE(GradEnabled());
+    }
+    EXPECT_FALSE(GradEnabled());  // The inner scope restored the outer's mode.
+  }
+  EXPECT_TRUE(GradEnabled());
+}
+
+TEST(NoGradScopeTest, PoolTaskDoesNotInheritTheScope) {
+  Rng rng(8);
+  const Tensor a = Tensor::Randn({4, 4}, rng, 1.0f);
+  const Tensor b = Tensor::Randn({4, 4}, rng, 1.0f);
+  NoGradScope no_grad;
+  ASSERT_FALSE(GradEnabled());
+  bool task_grad_enabled = false;
+  bool task_wired = false;
+  bool task_scope_closed_cleanly = false;
+  ThreadPool::Shared()
+      .Submit([&] {
+        task_grad_enabled = GradEnabled();
+        task_wired = MatMul(a, b).requires_grad();
+        {
+          NoGradScope task_scope;
+          task_wired = task_wired && !MatMul(a, b).requires_grad();
+        }
+        task_scope_closed_cleanly = GradEnabled();
+      })
+      .get();
+  EXPECT_TRUE(task_grad_enabled);
+  EXPECT_TRUE(task_wired);
+  EXPECT_TRUE(task_scope_closed_cleanly);
+  EXPECT_FALSE(GradEnabled());  // The task's scope never touched this thread's.
+  EXPECT_FALSE(MatMul(a, b).requires_grad());
 }
 
 }  // namespace

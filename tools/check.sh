@@ -28,8 +28,10 @@ ROOT="$PWD"
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
 # Tests exercising the concurrency surface; the default TSan phase runs
-# these (the full suite under TSan is --full-tsan).
-TSAN_TESTS='ThreadPool|ParallelDispatch|Determinism|Obs|Rollout|Async|Kernel|LockGraph|ScheduleFuzz|Quantile|Latency|Serving|KvCache|Protocol|ActorWorker'
+# these (the full suite under TSan is --full-tsan). NoGradScope's grad mode
+# is thread-local and crosses RunShards' pool threads; the serving
+# cancellation test drives the token sink the step loop calls.
+TSAN_TESTS='ThreadPool|ParallelDispatch|Determinism|Obs|Rollout|Async|Kernel|LockGraph|ScheduleFuzz|Quantile|Latency|Serving|KvCache|Protocol|ActorWorker|NoGradScope|EventDrivenCancellation'
 # Subset re-run under seeded schedule perturbation: the tests that
 # actually race threads (lock-graph/fuzz unit tests pin their own seeds).
 FUZZ_TESTS='ThreadPool|ParallelDispatch|Rollout|Async|Kernel|Quantile|Latency|Serving|KvCache|Protocol|ActorWorker'
